@@ -123,14 +123,17 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_load_json(path))
+
+
+def _load_json(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def _dataspec_dict(d: DataSpec) -> dict:
@@ -170,6 +173,7 @@ def save_run(outdir: str, config: RunConfig, traj: Trajectory,
         "u1_mean_positive": bool(np.mean(config.u1.build(config.grid)) > 0),
         "blowup": None if traj.blowup is None else
                   {"time": traj.blowup.time, "reason": traj.blowup.reason},
+        "blowup_threshold": traj.blowup_threshold,
     }
     if extra_manifest:
         manifest.update(extra_manifest)
@@ -197,7 +201,8 @@ def load_run(outdir: str) -> tuple:
         from .solver import BlowUp
         blowup = BlowUp(manifest["blowup"]["time"], manifest["blowup"]["reason"])
     traj = Trajectory(times=data[:, 0], norms=data[:, 1:], grid=config.grid,
-                      params=config.params, blowup=blowup)
+                      params=config.params, blowup=blowup,
+                      blowup_threshold=manifest.get("blowup_threshold"))
     fdir = os.path.join(outdir, "fields")
     if os.path.isdir(fdir):
         us = sorted(f for f in os.listdir(fdir) if f.startswith("u_"))
@@ -453,7 +458,9 @@ def _set_by_path(doc: dict, dotted: str, value):
     keys = dotted.split(".")
     node = doc
     for k in keys[:-1]:
-        node = node[k]
+        node = node.get(k)
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep path {dotted!r}: {k!r} is not a section of the base config")
     node[keys[-1]] = value
 
 
@@ -472,8 +479,7 @@ def _sweep_worker(task) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.config)
     if "base" not in doc or "sweep" not in doc:
         print("sweep config needs 'base' (a run config) and 'sweep' "
               "(dotted-path -> list of values)", file=sys.stderr)

@@ -252,7 +252,8 @@ def _laplacian_power(stack: np.ndarray, power: float, grid: GridSpec) -> np.ndar
     """(-Lap)^(power/2) per time slice: spectral multiplier |xi|^power."""
     sym = fractional_symbol(grid.xi_squared(), power)
     axes = tuple(range(1, stack.ndim))
-    return np.fft.ifftn(sym[None, ...] * np.fft.fftn(stack, axes=axes), axes=axes).real
+    return np.fft.irfftn(sym[None, ...] * np.fft.rfftn(stack, axes=axes),
+                         s=stack.shape[1:], axes=axes)
 
 
 def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,

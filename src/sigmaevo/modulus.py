@@ -157,7 +157,10 @@ class ModulusSpec:
                 raise ParameterError("log-power key needs an exponent, e.g. 'log-power:1'")
             return cls.log_power(float(arg), **kw)
         if name == "tabulated":
-            pts = np.loadtxt(arg, delimiter=",", ndmin=2)
+            try:
+                pts = np.loadtxt(arg, delimiter=",", ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ParameterError(f"cannot read tabulated modulus file {arg!r}: {exc}") from exc
             return cls.tabulated([(float(a), float(b)) for a, b in pts], **kw)
         raise ParameterError(f"unknown modulus key {key!r}")
 

@@ -64,6 +64,7 @@ class Trajectory:
     grid: GridSpec
     params: EquationParams
     blowup: Optional[BlowUp] = None
+    blowup_threshold: Optional[float] = None      # the threshold simulate resolved
     snapshot_times: Optional[np.ndarray] = None
     snapshots_u: Optional[np.ndarray] = None      # shape (k, *grid.shape)
     snapshots_ut: Optional[np.ndarray] = None
@@ -218,6 +219,7 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     uh = grid.fft(np.asarray(u0, dtype=float))
     uth = grid.fft(np.asarray(u1, dtype=float))
     n_steps = int(round(config.t_end / config.dt))
+    on_u = params.target == Target.ON_U
 
     times, rows = [], []
     snap_t, snaps_u, snaps_ut = [], [], []
@@ -225,9 +227,11 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
 
     for k in range(n_steps + 1):
         t = k * config.dt
-        u_phys = grid.ifft(uh)
-        ut_phys = grid.ifft(uth) if params.target == Target.ON_UT else None
-        w = u_phys if params.target == Target.ON_U else ut_phys
+        row = k % config.snapshot_stride == 0
+        # transform back only what this step reads: w, and the fields of a row
+        u_phys = grid.ifft(uh) if on_u or row else None
+        ut_phys = grid.ifft(uth) if not on_u or (row and config.store_fields) else None
+        w = u_phys if on_u else ut_phys
 
         if not np.all(np.isfinite(w)):
             blowup = BlowUp(time=t, reason="nan")
@@ -236,19 +240,20 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
             blowup = BlowUp(time=t, reason="escape")
             break
 
-        if k % config.snapshot_stride == 0:
+        if row:
             times.append(t)
             rows.append(_norm_row(uh, uth, u_phys, grid, params))
             if config.store_fields:
                 snap_t.append(t)
                 snaps_u.append(u_phys)
-                snaps_ut.append(ut_phys if ut_phys is not None else grid.ifft(uth))
+                snaps_ut.append(ut_phys)
         if k == n_steps:
             break
         uh, uth = stepper.step(uh, uth, w)
 
     traj = Trajectory(times=np.asarray(times), norms=np.asarray(rows),
-                      grid=grid, params=params, blowup=blowup)
+                      grid=grid, params=params, blowup=blowup,
+                      blowup_threshold=config.blowup_threshold)
     if config.store_fields:
         traj.snapshot_times = np.asarray(snap_t)
         traj.snapshots_u = np.asarray(snaps_u)

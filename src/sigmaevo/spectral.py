@@ -10,15 +10,25 @@ v'' + |xi|^(2*delta) v' + |xi|^(2*sigma) v = 0 with characteristic roots
     lam_pm = ( -|xi|^(2*delta) +- sqrt(|xi|^(4*delta) - 4 |xi|^(2*sigma)) ) / 2.
 
 The propagator multipliers K0 (for the displacement datum) and K1 (for the
-velocity datum) are assembled from the roots in a cancellation-safe way: the
-difference quotient (exp(lam_p t) - exp(lam_m t)) / (lam_p - lam_m) switches
-to a series in x = (lam_p - lam_m) t near root coalescence, which also yields
-the exact double-root limits (1 - lam t) exp(lam t) and t exp(lam t).
+velocity datum) are real, even functions of |xi|, evaluated in real
+arithmetic from closed forms with no series branch:
+
+  oscillatory modes, lam = alpha +- i omega:
+      K1 = exp(alpha t) sin(omega t) / omega,  K0 = exp(alpha t) cos(omega t) - alpha K1
+  overdamped modes, real lam_m <= lam_p <= 0 and x = (lam_p - lam_m) t >= 0:
+      K1 = t exp(lam_p t) (-expm1(-x) / x),    K0 = exp(lam_p t) - lam_p K1
+
+The overdamped form stays cancellation-safe as the roots coalesce (it tends
+to the double-root limits t exp(lam t) and (1 - lam t) exp(lam t)) and never
+multiplies a vanishing exp(alpha t) by a growing sinh at large t.
 
 Conventions: N points per axis on [-L, L), frequencies xi_k = (pi / L) k for
 k in {-N/2, ..., N/2 - 1} stored in FFT layout, |xi| the Euclidean magnitude.
-The fractional symbol |xi|^p is exp(p/2 * log(|xi|^2)) with |xi| = 0 mapped
-to 0 for p > 0 and to 1 for p = 0 (the identity operator).
+Fields are real, so spectra are stored as the rfftn half spectrum: the last
+axis keeps only k = 0..N/2, and every array on the spectral side has shape
+(N,)*(n-1) + (N//2+1,).  The fractional symbol |xi|^p is
+exp(p/2 * log(|xi|^2)) with |xi| = 0 mapped to 0 for p > 0 and to 1 for
+p = 0 (the identity operator).
 """
 from __future__ import annotations
 
@@ -29,9 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-
-_DEGENERATE_TOL = 1e-8
-_SERIES_CUT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -80,40 +87,48 @@ class GridSpec:
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
 
     def xi_squared(self) -> np.ndarray:
+        """|xi|^2 on the half spectrum."""
         return _xi_squared_cached(self.n, self.N, self.L)
 
     def fft(self, u: np.ndarray) -> np.ndarray:
+        """Half spectrum (rfftn) of a real field."""
         self.check_field(u)
-        return np.fft.fftn(u)
+        return np.fft.rfftn(u)
 
     def ifft(self, uh: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(uh).real
+        """Real field from its half spectrum (irfftn)."""
+        return np.fft.irfftn(uh, s=self.shape, axes=tuple(range(self.n)))
 
     def check_field(self, u: np.ndarray):
         if np.shape(u) != self.shape:
             raise GridMismatchError(f"field shape {np.shape(u)} does not match grid {self.shape}")
 
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
-        """Boolean keep-mask for modes with |k| <= fraction * N/2 per axis."""
+        """Half-spectrum keep-mask for modes with |k| <= fraction * N/2 per axis."""
         if not 0.0 < fraction <= 1.0:
             raise ParameterError("dealias fraction must lie in (0, 1]")
         return _dealias_mask_cached(self.n, self.N, round(fraction * 1e9))
 
 
+def _half_spectrum_axes(n: int, N: int, d: float) -> list:
+    """Per-axis frequencies of the half spectrum: fftfreq, then rfftfreq last."""
+    return [np.fft.fftfreq(N, d=d)] * (n - 1) + [np.fft.rfftfreq(N, d=d)]
+
+
 @functools.lru_cache(maxsize=32)
 def _xi_squared_cached(n: int, N: int, L: float) -> np.ndarray:
-    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=2.0 * L / N)
-    mats = np.meshgrid(*([xi] * n), indexing="ij")
+    axes = [2.0 * np.pi * f for f in _half_spectrum_axes(n, N, 2.0 * L / N)]
+    mats = np.meshgrid(*axes, indexing="ij")
     out = sum(m * m for m in mats)
     out.setflags(write=False)
     return out
 
+
 @functools.lru_cache(maxsize=32)
 def _dealias_mask_cached(n: int, N: int, frac_key: int) -> np.ndarray:
     fraction = frac_key / 1e9
-    k = np.abs(np.fft.fftfreq(N) * N)
-    keep1d = k <= fraction * (N // 2) + 1e-9
-    mats = np.meshgrid(*([keep1d] * n), indexing="ij")
+    keep = [np.abs(k) <= fraction * (N // 2) + 1e-9 for k in _half_spectrum_axes(n, N, 1.0 / N)]
+    mats = np.meshgrid(*keep, indexing="ij")
     out = np.logical_and.reduce(mats)
     out.setflags(write=False)
     return out
@@ -182,8 +197,52 @@ def characteristic_roots(xi_mag, sigma: float, delta: float):
 
 
 @dataclass(frozen=True)
+class _RealRoots:
+    """Characteristic roots in the real form the multiplier kernel reads.
+
+    Every mode keeps alpha = Re lam_plus and omega = Im lam_plus (omega > 0
+    exactly on the oscillatory modes).  The overdamped modes (real roots,
+    omega = 0) are also listed by flat index with lam_plus and the gap
+    lam_plus - lam_minus >= 0.
+    """
+
+    alpha: np.ndarray
+    omega: np.ndarray
+    inv_omega: np.ndarray     # 1 / omega, 0 on overdamped modes
+    od: np.ndarray            # flat indices of the overdamped modes
+    od_lam: np.ndarray        # lam_plus on those modes
+    od_gap: np.ndarray        # lam_plus - lam_minus on those modes
+
+    @classmethod
+    def from_roots(cls, lam_p, lam_m) -> "_RealRoots":
+        lam_p = np.asarray(lam_p, dtype=complex)
+        alpha = np.ascontiguousarray(lam_p.real)
+        omega = np.ascontiguousarray(lam_p.imag)
+        with np.errstate(divide="ignore"):
+            inv_omega = np.where(omega > 0.0, 1.0 / omega, 0.0)
+        od = np.flatnonzero(omega <= 0.0)
+        gap = (lam_p - np.asarray(lam_m, dtype=complex)).real
+        return cls(alpha, omega, inv_omega, od, alpha.ravel()[od], gap.ravel()[od])
+
+    def k0k1(self, t: float):
+        """Float64 K0(t), K1(t) for every mode (see the module docstring)."""
+        e = np.exp(self.alpha * t)
+        K1 = e * np.sin(self.omega * t) * self.inv_omega
+        K0 = e * np.cos(self.omega * t) - self.alpha * K1
+        if self.od.size:
+            lam = self.od_lam
+            x = self.od_gap * t
+            quot = np.where(x > 0.0, -np.expm1(-x) / np.where(x > 0.0, x, 1.0), 1.0)
+            ep = np.exp(lam * t)
+            k1 = t * ep * quot
+            K1.flat[self.od] = k1
+            K0.flat[self.od] = ep - lam * k1
+        return K0, K1
+
+
+@dataclass(frozen=True)
 class MultiplierCache:
-    """Per-mode roots and symbols for one (grid, sigma, delta)."""
+    """Per-mode roots and symbols for one (grid, sigma, delta), half spectrum."""
 
     grid: GridSpec
     sigma: float
@@ -192,7 +251,7 @@ class MultiplierCache:
     c: np.ndarray            # |xi|^(2 sigma)
     lam_plus: np.ndarray
     lam_minus: np.ndarray
-    degenerate_mask: np.ndarray
+    roots: _RealRoots
 
     @classmethod
     def build(cls, grid: GridSpec, sigma: float, delta: float) -> "MultiplierCache":
@@ -200,59 +259,27 @@ class MultiplierCache:
         b = fractional_symbol(xisq, 2.0 * delta)
         c = fractional_symbol(xisq, 2.0 * sigma)
         lam_p, lam_m = characteristic_roots(np.sqrt(xisq), sigma, delta)
-        degen = np.abs(lam_p - lam_m) < _DEGENERATE_TOL * np.maximum(1.0, np.abs(lam_p))
-        return cls(grid, sigma, delta, b, c, lam_p, lam_m, degen)
-
-
-def _k0k1(t: float, lam_p, lam_m):
-    """Propagator multipliers from the roots, cancellation-safe.
-
-    K1 = t * exp(lam_m t) * E(x) and K0 = exp(lam_m t) * (1 - lam_m t E(x))
-    with E(x) = (exp(x) - 1)/x and x = (lam_p - lam_m) t; E is evaluated by
-    series for small |x| (covering coalescing and exactly-double roots) and
-    through separate exponentials otherwise (no overflow: Re lam_pm <= 0).
-    """
-    lam_p = np.asarray(lam_p, dtype=complex)
-    lam_m = np.asarray(lam_m, dtype=complex)
-    x = (lam_p - lam_m) * t
-    small = np.abs(x) < _SERIES_CUT
-
-    K0 = np.empty(lam_p.shape, dtype=complex)
-    K1 = np.empty(lam_p.shape, dtype=complex)
-    if np.any(small):
-        xs = x[small]
-        E = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
-        eLm = np.exp(lam_m[small] * t)
-        K1[small] = t * eLm * E
-        K0[small] = eLm * (1.0 - lam_m[small] * t * E)
-    big = ~small
-    if np.any(big):
-        ep = np.exp(lam_p[big] * t)
-        em = np.exp(lam_m[big] * t)
-        dl = lam_p[big] - lam_m[big]
-        K1[big] = (ep - em) / dl
-        K0[big] = (lam_p[big] * em - lam_m[big] * ep) / dl
-    return K0, K1
+        return cls(grid, sigma, delta, b, c, lam_p, lam_m, _RealRoots.from_roots(lam_p, lam_m))
 
 
 def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
-    """K0_hat(t, xi), K1_hat(t, xi) for scalar or array |xi|.
+    """K0_hat(t, xi), K1_hat(t, xi) for scalar or array |xi|, as float64.
 
     K0_hat(0, xi) = 1 and K1_hat(0, xi) = 0 exactly; both solve the per-mode
     ODE v'' + |xi|^(2 delta) v' + |xi|^(2 sigma) v = 0.
     """
     if t < 0:
         raise ParameterError("t must be nonnegative")
-    lam_p, lam_m = characteristic_roots(xi_mag, sigma, delta)
-    K0, K1 = _k0k1(t, lam_p, lam_m)
-    if np.isscalar(xi_mag) or np.ndim(xi_mag) == 0:
-        return complex(K0), complex(K1)
-    return K0, K1
+    xi = np.asarray(xi_mag, dtype=float)
+    K0, K1 = _RealRoots.from_roots(*characteristic_roots(xi.ravel(), sigma, delta)).k0k1(t)
+    if xi.ndim == 0:
+        return float(K0[0]), float(K1[0])
+    return K0.reshape(xi.shape), K1.reshape(xi.shape)
 
 
 @dataclass(frozen=True)
 class Propagator:
-    """Multipliers of the linear flow at a fixed time increment.
+    """Float64 multipliers of the linear flow at a fixed time increment.
 
     K0, K1 advance u_hat; D0 = dK0/dt = -c K1 and D1 = dK1/dt = K0 - b K1
     advance ut_hat (closed forms, no extra exponentials).
@@ -266,7 +293,7 @@ class Propagator:
 
     @classmethod
     def build(cls, cache: MultiplierCache, t: float) -> "Propagator":
-        K0, K1 = _k0k1(t, cache.lam_plus, cache.lam_minus)
+        K0, K1 = cache.roots.k0k1(t)
         D0 = -cache.c * K1
         D1 = K0 - cache.b * K1
         return cls(t, K0, K1, D0, D1)
@@ -301,20 +328,27 @@ def fractional_derivative(u: np.ndarray, s: float, grid: GridSpec) -> np.ndarray
 # -- norm helpers on the spectral side ---------------------------------------
 
 def spectral_l2(uh: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:
-    """|| |D|^weight_power u ||_L2 computed from the spectrum uh of u.
+    """|| |D|^weight_power u ||_L2 computed from the half spectrum uh of u.
 
     weight_power = 0 is Plancherel; negative powers use the homogeneous
     convention (zero mode dropped).
     """
-    if weight_power == 0.0:
-        w = 1.0
-    else:
-        xisq = grid.xi_squared()
-        with np.errstate(divide="ignore"):
-            w = np.where(xisq > 0.0,
-                         np.exp(weight_power * np.log(np.where(xisq > 0.0, xisq, 1.0))), 0.0)
-    total = np.sum(w * np.abs(uh) ** 2)
+    w = _l2_weight_cached(grid.n, grid.N, grid.L, weight_power)
+    total = np.sum(w * (uh.real ** 2 + uh.imag ** 2))
     return float(np.sqrt(total * grid.cell_volume / grid.N ** grid.n))
+
+
+@functools.lru_cache(maxsize=64)
+def _l2_weight_cached(n: int, N: int, L: float, power: float) -> np.ndarray:
+    """|xi|^(2 power) times the Hermitian multiplicity of each stored mode.
+
+    An interior last-axis column stands for itself and its conjugate, so it
+    counts twice; the zero and Nyquist columns are their own conjugates.
+    """
+    out = fractional_symbol(_xi_squared_cached(n, N, L), 2.0 * power)
+    out[..., 1:N // 2] *= 2.0
+    out.setflags(write=False)
+    return out
 
 
 def energy(uh: np.ndarray, uth: np.ndarray, grid: GridSpec, sigma: float) -> float:
@@ -352,7 +386,7 @@ def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
     idx = np.arange(-kmax, kmax + 1)
     grid_idx = np.ix_(*([idx % grid.N] * grid.n))
     spec[grid_idx] = coeffs
-    return grid.ifft(spec * grid.N ** grid.n)
+    return np.fft.ifftn(spec * grid.N ** grid.n).real
 
 
 # -- torus wrap-time heuristic -------------------------------------------------
@@ -365,6 +399,7 @@ def wrap_time(grid: GridSpec, sigma: float, delta: float,
     A mode contaminates once its oscillatory group velocity carries it to the
     boundary while its damped amplitude still exceeds ``tol`` relative to the
     data spectrum's peak (wraps fainter than that cannot move a rate fit).
+    ``data_spectrum`` is a half spectrum, as returned by ``GridSpec.fft``.
     Overdamped modes do not propagate and are ignored.  Returns inf when no
     resolved mode can contaminate.  Heuristic: group velocities are sampled
     by finite differences, which smooths the integrable singularity at the

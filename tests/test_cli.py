@@ -179,6 +179,39 @@ class TestCommands:
         assert rc != 0
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_missing_tabulated_modulus_named_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["mu-classify", f"tabulated:{missing}"]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_missing_sweep_config_named_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["sweep", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err and str(missing) in err
+
+    def test_bad_sweep_path_named_cleanly(self, tmp_path, capsys):
+        sweep_doc = {"base": small_config_doc(tmp_path),
+                     "sweep": {"data.u9.amplitude": [0.01]},
+                     "output_dir": str(tmp_path / "sw")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "data.u9.amplitude" in err and "'u9'" in err
+
+    def test_manifest_records_resolved_threshold(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the config asks for the default; the manifest keeps the request and
+        # records the number simulate used: 1e6 x sup |u0|
+        assert manifest["config"]["solver"]["blowup_threshold"] is None
+        assert manifest["blowup_threshold"] == pytest.approx(1e6 * 0.01)
+        _, traj = load_run(out)
+        assert traj.blowup_threshold == manifest["blowup_threshold"]
+
     def test_blowup_scan(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,

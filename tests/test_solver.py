@@ -3,6 +3,7 @@ import pytest
 
 from sigmaevo.errors import ParameterError
 from sigmaevo.modulus import ModulusSpec
+from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
 from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _Stepper,
                              blow_up_detect, default_blowup_threshold,
@@ -238,6 +239,30 @@ class TestSimulate:
         with pytest.warns(UserWarning, match="outside the thm_1_2 window"):
             traj = simulate(u0, np.zeros_like(u0), p, mu, cfg, grid)
         assert traj.blowup is None
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    def test_snapshots_match_norm_rows(self, grid, mu, target):
+        # the loop transforms back only what a step or a row reads; the
+        # stored fields must still be the state each row describes
+        p = EquationParams(sigma=2, delta=1, m=1, n=1, p=2, target=target, r=2.6)
+        u0 = gaussian(grid, amplitude=0.1)
+        u1 = gaussian(grid, amplitude=0.05, width=2.0)
+        cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_stride=3, store_fields=True)
+        traj = simulate(u0, u1, p, mu, cfg, grid)
+        assert np.array_equal(traj.snapshot_times, traj.times)
+        for snaps, column in ((traj.snapshots_u, "L2_u"), (traj.snapshots_ut, "L2_ut")):
+            l2 = [lebesgue_norm(f, 2, grid) for f in snaps]
+            assert l2 == pytest.approx(traj.column(column), rel=1e-12)
+        assert np.array_equal(np.max(np.abs(traj.snapshots_u), axis=1), traj.column("Linf_u"))
+
+    def test_resolved_threshold_recorded(self, grid, params, mu):
+        u0 = gaussian(grid, amplitude=0.2)
+        u1 = np.zeros_like(u0)
+        traj = simulate(u0, u1, params, mu, SolverConfig(dt=0.1, t_end=0.5), grid)
+        assert traj.blowup_threshold == default_blowup_threshold(u0, u1)
+        cfg = SolverConfig(dt=0.1, t_end=0.5, blowup_threshold=7.0)
+        assert simulate(u0, u1, params, mu, cfg, grid).blowup_threshold == 7.0
 
     def test_nonfinite_data_rejected(self, grid, params, mu):
         bad = np.zeros(grid.shape)

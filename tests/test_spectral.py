@@ -11,8 +11,8 @@ from sigmaevo.spectral import (FieldState, GridSpec, MultiplierCache,
                                fractional_derivative, fractional_symbol,
                                linear_evolve, mode_coefficients,
                                propagator_multipliers, read_field,
-                               synthesize, wrap_time, write_field,
-                               write_state_csv)
+                               spectral_l2, synthesize, wrap_time,
+                               write_field, write_state_csv)
 
 
 def oracle_multipliers(t, xi, sigma, delta, rtol=1e-12):
@@ -28,6 +28,36 @@ def oracle_multipliers(t, xi, sigma, delta, rtol=1e-12):
     s0 = solve_ivp(rhs, [0, t], [1, 0], rtol=rtol, atol=1e-15, method="DOP853")
     s1 = solve_ivp(rhs, [0, t], [0, 1], rtol=rtol, atol=1e-15, method="DOP853")
     return s0.y[0][-1], s1.y[0][-1]
+
+
+def complex_root_multipliers(t, lam_p, lam_m):
+    """The complex-root multiplier kernel the real closed forms replaced.
+
+    K1 = t exp(lam_m t) E(x), K0 = exp(lam_m t) (1 - lam_m t E(x)) with
+    E(x) = (exp(x) - 1)/x and x = (lam_p - lam_m) t; E by series for
+    |x| < 1e-4, through separate exponentials otherwise.
+    """
+    lam_p = np.asarray(lam_p, dtype=complex)
+    lam_m = np.asarray(lam_m, dtype=complex)
+    x = (lam_p - lam_m) * t
+    small = np.abs(x) < 1e-4
+
+    K0 = np.empty(lam_p.shape, dtype=complex)
+    K1 = np.empty(lam_p.shape, dtype=complex)
+    if np.any(small):
+        xs = x[small]
+        E = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
+        eLm = np.exp(lam_m[small] * t)
+        K1[small] = t * eLm * E
+        K0[small] = eLm * (1.0 - lam_m[small] * t * E)
+    big = ~small
+    if np.any(big):
+        ep = np.exp(lam_p[big] * t)
+        em = np.exp(lam_m[big] * t)
+        dl = lam_p[big] - lam_m[big]
+        K1[big] = (ep - em) / dl
+        K0[big] = (lam_p[big] * em - lam_m[big] * ep) / dl
+    return K0, K1
 
 
 class TestGrid:
@@ -142,6 +172,28 @@ class TestPropagators:
         assert np.max(np.abs(fd0 - pm.D0)) < 1e-5
         assert np.max(np.abs(fd1 - pm.D1)) < 1e-5
 
+    @pytest.mark.parametrize("sigma,delta", [(1, 0), (2, 1), (1.5, 0.3), (1.3, 0.4),
+                                             (3, 1.5), (1, 0.5)])
+    def test_real_kernel_matches_complex_roots(self, sigma, delta):
+        # the grid resolves |xi| down to pi/20, so (1, 0), (1.5, 0.3) and
+        # (1.3, 0.4) have overdamped modes besides the zero mode
+        g = GridSpec(2, 64, 20.0)
+        cache = MultiplierCache.build(g, sigma, delta)
+        for t in (0.0, 1e-6, 0.05, 7.3, 60.0, 1e3):
+            prop = Propagator.build(cache, t)
+            K0, K1 = complex_root_multipliers(t, cache.lam_plus, cache.lam_minus)
+            oracle = {"K0": K0, "K1": K1, "D0": -cache.c * K1, "D1": K0 - cache.b * K1}
+            for name, ref in oracle.items():
+                got = getattr(prop, name)
+                scale = np.max(np.abs(ref))
+                assert got.dtype == np.float64
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(ref.imag)) <= 1e-12 * scale
+                # relative per mode; the absolute floor of a few roundoffs at
+                # the array's scale only matters where K0 or D1 crosses zero
+                np.testing.assert_allclose(got, ref.real, rtol=1e-12, atol=1e-15 * scale,
+                                           err_msg=f"{name} at t={t}")
+
     def test_multipliers_bounded_in_time(self):
         # damping keeps |K0| and the scaled |K1| bounded uniformly in t
         g = GridSpec(1, 256, 10.0)
@@ -248,6 +300,34 @@ class TestBandLimited:
         # same continuum field: samples of u2 at u1's points coincide
         assert np.max(np.abs(u2[::4] - u1)) < 1e-10 * max(1.0, np.max(np.abs(u1)))
         assert abs(np.mean(u1)) < 1e-13
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("column", ["odd", "even", "zero", "nyquist"])
+    def test_plancherel_matches_full_spectrum(self, n, column):
+        # one real mode whose last-axis index sits in the given half-spectrum
+        # column; the other axes carry index 1 (in 1D the zero column is the
+        # zero mode, which the negative power drops)
+        g = GridSpec(n, 8, 3.0)
+        last = {"odd": 3, "even": 2, "zero": 0, "nyquist": g.N // 2}[column]
+        k = [1] * (n - 1) + [last]
+        phase = sum((math.pi / g.L) * kj * c for kj, c in zip(k, g.coords()))
+        u = np.cos(phase + 0.3)
+        full = np.fft.fftn(u)
+        xi = g.wavenumber_axis()
+        xisq = sum(m * m for m in np.meshgrid(*([xi] * n), indexing="ij"))
+        for power in (0.0, 1.0, -0.5):
+            w = fractional_symbol(xisq, 2.0 * power)
+            expected = math.sqrt(np.sum(w * np.abs(full) ** 2) * g.cell_volume / g.N ** n)
+            assert spectral_l2(g.fft(u), g, power) == pytest.approx(expected, rel=1e-13)
+
+    def test_transform_shapes(self):
+        g = GridSpec(3, 8, 1.0)
+        uh = g.fft(np.zeros(g.shape))
+        assert uh.shape == (8, 8, 5)
+        assert g.xi_squared().shape == uh.shape
+        assert g.dealias_mask().shape == uh.shape
 
 
 class TestTwoDimensional:
