@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -126,14 +126,14 @@ class RunConfig:
         return cls.from_dict(_load_json(path))
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, kind: str = "config") -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from exc
 
 
 def _dataspec_dict(d: DataSpec) -> dict:
@@ -192,8 +192,7 @@ def save_run(outdir: str, config: RunConfig, traj: Trajectory,
 
 def load_run(outdir: str) -> tuple:
     """(config, trajectory) reconstructed from a run directory."""
-    with open(os.path.join(outdir, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(os.path.join(outdir, "manifest.json"), "run manifest")
     config = RunConfig.from_dict(manifest["config"])
     _, data = read_norms_csv(os.path.join(outdir, "norms.csv"))
     blowup = None
@@ -358,17 +357,12 @@ def cmd_blowup_scan(args) -> int:
         return 2
     params = config.params
     mu = config.mu()
-    m1 = EquationParams(params.sigma, params.delta, 1.0, params.n, params.p,
-                        params.target, params.r)
-    p0 = float(critical_exponent(m1))
+    p0 = float(critical_exponent(replace(params, m=1.0)))
     R_values = args.R or _default_R_values(traj)
     spec = functional.TestFunctionSpec.for_params(params, R_values)
-    rows = functional.compute_G(traj, mu, p0, spec, R_values)
     out_rows = []
     bound = math.log(1.0 + math.e)
-    for (R, g, G) in rows:
-        I = functional.compute_I_R(traj, mu, p0, R, spec)
-        J = functional.compute_J_R(traj, R, spec, params)
+    for (R, I, J, g, G) in functional.scan(traj, mu, p0, spec, R_values, params):
         ok = (0.0 <= I < J) and (G <= bound * I * (1.0 + 1e-6) + 1e-12)
         out_rows.append((R, I, J, g, G, "ok" if ok else "violated"))
     outdir = args.out or args.rundir
@@ -611,9 +605,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SigmaevoError as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+    except (SigmaevoError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

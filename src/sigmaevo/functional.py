@@ -27,6 +27,15 @@ grid and spatial fractional Laplacians by spectral multiplier per slice.
 For the on_ut variant the adjoint combination is
 -d/dt phi_R + (-Lap)^sigma PhiR + (-Lap)^(sigma/2) phi_R with
 PhiR(t, x) = integral of phi_R from t onward, and w = u_t.
+
+Three exact facts keep the quadrature cheap.  Psi(|w|) does not depend on
+R, so it is computed once.  The spatial multipliers have real, even
+symbols, so they move from phi_R onto the solution by adjointness,
+sum_x w * S phi = sum_x (S w) * phi, and the operator-applied stacks are
+also computed once.  And phi_R, phi*_R, their time derivatives and PhiR
+vanish identically on every column where |x|^sp + t_0 >= R, so each R
+evaluates the profile, the time stencils and the quadrature on its
+remaining columns only, with no transform.
 """
 from __future__ import annotations
 
@@ -128,22 +137,21 @@ class TestFunctionSpec:
 
 def phi_R(t, radius, R: float, spec: TestFunctionSpec, n: int = 1):
     """The cutoff phi_R at time(s) t and |x| = radius; exact 0/1 plateaus."""
-    if R <= 0:
-        raise ParameterError("R must be positive")
-    arg = (np.asarray(radius, dtype=float) ** spec.scale_power + np.asarray(t, dtype=float)) / R
-    return spec.profile.value(arg) ** _power(spec, n)
+    return _cutoff(t, radius, R, spec, n)[1]
 
 
 def phi_star_R(t, radius, R: float, spec: TestFunctionSpec, n: int = 1):
     """The band cutoff phi*_R: equal to phi_R on arg >= 1/2, zero below."""
+    arg, phi = _cutoff(t, radius, R, spec, n)
+    return np.where(arg >= 0.5, phi, 0.0)
+
+
+def _cutoff(t, radius, R: float, spec: TestFunctionSpec, n: int):
+    """The scaled argument (|x|^sp + t) / R and phi_R there."""
     if R <= 0:
         raise ParameterError("R must be positive")
     arg = (np.asarray(radius, dtype=float) ** spec.scale_power + np.asarray(t, dtype=float)) / R
-    return np.where(arg >= 0.5, spec.profile.value(arg) ** _power(spec, n), 0.0)
-
-
-def _power(spec: TestFunctionSpec, n: int) -> float:
-    return spec.power(n)
+    return arg, spec.profile.value(arg) ** spec.power(n)
 
 
 # -- finite differences in time (Fornberg weights) ---------------------------
@@ -213,19 +221,6 @@ def _snapshot_stack(traj: Trajectory):
     return times, float(dt)
 
 
-def _check_coverage(traj: Trajectory, R: float, spec: TestFunctionSpec,
-                    grid: GridSpec, spatial_fraction: float = 1.0):
-    times, dt = _snapshot_stack(traj)
-    if times[-1] < R - 1e-12:
-        raise CoverageError(f"snapshots end at t = {times[-1]}, need coverage to R = {R}")
-    rad = spec.support_radius(R)
-    if rad > spatial_fraction * grid.L:
-        raise CoverageError(
-            f"Q_R spatial radius {rad:.3g} exceeds {spatial_fraction:.3g} * L = "
-            f"{spatial_fraction * grid.L:.3g}; enlarge the torus or shrink R")
-    return times, dt
-
-
 def _field_for_target(traj: Trajectory, spec: TestFunctionSpec) -> np.ndarray:
     return traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
 
@@ -236,24 +231,100 @@ def _spacetime_quadrature(values: np.ndarray, dt: float, grid: GridSpec) -> floa
     return float(np.trapezoid(spatial, dx=dt))
 
 
-def compute_I_R(traj: Trajectory, mu: ModulusSpec, p0: float, R: float,
-                spec: TestFunctionSpec, grid: Optional[GridSpec] = None) -> float:
-    """Weighted nonlinearity mass: integral of Psi(|w|) phi_R over Q_R."""
-    grid = grid or traj.grid
-    times, dt = _check_coverage(traj, R, spec, grid, spatial_fraction=1.0)
-    w = _field_for_target(traj, spec)
-    rad = grid.radius()
-    phi = phi_R(times[:, None], rad.ravel()[None, :], R, spec, grid.n)
-    integrand = psi(np.abs(w.reshape(len(times), -1)), p0, mu) * phi
-    return _spacetime_quadrature(integrand.reshape((len(times),) + grid.shape), dt, grid)
-
-
 def _laplacian_power(stack: np.ndarray, power: float, grid: GridSpec) -> np.ndarray:
     """(-Lap)^(power/2) per time slice: spectral multiplier |xi|^power."""
     sym = fractional_symbol(grid.xi_squared(), power)
     axes = tuple(range(1, stack.ndim))
     return np.fft.irfftn(sym[None, ...] * np.fft.rfftn(stack, axes=axes),
                          s=stack.shape[1:], axes=axes)
+
+
+class _Kernel:
+    """The per-R quadrature shared by I_R, J_R and g(R) on a trajectory.
+
+    Construction checks coverage for every R first: the snapshots must reach
+    t = R and the support radius R^(1/sp) must stay within
+    ``spatial_fraction * L``.  Stacks handed to a call are (T, k) arrays on
+    ``columns``, the grid points whose |x|^sp + t_0 lies below the largest R.
+    """
+
+    def __init__(self, traj: Trajectory, spec: TestFunctionSpec, grid: GridSpec,
+                 R_values: Sequence[float], spatial_fraction: float):
+        times, dt = _snapshot_stack(traj)
+        for R in R_values:
+            if times[-1] < R - 1e-12:
+                raise CoverageError(
+                    f"snapshots end at t = {times[-1]}, need coverage to R = {R}")
+            rad = spec.support_radius(R)
+            if rad > spatial_fraction * grid.L:
+                raise CoverageError(
+                    f"Q_R spatial radius {rad:.3g} exceeds {spatial_fraction:.3g} * L = "
+                    f"{spatial_fraction * grid.L:.3g}; enlarge the torus or shrink R")
+        radius = grid.radius().reshape(-1)
+        near = radius ** spec.scale_power + times[0]
+        self.columns = np.flatnonzero(near < max(R_values))
+        self.radius, self.near = radius[self.columns], near[self.columns]
+        self.traj, self.spec, self.grid = traj, spec, grid
+        self.times, self.dt = times, dt
+
+    def _restrict(self, stack: np.ndarray) -> np.ndarray:
+        return stack.reshape(len(stack), -1)[:, self.columns]
+
+    def weight(self, mu: ModulusSpec, p0: float) -> np.ndarray:
+        """Psi(|w|) on the kernel's columns."""
+        return psi(np.abs(self._restrict(_field_for_target(self.traj, self.spec))), p0, mu)
+
+    def adjoint(self, params: EquationParams) -> tuple:
+        """The solution and the two operator-applied stacks J_R pairs with phi_R.
+
+        on_u: (u, (-Lap)^sigma u, (-Lap)^delta u);
+        on_ut: (u_t, (-Lap)^sigma u_t, (-Lap)^(sigma/2) u_t).
+        """
+        if self.spec.target == Target.ON_U:
+            w, powers = self.traj.snapshots_u, (2.0 * params.sigma, 2.0 * params.delta)
+        else:
+            w, powers = self.traj.snapshots_ut, (2.0 * params.sigma, params.sigma)
+        return (self._restrict(w),) + tuple(
+            self._restrict(_laplacian_power(w, p, self.grid)) for p in powers)
+
+    def __call__(self, R: float, weight: Optional[np.ndarray] = None,
+                 adjoint: Optional[tuple] = None) -> tuple:
+        """(I_R, J_R, g(R)) from one evaluation of phi_R on its support.
+
+        I_R and g(R) need ``weight``, J_R needs ``adjoint``; a functional
+        whose stacks are not given comes back as None.
+        """
+        cols = np.flatnonzero(self.near < R)
+        arg, phi = _cutoff(self.times[:, None], self.radius[cols], R, self.spec, self.grid.n)
+        I = J = g = None
+        if weight is not None:
+            psi_R = weight[:, cols]
+            I = self._integral(psi_R * phi)
+            g = self._integral(psi_R * np.where(arg >= 0.5, phi, 0.0))
+        if adjoint is not None:
+            w, s_sigma, s_low = (a[:, cols] for a in adjoint)
+            dt = self.dt
+            if self.spec.target == Target.ON_U:
+                J = self._integral(w * time_derivative(phi, dt, 2) + s_sigma * phi
+                                   - s_low * time_derivative(phi, dt, 1))
+            else:
+                # PhiR(t) = integral of phi_R from t to the last covered time
+                tail = np.zeros_like(phi)
+                tail[:-1] = np.flip(np.cumsum(np.flip(
+                    0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
+                J = self._integral(s_sigma * tail + s_low * phi
+                                   - w * time_derivative(phi, dt, 1))
+        return I, J, g
+
+    def _integral(self, values: np.ndarray) -> float:
+        return _spacetime_quadrature(values, self.dt, self.grid)
+
+
+def compute_I_R(traj: Trajectory, mu: ModulusSpec, p0: float, R: float,
+                spec: TestFunctionSpec, grid: Optional[GridSpec] = None) -> float:
+    """Weighted nonlinearity mass: integral of Psi(|w|) phi_R over Q_R."""
+    kernel = _Kernel(traj, spec, grid or traj.grid, [R], spatial_fraction=1.0)
+    return kernel(R, weight=kernel.weight(mu, p0))[0]
 
 
 def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
@@ -266,30 +337,12 @@ def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
                               + (-Lap)^(sigma/2) phi_R)
 
     Time derivatives: 4th-order stencils on the snapshot grid.  Spatial
-    fractional powers: spectral multipliers (phi_R must sit well inside the
-    torus: support radius below L/2).
+    fractional powers: spectral multipliers, applied to the solution by
+    adjointness (phi_R must sit well inside the torus: support radius below
+    L/2).
     """
-    grid = grid or traj.grid
-    times, dt = _check_coverage(traj, R, spec, grid, spatial_fraction=0.5)
-    rad = grid.radius()
-    phi = phi_R(times[:, None], rad.ravel()[None, :], R, spec, grid.n)
-    phi = phi.reshape((len(times),) + grid.shape)
-
-    if spec.target == Target.ON_U:
-        op = (time_derivative(phi, dt, 2)
-              + _laplacian_power(phi, 2.0 * params.sigma, grid)
-              - _laplacian_power(time_derivative(phi, dt, 1), 2.0 * params.delta, grid))
-        w = traj.snapshots_u
-    else:
-        # PhiR(t) = integral of phi_R from t to the last covered time
-        rev = np.flip(np.cumsum(np.flip(
-            0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
-        Phi = np.concatenate([rev, np.zeros((1,) + grid.shape)], axis=0)
-        op = (-time_derivative(phi, dt, 1)
-              + _laplacian_power(Phi, 2.0 * params.sigma, grid)
-              + _laplacian_power(phi, params.sigma, grid))
-        w = traj.snapshots_ut
-    return _spacetime_quadrature(w * op, dt, grid)
+    kernel = _Kernel(traj, spec, grid or traj.grid, [R], spatial_fraction=0.5)
+    return kernel(R, adjoint=kernel.adjoint(params))[1]
 
 
 # -- Psi and its inverse -------------------------------------------------------
@@ -339,13 +392,8 @@ def psi_inverse(y: float, p0: float, mu: ModulusSpec,
 def compute_g(traj: Trajectory, mu: ModulusSpec, p0: float, r: float,
               spec: TestFunctionSpec, grid: Optional[GridSpec] = None) -> float:
     """g(r) = integral of Psi(|w|) phi*_r over the snapshot coverage."""
-    grid = grid or traj.grid
-    times, dt = _check_coverage(traj, r, spec, grid, spatial_fraction=1.0)
-    w = _field_for_target(traj, spec)
-    rad = grid.radius()
-    phis = phi_star_R(times[:, None], rad.ravel()[None, :], r, spec, grid.n)
-    integrand = psi(np.abs(w.reshape(len(times), -1)), p0, mu) * phis
-    return _spacetime_quadrature(integrand.reshape((len(times),) + grid.shape), dt, grid)
+    kernel = _Kernel(traj, spec, grid or traj.grid, [r], spatial_fraction=1.0)
+    return kernel(r, weight=kernel.weight(mu, p0))[2]
 
 
 def compute_G(traj: Trajectory, mu: ModulusSpec, p0: float,
@@ -358,18 +406,44 @@ def compute_G(traj: Trajectory, mu: ModulusSpec, p0: float,
     G is nondecreasing because g >= 0.
     """
     grid = grid or traj.grid
-    rs = [float(r) for r in R_grid]
+    rs = _increasing(R_grid, "R_grid")
+    kernel = _Kernel(traj, spec, grid, rs, spatial_fraction=1.0)
+    weight = kernel.weight(mu, p0)
+    gs = [kernel(r, weight=weight)[2] for r in rs]
+    return list(zip(rs, gs, _accumulate_G(rs, gs, spec.measure_exponent(grid.n))))
+
+
+def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec,
+         R_values: Sequence[float], params: EquationParams) -> list:
+    """Rows (R, I_R, J_R, g(R), G(R)) over increasing R_values in one pass.
+
+    The rows equal compute_I_R, compute_J_R and compute_G up to rounding.
+    Psi(|w|) and the operator-applied stacks are built once; every R must
+    meet the J_R coverage rule (support radius <= L/2), checked before any
+    work.
+    """
+    rs = _increasing(R_values, "R_values")
+    kernel = _Kernel(traj, spec, traj.grid, rs, spatial_fraction=0.5)
+    weight, adjoint = kernel.weight(mu, p0), kernel.adjoint(params)
+    rows = [kernel(R, weight, adjoint) for R in rs]
+    Gs = _accumulate_G(rs, [g for _, _, g in rows], spec.measure_exponent(traj.grid.n))
+    return [(R, I, J, g, G) for R, (I, J, g), G in zip(rs, rows, Gs)]
+
+
+def _increasing(values: Sequence[float], name: str) -> list:
+    rs = [float(r) for r in values]
     if rs != sorted(rs) or any(r <= 0 for r in rs):
-        raise ParameterError("R_grid must be positive and increasing")
-    gs = [compute_g(traj, mu, p0, r, spec, grid) for r in rs]
-    beta = spec.measure_exponent(grid.n)
-    out = []
+        raise ParameterError(f"{name} must be positive and increasing")
+    return rs
+
+
+def _accumulate_G(rs: list, gs: list, beta: float) -> list:
+    """G at each r: trapezoid in log r after the leading r^beta piece."""
     G = gs[0] / beta   # integral of c r^beta / r from 0 to R0
-    out.append((rs[0], gs[0], G))
+    out = [G]
     for i in range(1, len(rs)):
-        dlog = math.log(rs[i] / rs[i - 1])
-        G += 0.5 * (gs[i] + gs[i - 1]) * dlog
-        out.append((rs[i], gs[i], G))
+        G += 0.5 * (gs[i] + gs[i - 1]) * math.log(rs[i] / rs[i - 1])
+        out.append(G)
     return out
 
 

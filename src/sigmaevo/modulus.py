@@ -297,16 +297,6 @@ class ModulusSpec:
         return out
 
 
-def evaluate(mu: ModulusSpec, s):
-    """Functional form of :meth:`ModulusSpec.evaluate`."""
-    return mu.evaluate(s)
-
-
-def derivative(mu: ModulusSpec, s):
-    """Functional form of :meth:`ModulusSpec.derivative`."""
-    return mu.derivative(s)
-
-
 # -- axiom checking -------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ class RateSource(str, Enum):
     THM_1_1 = "thm_1_1"
     THM_1_2 = "thm_1_2"
     THM_1_3 = "thm_1_3"
-    PROP_2_1 = "prop_2_1"
-    PROP_2_4 = "prop_2_4"
-    PROP_2_5 = "prop_2_5"
 
 
 def _frac(x) -> Fraction:
@@ -265,13 +262,10 @@ def predict_theorem_rates(params: EquationParams,
     gain = params.mixing_gain
 
     if check:
-        key = {RateSource.THM_1_1: "thm_1_1", RateSource.THM_1_2: "thm_1_2",
-               RateSource.THM_1_3: "thm_1_3"}.get(source)
-        if key is not None:
-            report = check_admissibility(params)
-            if not report.admissible(key):
-                bad = report.first_violation(key)
-                raise AdmissibilityError(f"{key} violated: {bad.name} ({bad.detail})")
+        report = check_admissibility(params)
+        if not report.admissible(source.value):
+            bad = report.first_violation(source.value)
+            raise AdmissibilityError(f"{source.value} violated: {bad.name} ({bad.detail})")
 
     if source == RateSource.THM_1_1:
         two_sd = 2 * (sigma - delta)

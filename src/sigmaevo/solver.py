@@ -13,7 +13,7 @@ the escape (or NaN) time and stops emitting rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -212,9 +212,7 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
         raise ParameterError("initial data must be finite")
     _warn_if_outside_window(params)
     if config.blowup_threshold is None:
-        config = SolverConfig(config.dt, config.t_end, config.dealias_fraction,
-                              default_blowup_threshold(u0, u1),
-                              config.snapshot_stride, config.store_fields)
+        config = replace(config, blowup_threshold=default_blowup_threshold(u0, u1))
     stepper = _Stepper(params, mu, config, grid)
     uh = grid.fft(np.asarray(u0, dtype=float))
     uth = grid.fft(np.asarray(u1, dtype=float))

@@ -200,6 +200,31 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "data.u9.amplitude" in err and "'u9'" in err
 
+    def test_blowup_scan_missing_rundir_named_cleanly(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["blowup-scan", str(missing)]) == 2
+        assert str(missing / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["corrupt-manifest", "manifest-without-config",
+                                        "missing-norms"])
+    def test_blowup_scan_damaged_rundir_named_cleanly(self, tmp_path, capsys, damage):
+        path, _ = write_config(tmp_path)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        manifest = rundir / "manifest.json"
+        if damage == "corrupt-manifest":
+            manifest.write_text("{not json")
+            named = str(manifest)
+        elif damage == "manifest-without-config":
+            manifest.write_text(json.dumps({"version": "0"}))
+            named = "missing key 'config'"
+        else:
+            (rundir / "norms.csv").unlink()
+            named = str(rundir / "norms.csv")
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        assert named in capsys.readouterr().err
+
     def test_manifest_records_resolved_threshold(self, tmp_path):
         path, _ = write_config(tmp_path)
         out = tmp_path / "run"

@@ -1,17 +1,21 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sigmaevo.cli import load_run, main
 from sigmaevo.errors import CoverageError, ParameterError, RangeError
 from sigmaevo.functional import (QuinticProfile, TestFunctionSpec, compute_G,
                                  compute_I_R, compute_J_R, compute_g,
                                  fd_weights, phi_R, phi_star_R, psi,
-                                 psi_inverse, support_measure, time_derivative)
+                                 psi_inverse, scan, support_measure,
+                                 time_derivative)
 from sigmaevo.modulus import ModulusSpec
-from sigmaevo.params import EquationParams, Target
+from sigmaevo.params import EquationParams, Target, critical_exponent
 from sigmaevo.solver import Trajectory
-from sigmaevo.spectral import GridSpec
+from sigmaevo.spectral import GridSpec, fractional_symbol
 
 
 @pytest.fixture
@@ -375,3 +379,187 @@ class TestVelocityTargetVariant:
         traj.snapshots_u = 0.0 * traj.snapshots_u    # displacement zeroed
         I = compute_I_R(traj, ModulusSpec.lipschitz(), 2.0, 2.0, self.spec)
         assert I > 0.0
+
+
+# -- the per-R path that scan replaced, kept as its oracle --------------------
+#
+# Each functional builds phi_R on the full space-time grid, recomputes
+# Psi(|w|) and applies the spatial multipliers to phi_R (not to the solution).
+
+def _per_R_quadrature(values, dt, grid):
+    spatial = values.reshape(values.shape[0], -1).sum(axis=1) * grid.cell_volume
+    return float(np.trapezoid(spatial, dx=dt))
+
+
+def _per_R_laplacian_power(stack, power, grid):
+    sym = fractional_symbol(grid.xi_squared(), power)
+    axes = tuple(range(1, stack.ndim))
+    return np.fft.irfftn(sym[None, ...] * np.fft.rfftn(stack, axes=axes),
+                         s=stack.shape[1:], axes=axes)
+
+
+def _per_R_weighted(traj, mu, p0, R, spec, cutoff):
+    grid, times = traj.grid, traj.snapshot_times
+    w = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
+    phi = cutoff(times[:, None], grid.radius().ravel()[None, :], R, spec, grid.n)
+    integrand = psi(np.abs(w.reshape(len(times), -1)), p0, mu) * phi
+    return _per_R_quadrature(integrand, times[1] - times[0], grid)
+
+
+def per_R_I(traj, mu, p0, R, spec):
+    return _per_R_weighted(traj, mu, p0, R, spec, phi_R)
+
+
+def per_R_g(traj, mu, p0, R, spec):
+    return _per_R_weighted(traj, mu, p0, R, spec, phi_star_R)
+
+
+def per_R_J(traj, R, spec, params):
+    grid, times = traj.grid, traj.snapshot_times
+    dt = times[1] - times[0]
+    phi = phi_R(times[:, None], grid.radius().ravel()[None, :], R, spec, grid.n)
+    phi = phi.reshape((len(times),) + grid.shape)
+    lap = _per_R_laplacian_power
+    if spec.target == Target.ON_U:
+        op = (time_derivative(phi, dt, 2)
+              + lap(phi, 2.0 * params.sigma, grid)
+              - lap(time_derivative(phi, dt, 1), 2.0 * params.delta, grid))
+        w = traj.snapshots_u
+    else:
+        rev = np.flip(np.cumsum(np.flip(
+            0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
+        Phi = np.concatenate([rev, np.zeros((1,) + grid.shape)], axis=0)
+        op = (-time_derivative(phi, dt, 1)
+              + lap(Phi, 2.0 * params.sigma, grid)
+              + lap(phi, params.sigma, grid))
+        w = traj.snapshots_ut
+    return _per_R_quadrature(w * op, dt, grid)
+
+
+def per_R_rows(traj, mu, p0, spec, R_values, params):
+    """(R, I, J, g, G) rows as the per-R functionals computed them."""
+    rs = [float(r) for r in R_values]
+    gs = [per_R_g(traj, mu, p0, r, spec) for r in rs]
+    G = gs[0] / spec.measure_exponent(traj.grid.n)
+    Gs = [G]
+    for i in range(1, len(rs)):
+        G += 0.5 * (gs[i] + gs[i - 1]) * math.log(rs[i] / rs[i - 1])
+        Gs.append(G)
+    return [(R, per_R_I(traj, mu, p0, R, spec), per_R_J(traj, R, spec, params), g, G)
+            for R, g, G in zip(rs, gs, Gs)]
+
+
+def assert_columns_close(got, want):
+    """Each column to rtol 1e-12, with a floor of 1e-14 x the column max."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    for j in range(want.shape[1]):
+        col = want[:, j]
+        np.testing.assert_allclose(got[:, j], col, rtol=1e-12,
+                                   atol=1e-14 * np.max(np.abs(col)))
+
+
+def moving_trajectory(grid, params, t_end, dt, seed):
+    """Smooth, time-varying, independent u and u_t snapshot stacks."""
+    rng = np.random.default_rng(seed)
+    times = np.arange(0.0, t_end + 0.5 * dt, dt)
+    coords = grid.coords()
+
+    def stack():
+        out = np.zeros((len(times),) + grid.shape)
+        for _ in range(4):
+            centre = rng.uniform(-0.3, 0.3, grid.n) * grid.L
+            width = rng.uniform(0.5, 1.5)
+            bump = np.exp(-sum((c - c0) ** 2 for c, c0 in zip(coords, centre)) / width ** 2)
+            amp = rng.uniform(0.2, 1.0) * np.cos(rng.uniform(0.2, 2.0) * times
+                                                 + rng.uniform(0, 2 * np.pi))
+            out += amp.reshape((-1,) + (1,) * grid.n) * bump
+        return out + rng.uniform(0.1, 0.3)
+
+    return Trajectory(times=times, norms=np.zeros((len(times), 6)), grid=grid,
+                      params=params, snapshot_times=times,
+                      snapshots_u=stack(), snapshots_ut=stack())
+
+
+SCAN_CASES = [
+    # (sigma, delta, target, n, N, L): on_u and on_ut, n = 1 and n = 2, and
+    # non-integer sigma, whose |xi|^sigma symbols exercise the half-spectrum
+    # adjoint away from polynomial multipliers
+    (1.0, 0.0, "on_u", 1, 256, 8.0),
+    (1.5, 0.5, "on_u", 1, 256, 8.0),
+    (1.3, 0.2, "on_u", 2, 64, 6.0),
+    (1.5, 0.3, "on_ut", 1, 256, 8.0),
+    (2.0, 1.0, "on_ut", 2, 64, 6.0),
+]
+
+
+class TestScan:
+    @pytest.mark.parametrize("sigma,delta,target,n,N,L", SCAN_CASES)
+    def test_matches_per_R_path(self, sigma, delta, target, n, N, L):
+        params = EquationParams(sigma=sigma, delta=delta, n=n, p=3, target=target)
+        spec = TestFunctionSpec.for_params(params, [1.0])
+        grid = GridSpec(n, N, L)
+        # the last R puts the support radius just inside L/2
+        R_edge = (0.5 * L) ** spec.scale_power * (1.0 - 1e-6)
+        R_values = list(np.geomspace(0.1 * R_edge, R_edge, 5))
+        assert spec.support_radius(R_values[-1]) == pytest.approx(0.5 * L, rel=1e-5)
+        dt = 0.1
+        traj = moving_trajectory(grid, params, math.ceil(R_edge / dt) * dt, dt, seed=n)
+        mu, p0 = ModulusSpec.log_power(1.0), 3.0
+
+        want = per_R_rows(traj, mu, p0, spec, R_values, params)
+        assert_columns_close(scan(traj, mu, p0, spec, R_values, params), want)
+        views = [(R, compute_I_R(traj, mu, p0, R, spec), compute_J_R(traj, R, spec, params),
+                  g, G) for R, g, G in compute_G(traj, mu, p0, spec, R_values)]
+        assert_columns_close(views, want)
+        assert_columns_close([[compute_g(traj, mu, p0, R, spec)] for R in R_values],
+                             [[row[3]] for row in want])
+
+    def test_enforces_half_torus_rule_for_every_R(self, params):
+        spec = TestFunctionSpec.for_params(params, [1.0])
+        grid = GridSpec(1, 256, 3.0)
+        traj = frozen_trajectory(grid, t_end=4.0, params=params)
+        mu = ModulusSpec.lipschitz()
+        # R = 3 fits I_R and g (radius 1.73 <= L) but not J_R (> L/2)
+        assert compute_I_R(traj, mu, 3.0, 3.0, spec) > 0.0
+        with pytest.raises(CoverageError, match="radius"):
+            scan(traj, mu, 3.0, spec, [1.0, 3.0], params)
+        with pytest.raises(ParameterError):
+            scan(traj, mu, 3.0, spec, [2.0, 1.0], params)
+
+    def test_cli_functional_csv_matches_per_R_path(self, tmp_path):
+        doc = {
+            "params": {"sigma": 2, "delta": 1, "m": 1, "n": 1, "p": 3,
+                       "target": "on_ut", "r": 3},
+            "mu": "log-power:1",
+            "grid": {"n": 1, "N": 256, "L": 20.0},
+            "solver": {"dt": 0.02, "t_end": 12.0, "dealias_fraction": 2 / 3,
+                       "blowup_threshold": None, "snapshot_stride": 10,
+                       "store_fields": True},
+            "data": {"u0": {"family": "gaussian", "amplitude": 0.05,
+                            "width": 1.0, "center": 0.0},
+                     "u1": {"family": "gaussian", "amplitude": 0.05,
+                            "width": 1.0, "center": 0.5}},
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(cfg), "--out", str(rundir)]) == 0
+        assert main(["blowup-scan", str(rundir)]) == 0
+        with open(rundir / "functional.csv", newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert header == ["R", "I_R", "J_R", "g", "G", "verdict"]
+
+        config, traj = load_run(str(rundir))
+        params = config.params
+        p0 = float(critical_exponent(EquationParams(params.sigma, params.delta, 1.0, params.n,
+                                                    params.p, params.target, params.r)))
+        R_values = [float(row[0]) for row in body]
+        assert len(R_values) == 10
+        spec = TestFunctionSpec.for_params(params, R_values)
+        want = per_R_rows(traj, config.mu(), p0, spec, R_values, params)
+        assert_columns_close([[float(v) for v in row[:5]] for row in body], want)
+        bound = math.log(1.0 + math.e)
+        verdicts = ["ok" if (0.0 <= I < J) and (G <= bound * I * (1.0 + 1e-6) + 1e-12)
+                    else "violated" for _, I, J, _, G in want]
+        assert [row[5] for row in body] == verdicts
