@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -80,7 +80,6 @@ class RunConfig:
     solver: SolverConfig
     u0: DataSpec
     u1: DataSpec
-    seed: int = 0
     output_dir: Optional[str] = None
 
     def mu(self) -> ModulusSpec:
@@ -88,23 +87,18 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "params": {"sigma": self.params.sigma, "delta": self.params.delta,
-                       "m": self.params.m, "n": self.params.n, "p": self.params.p,
-                       "target": self.params.target.value, "r": self.params.r},
+            "params": asdict(self.params),
             "mu": self.mu_key,
-            "grid": {"n": self.grid.n, "N": self.grid.N, "L": self.grid.L},
-            "solver": {"dt": self.solver.dt, "t_end": self.solver.t_end,
-                       "dealias_fraction": self.solver.dealias_fraction,
-                       "blowup_threshold": self.solver.blowup_threshold,
-                       "snapshot_stride": self.solver.snapshot_stride,
-                       "store_fields": self.solver.store_fields},
+            "grid": asdict(self.grid),
+            "solver": asdict(self.solver),
             "data": {"u0": _dataspec_dict(self.u0), "u1": _dataspec_dict(self.u1)},
-            "seed": self.seed,
             "output_dir": self.output_dir,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Validated config from its JSON form; a legacy "seed" key is ignored
+        (every data family is deterministic)."""
         try:
             params = EquationParams(**doc["params"])
             grid = GridSpec(**doc["grid"])
@@ -118,8 +112,7 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return cls(params=params, mu_key=mu_key, grid=grid, solver=solver,
-                   u0=u0, u1=u1, seed=int(doc.get("seed", 0)),
-                   output_dir=doc.get("output_dir"))
+                   u0=u0, u1=u1, output_dir=doc.get("output_dir"))
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -166,11 +159,12 @@ def read_norms_csv(path: str):
 def save_run(outdir: str, config: RunConfig, traj: Trajectory,
              extra_manifest: Optional[dict] = None):
     os.makedirs(outdir, exist_ok=True)
+    mean_u1 = float(np.mean(config.u1.build(config.grid)))
     manifest = {
         "version": __version__,
         "config": config.to_dict(),
-        "mean_u1": float(np.mean(config.u1.build(config.grid))),
-        "u1_mean_positive": bool(np.mean(config.u1.build(config.grid)) > 0),
+        "mean_u1": mean_u1,
+        "u1_mean_positive": mean_u1 > 0,
         "blowup": None if traj.blowup is None else
                   {"time": traj.blowup.time, "reason": traj.blowup.reason},
         "blowup_threshold": traj.blowup_threshold,
@@ -236,11 +230,10 @@ def cmd_mu_classify(args) -> int:
     print(f"  axioms: zero_at_zero={report.zero_at_zero} nondecreasing={report.nondecreasing} "
           f"midpoint_concave={report.midpoint_concave} finite={report.finite_nonnegative}")
     print(f"  slope-bound supremum s*mu'/mu: {sup:.6g}")
-    for c0 in args.c0:
-        verdict = classify_integral_criterion(mu, c0, args.mode)
-        print(f"  criterion (c0={c0:g}, mode={args.mode}): {verdict.verdict}")
-    final = classify_integral_criterion(mu, args.c0[0], args.mode)
-    print(f"verdict: {final.verdict}")
+    verdicts = [classify_integral_criterion(mu, c0, args.mode).verdict for c0 in args.c0]
+    for c0, verdict in zip(args.c0, verdicts):
+        print(f"  criterion (c0={c0:g}, mode={args.mode}): {verdict}")
+    print(f"verdict: {verdicts[0]}")
     return 0
 
 
@@ -458,17 +451,31 @@ def _set_by_path(doc: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
+# the errors main() reports as exit 2; in a sweep they fail one member only
+_USER_ERRORS = (SigmaevoError, OSError, KeyError, json.JSONDecodeError)
+
+
+def _error_message(exc: BaseException) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _sweep_worker(task) -> dict:
     doc, outdir = task
-    config = RunConfig.from_dict(doc)
-    traj = run_semilinear(config)
-    save_run(outdir, config, traj, {"kind": "sweep-member"})
+    try:
+        config = RunConfig.from_dict(doc)
+        traj = run_semilinear(config)
+        save_run(outdir, config, traj, {"kind": "sweep-member"})
+    except _USER_ERRORS as exc:
+        return {"run_dir": outdir, "status": "error", "error": _error_message(exc)}
     return {
         "run_dir": outdir,
+        "status": "ok",
+        "error": "",
         "blowup_time": "" if traj.blowup is None else repr(traj.blowup.time),
         "blowup_reason": "" if traj.blowup is None else traj.blowup.reason,
         "rows": len(traj.times),
-        "final_L2_u": repr(float(traj.column("L2_u")[-1])),
+        # a member that escapes at t = 0 has no rows
+        "final_L2_u": repr(float(traj.column("L2_u")[-1])) if len(traj.times) else "",
     }
 
 
@@ -507,16 +514,20 @@ def cmd_sweep(args) -> int:
                 results.append((combo, fut.result()))
 
     summary = os.path.join(outroot, "summary.csv")
+    columns = ["run_dir", "status", "error", "blowup_time", "blowup_reason",
+               "rows", "final_L2_u"]
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(keys) + ["run_dir", "blowup_time", "blowup_reason",
-                                      "rows", "final_L2_u"])
+        writer.writerow(list(keys) + columns)
         for combo, res in results:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in combo]
-                            + [res["run_dir"], res["blowup_time"], res["blowup_reason"],
-                               res["rows"], res["final_L2_u"]])
-    print(f"{len(results)} sweep members complete; summary in {summary}")
-    return 0
+                            + [res.get(c, "") for c in columns])
+    failed = [res for _, res in results if res["status"] == "error"]
+    for res in failed:
+        print(f"error: sweep member {res['run_dir']}: {res['error']}", file=sys.stderr)
+    print(f"{len(results) - len(failed)} of {len(results)} sweep members complete; "
+          f"summary in {summary}")
+    return 1 if failed else 0
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -605,10 +616,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: missing key {exc}", file=sys.stderr)
-    except (SigmaevoError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _USER_ERRORS as exc:
+        print(f"error: {_error_message(exc)}", file=sys.stderr)
     return 2
 
 

@@ -46,9 +46,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CoverageError, ParameterError, RangeError
-from .modulus import ModulusSpec
+from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import GridSpec, fractional_symbol
+from .spectral import GridSpec, fractional_derivative
 from .solver import Trajectory
 
 
@@ -231,14 +231,6 @@ def _spacetime_quadrature(values: np.ndarray, dt: float, grid: GridSpec) -> floa
     return float(np.trapezoid(spatial, dx=dt))
 
 
-def _laplacian_power(stack: np.ndarray, power: float, grid: GridSpec) -> np.ndarray:
-    """(-Lap)^(power/2) per time slice: spectral multiplier |xi|^power."""
-    sym = fractional_symbol(grid.xi_squared(), power)
-    axes = tuple(range(1, stack.ndim))
-    return np.fft.irfftn(sym[None, ...] * np.fft.rfftn(stack, axes=axes),
-                         s=stack.shape[1:], axes=axes)
-
-
 class _Kernel:
     """The per-R quadrature shared by I_R, J_R and g(R) on a trajectory.
 
@@ -285,7 +277,7 @@ class _Kernel:
         else:
             w, powers = self.traj.snapshots_ut, (2.0 * params.sigma, params.sigma)
         return (self._restrict(w),) + tuple(
-            self._restrict(_laplacian_power(w, p, self.grid)) for p in powers)
+            self._restrict(fractional_derivative(w, p, self.grid)) for p in powers)
 
     def __call__(self, R: float, weight: Optional[np.ndarray] = None,
                  adjoint: Optional[tuple] = None) -> tuple:
@@ -346,17 +338,6 @@ def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
 
 
 # -- Psi and its inverse -------------------------------------------------------
-
-def psi(s, p0: float, mu: ModulusSpec):
-    """Psi(s) = s^p0 mu(s) for scalar or array s >= 0."""
-    arr = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore"):
-        powed = np.where(arr > 1e-300, np.exp(p0 * np.log(np.where(arr > 1e-300, arr, 1.0))), 0.0)
-    out = powed * mu.evaluate(arr)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
-
 
 def psi_inverse(y: float, p0: float, mu: ModulusSpec,
                 s_max: Optional[float] = None, rel_tol: float = 1e-12) -> float:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, ParameterError
 
@@ -297,6 +296,19 @@ class ModulusSpec:
         return out
 
 
+def psi(s, p: float, mu: ModulusSpec):
+    """Psi(s) = s^p mu(s) for scalar or array s >= 0.
+
+    This is the nonlinearity |w|^p mu(|w|) at s = |w| and the weight of the
+    blow-up functionals.  np.power is exact at s = 0 for p > 0.
+    """
+    arr = np.asarray(s, dtype=float)
+    out = np.power(arr, p) * mu.evaluate(arr)
+    if np.isscalar(s) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
 # -- axiom checking -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -406,6 +418,8 @@ def _classify_numeric(mu: ModulusSpec, c0: float, doublings: int) -> CriterionVe
     divergence yields growing ones, and any convergent tail yields increments
     collapsing at a geometric-or-better rate.
     """
+    from scipy.integrate import quad   # deferred: scipy dominates the package import time
+
     t0 = math.log(c0)
     edges = [t0 * 2.0 ** k for k in range(doublings + 1)]
     increments = []

@@ -127,10 +127,7 @@ def check_fractional_powers(u: np.ndarray, p: float, s: float, grid: GridSpec,
     if not grid.n / 2.0 < s < p:
         raise ParameterError(f"need s in (n/2, p), got s={s}, n/2={grid.n / 2}, p={p}")
     grid.check_field(u)
-    au = np.abs(u)
-    with np.errstate(divide="ignore"):
-        fu = np.where(au > 1e-300, np.exp(p * np.log(np.where(au > 1e-300, au, 1.0))), 0.0)
-    fu = grid.ifft(grid.fft(fu) * grid.dealias_mask(dealias_fraction))
+    fu = grid.ifft(grid.fft(np.power(np.abs(u), p)) * grid.dealias_mask(dealias_fraction))
     den = sobolev_norm(u, s, grid) * lebesgue_norm(u, np.inf, grid) ** (p - 1.0)
     if den == 0.0:
         return 0.0

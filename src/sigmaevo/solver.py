@@ -9,20 +9,21 @@ velocity update (through dK1/dt(0) = 1); the scheme still carries the
 trapezoid rule's O(dt^3) local error.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
-the escape (or NaN) time and stops emitting rows.
+the escape (or NaN) time and stops emitting rows; a row that is not finite
+is never emitted.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError, SigmaevoError
-from .modulus import ModulusSpec
+from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import (FieldState, GridSpec, MultiplierCache, Propagator,
-                       energy, spectral_l2)
+from .spectral import GridSpec, MultiplierCache, Propagator, energy, spectral_l2
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
@@ -77,38 +78,15 @@ class Trajectory:
         return np.column_stack([self.times, self.column(name)])
 
 
-def nonlinearity(v: np.ndarray, p: float, mu: ModulusSpec, grid: GridSpec,
-                 dealias_fraction: float = 2.0 / 3.0) -> np.ndarray:
-    """Pointwise |v|^p * mu(|v|), spectrally truncated to the dealias band.
-
-    |v|^p is evaluated as exp(p log|v|) guarded at |v| < 1e-300 to avoid
-    log(0); mu evaluation failures are re-raised with the offending location.
-    """
-    if p <= 1:
-        raise ParameterError("p must exceed 1")
-    grid.check_field(v)
-    av = np.abs(v)
-    with np.errstate(divide="ignore"):
-        powed = np.where(av > 1e-300, np.exp(p * np.log(np.where(av > 1e-300, av, 1.0))), 0.0)
-    try:
-        muv = mu.evaluate(av)
-    except Exception as exc:
-        worst = np.unravel_index(int(np.argmax(av)), av.shape)
-        raise SigmaevoError(
-            f"modulus evaluation failed on field (max |v| = {float(np.max(av))} "
-            f"at index {worst}): {exc}") from exc
-    f = powed * muv
-    return grid.ifft(grid.fft(f) * grid.dealias_mask(dealias_fraction))
-
-
-def blow_up_detect(state: FieldState, config: SolverConfig,
-                   params: EquationParams) -> Optional[str]:
-    """"escape" once the monitored sup-norm passes the threshold, "nan" on
-    non-finite samples, None otherwise."""
-    w = state.u if params.target == Target.ON_U else state.ut
-    if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.ut))):
+def blow_up_detect(w: np.ndarray, row: Optional[tuple],
+                   threshold: float) -> Optional[str]:
+    """"nan" once the monitored field w or the norm row (if one is due) holds
+    a non-finite value, "escape" once sup |w| passes the threshold, None
+    otherwise.  The row carries u_t and the squared norms, which w may not."""
+    sup = float(np.max(np.abs(w)))    # NaN and inf propagate through the max
+    if not math.isfinite(sup) or (row is not None and not all(map(math.isfinite, row))):
         return "nan"
-    if config.blowup_threshold is not None and np.max(np.abs(w)) > config.blowup_threshold:
+    if sup > threshold:
         return "escape"
     return None
 
@@ -127,11 +105,19 @@ class _Stepper:
         self.mask = grid.dealias_mask(config.dealias_fraction)
 
     def _f_hat(self, w_phys: np.ndarray) -> np.ndarray:
-        av = np.abs(w_phys)
-        p = self.params.p
-        with np.errstate(divide="ignore"):
-            powed = np.where(av > 1e-300, np.exp(p * np.log(np.where(av > 1e-300, av, 1.0))), 0.0)
-        return self.grid.fft(powed * self.mu.evaluate(av)) * self.mask
+        """Half spectrum of the forcing |w|^p mu(|w|), cut to the dealias band.
+
+        A modulus evaluation failure is re-raised with its location.
+        """
+        aw = np.abs(w_phys)
+        try:
+            f = psi(aw, self.params.p, self.mu)
+        except Exception as exc:
+            worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(aw)), aw.shape))
+            raise SigmaevoError(
+                f"modulus evaluation failed on field (max |w| = {float(np.max(aw))} "
+                f"at index {worst}): {exc}") from exc
+        return self.grid.fft(f) * self.mask
 
     def step(self, uh: np.ndarray, uth: np.ndarray, w_phys: np.ndarray):
         """One exponential-trapezoid step from the current spectral state.
@@ -151,18 +137,6 @@ class _Stepper:
         uh_new = lin_u + 0.5 * dt * prop.K1 * f0
         uth_new = lin_ut + 0.5 * dt * (prop.D1 * f0 + f1)
         return uh_new, uth_new
-
-
-def duhamel_step(state: FieldState, params: EquationParams, mu: ModulusSpec,
-                 config: SolverConfig, grid: GridSpec) -> FieldState:
-    """Advance one step of length config.dt from a physical state."""
-    grid.check_field(state.u)
-    grid.check_field(state.ut)
-    stepper = _Stepper(params, mu, config, grid)
-    uh, uth = grid.fft(state.u), grid.fft(state.ut)
-    w = state.u if params.target == Target.ON_U else state.ut
-    uh, uth = stepper.step(uh, uth, w)
-    return FieldState(grid.ifft(uh), grid.ifft(uth), time=state.time + config.dt)
 
 
 def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams) -> tuple:
@@ -231,16 +205,15 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
         ut_phys = grid.ifft(uth) if not on_u or (row and config.store_fields) else None
         w = u_phys if on_u else ut_phys
 
-        if not np.all(np.isfinite(w)):
-            blowup = BlowUp(time=t, reason="nan")
-            break
-        if np.max(np.abs(w)) > config.blowup_threshold:
-            blowup = BlowUp(time=t, reason="escape")
+        norms = _norm_row(uh, uth, u_phys, grid, params) if row else None
+        reason = blow_up_detect(w, norms, config.blowup_threshold)
+        if reason is not None:
+            blowup = BlowUp(time=t, reason=reason)
             break
 
         if row:
             times.append(t)
-            rows.append(_norm_row(uh, uth, u_phys, grid, params))
+            rows.append(norms)
             if config.store_fields:
                 snap_t.append(t)
                 snaps_u.append(u_phys)

@@ -27,8 +27,8 @@ k in {-N/2, ..., N/2 - 1} stored in FFT layout, |xi| the Euclidean magnitude.
 Fields are real, so spectra are stored as the rfftn half spectrum: the last
 axis keeps only k = 0..N/2, and every array on the spectral side has shape
 (N,)*(n-1) + (N//2+1,).  The fractional symbol |xi|^p is
-exp(p/2 * log(|xi|^2)) with |xi| = 0 mapped to 0 for p > 0 and to 1 for
-p = 0 (the identity operator).
+(|xi|^2)^(p/2) with |xi| = 0 mapped to 0 for p != 0 and to 1 for p = 0 (the
+identity operator).
 """
 from __future__ import annotations
 
@@ -91,17 +91,27 @@ class GridSpec:
         return _xi_squared_cached(self.n, self.N, self.L)
 
     def fft(self, u: np.ndarray) -> np.ndarray:
-        """Half spectrum (rfftn) of a real field."""
-        self.check_field(u)
-        return np.fft.rfftn(u)
+        """Half spectrum (rfftn over the last n axes) of a real field or a
+        stack of fields."""
+        self.check_stack(u)
+        return np.fft.rfftn(u, axes=self._axes)
 
     def ifft(self, uh: np.ndarray) -> np.ndarray:
-        """Real field from its half spectrum (irfftn)."""
-        return np.fft.irfftn(uh, s=self.shape, axes=tuple(range(self.n)))
+        """Real field (or stack of fields) from its half spectrum (irfftn)."""
+        return np.fft.irfftn(uh, s=self.shape, axes=self._axes)
+
+    @property
+    def _axes(self) -> tuple:
+        return tuple(range(-self.n, 0))
 
     def check_field(self, u: np.ndarray):
         if np.shape(u) != self.shape:
             raise GridMismatchError(f"field shape {np.shape(u)} does not match grid {self.shape}")
+
+    def check_stack(self, u: np.ndarray):
+        """Like check_field, but allows leading (stack) axes."""
+        if np.shape(u)[-self.n:] != self.shape:
+            raise GridMismatchError(f"field shape {np.shape(u)} does not end in grid {self.shape}")
 
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """Half-spectrum keep-mask for modes with |k| <= fraction * N/2 per axis."""
@@ -155,12 +165,11 @@ def fractional_symbol(xi_squared: np.ndarray, power: float) -> np.ndarray:
     power = 0 is the identity symbol (all ones, including the zero mode,
     so that delta = 0 damping acts as plain u_t everywhere).
     """
-    if power == 0:
-        return np.ones_like(np.asarray(xi_squared, dtype=float))
     xisq = np.asarray(xi_squared, dtype=float)
+    if power == 0:
+        return np.ones_like(xisq)
     with np.errstate(divide="ignore"):
-        out = np.where(xisq > 0.0, np.exp(0.5 * power * np.log(np.where(xisq > 0.0, xisq, 1.0))), 0.0)
-    return out
+        return np.where(xisq > 0.0, np.power(xisq, 0.5 * power), 0.0)
 
 
 def characteristic_roots(xi_mag, sigma: float, delta: float):
@@ -315,11 +324,12 @@ def linear_evolve(u0: np.ndarray, u1: np.ndarray, t: float, params, grid: GridSp
 
 
 def fractional_derivative(u: np.ndarray, s: float, grid: GridSpec) -> np.ndarray:
-    """|D|^s u by spectral multiplier; s = 0 is the identity."""
+    """|D|^s u by spectral multiplier, for a field or a stack of fields;
+    s = 0 is the identity."""
     if s < 0:
         raise ParameterError("s must be nonnegative")
     if s == 0:
-        grid.check_field(u)
+        grid.check_stack(u)
         return np.array(u, dtype=float, copy=True)
     sym = fractional_symbol(grid.xi_squared(), s)
     return grid.ifft(sym * grid.fft(u))

@@ -1,12 +1,18 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sigmaevo
+from sigmaevo import cli
 from sigmaevo.cli import (DataSpec, RunConfig, load_run, main, read_norms_csv,
                           run_semilinear, save_run, write_norms_csv)
 from sigmaevo.errors import ConfigError
+from sigmaevo.modulus import classify_integral_criterion
 
 
 def small_config_doc(tmp_path, **overrides):
@@ -63,6 +69,23 @@ class TestRunConfig:
         again = RunConfig.from_dict(config.to_dict())
         assert config.to_dict() == again.to_dict()
 
+    def test_legacy_seed_key_ignored(self, tmp_path):
+        doc = small_config_doc(tmp_path, seed=7)
+        config = RunConfig.from_dict(doc)
+        assert not hasattr(config, "seed")
+        assert "seed" not in config.to_dict()
+
+    def test_to_dict_layout(self, tmp_path):
+        out = RunConfig.from_dict(small_config_doc(tmp_path, params={
+            "sigma": 2, "delta": 1, "m": 1, "n": 1, "p": 3, "target": "on_ut"})).to_dict()
+        assert list(out) == ["params", "mu", "grid", "solver", "data", "output_dir"]
+        assert list(out["params"]) == ["sigma", "delta", "m", "n", "p", "target", "r"]
+        assert list(out["grid"]) == ["n", "N", "L"]
+        assert list(out["solver"]) == ["dt", "t_end", "dealias_fraction", "blowup_threshold",
+                                       "snapshot_stride", "store_fields"]
+        assert out["params"]["r"] == 2.0
+        assert '"target": "on_ut"' in json.dumps(out)
+
     def test_missing_key_named(self, tmp_path):
         doc = small_config_doc(tmp_path)
         del doc["params"]
@@ -93,6 +116,20 @@ class TestPersistence:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "u1_mean_positive" in manifest
 
+    def test_save_run_builds_u1_once(self, tmp_path, monkeypatch):
+        path, _ = write_config(tmp_path, data={
+            "u0": {"family": "zero"},
+            "u1": {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": 0.0}})
+        config = RunConfig.load(path)
+        traj = run_semilinear(config)
+        built = []
+        build = DataSpec.build
+        monkeypatch.setattr(DataSpec, "build", lambda self, g: built.append(self) or build(self, g))
+        save_run(tmp_path / "saved", config, traj)
+        assert built == [config.u1]
+        manifest = json.loads((tmp_path / "saved" / "manifest.json").read_text())
+        assert manifest["mean_u1"] > 0 and manifest["u1_mean_positive"] is True
+
     def test_norms_csv_roundtrip_exact(self, tmp_path):
         from sigmaevo.params import EquationParams
         from sigmaevo.solver import Trajectory
@@ -114,6 +151,18 @@ class TestCommands:
         assert main(["mu-classify", "log-power:1"]) == 0
         out = capsys.readouterr().out
         assert "divergent" in out
+
+    def test_mu_classify_one_verdict_per_c0(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(mu, c0, mode):
+            calls.append(c0)
+            return classify_integral_criterion(mu, c0, mode)
+
+        monkeypatch.setattr(cli, "classify_integral_criterion", counting)
+        assert main(["mu-classify", "log-power:1", "--c0", "3", "10"]) == 0
+        assert calls == [3.0, 10.0]
+        assert capsys.readouterr().out.strip().endswith("verdict: divergent")
 
     def test_rates_prints_critical_exponent(self, capsys):
         assert main(["rates", "--sigma", "1", "--delta", "0", "--m", "1",
@@ -318,3 +367,53 @@ class TestSweep:
             with open(os.path.join(rundir, "manifest.json")) as fh:
                 member = json.load(fh)
             assert member["config"]["data"]["u0"]["amplitude"] == float(cells[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_member_recorded_not_fatal(self, tmp_path, capsys, workers):
+        base = small_config_doc(tmp_path)
+        base["solver"]["t_end"] = 1.0
+        missing = str(tmp_path / "missing.bin")
+        sweep_doc = {"base": base,
+                     "sweep": {"data.u0": [base["data"]["u0"],
+                                           {"family": "from-file", "path": missing}]},
+                     "output_dir": str(tmp_path / "sw")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg), "--workers", str(workers)]) == 1
+        assert missing in capsys.readouterr().err
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        ok, bad = rows
+        assert ok["error"] == "" and int(ok["rows"]) > 0
+        _, traj = load_run(ok["run_dir"])
+        assert ok["final_L2_u"] == repr(float(traj.column("L2_u")[-1]))
+        assert missing in bad["error"]
+        assert bad["run_dir"].endswith("member_0001")
+        assert bad["rows"] == bad["final_L2_u"] == ""
+
+    def test_member_escaping_at_t0_recorded(self, tmp_path):
+        # a threshold below sup |u0| ends the run before its first row
+        base = small_config_doc(tmp_path)
+        base["solver"].update(t_end=1.0, blowup_threshold=0.001)
+        sweep_doc = {"base": base, "sweep": {"params.p": [3.0]},
+                     "output_dir": str(tmp_path / "sw")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok" and row["blowup_reason"] == "escape"
+        assert row["blowup_time"] == "0.0" and row["rows"] == "0" and row["final_L2_u"] == ""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the import time, and only mu-classify needs it
+    src = os.path.dirname(os.path.dirname(sigmaevo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys, sigmaevo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

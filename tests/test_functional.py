@@ -249,7 +249,24 @@ class TestJR:
             compute_J_R(traj, 4.0, spec, params)
 
 
+def guarded_exp_log_power(v, p):
+    """The |v|^p the package used before np.power: exp(p log|v|), 0 below 1e-300."""
+    av = np.abs(v)
+    with np.errstate(divide="ignore"):
+        return np.where(av > 1e-300, np.exp(p * np.log(np.where(av > 1e-300, av, 1.0))), 0.0)
+
+
 class TestPsi:
+    def test_matches_guarded_exp_log_oracle(self):
+        s = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 3001)])
+        for key in ("lipschitz", "log-lip", "log-log-lip:2", "hoelder:0.5", "log-power:1"):
+            mu = ModulusSpec.from_key(key)
+            for p in (1.5, 2.0, 3.0, 11.0 / 3.0):
+                got = psi(s, p, mu)
+                assert got[0] == 0.0
+                np.testing.assert_allclose(got, guarded_exp_log_power(s, p) * mu.evaluate(s),
+                                           rtol=1e-12, atol=0, err_msg=f"{key}, p={p}")
+
     def test_zero(self):
         mu = ModulusSpec.lipschitz()
         assert psi(0.0, 3.0, mu) == 0.0

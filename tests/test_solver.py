@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from sigmaevo.errors import ParameterError
+from sigmaevo.errors import ParameterError, SigmaevoError
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
 from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _Stepper,
                              blow_up_detect, default_blowup_threshold,
-                             duhamel_step, energy_identity_residuals,
-                             nonlinearity, simulate, simulate_linear)
-from sigmaevo.spectral import FieldState, GridSpec, linear_evolve
+                             energy_identity_residuals, simulate,
+                             simulate_linear)
+from sigmaevo.spectral import GridSpec, linear_evolve
 
 
 @pytest.fixture
@@ -31,13 +31,20 @@ def gaussian(grid, amplitude=1.0, width=1.0, center=0.0):
     return amplitude * np.exp(-(((grid.axis() - center) / width) ** 2))
 
 
+def forcing(v, p, mu, grid, dealias_fraction=2.0 / 3.0):
+    """The stepper's dealiased forcing |v|^p mu(|v|), back in physical space."""
+    params = EquationParams(sigma=1, delta=0, m=1, n=1, p=p, r=1)
+    cfg = SolverConfig(dt=0.1, t_end=1.0, dealias_fraction=dealias_fraction)
+    return grid.ifft(_Stepper(params, mu, cfg, grid)._f_hat(v))
+
+
 class TestNonlinearity:
     def test_zero_field(self, grid, mu):
-        out = nonlinearity(np.zeros(grid.shape), 3, mu, grid)
+        out = forcing(np.zeros(grid.shape), 3, mu, grid)
         assert np.all(out == 0)
 
     def test_constant_survives_dealiasing(self, grid, mu):
-        out = nonlinearity(np.full(grid.shape, 0.25), 3, mu, grid)
+        out = forcing(np.full(grid.shape, 0.25), 3, mu, grid)
         assert out == pytest.approx(np.full(grid.shape, 0.25 ** 3 * 0.5), abs=1e-15)
 
     def test_matches_fine_grid_oracle(self, params):
@@ -47,7 +54,7 @@ class TestNonlinearity:
         fine = GridSpec(1, 1024, np.pi)
         u_c = 0.1 * np.cos(coarse.axis())
         u_f = 0.1 * np.cos(fine.axis())
-        out_c = nonlinearity(u_c, 2, mu, coarse, dealias_fraction=2 / 3)
+        out_c = forcing(u_c, 2, mu, coarse, dealias_fraction=2 / 3)
         truth_f = np.abs(u_f) ** 2 * mu.evaluate(np.abs(u_f))
         spec_f = np.fft.fft(truth_f) / fine.N
         spec_c = np.fft.fft(out_c) / coarse.N
@@ -58,28 +65,42 @@ class TestNonlinearity:
 
     def test_p_must_exceed_one(self, grid, mu):
         with pytest.raises(ParameterError):
-            nonlinearity(np.zeros(grid.shape), 1.0, mu, grid)
+            forcing(np.zeros(grid.shape), 1.0, mu, grid)
+
+    def test_modulus_failure_names_location(self, grid, params):
+        class Failing(ModulusSpec):
+            def evaluate(self, s):
+                raise ArithmeticError("no value")
+
+        cfg = SolverConfig(dt=0.1, t_end=1.0)
+        stepper = _Stepper(params, Failing("lipschitz"), cfg, grid)
+        w = np.zeros(grid.shape)
+        w[17] = -3.0
+        with pytest.raises(SigmaevoError, match=r"max \|w\| = 3\.0 at index \(17,\)\): no value"):
+            stepper._f_hat(w)
 
 
 class TestDuhamelStep:
     def test_zero_data_stays_zero(self, grid, params, mu):
-        cfg = SolverConfig(dt=0.1, t_end=1.0)
-        st = FieldState(np.zeros(grid.shape), np.zeros(grid.shape), 0.0)
-        out = duhamel_step(st, params, mu, cfg, grid)
-        assert np.all(out.u == 0) and np.all(out.ut == 0)
-        assert out.time == pytest.approx(0.1)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, snapshot_stride=1)
+        zero = np.zeros(grid.shape)
+        stepper = _Stepper(params, mu, cfg, grid)
+        uh, uth = stepper.step(grid.fft(zero), grid.fft(zero), zero)
+        assert np.all(grid.ifft(uh) == 0) and np.all(grid.ifft(uth) == 0)
+        traj = simulate(zero, zero, params, mu, cfg, grid)
+        assert traj.times[1] == pytest.approx(0.1)
 
     def test_linear_limit_single_step(self, grid, params, mu):
         # data small enough that |u|^3 mu(|u|) ~ 1e-31 is below round-off of
         # the linear part: the step must coincide with the exact propagator
         cfg = SolverConfig(dt=0.25, t_end=1.0)
         u0 = gaussian(grid, amplitude=1e-9)
-        st = FieldState(u0, np.zeros_like(u0), 0.0)
-        stepped = duhamel_step(st, params, mu, cfg, grid)
+        stepper = _Stepper(params, mu, cfg, grid)
+        uh, uth = stepper.step(grid.fft(u0), grid.fft(np.zeros_like(u0)), u0)
         exact = linear_evolve(u0, np.zeros_like(u0), 0.25, params, grid)
         scale = np.max(np.abs(exact.u))
-        assert np.max(np.abs(stepped.u - exact.u)) < 1e-12 * scale
-        assert np.max(np.abs(stepped.ut - exact.ut)) < 1e-12 * scale
+        assert np.max(np.abs(grid.ifft(uh) - exact.u)) < 1e-12 * scale
+        assert np.max(np.abs(grid.ifft(uth) - exact.ut)) < 1e-12 * scale
 
     def test_temporal_order_at_least_1_9(self, grid, params, mu):
         # Richardson order measurement on a visible-nonlinearity run
@@ -100,24 +121,45 @@ class TestDuhamelStep:
 
 
 class TestBlowUpDetect:
-    def test_zero_state(self, params):
-        cfg = SolverConfig(dt=0.1, t_end=1.0, blowup_threshold=10.0)
-        st = FieldState(np.zeros(8), np.zeros(8), 0.0)
-        assert blow_up_detect(st, cfg, params) is None
+    def test_zero_state(self):
+        assert blow_up_detect(np.zeros(8), None, 10.0) is None
+        assert blow_up_detect(np.zeros(8), (0.0,) * 6, 10.0) is None
 
-    def test_nan_reason(self, params):
-        cfg = SolverConfig(dt=0.1, t_end=1.0, blowup_threshold=10.0)
+    def test_nan_reason(self):
         u = np.zeros(8)
         u[3] = np.inf
-        assert blow_up_detect(FieldState(u, np.zeros(8), 0.0), cfg, params) == "nan"
+        assert blow_up_detect(u, None, 10.0) == "nan"
+        u[3] = np.nan
+        assert blow_up_detect(u, None, 10.0) == "nan"
+        # w finite, but the row (u_t, squared norms) is not
+        assert blow_up_detect(np.zeros(8), (1.0, np.inf, 0.0, 0.0, 0.0, 0.0), 10.0) == "nan"
+        assert blow_up_detect(np.zeros(8), (1.0, 1.0, np.nan, 0.0, 0.0, 0.0), 10.0) == "nan"
 
+    @pytest.mark.filterwarnings("ignore:parameters outside")
     def test_escape_reason_follows_target(self):
+        # a constant u stays put and u_t stays 0: only on_u sees sup |w| = 2
+        assert blow_up_detect(np.full(8, 2.0), None, 1.0) == "escape"
+        grid = GridSpec(1, 8, 1.0)
+        mu = ModulusSpec.lipschitz()
         cfg = SolverConfig(dt=0.1, t_end=1.0, blowup_threshold=1.0)
         pu = EquationParams(sigma=1, delta=0, m=1, n=1, p=3, r=1, target=Target.ON_U)
         put = EquationParams(sigma=2, delta=1, m=1, n=1, p=3, r=2, target=Target.ON_UT)
-        st = FieldState(np.full(8, 2.0), np.zeros(8), 0.0)
-        assert blow_up_detect(st, cfg, pu) == "escape"
-        assert blow_up_detect(st, cfg, put) is None
+        u0, u1 = np.full(8, 2.0), np.zeros(8)
+        assert simulate(u0, u1, pu, mu, cfg, grid).blowup == BlowUp(0.0, "escape")
+        assert simulate(u0, u1, put, mu, cfg, grid).blowup is None
+
+    def test_nonfinite_row_ends_run_before_it_is_written(self):
+        # |u0| ~ 1e75 keeps u finite after one step, but u_t overflows and
+        # the squared norms of the t = 0.1 row do too
+        grid = GridSpec(1, 64, 20.0)
+        p = EquationParams(sigma=1, delta=0, m=1, n=1, p=3, r=1)
+        u0 = 1e75 * np.exp(-grid.axis() ** 2)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, blowup_threshold=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(u0, np.zeros_like(u0), p, ModulusSpec.hoelder(0.5), cfg, grid)
+        assert traj.blowup == BlowUp(0.1, "nan")
+        assert traj.times.tolist() == [0.0]
+        assert np.all(np.isfinite(traj.norms))
 
     def test_default_threshold_guards_zero_u0(self):
         u1 = np.full(8, 3.0)

@@ -283,6 +283,19 @@ class TestFractionalDerivative:
         assert fractional_symbol(xisq, 0.0).tolist() == [1.0, 1.0, 1.0]
         assert fractional_symbol(xisq, 3.0)[0] == 0.0
 
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
+    def test_stack_matches_per_slice(self, s):
+        g = GridSpec(2, 16, 2.0)
+        stack = np.random.default_rng(1).standard_normal((3,) + g.shape)
+        out = fractional_derivative(stack, s, g)
+        for k in range(len(stack)):
+            one = fractional_derivative(stack[k], s, g)
+            assert np.allclose(out[k], one, rtol=0, atol=1e-13 * np.max(np.abs(one)))
+        if s == 0.0:
+            assert np.array_equal(out, stack) and out is not stack
+        with pytest.raises(GridMismatchError):
+            fractional_derivative(stack[..., :8], s, g)
+
     def test_negative_power_rejected(self):
         g = GridSpec(1, 64, 1.0)
         with pytest.raises(ParameterError):
@@ -328,6 +341,25 @@ class TestHalfSpectrum:
         assert uh.shape == (8, 8, 5)
         assert g.xi_squared().shape == uh.shape
         assert g.dealias_mask().shape == uh.shape
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_matches_per_slice(self, n):
+        # a (T, *grid.shape) stack goes through the same pair, slice by slice
+        g = GridSpec(n, 8, 2.0)
+        stack = np.random.default_rng(n).standard_normal((4,) + g.shape)
+        spec = g.fft(stack)
+        back = g.ifft(spec)
+        for k in range(len(stack)):
+            one = g.fft(stack[k])
+            assert np.allclose(spec[k], one, rtol=0, atol=1e-13)
+            assert np.allclose(back[k], g.ifft(one), rtol=0, atol=1e-14)
+        assert np.allclose(back, stack, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4, 9), (4, 8, 5), (8, 4), ()])
+    def test_wrong_trailing_shape_raises(self, shape):
+        g = GridSpec(2, 8, 2.0) if len(shape) == 3 else GridSpec(1, 8, 2.0)
+        with pytest.raises(GridMismatchError):
+            g.fft(np.zeros(shape))
 
 
 class TestTwoDimensional:
