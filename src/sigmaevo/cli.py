@@ -152,7 +152,8 @@ def read_norms_csv(path: str):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    data = np.array([[float(v) for v in row] for row in body])
+    # shape (0, ncols) when the run ended before its first row
+    data = np.array([[float(v) for v in row] for row in body]).reshape(len(body), len(header))
     return header, data
 
 
@@ -345,6 +346,10 @@ def run_semilinear(config: RunConfig) -> Trajectory:
 
 def cmd_blowup_scan(args) -> int:
     config, traj = load_run(args.rundir)
+    if not len(traj.times):
+        print(f"run directory {args.rundir} holds no rows (the run ended before its first)",
+              file=sys.stderr)
+        return 2
     if traj.snapshots_u is None:
         print("run directory has no field snapshots; re-run with store_fields", file=sys.stderr)
         return 2
@@ -460,13 +465,13 @@ def _error_message(exc: BaseException) -> str:
 
 
 def _sweep_worker(task) -> dict:
-    doc, outdir = task
+    doc, outdir, label = task
     try:
         config = RunConfig.from_dict(doc)
         traj = run_semilinear(config)
         save_run(outdir, config, traj, {"kind": "sweep-member"})
     except _USER_ERRORS as exc:
-        return {"run_dir": outdir, "status": "error", "error": _error_message(exc)}
+        return {"run_dir": outdir, "status": "error", "error": f"{label}: {_error_message(exc)}"}
     return {
         "run_dir": outdir,
         "status": "ok",
@@ -494,24 +499,21 @@ def cmd_sweep(args) -> int:
     combos = [()]
     for k in keys:
         combos = [c + (v,) for c in combos for v in axes[k]]
+    # a member's config is validated in its worker: an invalid one fails alone
     tasks = []
     for i, combo in enumerate(combos):
         member = copy.deepcopy(base)
         for k, v in zip(keys, combo):
             _set_by_path(member, k, v)
-        RunConfig.from_dict(member)  # validate before spawning workers
-        tasks.append((member, os.path.join(outroot, f"member_{i:04d}"), combo))
+        label = ", ".join(f"{k}={v!r}" for k, v in zip(keys, combo))
+        tasks.append((member, os.path.join(outroot, f"member_{i:04d}"), label))
 
-    results = []
     if args.workers <= 1:
-        for member, outdir, combo in tasks:
-            results.append((combo, _sweep_worker((member, outdir))))
+        results = [_sweep_worker(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_sweep_worker, (member, outdir))
-                       for member, outdir, combo in tasks]
-            for (member, outdir, combo), fut in zip(tasks, futures):
-                results.append((combo, fut.result()))
+            results = list(pool.map(_sweep_worker, tasks))
+    results = list(zip(combos, results))
 
     summary = os.path.join(outroot, "summary.csv")
     columns = ["run_dir", "status", "error", "blowup_time", "blowup_reason",

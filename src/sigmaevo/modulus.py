@@ -47,7 +47,11 @@ _INF = float("inf")
 
 def _logm(x, order: int):
     """Iterated log(x)+1, valid for x >= 1."""
-    v = np.log(x) + 1.0
+    return _relog(np.log(x) + 1.0, order)
+
+
+def _relog(v, order: int):
+    """logm continued from its first level v = log(x) + 1 >= 1."""
     for _ in range(order - 1):
         v = np.log(v) + 1.0
     return v
@@ -192,14 +196,14 @@ class ModulusSpec:
             xs = np.array([p[0] for p in self.table])
             ys = np.array([p[1] for p in self.table])
             return np.interp(s, xs, ys)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), _INF)
-            if self.family == "log-lip":
-                out = s * (np.log(inv) + 1.0)
-            elif self.family == "log-log-lip":
-                out = s * (np.log(inv) + 1.0) * _logm(np.where(s > 0.0, inv, math.e), self.order)
-            else:  # log-power
-                out = (np.log(inv) + 1.0) ** (-self.alpha)
+        # ell = log(1/s) + 1, formed without 1/s, which overflows for subnormal s
+        ell = 1.0 - np.log(np.where(s > 0.0, s, 1.0))
+        if self.family == "log-lip":
+            out = s * ell
+        elif self.family == "log-log-lip":
+            out = s * ell * _relog(ell, self.order)
+        else:  # log-power
+            out = ell ** (-self.alpha)
         return np.where(s > 0.0, out, 0.0)
 
     def evaluate(self, s):
@@ -283,10 +287,7 @@ class ModulusSpec:
             elif self.family == "log-lip":
                 out = np.exp(-tt) * (tt + 1.0)
             elif self.family == "log-log-lip":
-                v = tt + 1.0
-                for _ in range(self.order - 1):
-                    v = np.log(v) + 1.0
-                out = np.exp(-tt) * (tt + 1.0) * v
+                out = np.exp(-tt) * (tt + 1.0) * _relog(tt + 1.0, self.order)
             elif self.family == "log-power":
                 out = (tt + 1.0) ** (-self.alpha)
             else:

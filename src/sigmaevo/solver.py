@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import GridSpec, MultiplierCache, Propagator, energy, spectral_l2
+from .spectral import (GridSpec, MultiplierCache, Propagator, _l2_weight_cached, energy,
+                       spectral_l2)
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
@@ -140,14 +141,28 @@ class _Stepper:
 
 
 def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams) -> tuple:
-    r = params.r
-    rs = max(r - params.sigma, 0.0)   # positive-part convention for the u_t norm
-    return (spectral_l2(uh, grid),
-            spectral_l2(uh, grid, r),
-            spectral_l2(uth, grid),
-            spectral_l2(uth, grid, rs),
+    """One row in NORM_COLUMNS order, in one pass over the half spectra.
+
+    |uh|^2 and |uth|^2 are formed once; each squared norm is one dot product
+    with the cached Plancherel weight of its power (the values spectral_l2
+    and energy give, summed in another order), and the energy adds squared
+    sums, with no square root squared back.
+    """
+    scale = grid.cell_volume / grid.N ** grid.n
+    abs_u = (uh.real ** 2 + uh.imag ** 2).ravel()
+    abs_ut = (uth.real ** 2 + uth.imag ** 2).ravel()
+
+    def squared(a, power):
+        return scale * float(np.dot(_l2_weight_cached(grid.n, grid.N, grid.L, power).ravel(), a))
+
+    rs = max(params.r - params.sigma, 0.0)   # positive-part convention for the u_t norm
+    ut_sq = squared(abs_ut, 0.0)
+    return (math.sqrt(squared(abs_u, 0.0)),
+            math.sqrt(squared(abs_u, params.r)),
+            math.sqrt(ut_sq),
+            math.sqrt(squared(abs_ut, rs)),
             float(np.max(np.abs(u_phys))),
-            energy(uh, uth, grid, params.sigma))
+            ut_sq + squared(abs_u, params.sigma))
 
 
 def default_blowup_threshold(u0: np.ndarray, u1: np.ndarray) -> float:

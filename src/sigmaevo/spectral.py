@@ -209,10 +209,10 @@ def characteristic_roots(xi_mag, sigma: float, delta: float):
 class _RealRoots:
     """Characteristic roots in the real form the multiplier kernel reads.
 
-    Every mode keeps alpha = Re lam_plus and omega = Im lam_plus (omega > 0
-    exactly on the oscillatory modes).  The overdamped modes (real roots,
-    omega = 0) are also listed by flat index with lam_plus and the gap
-    lam_plus - lam_minus >= 0.
+    Every entry (a mode, or a shell of modes) keeps alpha = Re lam_plus and
+    omega = Im lam_plus (omega > 0 exactly on the oscillatory entries).  The
+    overdamped entries (real roots, omega = 0) are also listed by flat index
+    with lam_plus and the gap lam_plus - lam_minus >= 0.
     """
 
     alpha: np.ndarray
@@ -234,7 +234,7 @@ class _RealRoots:
         return cls(alpha, omega, inv_omega, od, alpha.ravel()[od], gap.ravel()[od])
 
     def k0k1(self, t: float):
-        """Float64 K0(t), K1(t) for every mode (see the module docstring)."""
+        """Float64 K0(t), K1(t) for every entry (see the module docstring)."""
         e = np.exp(self.alpha * t)
         K1 = e * np.sin(self.omega * t) * self.inv_omega
         K0 = e * np.cos(self.omega * t) - self.alpha * K1
@@ -251,24 +251,34 @@ class _RealRoots:
 
 @dataclass(frozen=True)
 class MultiplierCache:
-    """Per-mode roots and symbols for one (grid, sigma, delta), half spectrum."""
+    """Roots and symbols for one (grid, sigma, delta), on the shells.
+
+    Every multiplier depends on xi only through |xi|^2, so the cache holds
+    one entry per distinct |xi|^2 of the half spectrum (a "shell", sorted
+    ascending) and ``shell`` maps each stored mode to its shell:
+    ``b[shell]`` is |xi|^(2 delta) per mode.  A 256^2 grid has 33,024 modes
+    on 7,400 shells; a 1D grid has one mode per shell.
+    """
 
     grid: GridSpec
     sigma: float
     delta: float
-    b: np.ndarray            # |xi|^(2 delta)
-    c: np.ndarray            # |xi|^(2 sigma)
-    lam_plus: np.ndarray
-    lam_minus: np.ndarray
-    roots: _RealRoots
+    shell: np.ndarray        # shell index of each mode, shape of the half spectrum
+    b: np.ndarray            # |xi|^(2 delta) per shell
+    c: np.ndarray            # |xi|^(2 sigma) per shell
+    lam_plus: np.ndarray     # per shell
+    lam_minus: np.ndarray    # per shell
+    roots: _RealRoots        # per shell
 
     @classmethod
     def build(cls, grid: GridSpec, sigma: float, delta: float) -> "MultiplierCache":
-        xisq = grid.xi_squared()
+        modes = grid.xi_squared()
+        xisq, shell = np.unique(modes, return_inverse=True)
         b = fractional_symbol(xisq, 2.0 * delta)
         c = fractional_symbol(xisq, 2.0 * sigma)
         lam_p, lam_m = characteristic_roots(np.sqrt(xisq), sigma, delta)
-        return cls(grid, sigma, delta, b, c, lam_p, lam_m, _RealRoots.from_roots(lam_p, lam_m))
+        return cls(grid, sigma, delta, shell.reshape(modes.shape),
+                   b, c, lam_p, lam_m, _RealRoots.from_roots(lam_p, lam_m))
 
 
 def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
@@ -302,10 +312,14 @@ class Propagator:
 
     @classmethod
     def build(cls, cache: MultiplierCache, t: float) -> "Propagator":
+        """Evaluated once per shell, then gathered onto the modes: elementwise
+        ufuncs give equal outputs for equal |xi|^2, so the result is
+        bit-identical to evaluating every mode."""
         K0, K1 = cache.roots.k0k1(t)
         D0 = -cache.c * K1
         D1 = K0 - cache.b * K1
-        return cls(t, K0, K1, D0, D1)
+        s = cache.shell
+        return cls(t, K0[s], K1[s], D0[s], D1[s])
 
     def apply(self, uh: np.ndarray, uth: np.ndarray):
         return self.K0 * uh + self.K1 * uth, self.D0 * uh + self.D1 * uth

@@ -274,6 +274,20 @@ class TestCommands:
         assert main(["blowup-scan", str(rundir)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_blowup_scan_on_run_without_rows_named_cleanly(self, tmp_path, capsys):
+        # a threshold below sup |u0| = 0.01 ends the run before its first row
+        solver = dict(small_config_doc(tmp_path)["solver"], blowup_threshold=0.001,
+                      store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        _, traj = load_run(rundir)
+        assert traj.times.shape == (0,) and traj.norms.shape == (0, 6)
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert str(rundir) in err and "holds no rows" in err
+
     def test_manifest_records_resolved_threshold(self, tmp_path):
         path, _ = write_config(tmp_path)
         out = tmp_path / "run"
@@ -391,6 +405,25 @@ class TestSweep:
         assert missing in bad["error"]
         assert bad["run_dir"].endswith("member_0001")
         assert bad["rows"] == bad["final_L2_u"] == ""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_member_recorded_not_fatal(self, tmp_path, capsys, workers):
+        base = small_config_doc(tmp_path)
+        base["solver"]["t_end"] = 1.0
+        sweep_doc = {"base": base, "sweep": {"solver.dt": [0.05, -1.0]},
+                     "output_dir": str(tmp_path / "sw")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg), "--workers", str(workers)]) == 1
+        err = capsys.readouterr().err
+        assert "solver.dt=-1.0: dt must be positive" in err
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        ok, bad = rows
+        assert int(ok["rows"]) > 0
+        assert bad["error"] == "solver.dt=-1.0: dt must be positive"
+        assert bad["run_dir"].endswith("member_0001")
 
     def test_member_escaping_at_t0_recorded(self, tmp_path):
         # a threshold below sup |u0| ends the run before its first row

@@ -5,7 +5,7 @@ import pytest
 
 from sigmaevo.errors import DomainError, ParameterError
 from sigmaevo.modulus import (AxiomReport, ModulusSpec, check_derivative_bound,
-                              check_modulus_axioms, classify_integral_criterion)
+                              check_modulus_axioms, classify_integral_criterion, psi)
 
 ALL_NAMED = [
     ModulusSpec.lipschitz(),
@@ -28,6 +28,23 @@ AXIOM_CAPS = {
     "hoelder": 1.0,
     "log-power": None,    # e^-alpha
 }
+
+
+LOG_NAMED = [mu for mu in ALL_NAMED if mu.family in ("log-lip", "log-log-lip", "log-power")] \
+    + [ModulusSpec.log_log_lip(3)]
+
+
+def reciprocal_log_formula(mu: ModulusSpec, s: np.ndarray) -> np.ndarray:
+    """The log families through 1/s, as the module docstring writes them."""
+    ell = np.log(1.0 / s) + 1.0
+    if mu.family == "log-lip":
+        return s * ell
+    if mu.family == "log-power":
+        return ell ** (-mu.alpha)
+    logm = ell
+    for _ in range(mu.order - 1):
+        logm = np.log(logm) + 1.0
+    return s * ell * logm
 
 
 def _with_axiom_cap(mu: ModulusSpec) -> ModulusSpec:
@@ -73,6 +90,22 @@ class TestEvaluate:
             s = np.linspace(0.0, spec.domain_cap, count)
             v = spec.evaluate(s)
             assert np.all(np.diff(v) >= -1e-14)
+
+    @pytest.mark.parametrize("mu", LOG_NAMED, ids=lambda m: m.key())
+    def test_log_families_match_reciprocal_formula(self, mu):
+        s = np.geomspace(1e-300, 1.0, 3001)
+        np.testing.assert_allclose(mu.evaluate(s), reciprocal_log_formula(mu, s),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("mu", LOG_NAMED, ids=lambda m: m.key())
+    def test_log_families_finite_at_subnormal_arguments(self, mu):
+        # 1/s overflows below about 5.6e-309
+        s = np.array([5e-324, 1e-310, 1e-300])
+        v = mu.evaluate(s)
+        assert np.all(np.isfinite(v))
+        assert np.all(v > 0.0)
+        assert np.all(np.diff(v) >= 0.0)
+        assert np.all(np.isfinite(psi(s, 2.0, mu)))
 
     def test_vectorized_matches_scalar(self):
         mu = ModulusSpec.log_log_lip(2)

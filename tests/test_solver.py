@@ -5,11 +5,11 @@ from sigmaevo.errors import ParameterError, SigmaevoError
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
-from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _Stepper,
-                             blow_up_detect, default_blowup_threshold,
+from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _norm_row,
+                             _Stepper, blow_up_detect, default_blowup_threshold,
                              energy_identity_residuals, simulate,
                              simulate_linear)
-from sigmaevo.spectral import GridSpec, linear_evolve
+from sigmaevo.spectral import GridSpec, energy, linear_evolve, spectral_l2
 
 
 @pytest.fixture
@@ -343,3 +343,22 @@ class TestTrajectory:
             SolverConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ParameterError):
             SolverConfig(dt=0.1, t_end=1.0, dealias_fraction=1.5)
+
+
+class TestNormRow:
+    @pytest.mark.parametrize("target", ["on_u", "on_ut"])
+    @pytest.mark.parametrize("n,N", [(1, 512), (2, 64), (3, 16)])
+    @pytest.mark.parametrize("r", [0.5, 2.5])   # r < sigma (r - sigma clipped to 0), r > sigma
+    def test_one_pass_matches_column_by_column(self, target, n, N, r):
+        g = GridSpec(n, N, 10.0)
+        p = EquationParams(sigma=1.5, delta=0.5, m=1, n=n, p=3, target=target, r=r)
+        rng = np.random.default_rng(n)
+        uh = g.fft(rng.standard_normal(g.shape))
+        uth = g.fft(rng.standard_normal(g.shape))
+        u = g.ifft(uh)
+        row = _norm_row(uh, uth, u, g, p)
+        ref = (spectral_l2(uh, g), spectral_l2(uh, g, r), spectral_l2(uth, g),
+               spectral_l2(uth, g, max(r - p.sigma, 0.0)), float(np.max(np.abs(u))),
+               energy(uh, uth, g, p.sigma))
+        assert all(type(v) is float for v in row)
+        np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)

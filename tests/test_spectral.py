@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from sigmaevo.errors import GridMismatchError, ParameterError
 from sigmaevo.params import EquationParams
 from sigmaevo.spectral import (FieldState, GridSpec, MultiplierCache,
-                               Propagator, characteristic_roots, energy,
+                               Propagator, _RealRoots, characteristic_roots, energy,
                                fractional_derivative, fractional_symbol,
                                linear_evolve, mode_coefficients,
                                propagator_multipliers, read_field,
@@ -181,8 +181,10 @@ class TestPropagators:
         cache = MultiplierCache.build(g, sigma, delta)
         for t in (0.0, 1e-6, 0.05, 7.3, 60.0, 1e3):
             prop = Propagator.build(cache, t)
-            K0, K1 = complex_root_multipliers(t, cache.lam_plus, cache.lam_minus)
-            oracle = {"K0": K0, "K1": K1, "D0": -cache.c * K1, "D1": K0 - cache.b * K1}
+            shell = cache.shell
+            K0, K1 = complex_root_multipliers(t, cache.lam_plus[shell], cache.lam_minus[shell])
+            oracle = {"K0": K0, "K1": K1, "D0": -cache.c[shell] * K1,
+                      "D1": K0 - cache.b[shell] * K1}
             for name, ref in oracle.items():
                 got = getattr(prop, name)
                 scale = np.max(np.abs(ref))
@@ -194,15 +196,37 @@ class TestPropagators:
                 np.testing.assert_allclose(got, ref.real, rtol=1e-12, atol=1e-15 * scale,
                                            err_msg=f"{name} at t={t}")
 
+    @pytest.mark.parametrize("sigma,delta", [(1, 0), (2, 1), (1.5, 0.3), (1.3, 0.4),
+                                             (3, 1.5), (1, 0.5)])
+    @pytest.mark.parametrize("n,N", [(1, 256), (2, 64), (3, 32)])
+    def test_shells_match_per_mode_kernel(self, n, N, sigma, delta):
+        # the multipliers are evaluated once per distinct |xi|^2 and gathered;
+        # the oracle evaluates the same kernel on every stored mode
+        g = GridSpec(n, N, 20.0)
+        xisq = g.xi_squared()
+        cache = MultiplierCache.build(g, sigma, delta)
+        assert cache.shell.shape == xisq.shape
+        assert cache.b.size == len(np.unique(xisq))
+        assert cache.b.size < xisq.size if n >= 2 else cache.b.size == xisq.size
+        roots = _RealRoots.from_roots(*characteristic_roots(np.sqrt(xisq), sigma, delta))
+        b = fractional_symbol(xisq, 2.0 * delta)
+        c = fractional_symbol(xisq, 2.0 * sigma)
+        for t in (0.0, 1e-6, 0.05, 0.2, 7.3, 60.0, 1e3):
+            K0, K1 = roots.k0k1(t)
+            prop = Propagator.build(cache, t)
+            for name, ref in {"K0": K0, "K1": K1, "D0": -c * K1, "D1": K0 - b * K1}.items():
+                assert np.array_equal(getattr(prop, name), ref), f"{name} at t={t}"
+
     def test_multipliers_bounded_in_time(self):
         # damping keeps |K0| and the scaled |K1| bounded uniformly in t
         g = GridSpec(1, 256, 10.0)
         for sigma, delta in ((1.0, 0.0), (2.0, 1.0), (1.5, 0.5)):
             cache = MultiplierCache.build(g, sigma, delta)
-            scale = np.sqrt(np.maximum(1.0, cache.c))
+            c = cache.c[cache.shell]
+            scale = np.sqrt(np.maximum(1.0, c))
             for t in (0.01, 0.1, 1.0, 10.0, 100.0):
                 prop = Propagator.build(cache, t)
-                nonzero = cache.c > 0   # the xi = 0 mode may grow linearly
+                nonzero = c > 0   # the xi = 0 mode may grow linearly
                 assert np.max(np.abs(prop.K0[nonzero])) < 10.0
                 assert np.max((np.abs(prop.K1) * scale)[nonzero]) < 10.0
 
