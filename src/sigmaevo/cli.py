@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, functional, norms
-from .errors import ConfigError, SigmaevoError
+from .errors import ConfigError, CoverageError, SigmaevoError
 from .modulus import ModulusSpec, check_derivative_bound, check_modulus_axioms, \
     classify_integral_criterion
 from .params import (EquationParams, check_admissibility, critical_exponent,
@@ -356,7 +356,7 @@ def cmd_blowup_scan(args) -> int:
     params = config.params
     mu = config.mu()
     p0 = float(critical_exponent(replace(params, m=1.0)))
-    R_values = args.R or _default_R_values(traj)
+    R_values = args.R or _default_R_values(traj, args.rundir)
     spec = functional.TestFunctionSpec.for_params(params, R_values)
     out_rows = []
     bound = math.log(1.0 + math.e)
@@ -378,8 +378,10 @@ def cmd_blowup_scan(args) -> int:
     return 0
 
 
-def _default_R_values(traj: Trajectory, count: int = 10) -> list:
+def _default_R_values(traj: Trajectory, rundir: str, count: int = 10) -> list:
     t_hi = float(traj.snapshot_times[-1]) * 0.9
+    if t_hi <= 0.0:
+        raise CoverageError(f"run directory {rundir}: its field snapshots end at t = 0")
     return list(np.geomspace(t_hi / 10.0, t_hi, count))
 
 

@@ -3,40 +3,10 @@ functional-inequality checks (Gagliardo-Nirenberg, fractional powers,
 L-infinity embedding) on the Hilbert scale."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
 from .spectral import GridSpec, spectral_l2
-
-
-@dataclass(frozen=True)
-class NormReport:
-    value: float
-    kind: str               # e.g. "L2", "Linf", "Hs:0.5", "data:m=1,r=1"
-    grid: GridSpec
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ParameterError("norm values are nonnegative")
-
-
-def norm_report(u: np.ndarray, kind: str, grid: GridSpec) -> NormReport:
-    """Evaluate one named norm and wrap it with its provenance.
-
-    Kinds: "Lp:<p>" (p = inf uses max-abs), "Hs:<s>", "Linf".
-    """
-    tag, _, arg = kind.partition(":")
-    if tag == "Lp":
-        value = lebesgue_norm(u, float(arg) if arg != "inf" else np.inf, grid)
-    elif tag == "Linf":
-        value = lebesgue_norm(u, np.inf, grid)
-    elif tag == "Hs":
-        value = sobolev_norm(u, float(arg), grid)
-    else:
-        raise ParameterError(f"unknown norm kind {kind!r}")
-    return NormReport(value, kind, grid)
 
 
 def lebesgue_norm(u: np.ndarray, p: float, grid: GridSpec) -> float:

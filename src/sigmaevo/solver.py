@@ -23,8 +23,7 @@ import numpy as np
 from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import (GridSpec, MultiplierCache, Propagator, _l2_weight_cached, energy,
-                       spectral_l2)
+from .spectral import GridSpec, MultiplierCache, Propagator, _l2_weight_cached, spectral_l2
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
@@ -80,14 +79,14 @@ class Trajectory:
 
 
 def blow_up_detect(w: np.ndarray, row: Optional[tuple],
-                   threshold: float) -> Optional[str]:
+                   threshold: Optional[float]) -> Optional[str]:
     """"nan" once the monitored field w or the norm row (if one is due) holds
-    a non-finite value, "escape" once sup |w| passes the threshold, None
-    otherwise.  The row carries u_t and the squared norms, which w may not."""
+    a non-finite value, "escape" once sup |w| passes a threshold that is not
+    None, else None.  The row carries u_t and the squared norms, which w may not."""
     sup = float(np.max(np.abs(w)))    # NaN and inf propagate through the max
     if not math.isfinite(sup) or (row is not None and not all(map(math.isfinite, row))):
         return "nan"
-    if sup > threshold:
+    if threshold is not None and sup > threshold:
         return "escape"
     return None
 
@@ -184,6 +183,51 @@ def _warn_if_outside_window(params: EquationParams):
              "running anyway")
 
 
+def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParams,
+           levels: np.ndarray, advance, monitor: Target, threshold: Optional[float],
+           stride: int = 1, store_fields: bool = False) -> Trajectory:
+    """The time loop of both runs: from the data at t = 0 through the times
+    ``levels``, ``advance(uh, uth, w, dt)`` moving the state on by dt (w is
+    the monitored field, u or u_t, of the level it leaves).  Every
+    ``stride``-th level is a row; a None ``threshold`` leaves only "nan"."""
+    grid.check_field(u0)
+    grid.check_field(u1)
+    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
+        raise ParameterError("initial data must be finite")
+    uh = grid.fft(np.asarray(u0, dtype=float))
+    uth = grid.fft(np.asarray(u1, dtype=float))
+    on_u = monitor == Target.ON_U
+
+    row_times, rows, snaps_u, snaps_ut = [], [], [], []
+    blowup, t_state, w = None, 0.0, None
+    for k, t in enumerate(levels.tolist()):
+        if t != t_state:
+            uh, uth = advance(uh, uth, w, t - t_state)
+            t_state = t
+        row = k % stride == 0
+        # transform back only what this level reads: w, and the fields of a row
+        u_phys = grid.ifft(uh) if on_u or row else None
+        ut_phys = grid.ifft(uth) if not on_u or (row and store_fields) else None
+        w = u_phys if on_u else ut_phys
+
+        norms = _norm_row(uh, uth, u_phys, grid, params) if row else None
+        reason = blow_up_detect(w, norms, threshold)
+        if reason is not None:
+            blowup = BlowUp(time=t, reason=reason)
+            break
+        if row:
+            row_times.append(t)
+            rows.append(norms)
+            if store_fields:
+                snaps_u.append(u_phys)
+                snaps_ut.append(ut_phys)
+
+    times = np.asarray(row_times, dtype=float)
+    snaps = (times, np.asarray(snaps_u), np.asarray(snaps_ut)) if store_fields else (None,) * 3
+    return Trajectory(times, np.asarray(rows).reshape(len(rows), len(NORM_COLUMNS)), grid, params,
+                      blowup, threshold, *snaps)
+
+
 def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
              mu: ModulusSpec, config: SolverConfig, grid: GridSpec) -> Trajectory:
     """Run the semilinear problem to t_end or blow-up.
@@ -195,88 +239,40 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     experiments deliberately probe both sides.  Identical inputs produce
     bit-identical rows: the loop is sequential and purely deterministic.
     """
-    grid.check_field(u0)
-    grid.check_field(u1)
-    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
-        raise ParameterError("initial data must be finite")
     _warn_if_outside_window(params)
     if config.blowup_threshold is None:
         config = replace(config, blowup_threshold=default_blowup_threshold(u0, u1))
     stepper = _Stepper(params, mu, config, grid)
-    uh = grid.fft(np.asarray(u0, dtype=float))
-    uth = grid.fft(np.asarray(u1, dtype=float))
     n_steps = int(round(config.t_end / config.dt))
-    on_u = params.target == Target.ON_U
-
-    times, rows = [], []
-    snap_t, snaps_u, snaps_ut = [], [], []
-    blowup = None
-
-    for k in range(n_steps + 1):
-        t = k * config.dt
-        row = k % config.snapshot_stride == 0
-        # transform back only what this step reads: w, and the fields of a row
-        u_phys = grid.ifft(uh) if on_u or row else None
-        ut_phys = grid.ifft(uth) if not on_u or (row and config.store_fields) else None
-        w = u_phys if on_u else ut_phys
-
-        norms = _norm_row(uh, uth, u_phys, grid, params) if row else None
-        reason = blow_up_detect(w, norms, config.blowup_threshold)
-        if reason is not None:
-            blowup = BlowUp(time=t, reason=reason)
-            break
-
-        if row:
-            times.append(t)
-            rows.append(norms)
-            if config.store_fields:
-                snap_t.append(t)
-                snaps_u.append(u_phys)
-                snaps_ut.append(ut_phys)
-        if k == n_steps:
-            break
-        uh, uth = stepper.step(uh, uth, w)
-
-    traj = Trajectory(times=np.asarray(times), norms=np.asarray(rows),
-                      grid=grid, params=params, blowup=blowup,
-                      blowup_threshold=config.blowup_threshold)
-    if config.store_fields:
-        traj.snapshot_times = np.asarray(snap_t)
-        traj.snapshots_u = np.asarray(snaps_u)
-        traj.snapshots_ut = np.asarray(snaps_ut)
-    return traj
+    return _march(u0, u1, grid, params, np.arange(n_steps + 1) * config.dt,
+                  lambda uh, uth, w, dt: stepper.step(uh, uth, w),
+                  params.target, config.blowup_threshold,
+                  config.snapshot_stride, config.store_fields)
 
 
 def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
                     times: np.ndarray, grid: GridSpec,
                     store_fields: bool = False) -> Trajectory:
-    """Exact linear trajectory sampled at the given times (no stepping error).
+    """Exact linear trajectory at nonnegative, strictly increasing times.
 
-    The propagator multipliers are exact per mode, so the linear problem
-    needs no time marching; this is the reference path for decay-rate runs
-    and for consistency checks of the semilinear stepper.
+    The flow is a semigroup, S(t + d) = S(d) S(t): each sample is the previous
+    one moved on by the exact propagator of the increment, rebuilt only when
+    the increment changes.  With no escape threshold, only "nan" ends a run.
     """
-    grid.check_field(u0)
-    grid.check_field(u1)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
+        raise ParameterError("sample times must be nonnegative and strictly increasing")
     cache = MultiplierCache.build(grid, params.sigma, params.delta)
-    uh0 = grid.fft(np.asarray(u0, dtype=float))
-    uth0 = grid.fft(np.asarray(u1, dtype=float))
-    rows, snaps_u, snaps_ut = [], [], []
-    for t in times:
-        prop = Propagator.build(cache, float(t))
-        uh, uth = prop.apply(uh0, uth0)
-        u_phys = grid.ifft(uh)
-        rows.append(_norm_row(uh, uth, u_phys, grid, params))
-        if store_fields:
-            snaps_u.append(u_phys)
-            snaps_ut.append(grid.ifft(uth))
-    traj = Trajectory(times=np.asarray(times, dtype=float), norms=np.asarray(rows),
-                      grid=grid, params=params, blowup=None)
-    if store_fields:
-        traj.snapshot_times = np.asarray(times, dtype=float)
-        traj.snapshots_u = np.asarray(snaps_u)
-        traj.snapshots_ut = np.asarray(snaps_ut)
-    return traj
+    prop = None
+
+    def advance(uh, uth, w, dt):
+        nonlocal prop
+        if prop is None or prop.t != dt:
+            prop = Propagator.build(cache, dt)
+        return prop.apply(uh, uth)
+
+    return _march(u0, u1, grid, params, times, advance, Target.ON_U, None,
+                  store_fields=store_fields)
 
 
 def energy_identity_residuals(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
@@ -284,24 +280,21 @@ def energy_identity_residuals(u0: np.ndarray, u1: np.ndarray, params: EquationPa
                               gauss_panels: int = 4) -> np.ndarray:
     """Relative residual of dE/dt = -2 || |D|^delta u_t ||^2 per interval.
 
-    E and the dissipation integrand are evaluated exactly (linear propagator)
-    at composite Gauss-Legendre nodes; the only error is quadrature, so the
+    E is the energy column of the exact linear trajectory at ``times``; the
+    dissipation integrand is evaluated exactly (linear propagator) at
+    composite Gauss-Legendre nodes.  The only error is quadrature, so the
     residual isolates genuine violations of the dissipation identity.
     """
+    E_vals = simulate_linear(u0, u1, params, times, grid).column("energy")
     cache = MultiplierCache.build(grid, params.sigma, params.delta)
     uh0 = grid.fft(np.asarray(u0, dtype=float))
     uth0 = grid.fft(np.asarray(u1, dtype=float))
-
-    def E_at(t):
-        uh, uth = Propagator.build(cache, float(t)).apply(uh0, uth0)
-        return energy(uh, uth, grid, params.sigma)
 
     def dissipation(t):
         _, uth = Propagator.build(cache, float(t)).apply(uh0, uth0)
         return 2.0 * spectral_l2(uth, grid, params.delta) ** 2
 
     nodes, weights = np.polynomial.legendre.leggauss(5)
-    E_vals = np.array([E_at(t) for t in times])
     resid = np.empty(len(times) - 1)
     for i in range(len(times) - 1):
         a, b = times[i], times[i + 1]

@@ -82,10 +82,6 @@ class GridSpec:
         """Euclidean |x| on the grid."""
         return np.sqrt(sum(c * c for c in self.coords()))
 
-    def wavenumber_axis(self) -> np.ndarray:
-        """xi along one axis in FFT layout."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.dx)
-
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the half spectrum."""
         return _xi_squared_cached(self.n, self.N, self.L)
@@ -142,21 +138,6 @@ def _dealias_mask_cached(n: int, N: int, frac_key: int) -> np.ndarray:
     out = np.logical_and.reduce(mats)
     out.setflags(write=False)
     return out
-
-
-@dataclass
-class FieldState:
-    """The pair (u, u_t) sampled on a grid at one time."""
-
-    u: np.ndarray
-    ut: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        if np.shape(self.u) != np.shape(self.ut):
-            raise GridMismatchError("u and u_t must share a shape")
-        if self.time < 0:
-            raise ParameterError("time must be nonnegative")
 
 
 def fractional_symbol(xi_squared: np.ndarray, power: float) -> np.ndarray:
@@ -325,18 +306,6 @@ class Propagator:
         return self.K0 * uh + self.K1 * uth, self.D0 * uh + self.D1 * uth
 
 
-def linear_evolve(u0: np.ndarray, u1: np.ndarray, t: float, params, grid: GridSpec) -> FieldState:
-    """Exact linear solution at time t from data (u0, u1)."""
-    grid.check_field(u0)
-    grid.check_field(u1)
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    cache = MultiplierCache.build(grid, params.sigma, params.delta)
-    prop = Propagator.build(cache, t)
-    uh, uth = prop.apply(grid.fft(u0), grid.fft(u1))
-    return FieldState(grid.ifft(uh), grid.ifft(uth), time=t)
-
-
 def fractional_derivative(u: np.ndarray, s: float, grid: GridSpec) -> np.ndarray:
     """|D|^s u by spectral multiplier, for a field or a stack of fields;
     s = 0 is the identity."""
@@ -471,25 +440,21 @@ def write_field(path, u: np.ndarray, grid: GridSpec, time: float = 0.0):
 
 
 def read_field(path):
-    """Inverse of :func:`write_field`: returns (array, grid, time)."""
+    """Inverse of :func:`write_field`: returns (array, grid, time).  A damaged
+    header or payload raises ParameterError naming the path."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        header = fh.readline()
         raw = fh.read()
-    parts = header.split()
-    if not parts or parts[0] != _MAGIC:
-        raise ParameterError(f"{path}: not a sigmaevo field file")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    grid = GridSpec(n=int(kv["n"]), N=int(kv["N"]), L=float(kv["L"]))
-    u = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-    return u, grid, float(kv["time"])
-
-
-def write_state_csv(path, state: FieldState, grid: GridSpec):
-    """x, u, u_t columns; only meaningful for one-dimensional grids."""
-    if grid.n != 1:
-        raise ParameterError("CSV export supports n = 1 only")
-    x = grid.axis()
-    with open(path, "w") as fh:
-        fh.write("x,u,ut\n")
-        for xi, ui, vi in zip(x, state.u, state.ut):
-            fh.write(f"{xi!r},{ui!r},{vi!r}\n")
+    try:
+        magic, *fields = header.decode("ascii").split()
+        kv = dict(f.split("=", 1) for f in fields)
+        if magic != _MAGIC:
+            raise ValueError(magic)
+        grid = GridSpec(n=int(kv["n"]), N=int(kv["N"]), L=float(kv["L"]))
+        time = float(kv["time"])
+    except (ValueError, KeyError) as exc:    # UnicodeDecodeError is a ValueError
+        raise ParameterError(f"{path}: not a sigmaevo field file") from exc
+    if len(raw) != 8 * grid.N ** grid.n:
+        raise ParameterError(f"{path}: payload of {len(raw)} bytes does not match "
+                             f"the {grid.shape} grid of its header")
+    return np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy(), grid, time

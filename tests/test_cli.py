@@ -288,6 +288,49 @@ class TestCommands:
         err = capsys.readouterr().err
         assert str(rundir) in err and "holds no rows" in err
 
+    def test_blowup_scan_on_one_row_run_named_cleanly(self, tmp_path, capsys):
+        # the run escapes at its first step: one row and one snapshot, at t = 0
+        solver = dict(small_config_doc(tmp_path)["solver"], blowup_threshold=2.0005,
+                      snapshot_stride=1, store_fields=True)
+        data = {"u0": {"family": "gaussian", "amplitude": 2.0, "width": 1.0, "center": 0.0},
+                "u1": {"family": "gaussian", "amplitude": 50.0, "width": 1.0, "center": 0.0}}
+        path, _ = write_config(tmp_path, solver=solver, data=data)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        _, traj = load_run(rundir)
+        assert traj.times.tolist() == [0.0] and traj.snapshot_times.tolist() == [0.0]
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert str(rundir) in err and "end at t = 0" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage-header"])
+    def test_damaged_from_file_datum_named_cleanly(self, tmp_path, capsys, damage):
+        from sigmaevo.spectral import GridSpec, write_field
+        grid = GridSpec(1, 64, 30.0)
+        field = tmp_path / "u0.bin"
+        write_field(field, 0.01 * np.exp(-grid.axis() ** 2), grid)
+        data = field.read_bytes()
+        field.write_bytes(data[:-8] if damage == "truncated" else b"\x89\xff garbage\n" + data)
+        path, _ = write_config(tmp_path, grid={"n": 1, "N": 64, "L": 30.0},
+                               data={"u0": {"family": "from-file", "path": str(field)},
+                                     "u1": {"family": "zero"}})
+        assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(field) in err and "Traceback" not in err
+
+    def test_blowup_scan_truncated_snapshot_named_cleanly(self, tmp_path, capsys):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        snapshot = rundir / "fields" / "u_000003.bin"
+        snapshot.write_bytes(snapshot.read_bytes()[:-8])
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert str(snapshot) in err and "does not match" in err
+
     def test_manifest_records_resolved_threshold(self, tmp_path):
         path, _ = write_config(tmp_path)
         out = tmp_path / "run"

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from sigmaevo.errors import ParameterError
-from sigmaevo.norms import (NormReport, check_embedding,
-                            check_fractional_powers, check_gagliardo_nirenberg,
-                            data_norm, gn_theta, lebesgue_norm, norm_report,
-                            sobolev_norm)
+from sigmaevo.norms import (check_embedding, check_fractional_powers,
+                            check_gagliardo_nirenberg, data_norm, gn_theta,
+                            lebesgue_norm, sobolev_norm)
 from sigmaevo.spectral import GridSpec, mode_coefficients, synthesize
 
 
@@ -53,20 +52,6 @@ class TestLebesgue:
             assert lhs <= factor * qnorm * (1 + 1e-12)
 
 
-class TestNormReport:
-    def test_kind_dispatch(self):
-        g = GridSpec(1, 128, np.pi)
-        u = np.cos(g.axis())
-        assert norm_report(u, "Lp:2", g).value == pytest.approx(np.sqrt(np.pi))
-        assert norm_report(u, "Linf", g).value == pytest.approx(1.0)
-        assert norm_report(u, "Hs:1", g).value == pytest.approx(np.sqrt(np.pi))
-
-    def test_value_nonnegative(self):
-        g = GridSpec(1, 8, 1.0)
-        with pytest.raises(ParameterError):
-            NormReport(-1.0, "L2", g)
-
-
 class TestSobolev:
     def test_plancherel_at_zero(self, rng):
         g = GridSpec(1, 256, 3.0)
@@ -77,6 +62,13 @@ class TestSobolev:
         g = GridSpec(1, 128, np.pi)
         u = np.cos(g.axis())
         assert sobolev_norm(u, 1, g) == pytest.approx(lebesgue_norm(u, 2, g), rel=1e-12)
+
+    def test_cosine_closed_forms(self):
+        g = GridSpec(1, 128, np.pi)
+        u = np.cos(g.axis())
+        assert lebesgue_norm(u, 2, g) == pytest.approx(np.sqrt(np.pi))
+        assert lebesgue_norm(u, np.inf, g) == pytest.approx(1.0)
+        assert sobolev_norm(u, 1, g) == pytest.approx(np.sqrt(np.pi))
 
     def test_second_order_matches_stencil_laplacian(self, rng):
         # independent oracle: 2nd-difference Laplacian at fine resolution

@@ -9,7 +9,7 @@ from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _norm_row,
                              _Stepper, blow_up_detect, default_blowup_threshold,
                              energy_identity_residuals, simulate,
                              simulate_linear)
-from sigmaevo.spectral import GridSpec, energy, linear_evolve, spectral_l2
+from sigmaevo.spectral import GridSpec, MultiplierCache, Propagator, energy, spectral_l2
 
 
 @pytest.fixture
@@ -97,10 +97,11 @@ class TestDuhamelStep:
         u0 = gaussian(grid, amplitude=1e-9)
         stepper = _Stepper(params, mu, cfg, grid)
         uh, uth = stepper.step(grid.fft(u0), grid.fft(np.zeros_like(u0)), u0)
-        exact = linear_evolve(u0, np.zeros_like(u0), 0.25, params, grid)
-        scale = np.max(np.abs(exact.u))
-        assert np.max(np.abs(grid.ifft(uh) - exact.u)) < 1e-12 * scale
-        assert np.max(np.abs(grid.ifft(uth) - exact.ut)) < 1e-12 * scale
+        exact = simulate_linear(u0, np.zeros_like(u0), params, [0.25], grid, store_fields=True)
+        u, ut = exact.snapshots_u[0], exact.snapshots_ut[0]
+        scale = np.max(np.abs(u))
+        assert np.max(np.abs(grid.ifft(uh) - u)) < 1e-12 * scale
+        assert np.max(np.abs(grid.ifft(uth) - ut)) < 1e-12 * scale
 
     def test_temporal_order_at_least_1_9(self, grid, params, mu):
         # Richardson order measurement on a visible-nonlinearity run
@@ -312,6 +313,106 @@ class TestSimulate:
         cfg = SolverConfig(dt=0.1, t_end=0.5)
         with pytest.raises(ParameterError, match="finite"):
             simulate(bad, np.zeros_like(bad), params, mu, cfg, grid)
+
+
+def per_sample_linear(u0, u1, params, times, grid):
+    """The per-sample path chained sampling replaced: one Propagator from
+    the data for every sample time.  Returns (rows, snapshots_u, snapshots_ut)."""
+    cache = MultiplierCache.build(grid, params.sigma, params.delta)
+    uh0 = grid.fft(np.asarray(u0, dtype=float))
+    uth0 = grid.fft(np.asarray(u1, dtype=float))
+    rows, snaps_u, snaps_ut = [], [], []
+    for t in times:
+        uh, uth = Propagator.build(cache, float(t)).apply(uh0, uth0)
+        u_phys = grid.ifft(uh)
+        rows.append(_norm_row(uh, uth, u_phys, grid, params))
+        snaps_u.append(u_phys)
+        snaps_ut.append(grid.ifft(uth))
+    return np.asarray(rows), np.asarray(snaps_u), np.asarray(snaps_ut)
+
+
+class TestSimulateLinear:
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("n,N,L", [(1, 256, 40.0), (2, 32, 15.0)])
+    # oscillatory on every shell but xi = 0; overdamped on the shells |xi| <= 1/2
+    @pytest.mark.parametrize("sigma,delta", [(2, 1), (1, 0), (2, 0.5)])
+    @pytest.mark.parametrize("sampling", ["uniform-1000", "nonuniform-offset"])
+    def test_chained_matches_per_sample_builds(self, n, N, L, sigma, delta, sampling):
+        g = GridSpec(n, N, L)
+        p = EquationParams(sigma=sigma, delta=delta, m=1, n=n, p=3, r=1)
+        r2 = sum(c * c for c in g.coords())
+        u0 = np.exp(-r2)
+        u1 = 0.5 * np.exp(-2.0 * sum((c - 1.0) ** 2 for c in g.coords()))
+        if sampling == "uniform-1000":
+            times = np.linspace(0.0, 1e3, 1000)
+        else:
+            gaps = np.random.default_rng(n).uniform(0.01, 2.0, 300)
+            times = 0.3 + np.concatenate([[0.0], np.cumsum(gaps)])
+        traj = simulate_linear(u0, u1, p, times, g, store_fields=True)
+        rows, snaps_u, snaps_ut = per_sample_linear(u0, u1, p, times, g)
+        assert traj.blowup is None
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.snapshot_times, times)
+        # Within 1e-12 of the largest value each column has taken so far, the
+        # bound chaining keeps on a damped flow.  Per value it can fail either
+        # way: near a zero crossing of the dominant mode (1D (2, 1), Hr_u) the
+        # chained rounding shows, and on the delta = 0 zero mode the oracle's
+        # D1 = K0 - b K1 cancels to ~1e-16 where the true e^(-t) is far smaller.
+        scale = np.maximum.accumulate(np.abs(rows), axis=0)
+        assert np.all(np.abs(traj.norms - rows) <= 1e-12 * scale)
+        for got, want in ((traj.snapshots_u, snaps_u), (traj.snapshots_ut, snaps_ut)):
+            sup = np.max(np.abs(want), axis=tuple(range(1, n + 1)))
+            scale = np.maximum.accumulate(sup).reshape((-1,) + (1,) * n)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_reuses_only_the_last_propagator(self, grid, params, monkeypatch):
+        built = []
+        real_build = Propagator.build.__func__
+
+        def counting(cls, cache, t):
+            built.append(t)
+            return real_build(cls, cache, t)
+
+        monkeypatch.setattr(Propagator, "build", classmethod(counting))
+        u0 = gaussian(grid)
+        simulate_linear(u0, u0, params, np.arange(11) * 0.5, grid)
+        assert built == [0.5]
+        built.clear()
+        # increments 1, 2, 1: the first propagator is not kept for the third
+        simulate_linear(u0, u0, params, [0.0, 1.0, 3.0, 4.0], grid)
+        assert built == [1.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("times", [[-0.5, 0.0, 1.0], [-1.0]])
+    def test_negative_time_rejected(self, grid, params, times):
+        u0 = gaussian(grid)
+        with pytest.raises(ParameterError, match="nonnegative and strictly increasing"):
+            simulate_linear(u0, u0, params, times, grid)
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan]])
+    def test_times_not_increasing_rejected(self, grid, params, times):
+        u0 = gaussian(grid)
+        with pytest.raises(ParameterError, match="nonnegative and strictly increasing"):
+            simulate_linear(u0, u0, params, times, grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_data_rejected(self, grid, params, bad):
+        u1 = np.zeros(grid.shape)
+        u1[3] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            simulate_linear(gaussian(grid), u1, params, [0.0, 1.0], grid)
+
+    def test_only_nan_ends_the_run(self, grid, params):
+        # no escape threshold: huge finite data run to the end, while data
+        # whose squared norms overflow end the run at its first row
+        times = np.arange(5) * 0.5
+        traj = simulate_linear(gaussian(grid, 1e100), np.zeros(grid.shape), params, times, grid)
+        assert traj.blowup is None and traj.blowup_threshold is None
+        assert np.array_equal(traj.times, times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate_linear(gaussian(grid, 1e300), np.zeros(grid.shape),
+                                   params, times, grid)
+        assert traj.blowup == BlowUp(0.0, "nan")
+        assert traj.times.shape == (0,) and traj.norms.shape == (0, 6)
 
 
 class TestEnergyIdentity:

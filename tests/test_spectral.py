@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ from scipy.integrate import solve_ivp
 
 from sigmaevo.errors import GridMismatchError, ParameterError
 from sigmaevo.params import EquationParams
-from sigmaevo.spectral import (FieldState, GridSpec, MultiplierCache,
-                               Propagator, _RealRoots, characteristic_roots, energy,
+from sigmaevo.solver import simulate_linear
+from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator, _RealRoots,
+                               characteristic_roots, energy,
                                fractional_derivative, fractional_symbol,
-                               linear_evolve, mode_coefficients,
-                               propagator_multipliers, read_field,
-                               spectral_l2, synthesize, wrap_time,
-                               write_field, write_state_csv)
+                               mode_coefficients, propagator_multipliers,
+                               read_field, spectral_l2, synthesize, wrap_time,
+                               write_field)
 
 
 def oracle_multipliers(t, xi, sigma, delta, rtol=1e-12):
@@ -28,6 +29,12 @@ def oracle_multipliers(t, xi, sigma, delta, rtol=1e-12):
     s0 = solve_ivp(rhs, [0, t], [1, 0], rtol=rtol, atol=1e-15, method="DOP853")
     s1 = solve_ivp(rhs, [0, t], [0, 1], rtol=rtol, atol=1e-15, method="DOP853")
     return s0.y[0][-1], s1.y[0][-1]
+
+
+def linear_evolve(u0, u1, t, params, grid):
+    """(u, u_t) of the exact linear flow at time t, from one-sample runs."""
+    traj = simulate_linear(u0, u1, params, [t], grid, store_fields=True)
+    return traj.snapshots_u[0], traj.snapshots_ut[0]
 
 
 def complex_root_multipliers(t, lam_p, lam_m):
@@ -70,11 +77,12 @@ class TestGrid:
         assert g.cell_volume == pytest.approx((4.0 / 8) ** 2)
 
     def test_frequencies(self):
+        # half spectrum: k = 0..N/2, xi_k = (pi / L) k, Nyquist last
         g = GridSpec(1, 8, 2.0)
-        xi = g.wavenumber_axis()
+        xi = np.sqrt(g.xi_squared())
         assert xi[0] == 0.0
         assert xi[1] == pytest.approx(math.pi / 2.0)
-        assert np.min(xi) == pytest.approx(-math.pi / 2.0 * 4)
+        assert xi[-1] == pytest.approx(math.pi / 2.0 * 4)
 
     def test_roundtrip_identity(self):
         g = GridSpec(2, 32, 3.0)
@@ -239,34 +247,34 @@ class TestLinearEvolve:
         self.u0 = np.exp(-x ** 2)
 
     def test_time_zero_identity(self):
-        st = linear_evolve(self.u0, np.zeros_like(self.u0), 0.0, self.params, self.grid)
-        assert np.array_equal(st.u, self.u0) or np.max(np.abs(st.u - self.u0)) < 1e-14
-        assert np.max(np.abs(st.ut)) < 1e-14
+        u, ut = linear_evolve(self.u0, np.zeros_like(self.u0), 0.0, self.params, self.grid)
+        assert np.array_equal(u, self.u0) or np.max(np.abs(u - self.u0)) < 1e-14
+        assert np.max(np.abs(ut)) < 1e-14
 
     def test_single_mode_amplitude(self):
         g = GridSpec(1, 128, np.pi)
         u0 = np.cos(g.axis())
         p = self.params
-        st = linear_evolve(u0, np.zeros_like(u0), 1.0, p, g)
+        u, _ = linear_evolve(u0, np.zeros_like(u0), 1.0, p, g)
         K0, _ = propagator_multipliers(1.0, 1.0, p.sigma, p.delta)
         # the evolved field is Re(K0) cos(x) for real data on a single mode
         expected = K0.real * u0
-        assert np.max(np.abs(st.u - expected)) < 1e-12
+        assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_mean_growth_with_structural_damping(self):
         p = EquationParams(sigma=2, delta=1, m=1, n=1, p=2, r=2)
         u1 = np.exp(-self.grid.axis() ** 2)
-        st = linear_evolve(np.zeros_like(u1), u1, 4.0, p, self.grid)
-        assert np.mean(st.u) == pytest.approx(4.0 * np.mean(u1), rel=1e-12)
+        u, _ = linear_evolve(np.zeros_like(u1), u1, 4.0, p, self.grid)
+        assert np.mean(u) == pytest.approx(4.0 * np.mean(u1), rel=1e-12)
 
     def test_semigroup_property(self):
         u1 = 0.3 * np.exp(-(self.grid.axis() - 2) ** 2)
         a = linear_evolve(self.u0, u1, 0.8, self.params, self.grid)
-        b = linear_evolve(a.u, a.ut, 0.7, self.params, self.grid)
+        b = linear_evolve(*a, 0.7, self.params, self.grid)
         direct = linear_evolve(self.u0, u1, 1.5, self.params, self.grid)
-        scale = np.max(np.abs(direct.u))
-        assert np.max(np.abs(b.u - direct.u)) < 1e-10 * scale
-        assert np.max(np.abs(b.ut - direct.ut)) < 1e-10 * max(scale, np.max(np.abs(direct.ut)))
+        scale = np.max(np.abs(direct[0]))
+        assert np.max(np.abs(b[0] - direct[0])) < 1e-10 * scale
+        assert np.max(np.abs(b[1] - direct[1])) < 1e-10 * max(scale, np.max(np.abs(direct[1])))
 
     def test_energy_dissipation_monotone(self):
         times = np.linspace(0, 5, 41)
@@ -352,7 +360,7 @@ class TestHalfSpectrum:
         phase = sum((math.pi / g.L) * kj * c for kj, c in zip(k, g.coords()))
         u = np.cos(phase + 0.3)
         full = np.fft.fftn(u)
-        xi = g.wavenumber_axis()
+        xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.dx)
         xisq = sum(m * m for m in np.meshgrid(*([xi] * n), indexing="ij"))
         for power in (0.0, 1.0, -0.5):
             w = fractional_symbol(xisq, 2.0 * power)
@@ -421,10 +429,10 @@ class TestTwoDimensional:
         u0 = np.exp(-r2)
         u1 = 0.5 * np.exp(-2 * r2)
         a = linear_evolve(u0, u1, 0.6, p, g)
-        b = linear_evolve(a.u, a.ut, 0.9, p, g)
+        b = linear_evolve(*a, 0.9, p, g)
         direct = linear_evolve(u0, u1, 1.5, p, g)
-        scale = np.max(np.abs(direct.u))
-        assert np.max(np.abs(b.u - direct.u)) < 1e-10 * scale
+        scale = np.max(np.abs(direct[0]))
+        assert np.max(np.abs(b[0] - direct[0])) < 1e-10 * scale
 
 
 class TestFieldIO:
@@ -438,14 +446,24 @@ class TestFieldIO:
         assert g2 == g
         assert t == 2.5
 
-    def test_csv_export(self, tmp_path):
-        g = GridSpec(1, 8, 1.0)
-        st = FieldState(np.arange(8.0), np.zeros(8), 0.0)
-        path = tmp_path / "state.csv"
-        write_state_csv(path, st, g)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,u,ut"
-        assert len(lines) == 9
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "foreign-header",
+                                        "undecodable-header", "header-missing-key",
+                                        "empty"])
+    def test_damaged_file_named(self, tmp_path, damage):
+        g = GridSpec(1, 64, 3.0)
+        path = tmp_path / "field.bin"
+        write_field(path, np.exp(-g.axis() ** 2), g, time=2.5)
+        data = path.read_bytes()
+        header, payload = data.split(b"\n", 1)
+        data = {"truncated": data[:-8],
+                "extended": data + bytes(8),
+                "foreign-header": b"not-a-field n=1 N=64 L=3.0 time=0.0\n" + payload,
+                "undecodable-header": b"\xff\xfe" + data,
+                "header-missing-key": header.rsplit(b" ", 1)[0] + b"\n" + payload,
+                "empty": b""}[damage]
+        path.write_bytes(data)
+        with pytest.raises(ParameterError, match=re.escape(str(path))):
+            read_field(path)
 
 
 class TestWrapTime:
