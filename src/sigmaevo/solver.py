@@ -8,6 +8,13 @@ predicted endpoint.  Since K1_hat(0) = 0, the endpoint only enters the
 velocity update (through dK1/dt(0) = 1); the scheme still carries the
 trapezoid rule's O(dt^3) local error.
 
+With w = u_t the stepper runs in PEC (predict-evaluate-correct) mode: a step
+that continues from the state the previous step returned takes that step's
+corrector forcing f(w_pred) as its f0, which is within O(dt^2) of f(w).  Each
+step then makes one modulus evaluation and three transforms (the forcing's
+forward transform, the predictor's inverse, and the loop's inverse of u_t,
+which the blow-up check reads).  With w = u every step evaluates f(u) afresh.
+
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite
 is never emitted.
@@ -79,11 +86,13 @@ class Trajectory:
 
 
 def blow_up_detect(w: np.ndarray, row: Optional[tuple],
-                   threshold: Optional[float]) -> Optional[str]:
+                   threshold: Optional[float], sup: Optional[float] = None) -> Optional[str]:
     """"nan" once the monitored field w or the norm row (if one is due) holds
     a non-finite value, "escape" once sup |w| passes a threshold that is not
-    None, else None.  The row carries u_t and the squared norms, which w may not."""
-    sup = float(np.max(np.abs(w)))    # NaN and inf propagate through the max
+    None, else None.  The row carries u_t and the squared norms, which w may not.
+    ``sup`` is sup |w| when the caller already has it."""
+    if sup is None:
+        sup = float(np.max(np.abs(w)))    # NaN and inf propagate through the max
     if not math.isfinite(sup) or (row is not None and not all(map(math.isfinite, row))):
         return "nan"
     if threshold is not None and sup > threshold:
@@ -103,6 +112,7 @@ class _Stepper:
         self.cache = MultiplierCache.build(grid, params.sigma, params.delta)
         self.prop = Propagator.build(self.cache, config.dt)
         self.mask = grid.dealias_mask(config.dealias_fraction)
+        self._last = (None, None)    # on_ut: (uth returned, its corrector forcing)
 
     def _f_hat(self, w_phys: np.ndarray) -> np.ndarray:
         """Half spectrum of the forcing |w|^p mu(|w|), cut to the dealias band.
@@ -123,19 +133,26 @@ class _Stepper:
         """One exponential-trapezoid step from the current spectral state.
 
         ``w_phys`` is the physical nonlinearity argument already available
-        from the caller (u for on_u, u_t for on_ut).
+        from the caller (u for on_u, u_t for on_ut).  On on_ut the step runs
+        in PEC mode: when ``uth`` is the very array the previous step returned,
+        that step's corrector forcing f(w_pred) stands in for f(w_phys), so a
+        step evaluates the modulus and transforms forward once.
         """
         dt = self.config.dt
         prop = self.prop
-        f0 = self._f_hat(w_phys)
+        on_u = self.params.target == Target.ON_U
+        last_uth, last_f1 = self._last
+        f0 = last_f1 if not on_u and uth is last_uth else self._f_hat(w_phys)
         lin_u, lin_ut = prop.apply(uh, uth)
-        if self.params.target == Target.ON_U:
+        if on_u:
             w_pred = self.grid.ifft(lin_u + dt * prop.K1 * f0)
         else:
             w_pred = self.grid.ifft(lin_ut + dt * prop.D1 * f0)
         f1 = self._f_hat(w_pred)
         uh_new = lin_u + 0.5 * dt * prop.K1 * f0
         uth_new = lin_ut + 0.5 * dt * (prop.D1 * f0 + f1)
+        if not on_u:
+            self._last = (uth_new, f1)
         return uh_new, uth_new
 
 
@@ -211,7 +228,9 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
         w = u_phys if on_u else ut_phys
 
         norms = _norm_row(uh, uth, u_phys, grid, params) if row else None
-        reason = blow_up_detect(w, norms, threshold)
+        # a row's Linf_u is sup |u|: on u the check reads it rather than retaking it
+        sup = norms[NORM_COLUMNS.index("Linf_u")] if on_u and row else None
+        reason = blow_up_detect(w, norms, threshold, sup)
         if reason is not None:
             blowup = BlowUp(time=t, reason=reason)
             break
@@ -257,7 +276,9 @@ def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
 
     The flow is a semigroup, S(t + d) = S(d) S(t): each sample is the previous
     one moved on by the exact propagator of the increment, rebuilt only when
-    the increment changes.  With no escape threshold, only "nan" ends a run.
+    the increment differs from the last one by more than a relative 1e-12
+    (uniform float samples, whose increments differ by rounding, take one
+    build).  With no escape threshold, only "nan" ends a run.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
@@ -267,7 +288,7 @@ def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
 
     def advance(uh, uth, w, dt):
         nonlocal prop
-        if prop is None or prop.t != dt:
+        if prop is None or abs(dt - prop.t) > 1e-12 * prop.t:
             prop = Propagator.build(cache, dt)
         return prop.apply(uh, uth)
 

@@ -18,6 +18,11 @@ arithmetic from closed forms with no series branch:
   overdamped modes, real lam_m <= lam_p <= 0 and x = (lam_p - lam_m) t >= 0:
       K1 = t exp(lam_p t) (-expm1(-x) / x),    K0 = exp(lam_p t) - lam_p K1
 
+and D1 = dK1/dt (the velocity datum's multiplier for u_t) has its own closed
+form, exp(alpha t) cos(omega t) + alpha K1 or exp(lam_p t) exp(-x) + lam_p K1,
+rather than the identity D1 = K0 - b K1, which cancels wherever D1 << K0
+(on the delta = 0 zero mode it leaves ~1e-16 in place of exp(-t)).
+
 The overdamped form stays cancellation-safe as the roots coalesce (it tends
 to the double-root limits t exp(lam t) and (1 - lam t) exp(lam t)) and never
 multiplies a vanishing exp(alpha t) by a growing sinh at large t.
@@ -215,10 +220,14 @@ class _RealRoots:
         return cls(alpha, omega, inv_omega, od, alpha.ravel()[od], gap.ravel()[od])
 
     def k0k1(self, t: float):
-        """Float64 K0(t), K1(t) for every entry (see the module docstring)."""
+        """Float64 K0(t), K1(t) and D1(t) = dK1/dt for every entry (see the
+        module docstring)."""
         e = np.exp(self.alpha * t)
         K1 = e * np.sin(self.omega * t) * self.inv_omega
-        K0 = e * np.cos(self.omega * t) - self.alpha * K1
+        ec = e * np.cos(self.omega * t)
+        aK1 = self.alpha * K1
+        K0 = ec - aK1
+        D1 = ec + aK1
         if self.od.size:
             lam = self.od_lam
             x = self.od_gap * t
@@ -227,7 +236,8 @@ class _RealRoots:
             k1 = t * ep * quot
             K1.flat[self.od] = k1
             K0.flat[self.od] = ep - lam * k1
-        return K0, K1
+            D1.flat[self.od] = ep * np.exp(-x) + lam * k1
+        return K0, K1, D1
 
 
 @dataclass(frozen=True)
@@ -271,7 +281,7 @@ def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
     if t < 0:
         raise ParameterError("t must be nonnegative")
     xi = np.asarray(xi_mag, dtype=float)
-    K0, K1 = _RealRoots.from_roots(*characteristic_roots(xi.ravel(), sigma, delta)).k0k1(t)
+    K0, K1, _ = _RealRoots.from_roots(*characteristic_roots(xi.ravel(), sigma, delta)).k0k1(t)
     if xi.ndim == 0:
         return float(K0[0]), float(K1[0])
     return K0.reshape(xi.shape), K1.reshape(xi.shape)
@@ -281,8 +291,8 @@ def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
 class Propagator:
     """Float64 multipliers of the linear flow at a fixed time increment.
 
-    K0, K1 advance u_hat; D0 = dK0/dt = -c K1 and D1 = dK1/dt = K0 - b K1
-    advance ut_hat (closed forms, no extra exponentials).
+    K0, K1 advance u_hat; D0 = dK0/dt = -c K1 and D1 = dK1/dt advance ut_hat
+    (closed forms from the kernel, no cancelling difference).
     """
 
     t: float
@@ -296,9 +306,8 @@ class Propagator:
         """Evaluated once per shell, then gathered onto the modes: elementwise
         ufuncs give equal outputs for equal |xi|^2, so the result is
         bit-identical to evaluating every mode."""
-        K0, K1 = cache.roots.k0k1(t)
+        K0, K1, D1 = cache.roots.k0k1(t)
         D0 = -cache.c * K1
-        D1 = K0 - cache.b * K1
         s = cache.shell
         return cls(t, K0[s], K1[s], D0[s], D1[s])
 

@@ -121,6 +121,108 @@ class TestDuhamelStep:
         assert np.log2(e1 / e2) >= 1.9
 
 
+def fresh_f0_step(stepper, uh, uth, w_phys):
+    """The step PEC mode replaced: f(w) evaluated afresh at every step start."""
+    dt, prop = stepper.config.dt, stepper.prop
+    f0 = stepper._f_hat(w_phys)
+    lin_u, lin_ut = prop.apply(uh, uth)
+    if stepper.params.target == Target.ON_U:
+        w_pred = stepper.grid.ifft(lin_u + dt * prop.K1 * f0)
+    else:
+        w_pred = stepper.grid.ifft(lin_ut + dt * prop.D1 * f0)
+    f1 = stepper._f_hat(w_pred)
+    return lin_u + 0.5 * dt * prop.K1 * f0, lin_ut + 0.5 * dt * (prop.D1 * f0 + f1)
+
+
+ON_UT = EquationParams(sigma=2, delta=1, m=1, n=1, p=3, r=3, target=Target.ON_UT)
+
+
+class TestPECStep:
+    """on_ut steps reuse the previous corrector forcing f(w_pred) as f0."""
+
+    @staticmethod
+    def final(step, grid, mu, u0, u1, dt, t_end=1.0):
+        stepper = _Stepper(ON_UT, mu, SolverConfig(dt=dt, t_end=t_end), grid)
+        uh, uth = grid.fft(u0), grid.fft(u1)
+        for _ in range(int(round(t_end / dt))):
+            uh, uth = step(stepper, uh, uth, grid.ifft(uth))
+        return np.concatenate([grid.ifft(uh), grid.ifft(uth)])
+
+    def errors(self, grid, mu, u0, u1):
+        """Max error of (u, u_t) at t = 1 against a dt = 0.1/64 fresh-f0 oracle,
+        per scheme and dt."""
+        oracle = self.final(fresh_f0_step, grid, mu, u0, u1, 0.1 / 64)
+        return {(name, dt): np.max(np.abs(self.final(step, grid, mu, u0, u1, dt) - oracle))
+                for name, step in (("fresh", fresh_f0_step), ("pec", _Stepper.step))
+                for dt in (0.1, 0.05, 0.025)}
+
+    @pytest.mark.parametrize("mu", [ModulusSpec.hoelder(0.5), ModulusSpec.log_log_lip(2)],
+                             ids=["hoelder:0.5", "log-log-lip:2"])
+    def test_error_and_order_against_fresh_f0(self, grid, mu):
+        u0 = u1 = gaussian(grid, amplitude=0.5)
+        err = self.errors(grid, mu, u0, u1)
+        for dt in (0.1, 0.05, 0.025):
+            assert err["pec", dt] <= 1.25 * err["fresh", dt], f"dt={dt}"
+        assert np.log2(err["pec", 0.05] / err["pec", 0.025]) >= 1.85
+
+    @pytest.mark.parametrize("mu", [ModulusSpec.hoelder(0.5), ModulusSpec.log_log_lip(2)],
+                             ids=["hoelder:0.5", "log-log-lip:2"])
+    def test_order_holds_where_pec_constant_is_larger(self, grid, mu):
+        # u_t grows from zero, so f(w_pred) lags f(w) the most: PEC's error is
+        # 1.9-2.6x the fresh-f0 scheme's here, but still second order
+        u0 = gaussian(grid)
+        err = self.errors(grid, mu, u0, np.zeros_like(u0))
+        assert np.log2(err["pec", 0.05] / err["pec", 0.025]) >= 1.85
+        assert err["pec", 0.025] <= 3.0 * err["fresh", 0.025]
+
+    def test_foreign_uth_takes_fresh_f0(self, grid):
+        mu = ModulusSpec.hoelder(0.5)
+        stepper = _Stepper(ON_UT, mu, SolverConfig(dt=0.05, t_end=1.0), grid)
+        uh, uth = grid.fft(gaussian(grid, 0.5)), grid.fft(gaussian(grid, 0.5))
+        first = stepper.step(uh, uth, grid.ifft(uth))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(first, fresh_f0_step(stepper, uh, uth, grid.ifft(uth))))
+        uh1, uth1 = first
+        pec = stepper.step(uh1, uth1, grid.ifft(uth1))
+        fresh = fresh_f0_step(stepper, uh1, uth1, grid.ifft(uth1))
+        assert not np.array_equal(pec[1], fresh[1])
+        # an equal copy is not the array the stepper returned
+        for got, want in zip(stepper.step(uh1, uth1.copy(), grid.ifft(uth1)), fresh):
+            assert np.array_equal(got, want)
+
+    def test_one_modulus_evaluation_per_step(self, grid, monkeypatch):
+        from sigmaevo import solver
+        calls = []
+        real_psi = solver.psi
+        monkeypatch.setattr(solver, "psi", lambda *a: calls.append(1) or real_psi(*a))
+        u1 = gaussian(grid, 0.5)
+        cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_stride=4)
+        simulate(np.zeros_like(u1), u1, ON_UT, ModulusSpec.hoelder(0.5), cfg, grid)
+        assert len(calls) == 20 + 1
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    def test_on_u_step_is_the_fresh_f0_step(self, grid, params, mu):
+        stepper = _Stepper(params, mu, SolverConfig(dt=0.05, t_end=1.0), grid)
+        uh, uth = grid.fft(gaussian(grid, 0.5)), grid.fft(np.zeros(grid.shape))
+        for _ in range(3):
+            want = fresh_f0_step(stepper, uh, uth, grid.ifft(uh))
+            uh, uth = stepper.step(uh, uth, grid.ifft(uh))
+            assert np.array_equal(uh, want[0]) and np.array_equal(uth, want[1])
+
+    @pytest.mark.parametrize("mu", [ModulusSpec.log_power(1.0), ModulusSpec.hoelder(0.5)],
+                             ids=["log-power:1", "hoelder:0.5"])
+    @pytest.mark.parametrize("amplitude", [1.5, 3.0])
+    @pytest.mark.parametrize("dt", [0.01, 0.002])
+    def test_escape_time_within_one_dt(self, grid, mu, amplitude, dt, monkeypatch):
+        u1 = gaussian(grid, amplitude)
+        cfg = SolverConfig(dt=dt, t_end=30.0, blowup_threshold=100.0, snapshot_stride=10)
+        pec = simulate(np.zeros_like(u1), u1, ON_UT, mu, cfg, grid).blowup
+        monkeypatch.setattr(_Stepper, "step", fresh_f0_step)
+        fresh = simulate(np.zeros_like(u1), u1, ON_UT, mu, cfg, grid).blowup
+        assert pec.reason == fresh.reason == "escape"
+        assert abs(pec.time - fresh.time) <= dt * (1 + 1e-9)
+
+
 class TestBlowUpDetect:
     def test_zero_state(self):
         assert blow_up_detect(np.zeros(8), None, 10.0) is None
@@ -331,6 +433,23 @@ def per_sample_linear(u0, u1, params, times, grid):
     return np.asarray(rows), np.asarray(snaps_u), np.asarray(snaps_ut)
 
 
+def per_increment_linear(u0, u1, params, times, grid):
+    """Chained sampling with a Propagator rebuilt whenever the increment is not
+    bit-equal to the last one.  Returns the norm rows."""
+    cache = MultiplierCache.build(grid, params.sigma, params.delta)
+    uh = grid.fft(np.asarray(u0, dtype=float))
+    uth = grid.fft(np.asarray(u1, dtype=float))
+    rows, prop, t_state = [], None, 0.0
+    for t in times:
+        if t != t_state:
+            if prop is None or prop.t != t - t_state:
+                prop = Propagator.build(cache, t - t_state)
+            uh, uth = prop.apply(uh, uth)
+            t_state = t
+        rows.append(_norm_row(uh, uth, grid.ifft(uh), grid, params))
+    return np.asarray(rows)
+
+
 class TestSimulateLinear:
     @pytest.mark.filterwarnings("ignore:parameters outside")
     @pytest.mark.parametrize("n,N,L", [(1, 256, 40.0), (2, 32, 15.0)])
@@ -354,10 +473,9 @@ class TestSimulateLinear:
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.snapshot_times, times)
         # Within 1e-12 of the largest value each column has taken so far, the
-        # bound chaining keeps on a damped flow.  Per value it can fail either
-        # way: near a zero crossing of the dominant mode (1D (2, 1), Hr_u) the
-        # chained rounding shows, and on the delta = 0 zero mode the oracle's
-        # D1 = K0 - b K1 cancels to ~1e-16 where the true e^(-t) is far smaller.
+        # bound chaining keeps on a damped flow.  Per value it can fail: near a
+        # zero crossing of the dominant mode (1D (2, 1), Hr_u) the chained
+        # rounding shows.
         scale = np.maximum.accumulate(np.abs(rows), axis=0)
         assert np.all(np.abs(traj.norms - rows) <= 1e-12 * scale)
         for got, want in ((traj.snapshots_u, snaps_u), (traj.snapshots_ut, snaps_ut)):
@@ -365,7 +483,9 @@ class TestSimulateLinear:
             scale = np.maximum.accumulate(sup).reshape((-1,) + (1,) * n)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_reuses_only_the_last_propagator(self, grid, params, monkeypatch):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Records the increment of every Propagator.build call."""
         built = []
         real_build = Propagator.build.__func__
 
@@ -374,6 +494,9 @@ class TestSimulateLinear:
             return real_build(cls, cache, t)
 
         monkeypatch.setattr(Propagator, "build", classmethod(counting))
+        return built
+
+    def test_reuses_only_the_last_propagator(self, grid, params, built):
         u0 = gaussian(grid)
         simulate_linear(u0, u0, params, np.arange(11) * 0.5, grid)
         assert built == [0.5]
@@ -381,6 +504,21 @@ class TestSimulateLinear:
         # increments 1, 2, 1: the first propagator is not kept for the third
         simulate_linear(u0, u0, params, [0.0, 1.0, 3.0, 4.0], grid)
         assert built == [1.0, 2.0, 1.0]
+
+    def test_one_build_per_uniform_spacing(self, built):
+        # the increments of np.arange(0, 60.1, 0.2) take 9 float values that
+        # differ by rounding; one propagator serves them all
+        g = GridSpec(2, 32, 15.0)
+        p = EquationParams(sigma=1, delta=0, m=1, n=2, p=2, r=1)
+        u0 = np.exp(-sum(c * c for c in g.coords()))
+        times = np.arange(0.0, 60.1, 0.2)
+        assert len(set(np.diff(times).tolist())) > 1
+        want = per_increment_linear(u0, 0.5 * u0, p, times, g)
+        built.clear()
+        traj = simulate_linear(u0, 0.5 * u0, p, times, g)
+        assert len(built) == 1
+        assert np.array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.norms, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("times", [[-0.5, 0.0, 1.0], [-1.0]])
     def test_negative_time_rejected(self, grid, params, times):

@@ -217,13 +217,26 @@ class TestPropagators:
         assert cache.b.size == len(np.unique(xisq))
         assert cache.b.size < xisq.size if n >= 2 else cache.b.size == xisq.size
         roots = _RealRoots.from_roots(*characteristic_roots(np.sqrt(xisq), sigma, delta))
-        b = fractional_symbol(xisq, 2.0 * delta)
         c = fractional_symbol(xisq, 2.0 * sigma)
         for t in (0.0, 1e-6, 0.05, 0.2, 7.3, 60.0, 1e3):
-            K0, K1 = roots.k0k1(t)
+            K0, K1, D1 = roots.k0k1(t)
             prop = Propagator.build(cache, t)
-            for name, ref in {"K0": K0, "K1": K1, "D0": -c * K1, "D1": K0 - b * K1}.items():
+            for name, ref in {"K0": K0, "K1": K1, "D0": -c * K1, "D1": D1}.items():
                 assert np.array_equal(getattr(prop, name), ref), f"{name} at t={t}"
+
+    @pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
+    def test_d1_on_frictional_zero_mode(self, n, N):
+        # delta = 0 damps the zero mode as v'' + v' = 0, so D1 = e^(-t);
+        # K0 - b K1 = 1 - (1 - e^(-t)) would leave ~1e-16 once e^(-t) is smaller
+        cache = MultiplierCache.build(GridSpec(n, N, 15.0), 1.0, 0.0)
+        zero = (0,) * n
+        for t in (0.5, 30.0, 300.0, 700.0, 998.0):
+            d1 = Propagator.build(cache, t).D1[zero]
+            assert d1 == pytest.approx(np.exp(-t), rel=1e-12, abs=0.0), f"t={t}"
+        # K0 - b K1 agrees with the closed form away from cancellation
+        prop = Propagator.build(cache, 0.5)
+        np.testing.assert_allclose(prop.D1, prop.K0 - cache.b[cache.shell] * prop.K1,
+                                   rtol=1e-13, atol=1e-15)
 
     def test_multipliers_bounded_in_time(self):
         # damping keeps |K0| and the scaled |K1| bounded uniformly in t
