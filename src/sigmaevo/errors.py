@@ -29,9 +29,5 @@ class DataSeriesError(SigmaevoError, ValueError):
     """A time series is unusable for fitting (nonpositive or too short)."""
 
 
-class RangeError(SigmaevoError, ValueError):
-    """A requested inverse value lies outside the attainable range."""
-
-
 class ConfigError(SigmaevoError, ValueError):
     """A run configuration failed validation."""

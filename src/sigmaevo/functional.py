@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CoverageError, ParameterError, RangeError
+from .errors import CoverageError, ParameterError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
 from .spectral import GridSpec, fractional_derivative
@@ -335,37 +335,6 @@ def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
     """
     kernel = _Kernel(traj, spec, grid or traj.grid, [R], spatial_fraction=0.5)
     return kernel(R, adjoint=kernel.adjoint(params))[1]
-
-
-# -- Psi and its inverse -------------------------------------------------------
-
-def psi_inverse(y: float, p0: float, mu: ModulusSpec,
-                s_max: Optional[float] = None, rel_tol: float = 1e-12) -> float:
-    """Solve Psi(s) = y by bisection; Psi is strictly increasing for s > 0."""
-    if y < 0:
-        raise RangeError("psi_inverse requires y >= 0")
-    if y == 0.0:
-        return 0.0
-    hi = 1.0 if s_max is None else float(s_max)
-    if s_max is None:
-        for _ in range(2100):
-            if psi(hi, p0, mu) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise RangeError(f"Psi never reaches {y}")
-    if psi(hi, p0, mu) < y:
-        raise RangeError(f"y = {y} exceeds Psi({hi}) = {psi(hi, p0, mu)}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if psi(mid, p0, mu) < y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * max(hi, 1.0):
-            break
-    return 0.5 * (lo + hi)
 
 
 # -- averaged functionals -------------------------------------------------------

@@ -39,15 +39,10 @@ from .errors import DomainError, ParameterError
 FAMILIES = ("lipschitz", "log-lip", "log-log-lip", "hoelder", "log-power", "tabulated")
 
 # Log-based closed forms are only meaningful up to s = 1 (log(1/s) >= 0);
-# beyond that the evaluation clamps at the s = 1 value.
+# evaluation holds their s = 1 value beyond it.
 _LOG_FAMILIES = ("log-lip", "log-log-lip", "log-power")
 
 _INF = float("inf")
-
-
-def _logm(x, order: int):
-    """Iterated log(x)+1, valid for x >= 1."""
-    return _relog(np.log(x) + 1.0, order)
 
 
 def _relog(v, order: int):
@@ -57,25 +52,15 @@ def _relog(v, order: int):
     return v
 
 
-def _logm_prefix_product(x, order: int):
-    """Product of logm(x, j) for j = 1 .. order-1 (empty product = 1)."""
-    prod = np.ones_like(np.asarray(x, dtype=float))
-    v = None
-    for j in range(1, order):
-        v = np.log(x) + 1.0 if v is None else np.log(v) + 1.0
-        prod = prod * v
-    return prod
-
-
 @dataclass(frozen=True)
 class ModulusSpec:
-    """One modulus of continuity: family tag, parameters, evaluation domain.
+    """One modulus of continuity: family tag, parameters, axiom interval.
 
-    ``domain_cap`` is the right end of the interval on which the modulus
-    axioms are asserted.  ``extension_rule`` controls evaluation beyond it:
-    ``"formula"`` keeps using the closed form (clamping once the form itself
-    stops being valid, at s = 1 for log-based families), ``"clamp"`` freezes
-    the value at mu(domain_cap).
+    ``domain_cap`` is the right end of the interval (0, domain_cap] that
+    :func:`check_modulus_axioms` and :func:`check_derivative_bound` sample;
+    it does not change evaluation.  The closed forms hold on their own range
+    and evaluation holds the end value beyond it: mu(1) for the log families,
+    the last sample for ``tabulated``.
     """
 
     family: str
@@ -83,32 +68,32 @@ class ModulusSpec:
     order: Optional[int] = None
     table: Optional[tuple] = None
     domain_cap: float = 1.0
-    extension_rule: str = "formula"
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown modulus family {self.family!r}")
         if self.family == "hoelder":
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ParameterError("hoelder requires alpha in (0, 1)")
         if self.family == "log-power":
-            if self.alpha is None or self.alpha <= 0.0:
-                raise ParameterError("log-power requires alpha > 0")
+            if self.alpha is None or not 0.0 < self.alpha < _INF:
+                raise ParameterError("log-power requires a finite alpha > 0")
         if self.family == "log-log-lip":
             if self.order is None or self.order < 1:
                 raise ParameterError("log-log-lip requires integer order >= 1")
         if self.family == "tabulated":
             if not self.table or len(self.table) < 2:
                 raise ParameterError("tabulated requires at least two sample points")
+            if not np.all(np.isfinite(self.table)):
+                raise ParameterError("tabulated sample points must be finite")
             xs = [p[0] for p in self.table]
             if xs != sorted(xs) or xs[0] != 0.0:
                 raise ParameterError("tabulated sample points must start at 0 and be sorted")
             if abs(self.table[0][1]) > 0.0:
                 raise ParameterError("tabulated modulus must have mu(0) = 0")
-        if self.domain_cap <= 0.0:
-            raise ParameterError("domain_cap must be positive")
-        if self.extension_rule not in ("formula", "clamp"):
-            raise ParameterError("extension_rule must be 'formula' or 'clamp'")
+        if not 0.0 < self.domain_cap < _INF:
+            raise ParameterError("domain_cap must be positive and finite")
 
     # -- constructors -----------------------------------------------------
 
@@ -142,29 +127,31 @@ class ModulusSpec:
 
         Accepted: ``lipschitz``, ``log-lip``, ``log-log-lip:m``,
         ``hoelder:alpha``, ``log-power:alpha``, ``tabulated:<csv path>``.
+        A malformed or out-of-range key raises ParameterError naming it.
         """
         name, _, arg = key.partition(":")
         name = name.strip().lower()
-        if name == "lipschitz":
-            return cls.lipschitz(**kw)
-        if name == "log-lip":
-            return cls.log_lip(**kw)
-        if name == "log-log-lip":
-            return cls.log_log_lip(order=int(arg) if arg else 1, **kw)
-        if name == "hoelder":
-            if not arg:
-                raise ParameterError("hoelder key needs an exponent, e.g. 'hoelder:0.5'")
-            return cls.hoelder(float(arg), **kw)
-        if name == "log-power":
-            if not arg:
-                raise ParameterError("log-power key needs an exponent, e.g. 'log-power:1'")
-            return cls.log_power(float(arg), **kw)
         if name == "tabulated":
             try:
                 pts = np.loadtxt(arg, delimiter=",", ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ParameterError(f"cannot read tabulated modulus file {arg!r}: {exc}") from exc
             return cls.tabulated([(float(a), float(b)) for a, b in pts], **kw)
+        if name in ("hoelder", "log-power") and not arg:
+            raise ParameterError(f"modulus key {key!r} needs an exponent, e.g. '{name}:0.5'")
+        try:
+            if name == "lipschitz":
+                return cls.lipschitz(**kw)
+            if name == "log-lip":
+                return cls.log_lip(**kw)
+            if name == "log-log-lip":
+                return cls.log_log_lip(order=int(arg) if arg else 1, **kw)
+            if name == "hoelder":
+                return cls.hoelder(float(arg), **kw)
+            if name == "log-power":
+                return cls.log_power(float(arg), **kw)
+        except ValueError as exc:   # a bad number, or a ParameterError
+            raise ParameterError(f"bad modulus key {key!r}: {exc}") from exc
         raise ParameterError(f"unknown modulus key {key!r}")
 
     def key(self) -> str:
@@ -186,8 +173,13 @@ class ModulusSpec:
             return float(self.table[-1][0])
         return _INF
 
-    def _core(self, s: np.ndarray) -> np.ndarray:
-        """Closed form on the formula's own validity range (s in [0, limit])."""
+    def _core(self, s: np.ndarray, lg: Optional[np.ndarray] = None) -> np.ndarray:
+        """The family's closed form on [0, _formula_limit].
+
+        The log families read lg = log(1/s).  Without it they form
+        log(1/s) + 1 as 1 - log(s), never through 1/s (which overflows for
+        subnormal s), and give 0 at s = 0.
+        """
         if self.family == "lipschitz":
             return s.copy()
         if self.family == "hoelder":
@@ -196,75 +188,65 @@ class ModulusSpec:
             xs = np.array([p[0] for p in self.table])
             ys = np.array([p[1] for p in self.table])
             return np.interp(s, xs, ys)
-        # ell = log(1/s) + 1, formed without 1/s, which overflows for subnormal s
-        ell = 1.0 - np.log(np.where(s > 0.0, s, 1.0))
+        masked = lg is None
+        ell = 1.0 - np.log(np.where(s > 0.0, s, 1.0)) if masked else lg + 1.0
         if self.family == "log-lip":
             out = s * ell
         elif self.family == "log-log-lip":
             out = s * ell * _relog(ell, self.order)
         else:  # log-power
             out = ell ** (-self.alpha)
-        return np.where(s > 0.0, out, 0.0)
+        return np.where(s > 0.0, out, 0.0) if masked else out
 
     def evaluate(self, s):
         """mu(s) for scalar or array s >= 0."""
         arr = np.asarray(s, dtype=float)
         if np.any(arr < 0.0):
             raise DomainError("modulus argument must be nonnegative")
-        cap = self.domain_cap if self.extension_rule == "clamp" else self._formula_limit
-        clipped = np.minimum(arr, cap)
-        out = self._core(clipped)
+        out = self._core(np.minimum(arr, self._formula_limit))
         if np.isscalar(s) or arr.ndim == 0:
             return float(out)
         return out
 
     def derivative(self, s):
-        """mu'(s) for s > 0; returns inf where the derivative is unbounded.
+        """mu'(s) for scalar or array s >= 0.
 
-        At s = 0 families with a finite one-sided derivative (lipschitz,
-        log-lip's limit is +inf, hoelder's is +inf, ...) report that limit;
-        an unbounded slope comes back as the float('inf') sentinel rather
-        than raising.
+        An unbounded slope at s = 0 comes back as the float('inf') sentinel
+        (every family but lipschitz, whose slope is 1, and tabulated, which
+        reports its one-sided difference quotient).  Beyond the closed
+        form's range, where evaluation is constant, the slope is 0.
         """
         arr = np.asarray(s, dtype=float)
         if np.any(arr < 0.0):
             raise DomainError("modulus argument must be nonnegative")
-        cap = self.domain_cap if self.extension_rule == "clamp" else self._formula_limit
-        out = np.empty_like(arr)
-        beyond = arr > cap
-        inner = ~beyond
-        x = np.where(inner, np.maximum(arr, 1e-300), 1.0)
+        limit = self._formula_limit
+        x = np.minimum(arr, limit)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if self.family == "lipschitz":
                 d = np.ones_like(x)
             elif self.family == "hoelder":
                 d = self.alpha * x ** (self.alpha - 1.0)
-            elif self.family == "log-lip":
-                d = np.log(1.0 / x)
-            elif self.family == "log-log-lip":
-                inv = 1.0 / x
-                a = np.log(inv) + 1.0
-                b = _logm(inv, self.order)
-                prod = _logm_prefix_product(inv, self.order)
-                d = b * (a - 1.0) - a / prod
-            elif self.family == "log-power":
-                ell = np.log(1.0 / x) + 1.0
-                d = self.alpha * ell ** (-self.alpha - 1.0) / x
-            else:  # tabulated: central difference of the interpolant
-                span = self.table[-1][0]
-                h = 1e-6 * span
+            elif self.family == "tabulated":  # central difference of the interpolant
+                h = 1e-6 * limit
                 lo = np.maximum(x - h, 0.0)
-                hi = np.minimum(x + h, span)
+                hi = np.minimum(x + h, limit)
                 d = (self._core(hi) - self._core(lo)) / np.maximum(hi - lo, 1e-300)
-        zero = inner & (arr == 0.0)
-        if self.family == "lipschitz":
-            d = np.where(zero, 1.0, d)
-        elif self.family == "tabulated":
-            pass
-        else:
-            d = np.where(zero, _INF, d)
-        out[inner] = d[inner]
-        out[beyond] = 0.0
+            else:
+                lg = -np.log(x)
+                ell = lg + 1.0
+                if self.family == "log-lip":
+                    d = lg
+                elif self.family == "log-log-lip":
+                    # d/ds [s ell L_m] = L_m lg - ell / (L_1 ... L_{m-1}), L_1 = ell
+                    level, prefix = ell, 1.0
+                    for _ in range(self.order - 1):
+                        prefix = prefix * level
+                        level = np.log(level) + 1.0
+                    d = level * lg - ell / prefix
+                else:  # log-power
+                    d = self.alpha * ell ** (-self.alpha - 1.0) / x
+                d = np.where(x > 0.0, d, _INF)
+        out = np.where(arr > limit, 0.0, d)
         if np.isscalar(s) or arr.ndim == 0:
             return float(out)
         return out
@@ -273,25 +255,17 @@ class ModulusSpec:
         """mu(exp(-t)) for t >= 0, evaluated without underflow in s.
 
         This is the integrand kernel of the tail criterion after the
-        substitution t = log(s); for t beyond ~700 the direct path through
-        exp(-t) would flush to zero and lose log-power tails entirely.
+        substitution t = log(s).  The log families read t itself as
+        log(1/s), so log-power keeps its tail where exp(-t) flushes to zero
+        (t beyond ~745); hoelder forms exp(-alpha t), not exp(-t)**alpha.
         """
         tt = np.asarray(t, dtype=float)
         if np.any(tt < 0.0):
             raise DomainError("evaluate_neglog requires t >= 0")
-        with np.errstate(over="ignore", under="ignore"):
-            if self.family == "lipschitz":
-                out = np.exp(-tt)
-            elif self.family == "hoelder":
-                out = np.exp(-self.alpha * tt)
-            elif self.family == "log-lip":
-                out = np.exp(-tt) * (tt + 1.0)
-            elif self.family == "log-log-lip":
-                out = np.exp(-tt) * (tt + 1.0) * _relog(tt + 1.0, self.order)
-            elif self.family == "log-power":
-                out = (tt + 1.0) ** (-self.alpha)
-            else:
-                out = self._core(np.exp(-tt))
+        if self.family == "hoelder":
+            out = np.exp(-self.alpha * tt)
+        else:
+            out = self._core(np.exp(-tt), tt)
         if np.isscalar(t) or tt.ndim == 0:
             return float(out)
         return out

@@ -233,6 +233,19 @@ class TestCommands:
         assert main(["mu-classify", f"tabulated:{missing}"]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["hoelder:abc", "log-log-lip:x", "log-log-lip:2.5",
+                                     "log-power:nan", "log-power:inf"])
+    def test_bad_modulus_key_named_cleanly(self, key, capsys):
+        assert main(["mu-classify", key]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_non_finite_modulus_config_exits_2(self, tmp_path, capsys):
+        # log-power:nan once ran and recorded a false blow-up
+        path, _ = write_config(tmp_path, mu="log-power:nan")
+        assert main(["semilinear", "--config", str(path)]) == 2
+        assert "'log-power:nan'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_sweep_config_named_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["sweep", "--config", str(missing)]) == 2

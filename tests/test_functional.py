@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from sigmaevo.cli import load_run, main
-from sigmaevo.errors import CoverageError, ParameterError, RangeError
+from sigmaevo.errors import CoverageError, ParameterError
 from sigmaevo.functional import (QuinticProfile, TestFunctionSpec, compute_G,
                                  compute_I_R, compute_J_R, compute_g,
-                                 fd_weights, phi_R, phi_star_R, psi,
-                                 psi_inverse, scan, support_measure,
-                                 time_derivative)
+                                 fd_weights, phi_R, phi_star_R, psi, scan,
+                                 support_measure, time_derivative)
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.params import EquationParams, Target, critical_exponent
 from sigmaevo.solver import Trajectory
@@ -270,24 +269,10 @@ class TestPsi:
     def test_zero(self):
         mu = ModulusSpec.lipschitz()
         assert psi(0.0, 3.0, mu) == 0.0
-        assert psi_inverse(0.0, 3.0, mu) == 0.0
 
     def test_lipschitz_quartic(self):
         mu = ModulusSpec.lipschitz()
         assert psi(2.0, 3.0, mu) == pytest.approx(16.0, rel=1e-12)
-        assert psi_inverse(16.0, 3.0, mu) == pytest.approx(2.0, rel=1e-10)
-
-    def test_roundtrip_hoelder(self):
-        mu = ModulusSpec.hoelder(0.5)
-        rng = np.random.default_rng(5)
-        for s in rng.uniform(1e-3, 5.0, 100):
-            back = psi_inverse(psi(float(s), 3.0, mu), 3.0, mu)
-            assert back == pytest.approx(s, rel=1e-10)
-
-    def test_range_error(self):
-        mu = ModulusSpec.lipschitz()
-        with pytest.raises(RangeError):
-            psi_inverse(100.0, 3.0, mu, s_max=1.0)
 
 
 class TestG:

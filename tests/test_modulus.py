@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,146 @@ def reciprocal_log_formula(mu: ModulusSpec, s: np.ndarray) -> np.ndarray:
     return s * ell * logm
 
 
+# -- the per-family paths the one closed form replaced, kept as its oracle --
+
+def _replaced_relog(v, order):
+    for _ in range(order - 1):
+        v = np.log(v) + 1.0
+    return v
+
+
+def _replaced_logm(x, order):
+    return _replaced_relog(np.log(x) + 1.0, order)
+
+
+def _replaced_logm_prefix_product(x, order):
+    prod = np.ones_like(np.asarray(x, dtype=float))
+    v = None
+    for j in range(1, order):
+        v = np.log(x) + 1.0 if v is None else np.log(v) + 1.0
+        prod = prod * v
+    return prod
+
+
+def _replaced_limit(mu):
+    if mu.family in ("log-lip", "log-log-lip", "log-power"):
+        return 1.0
+    if mu.family == "tabulated":
+        return float(mu.table[-1][0])
+    return math.inf
+
+
+def _replaced_core(mu, s):
+    if mu.family == "lipschitz":
+        return s.copy()
+    if mu.family == "hoelder":
+        return s ** mu.alpha
+    if mu.family == "tabulated":
+        xs = np.array([p[0] for p in mu.table])
+        ys = np.array([p[1] for p in mu.table])
+        return np.interp(s, xs, ys)
+    ell = 1.0 - np.log(np.where(s > 0.0, s, 1.0))
+    if mu.family == "log-lip":
+        out = s * ell
+    elif mu.family == "log-log-lip":
+        out = s * ell * _replaced_relog(ell, mu.order)
+    else:
+        out = ell ** (-mu.alpha)
+    return np.where(s > 0.0, out, 0.0)
+
+
+def replaced_evaluate(mu, s):
+    return _replaced_core(mu, np.minimum(s, _replaced_limit(mu)))
+
+
+def replaced_evaluate_neglog(mu, tt):
+    with np.errstate(over="ignore", under="ignore"):
+        if mu.family == "lipschitz":
+            return np.exp(-tt)
+        if mu.family == "hoelder":
+            return np.exp(-mu.alpha * tt)
+        if mu.family == "log-lip":
+            return np.exp(-tt) * (tt + 1.0)
+        if mu.family == "log-log-lip":
+            return np.exp(-tt) * (tt + 1.0) * _replaced_relog(tt + 1.0, mu.order)
+        if mu.family == "log-power":
+            return (tt + 1.0) ** (-mu.alpha)
+        return _replaced_core(mu, np.exp(-tt))
+
+
+def replaced_derivative(mu, arr):
+    """The old derivative, with its 1e-300 clamp (so exact only from 1e-300 up)."""
+    cap = _replaced_limit(mu)
+    out = np.empty_like(arr)
+    beyond = arr > cap
+    inner = ~beyond
+    x = np.where(inner, np.maximum(arr, 1e-300), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if mu.family == "lipschitz":
+            d = np.ones_like(x)
+        elif mu.family == "hoelder":
+            d = mu.alpha * x ** (mu.alpha - 1.0)
+        elif mu.family == "log-lip":
+            d = np.log(1.0 / x)
+        elif mu.family == "log-log-lip":
+            inv = 1.0 / x
+            a = np.log(inv) + 1.0
+            b = _replaced_logm(inv, mu.order)
+            prod = _replaced_logm_prefix_product(inv, mu.order)
+            d = b * (a - 1.0) - a / prod
+        elif mu.family == "log-power":
+            ell = np.log(1.0 / x) + 1.0
+            d = mu.alpha * ell ** (-mu.alpha - 1.0) / x
+        else:
+            span = mu.table[-1][0]
+            h = 1e-6 * span
+            lo = np.maximum(x - h, 0.0)
+            hi = np.minimum(x + h, span)
+            d = (_replaced_core(mu, hi) - _replaced_core(mu, lo)) / np.maximum(hi - lo, 1e-300)
+    zero = inner & (arr == 0.0)
+    if mu.family == "lipschitz":
+        d = np.where(zero, 1.0, d)
+    elif mu.family != "tabulated":
+        d = np.where(zero, math.inf, d)
+    out[inner] = d[inner]
+    out[beyond] = 0.0
+    return out
+
+
+ORACLE_CASES = ALL_NAMED + [ModulusSpec.log_log_lip(3),
+                            ModulusSpec.tabulated([(0.0, 0.0), (0.25, 0.4), (0.5, 0.6),
+                                                   (0.75, 0.7)])]
+
+
+class TestOneClosedForm:
+    """evaluate, evaluate_neglog and derivative against the paths they replaced."""
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_evaluate_bit_identical(self, mu):
+        s = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 10.0, 3011)])
+        assert np.array_equal(mu.evaluate(s), replaced_evaluate(mu, s))
+        assert all(mu.evaluate(float(x)) == replaced_evaluate(mu, x) for x in s[::50])
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_evaluate_neglog_bit_identical(self, mu):
+        t = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 3001)])
+        assert np.array_equal(mu.evaluate_neglog(t), replaced_evaluate_neglog(mu, t))
+        assert all(mu.evaluate_neglog(float(x)) == replaced_evaluate_neglog(mu, x)
+                   for x in t[::50])
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_derivative_matches(self, mu):
+        s = np.geomspace(1e-300, min(_replaced_limit(mu), 10.0), 3011)[:-1]
+        np.testing.assert_allclose(mu.derivative(s), replaced_derivative(mu, s),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_derivative_sentinels(self, mu):
+        # s = 0 and s beyond the closed form's range
+        s = np.array([0.0, 1.0, 2.0, 10.0])
+        assert np.array_equal(mu.derivative(s), replaced_derivative(mu, s))
+
+
 def _with_axiom_cap(mu: ModulusSpec) -> ModulusSpec:
     cap = AXIOM_CAPS[mu.family]
     if cap is None:
@@ -74,10 +215,6 @@ class TestEvaluate:
         mu = ModulusSpec.tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 1.5)])
         assert mu.evaluate(0.25) == pytest.approx(0.5)
         assert mu.evaluate(0.75) == pytest.approx(1.25)
-
-    def test_clamp_extension(self):
-        mu = ModulusSpec.hoelder(0.5, domain_cap=0.25, extension_rule="clamp")
-        assert mu.evaluate(4.0) == pytest.approx(0.5)
 
     def test_formula_extension_clamps_log_families_at_one(self):
         mu = ModulusSpec.log_power(1.0)
@@ -127,6 +264,23 @@ class TestDerivative:
     def test_unbounded_slope_sentinel(self):
         assert math.isinf(ModulusSpec.hoelder(0.5).derivative(0.0))
         assert math.isinf(ModulusSpec.log_power(1.0).derivative(0.0))
+
+    @pytest.mark.parametrize("s", [1e-310, 5e-320])
+    def test_subnormal_arguments(self, s):
+        # the closed forms written with math.log, which is exact in range
+        # at subnormal s where 1/s overflows
+        lg = -math.log(s)
+        ell = lg + 1.0
+        cases = [
+            (ModulusSpec.hoelder(0.5), 0.5 * s ** -0.5),
+            (ModulusSpec.log_lip(), lg),
+            (ModulusSpec.log_log_lip(1), ell * lg - ell),
+            (ModulusSpec.log_log_lip(2), (math.log(ell) + 1.0) * lg - 1.0),
+            (ModulusSpec.log_power(2.0), 2.0 * ell ** -3.0 / s),
+        ]
+        for mu, want in cases:
+            assert mu.derivative(s) == pytest.approx(want, rel=1e-13), mu.key()
+            assert mu.derivative(np.array([s]))[0] == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("mu", ALL_NAMED, ids=lambda m: m.key())
     def test_matches_central_difference(self, mu):
@@ -250,6 +404,23 @@ class TestKeys:
                                      "hoelder:0.25", "log-power:1.5"])
     def test_roundtrip(self, key):
         assert ModulusSpec.from_key(key).key() == key
+
+    @pytest.mark.parametrize("key", ["hoelder:abc", "log-log-lip:x", "log-log-lip:2.5",
+                                     "log-power:", "hoelder:2", "log-log-lip:0",
+                                     "log-power:nan", "log-power:inf", "log-power:-inf",
+                                     "hoelder:nan", "hoelder:inf"])
+    def test_bad_key_named(self, key):
+        with pytest.raises(ParameterError, match=re.escape(repr(key))):
+            ModulusSpec.from_key(key)
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_domain_cap_rejected(self, cap):
+        with pytest.raises(ParameterError, match="domain_cap"):
+            ModulusSpec.from_key("lipschitz", domain_cap=cap)
+
+    def test_non_finite_table_rejected(self):
+        with pytest.raises(ParameterError, match="finite"):
+            ModulusSpec.tabulated([(0.0, 0.0), (0.5, math.nan), (1.0, 1.0)])
 
     def test_tabulated_from_csv(self, tmp_path):
         path = tmp_path / "mu.csv"
