@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, functional, norms
-from .errors import ConfigError, CoverageError, SigmaevoError
+from .errors import ConfigError, CoverageError, ParameterError, SigmaevoError
 from .modulus import ModulusSpec, check_derivative_bound, check_modulus_axioms, \
     classify_integral_criterion
 from .params import (EquationParams, check_admissibility, critical_exponent,
@@ -386,6 +386,8 @@ def _default_R_values(traj: Trajectory, rundir: str, count: int = 10) -> list:
 
 
 def cmd_check_inequalities(args) -> int:
+    if args.fields < 1:
+        raise ParameterError(f"--fields must be at least 1, got {args.fields}")
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(1, args.N, float(args.L))
     fine = GridSpec(1, 2 * args.N, float(args.L))

@@ -136,9 +136,14 @@ class ModulusSpec:
                 pts = np.loadtxt(arg, delimiter=",", ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ParameterError(f"cannot read tabulated modulus file {arg!r}: {exc}") from exc
+            if pts.shape[1] != 2:
+                raise ParameterError(f"tabulated modulus file {arg!r} has {pts.shape[1]} "
+                                     "columns; it needs two (s, mu(s))")
             return cls.tabulated([(float(a), float(b)) for a, b in pts], **kw)
         if name in ("hoelder", "log-power") and not arg:
             raise ParameterError(f"modulus key {key!r} needs an exponent, e.g. '{name}:0.5'")
+        if name in ("lipschitz", "log-lip") and arg:
+            raise ParameterError(f"modulus key {key!r}: {name} takes no argument")
         try:
             if name == "lipschitz":
                 return cls.lipschitz(**kw)
@@ -346,7 +351,8 @@ def check_derivative_bound(mu: ModulusSpec, sample_count: int = 200) -> float:
 
     The slope condition asks for this ratio to stay bounded; no universal
     threshold exists, so the supremum is returned for the caller to judge.
-    Sample points where mu(s) = 0 with s > 0 are excluded (with a warning).
+    Sample points where mu(s) = 0 with s > 0 are excluded (with a warning);
+    if every one is, ParameterError.
     """
     if sample_count < 3:
         raise ParameterError("sample_count must be at least 3")
@@ -355,6 +361,9 @@ def check_derivative_bound(mu: ModulusSpec, sample_count: int = 200) -> float:
     vals = np.asarray(mu.evaluate(grid))
     dvals = np.asarray(mu.derivative(grid))
     ok = vals > 0.0
+    if not np.any(ok):
+        raise ParameterError(f"modulus {mu.key()} is 0 at every sample point of "
+                             f"(0, {cap:g}]; the slope bound s*mu'/mu is undefined")
     if not np.all(ok):
         warnings.warn(f"{int(np.sum(~ok))} sample points with mu(s)=0 excluded "
                       "from the derivative-bound supremum")

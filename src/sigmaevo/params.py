@@ -59,7 +59,7 @@ class EquationParams:
             raise ParameterError("delta must lie in [0, sigma/2]")
         if not 1 <= self.m < 2:
             raise ParameterError("m must lie in [1, 2)")
-        if int(self.n) != self.n or self.n < 1:
+        if not (self.n >= 1 and float(self.n).is_integer()):
             raise ParameterError("n must be a positive integer")
         if self.n > 3:
             raise ParameterError("only dimensions 1-3 are supported numerically")

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import GridSpec, MultiplierCache, Propagator, _l2_weight_cached, spectral_l2
+from .spectral import GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
@@ -53,7 +53,7 @@ class SolverConfig:
             raise ParameterError("dealias_fraction must lie in (0, 1]")
         if self.blowup_threshold is not None and self.blowup_threshold <= 0:
             raise ParameterError("blowup_threshold must be positive")
-        if self.snapshot_stride < 1:
+        if not (self.snapshot_stride >= 1 and float(self.snapshot_stride).is_integer()):
             raise ParameterError("snapshot_stride must be a positive integer")
 
 
@@ -159,26 +159,20 @@ class _Stepper:
 def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams) -> tuple:
     """One row in NORM_COLUMNS order, in one pass over the half spectra.
 
-    |uh|^2 and |uth|^2 are formed once; each squared norm is one dot product
-    with the cached Plancherel weight of its power (the values spectral_l2
-    and energy give, summed in another order), and the energy adds squared
-    sums, with no square root squared back.
+    |uh|^2 and |uth|^2 are formed once and each squared norm is one
+    plancherel_sum; the energy adds squared sums, with no square root
+    squared back.
     """
-    scale = grid.cell_volume / grid.N ** grid.n
-    abs_u = (uh.real ** 2 + uh.imag ** 2).ravel()
-    abs_ut = (uth.real ** 2 + uth.imag ** 2).ravel()
-
-    def squared(a, power):
-        return scale * float(np.dot(_l2_weight_cached(grid.n, grid.N, grid.L, power).ravel(), a))
-
+    abs_u = uh.real ** 2 + uh.imag ** 2
+    abs_ut = uth.real ** 2 + uth.imag ** 2
     rs = max(params.r - params.sigma, 0.0)   # positive-part convention for the u_t norm
-    ut_sq = squared(abs_ut, 0.0)
-    return (math.sqrt(squared(abs_u, 0.0)),
-            math.sqrt(squared(abs_u, params.r)),
+    ut_sq = plancherel_sum(abs_ut, grid)
+    return (math.sqrt(plancherel_sum(abs_u, grid)),
+            math.sqrt(plancherel_sum(abs_u, grid, params.r)),
             math.sqrt(ut_sq),
-            math.sqrt(squared(abs_ut, rs)),
+            math.sqrt(plancherel_sum(abs_ut, grid, rs)),
             float(np.max(np.abs(u_phys))),
-            ut_sq + squared(abs_u, params.sigma))
+            ut_sq + plancherel_sum(abs_u, grid, params.sigma))
 
 
 def default_blowup_threshold(u0: np.ndarray, u1: np.ndarray) -> float:

@@ -159,68 +159,69 @@ def fractional_symbol(xi_squared: np.ndarray, power: float) -> np.ndarray:
 
 
 def characteristic_roots(xi_mag, sigma: float, delta: float):
-    """Roots of lam^2 + |xi|^(2 delta) lam + |xi|^(2 sigma) = 0.
+    """Roots of lam^2 + |xi|^(2 delta) lam + |xi|^(2 sigma) = 0, as complex
+    numbers: the complex view of :class:`MultiplierCache`'s real form.
 
     Returns (lam_plus, lam_minus) ordered by real part (ties by imaginary
-    part).  lam_plus is computed from lam_minus via the product of roots in
-    the real-root regime to avoid subtractive cancellation.
+    part): alpha +- i omega, with lam_minus on the overdamped modes.
     """
-    xisq = np.asarray(xi_mag, dtype=float) ** 2
-    b = fractional_symbol(xisq, 2.0 * delta)
-    c = fractional_symbol(xisq, 2.0 * sigma)
-    disc = b * b - 4.0 * c
-    lam_p = np.empty(np.shape(disc), dtype=complex)
-    lam_m = np.empty(np.shape(disc), dtype=complex)
-
-    real = disc >= 0.0
-    if np.any(real):
-        sq = np.sqrt(np.where(real, disc, 0.0))
-        lm = -0.5 * (b + sq)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp = np.where(lm != 0.0, c / np.where(lm != 0.0, lm, 1.0), 0.0)
-        lam_m[real] = lm[real]
-        lam_p[real] = lp[real]
-    osc = ~real
-    if np.any(osc):
-        sq = np.sqrt(np.where(osc, -disc, 0.0))
-        lam_p[osc] = (-b[osc] + 1j * sq[osc]) / 2.0
-        lam_m[osc] = (-b[osc] - 1j * sq[osc]) / 2.0
-
-    if np.isscalar(xi_mag) or np.ndim(xi_mag) == 0:
+    xi = np.asarray(xi_mag, dtype=float)
+    cache = MultiplierCache.of(xi ** 2, sigma, delta)
+    lam_p = cache.alpha + 1j * cache.omega
+    lam_m = np.conj(lam_p)
+    lam_m[cache.od] = cache.od_low
+    lam_p, lam_m = lam_p[cache.shell], lam_m[cache.shell]
+    if xi.ndim == 0:
         return complex(lam_p), complex(lam_m)
     return lam_p, lam_m
 
 
 @dataclass(frozen=True)
-class _RealRoots:
-    """Characteristic roots in the real form the multiplier kernel reads.
+class MultiplierCache:
+    """The characteristic roots in real form, one entry per shell.
 
-    Every entry (a mode, or a shell of modes) keeps alpha = Re lam_plus and
-    omega = Im lam_plus (omega > 0 exactly on the oscillatory entries).  The
-    overdamped entries (real roots, omega = 0) are also listed by flat index
-    with lam_plus and the gap lam_plus - lam_minus >= 0.
+    Every multiplier depends on xi only through |xi|^2, so the cache holds
+    one entry per distinct |xi|^2 (a "shell", sorted ascending) and
+    ``shell`` maps each mode to its shell.  alpha = Re lam_plus and
+    omega = Im lam_plus, which is > 0 exactly on the oscillatory shells; the
+    overdamped shells (real roots lam_minus <= lam_plus <= 0) are listed in
+    ``od`` with both roots.
     """
 
+    shell: np.ndarray        # shell index of each mode, shape of the modes
+    c: np.ndarray            # |xi|^(2 sigma)
     alpha: np.ndarray
     omega: np.ndarray
-    inv_omega: np.ndarray     # 1 / omega, 0 on overdamped modes
-    od: np.ndarray            # flat indices of the overdamped modes
-    od_lam: np.ndarray        # lam_plus on those modes
-    od_gap: np.ndarray        # lam_plus - lam_minus on those modes
+    inv_omega: np.ndarray    # 1 / omega, 0 on overdamped shells
+    od: np.ndarray           # indices of the overdamped shells
+    od_lam: np.ndarray       # lam_plus on those shells
+    od_low: np.ndarray       # lam_minus on those shells
 
     @classmethod
-    def from_roots(cls, lam_p, lam_m) -> "_RealRoots":
-        lam_p = np.asarray(lam_p, dtype=complex)
-        alpha = np.ascontiguousarray(lam_p.real)
-        omega = np.ascontiguousarray(lam_p.imag)
-        with np.errstate(divide="ignore"):
-            inv_omega = np.where(omega > 0.0, 1.0 / omega, 0.0)
-        od = np.flatnonzero(omega <= 0.0)
-        gap = (lam_p - np.asarray(lam_m, dtype=complex)).real
-        return cls(alpha, omega, inv_omega, od, alpha.ravel()[od], gap.ravel()[od])
+    def of(cls, modes, sigma: float, delta: float) -> "MultiplierCache":
+        """Roots on the shells of ``modes``, an array of |xi|^2 of any shape.
+        On real roots lam_plus = c / lam_minus avoids subtractive cancellation."""
+        modes = np.asarray(modes, dtype=float)
+        xisq, shell = np.unique(modes, return_inverse=True)
+        b = fractional_symbol(xisq, 2.0 * delta)
+        c = fractional_symbol(xisq, 2.0 * sigma)
+        disc = b * b - 4.0 * c
+        od = np.flatnonzero(disc >= 0.0)
+        low = -0.5 * (b[od] + np.sqrt(disc[od]))
+        lam = np.divide(c[od], low, out=np.zeros_like(low), where=low != 0.0)
+        alpha = -b / 2.0
+        alpha[od] = lam
+        omega = np.sqrt(np.maximum(-disc, 0.0)) / 2.0
+        inv_omega = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
+        return cls(shell.reshape(modes.shape), c, alpha, omega, inv_omega, od, lam, low)
+
+    @classmethod
+    def build(cls, grid: GridSpec, sigma: float, delta: float) -> "MultiplierCache":
+        """The cache on the half spectrum of ``grid``."""
+        return cls.of(grid.xi_squared(), sigma, delta)
 
     def k0k1(self, t: float):
-        """Float64 K0(t), K1(t) and D1(t) = dK1/dt for every entry (see the
+        """Float64 K0(t), K1(t) and D1(t) = dK1/dt on every shell (see the
         module docstring)."""
         e = np.exp(self.alpha * t)
         K1 = e * np.sin(self.omega * t) * self.inv_omega
@@ -230,46 +231,14 @@ class _RealRoots:
         D1 = ec + aK1
         if self.od.size:
             lam = self.od_lam
-            x = self.od_gap * t
+            x = (lam - self.od_low) * t
             quot = np.where(x > 0.0, -np.expm1(-x) / np.where(x > 0.0, x, 1.0), 1.0)
             ep = np.exp(lam * t)
             k1 = t * ep * quot
-            K1.flat[self.od] = k1
-            K0.flat[self.od] = ep - lam * k1
-            D1.flat[self.od] = ep * np.exp(-x) + lam * k1
+            K1[self.od] = k1
+            K0[self.od] = ep - lam * k1
+            D1[self.od] = ep * np.exp(-x) + lam * k1
         return K0, K1, D1
-
-
-@dataclass(frozen=True)
-class MultiplierCache:
-    """Roots and symbols for one (grid, sigma, delta), on the shells.
-
-    Every multiplier depends on xi only through |xi|^2, so the cache holds
-    one entry per distinct |xi|^2 of the half spectrum (a "shell", sorted
-    ascending) and ``shell`` maps each stored mode to its shell:
-    ``b[shell]`` is |xi|^(2 delta) per mode.  A 256^2 grid has 33,024 modes
-    on 7,400 shells; a 1D grid has one mode per shell.
-    """
-
-    grid: GridSpec
-    sigma: float
-    delta: float
-    shell: np.ndarray        # shell index of each mode, shape of the half spectrum
-    b: np.ndarray            # |xi|^(2 delta) per shell
-    c: np.ndarray            # |xi|^(2 sigma) per shell
-    lam_plus: np.ndarray     # per shell
-    lam_minus: np.ndarray    # per shell
-    roots: _RealRoots        # per shell
-
-    @classmethod
-    def build(cls, grid: GridSpec, sigma: float, delta: float) -> "MultiplierCache":
-        modes = grid.xi_squared()
-        xisq, shell = np.unique(modes, return_inverse=True)
-        b = fractional_symbol(xisq, 2.0 * delta)
-        c = fractional_symbol(xisq, 2.0 * sigma)
-        lam_p, lam_m = characteristic_roots(np.sqrt(xisq), sigma, delta)
-        return cls(grid, sigma, delta, shell.reshape(modes.shape),
-                   b, c, lam_p, lam_m, _RealRoots.from_roots(lam_p, lam_m))
 
 
 def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
@@ -281,10 +250,10 @@ def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
     if t < 0:
         raise ParameterError("t must be nonnegative")
     xi = np.asarray(xi_mag, dtype=float)
-    K0, K1, _ = _RealRoots.from_roots(*characteristic_roots(xi.ravel(), sigma, delta)).k0k1(t)
+    prop = Propagator.build(MultiplierCache.of(xi ** 2, sigma, delta), t)
     if xi.ndim == 0:
-        return float(K0[0]), float(K1[0])
-    return K0.reshape(xi.shape), K1.reshape(xi.shape)
+        return float(prop.K0), float(prop.K1)
+    return prop.K0, prop.K1
 
 
 @dataclass(frozen=True)
@@ -306,7 +275,7 @@ class Propagator:
         """Evaluated once per shell, then gathered onto the modes: elementwise
         ufuncs give equal outputs for equal |xi|^2, so the result is
         bit-identical to evaluating every mode."""
-        K0, K1, D1 = cache.roots.k0k1(t)
+        K0, K1, D1 = cache.k0k1(t)
         D0 = -cache.c * K1
         s = cache.shell
         return cls(t, K0[s], K1[s], D0[s], D1[s])
@@ -329,15 +298,19 @@ def fractional_derivative(u: np.ndarray, s: float, grid: GridSpec) -> np.ndarray
 
 # -- norm helpers on the spectral side ---------------------------------------
 
-def spectral_l2(uh: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:
-    """|| |D|^weight_power u ||_L2 computed from the half spectrum uh of u.
+def plancherel_sum(abs_sq: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:
+    """|| |D|^weight_power u ||_L2^2 from abs_sq = |uh|^2 on the half spectrum
+    of u: one dot product with the cached weight, scaled by Plancherel.
 
-    weight_power = 0 is Plancherel; negative powers use the homogeneous
-    convention (zero mode dropped).
+    Negative powers use the homogeneous convention (zero mode dropped).
     """
     w = _l2_weight_cached(grid.n, grid.N, grid.L, weight_power)
-    total = np.sum(w * (uh.real ** 2 + uh.imag ** 2))
-    return float(np.sqrt(total * grid.cell_volume / grid.N ** grid.n))
+    return grid.cell_volume / grid.N ** grid.n * float(np.dot(w.ravel(), np.ravel(abs_sq)))
+
+
+def spectral_l2(uh: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:
+    """|| |D|^weight_power u ||_L2 computed from the half spectrum uh of u."""
+    return float(np.sqrt(plancherel_sum(uh.real ** 2 + uh.imag ** 2, grid, weight_power)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -409,9 +382,9 @@ def wrap_time(grid: GridSpec, sigma: float, delta: float,
     """
     ximax = float(np.sqrt(np.max(grid.xi_squared())))
     xi = np.linspace(0.0, ximax, 2049)[1:]
-    lam_p, _ = characteristic_roots(xi, sigma, delta)
-    omega = np.abs(np.imag(lam_p))
-    decay = -np.real(lam_p)
+    cache = MultiplierCache.of(xi ** 2, sigma, delta)
+    omega = cache.omega[cache.shell]
+    decay = -cache.alpha[cache.shell]
     vg = np.gradient(omega, xi)
 
     if data_spectrum is not None:

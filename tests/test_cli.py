@@ -234,10 +234,34 @@ class TestCommands:
         assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["hoelder:abc", "log-log-lip:x", "log-log-lip:2.5",
-                                     "log-power:nan", "log-power:inf"])
+                                     "log-power:nan", "log-power:inf", "lipschitz:junk",
+                                     "log-lip:3"])
     def test_bad_modulus_key_named_cleanly(self, key, capsys):
         assert main(["mu-classify", key]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,named", [("0,0,1\n1,1,1\n", "3 columns"),
+                                            ("0,0\n0.5,0\n1,0\n", "0 at every sample point")])
+    def test_bad_tabulated_modulus_named_cleanly(self, tmp_path, capsys, rows, named):
+        path = tmp_path / "mu.csv"
+        path.write_text(rows)
+        assert main(["mu-classify", f"tabulated:{path}"]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [("solver", "snapshot_stride", 2.5),
+                                                   ("solver", "snapshot_stride", float("inf")),
+                                                   ("solver", "snapshot_stride", float("nan")),
+                                                   ("params", "n", float("inf"))])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
+        # a stride of 2.5 once wrote a row every 5 steps; an infinite one
+        # (or n) ended in an OverflowError traceback
+        doc = small_config_doc(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["semilinear", "--config", str(path)]) == 2
+        assert f"{key} must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_non_finite_modulus_config_exits_2(self, tmp_path, capsys):
         # log-power:nan once ran and recorded a false blow-up
@@ -381,6 +405,12 @@ class TestCommands:
         assert rc == 0
         assert (tmp_path / "inequalities.csv").exists()
 
+    def test_check_inequalities_without_fields_exits_2(self, tmp_path, capsys):
+        # zero fields once printed NaN growth and passed
+        assert main(["check-inequalities", "--fields", "0", "--out", str(tmp_path)]) == 2
+        assert "--fields" in capsys.readouterr().err
+        assert not (tmp_path / "inequalities.csv").exists()
+
     def test_fit_subcommand_appends_ledger(self, tmp_path):
         t = np.linspace(1, 50, 60)
         v = 3 * (1 + t) ** -0.5
@@ -480,6 +510,21 @@ class TestSweep:
         assert int(ok["rows"]) > 0
         assert bad["error"] == "solver.dt=-1.0: dt must be positive"
         assert bad["run_dir"].endswith("member_0001")
+
+    def test_fractional_stride_member_recorded(self, tmp_path, capsys):
+        base = small_config_doc(tmp_path)
+        base["solver"]["t_end"] = 1.0
+        sweep_doc = {"base": base, "sweep": {"solver.snapshot_stride": [2, 2.5]},
+                     "output_dir": str(tmp_path / "sw")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        capsys.readouterr()
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert rows[1]["error"] == ("solver.snapshot_stride=2.5: "
+                                    "snapshot_stride must be a positive integer")
 
     def test_member_escaping_at_t0_recorded(self, tmp_path):
         # a threshold below sup |u0| ends the run before its first row

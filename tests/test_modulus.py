@@ -350,6 +350,11 @@ class TestDerivativeBound:
             sup = check_derivative_bound(mu)
         assert np.isfinite(sup)
 
+    def test_zero_at_every_sample_named(self):
+        mu = ModulusSpec.tabulated([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
+        with pytest.raises(ParameterError, match="0 at every sample point"):
+            check_derivative_bound(mu)
+
 
 class TestIntegralCriterion:
     CONVERGENT = ["lipschitz", "log-lip", "log-log-lip:1", "log-log-lip:2",
@@ -408,7 +413,8 @@ class TestKeys:
     @pytest.mark.parametrize("key", ["hoelder:abc", "log-log-lip:x", "log-log-lip:2.5",
                                      "log-power:", "hoelder:2", "log-log-lip:0",
                                      "log-power:nan", "log-power:inf", "log-power:-inf",
-                                     "hoelder:nan", "hoelder:inf"])
+                                     "hoelder:nan", "hoelder:inf", "lipschitz:junk",
+                                     "log-lip:3"])
     def test_bad_key_named(self, key):
         with pytest.raises(ParameterError, match=re.escape(repr(key))):
             ModulusSpec.from_key(key)
@@ -427,3 +433,9 @@ class TestKeys:
         path.write_text("0.0,0.0\n0.5,0.4\n1.0,0.6\n")
         mu = ModulusSpec.from_key(f"tabulated:{path}")
         assert mu.evaluate(0.25) == pytest.approx(0.2)
+
+    def test_tabulated_csv_needs_two_columns(self, tmp_path):
+        path = tmp_path / "mu.csv"
+        path.write_text("0,0,1\n1,1,1\n")
+        with pytest.raises(ParameterError, match=re.escape(repr(str(path))) + ".*3 columns"):
+            ModulusSpec.from_key(f"tabulated:{path}")

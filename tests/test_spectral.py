@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from sigmaevo.errors import GridMismatchError, ParameterError
 from sigmaevo.params import EquationParams
 from sigmaevo.solver import simulate_linear
-from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator, _RealRoots,
+from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator,
                                characteristic_roots, energy,
                                fractional_derivative, fractional_symbol,
                                mode_coefficients, propagator_multipliers,
@@ -67,6 +67,69 @@ def complex_root_multipliers(t, lam_p, lam_m):
     return K0, K1
 
 
+def replaced_characteristic_roots(xi_mag, sigma, delta):
+    """The complex construction of the roots that the real form per shell
+    replaced: lam_plus from c / lam_minus on real roots, (-b +- i sqrt(-disc)) / 2
+    otherwise."""
+    xisq = np.asarray(xi_mag, dtype=float) ** 2
+    b = fractional_symbol(xisq, 2.0 * delta)
+    c = fractional_symbol(xisq, 2.0 * sigma)
+    disc = b * b - 4.0 * c
+    lam_p = np.empty(np.shape(disc), dtype=complex)
+    lam_m = np.empty(np.shape(disc), dtype=complex)
+    real = disc >= 0.0
+    if np.any(real):
+        sq = np.sqrt(np.where(real, disc, 0.0))
+        lm = -0.5 * (b + sq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp = np.where(lm != 0.0, c / np.where(lm != 0.0, lm, 1.0), 0.0)
+        lam_m[real] = lm[real]
+        lam_p[real] = lp[real]
+    osc = ~real
+    if np.any(osc):
+        sq = np.sqrt(np.where(osc, -disc, 0.0))
+        lam_p[osc] = (-b[osc] + 1j * sq[osc]) / 2.0
+        lam_m[osc] = (-b[osc] - 1j * sq[osc]) / 2.0
+    if np.isscalar(xi_mag) or np.ndim(xi_mag) == 0:
+        return complex(lam_p), complex(lam_m)
+    return lam_p, lam_m
+
+
+def replaced_propagator_multipliers(t, xi_mag, sigma, delta):
+    """The replaced multiplier path: complex roots on every mode, read back
+    into alpha, omega, lam_plus and the root gap, then the real kernel."""
+    xi = np.asarray(xi_mag, dtype=float)
+    lam_p, lam_m = replaced_characteristic_roots(xi.ravel(), sigma, delta)
+    alpha, omega = lam_p.real, lam_p.imag
+    with np.errstate(divide="ignore"):
+        inv_omega = np.where(omega > 0.0, 1.0 / omega, 0.0)
+    od = np.flatnonzero(omega <= 0.0)
+    e = np.exp(alpha * t)
+    K1 = e * np.sin(omega * t) * inv_omega
+    K0 = e * np.cos(omega * t) - alpha * K1
+    lam, x = alpha[od], (lam_p - lam_m).real[od] * t
+    quot = np.where(x > 0.0, -np.expm1(-x) / np.where(x > 0.0, x, 1.0), 1.0)
+    ep = np.exp(lam * t)
+    K1[od] = t * ep * quot
+    K0[od] = ep - lam * K1[od]
+    if xi.ndim == 0:
+        return float(K0[0]), float(K1[0])
+    return K0.reshape(xi.shape), K1.reshape(xi.shape)
+
+
+def per_mode(cache):
+    """The same real form with one entry per mode: each shell's roots copied
+    onto its modes, so the kernel runs on every mode instead of once per shell."""
+    s = cache.shell.ravel()
+    od_of = np.full(cache.c.size, -1)
+    od_of[cache.od] = np.arange(cache.od.size)
+    od = np.flatnonzero(od_of[s] >= 0)
+    j = od_of[s[od]]
+    return MultiplierCache(np.arange(s.size).reshape(cache.shell.shape), cache.c[s],
+                           cache.alpha[s], cache.omega[s], cache.inv_omega[s], od,
+                           cache.od_lam[j], cache.od_low[j])
+
+
 class TestGrid:
     def test_power_of_two_required(self):
         with pytest.raises(ParameterError):
@@ -122,15 +185,44 @@ class TestRoots:
         for _ in range(50):
             sigma = rng.uniform(1, 3)
             delta = rng.uniform(0, sigma / 2)
-            g = GridSpec(1, 128, rng.uniform(1, 50))
-            cache = MultiplierCache.build(g, sigma, delta)
-            sum_resid = np.abs(cache.lam_plus + cache.lam_minus + cache.b)
-            prod_resid = np.abs(cache.lam_plus * cache.lam_minus - cache.c)
-            scale = np.maximum(1.0, np.abs(cache.b) + np.abs(cache.c))
+            xisq = GridSpec(1, 128, rng.uniform(1, 50)).xi_squared()
+            lam_plus, lam_minus = characteristic_roots(np.sqrt(xisq), sigma, delta)
+            b = fractional_symbol(xisq, 2.0 * delta)
+            c = fractional_symbol(xisq, 2.0 * sigma)
+            sum_resid = np.abs(lam_plus + lam_minus + b)
+            prod_resid = np.abs(lam_plus * lam_minus - c)
+            scale = np.maximum(1.0, np.abs(b) + np.abs(c))
             assert np.max(sum_resid / scale) < 1e-12
             assert np.max(prod_resid / scale) < 1e-12
-            assert np.all(cache.lam_plus.real <= 1e-15)
-            assert np.all(cache.lam_minus.real <= 1e-15)
+            assert np.all(lam_plus.real <= 1e-15)
+            assert np.all(lam_minus.real <= 1e-15)
+
+    @pytest.mark.parametrize("sigma,delta", [(1, 0), (2, 1), (1.5, 0.3), (1.3, 0.4),
+                                             (3, 1.5), (1, 0.5), (2, 0.2), (1.7, 0.6)])
+    def test_real_form_matches_replaced_complex_path(self, sigma, delta):
+        # the roots per shell in real arithmetic give the replaced complex
+        # construction's roots and multipliers bit for bit
+        rng = np.random.default_rng(3)
+        xis = [np.sqrt(GridSpec(n, N, 20.0).xi_squared()) for n, N in ((1, 256), (2, 64), (3, 32))]
+        xis += [rng.uniform(0.0, 10.0, 1000), np.geomspace(1e-8, 1e3, 1000)]
+        if 2 * delta != sigma:    # coalescence: |xi|^(4 delta - 2 sigma) = 4
+            star = 4.0 ** (1.0 / (4 * delta - 2 * sigma))
+            points = [star, np.nextafter(star, 0.0), np.nextafter(star, 10.0),
+                      star * (1 - 1e-8), star * (1 + 1e-8)]
+            xis.append(np.array(points))
+            for x in points:
+                assert characteristic_roots(x, sigma, delta) == \
+                    replaced_characteristic_roots(x, sigma, delta)
+                assert propagator_multipliers(0.7, x, sigma, delta) == \
+                    replaced_propagator_multipliers(0.7, x, sigma, delta)
+        for xi in xis:
+            for got, ref in zip(characteristic_roots(xi, sigma, delta),
+                                replaced_characteristic_roots(xi, sigma, delta)):
+                assert got.shape == xi.shape and np.array_equal(got, ref)
+            for t in (0.0, 1e-6, 0.7, 60.0, 1e3):
+                for got, ref in zip(propagator_multipliers(t, xi, sigma, delta),
+                                    replaced_propagator_multipliers(t, xi, sigma, delta)):
+                    assert np.array_equal(got, ref), f"t={t}"
 
 
 class TestPropagators:
@@ -186,13 +278,15 @@ class TestPropagators:
         # the grid resolves |xi| down to pi/20, so (1, 0), (1.5, 0.3) and
         # (1.3, 0.4) have overdamped modes besides the zero mode
         g = GridSpec(2, 64, 20.0)
+        xisq = g.xi_squared()
         cache = MultiplierCache.build(g, sigma, delta)
+        lam_plus, lam_minus = characteristic_roots(np.sqrt(xisq), sigma, delta)
+        b = fractional_symbol(xisq, 2.0 * delta)
+        c = fractional_symbol(xisq, 2.0 * sigma)
         for t in (0.0, 1e-6, 0.05, 7.3, 60.0, 1e3):
             prop = Propagator.build(cache, t)
-            shell = cache.shell
-            K0, K1 = complex_root_multipliers(t, cache.lam_plus[shell], cache.lam_minus[shell])
-            oracle = {"K0": K0, "K1": K1, "D0": -cache.c[shell] * K1,
-                      "D1": K0 - cache.b[shell] * K1}
+            K0, K1 = complex_root_multipliers(t, lam_plus, lam_minus)
+            oracle = {"K0": K0, "K1": K1, "D0": -c * K1, "D1": K0 - b * K1}
             for name, ref in oracle.items():
                 got = getattr(prop, name)
                 scale = np.max(np.abs(ref))
@@ -214,15 +308,14 @@ class TestPropagators:
         xisq = g.xi_squared()
         cache = MultiplierCache.build(g, sigma, delta)
         assert cache.shell.shape == xisq.shape
-        assert cache.b.size == len(np.unique(xisq))
-        assert cache.b.size < xisq.size if n >= 2 else cache.b.size == xisq.size
-        roots = _RealRoots.from_roots(*characteristic_roots(np.sqrt(xisq), sigma, delta))
-        c = fractional_symbol(xisq, 2.0 * sigma)
+        assert cache.c.size == len(np.unique(xisq))
+        assert cache.c.size < xisq.size if n >= 2 else cache.c.size == xisq.size
+        modes = per_mode(cache)
         for t in (0.0, 1e-6, 0.05, 0.2, 7.3, 60.0, 1e3):
-            K0, K1, D1 = roots.k0k1(t)
             prop = Propagator.build(cache, t)
-            for name, ref in {"K0": K0, "K1": K1, "D0": -c * K1, "D1": D1}.items():
-                assert np.array_equal(getattr(prop, name), ref), f"{name} at t={t}"
+            ref = Propagator.build(modes, t)
+            for name in ("K0", "K1", "D0", "D1"):
+                assert np.array_equal(getattr(prop, name), getattr(ref, name)), f"{name} at t={t}"
 
     @pytest.mark.parametrize("n,N", [(1, 256), (2, 32)])
     def test_d1_on_frictional_zero_mode(self, n, N):
@@ -235,7 +328,8 @@ class TestPropagators:
             assert d1 == pytest.approx(np.exp(-t), rel=1e-12, abs=0.0), f"t={t}"
         # K0 - b K1 agrees with the closed form away from cancellation
         prop = Propagator.build(cache, 0.5)
-        np.testing.assert_allclose(prop.D1, prop.K0 - cache.b[cache.shell] * prop.K1,
+        b = fractional_symbol(GridSpec(n, N, 15.0).xi_squared(), 0.0)
+        np.testing.assert_allclose(prop.D1, prop.K0 - b * prop.K1,
                                    rtol=1e-13, atol=1e-15)
 
     def test_multipliers_bounded_in_time(self):
