@@ -276,17 +276,18 @@ class ModulusSpec:
         return out
 
 
-def psi(s, p: float, mu: ModulusSpec):
-    """Psi(s) = s^p mu(s) for scalar or array s >= 0.
+def psi(s, p: float, mu: ModulusSpec, out: Optional[np.ndarray] = None):
+    """Psi(s) = s^p mu(s) for scalar or array s >= 0, written into ``out``
+    (an array of s's shape) when given.
 
     This is the nonlinearity |w|^p mu(|w|) at s = |w| and the weight of the
     blow-up functionals.  np.power is exact at s = 0 for p > 0.
     """
     arr = np.asarray(s, dtype=float)
-    out = np.power(arr, p) * mu.evaluate(arr)
     if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
+        return float(np.power(arr, p) * mu.evaluate(arr))
+    out = np.power(arr, p, out=out)
+    return np.multiply(out, mu.evaluate(arr), out=out)
 
 
 # -- axiom checking -------------------------------------------------------

@@ -11,6 +11,7 @@ exponent, decay a negative one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,8 +54,9 @@ class EquationParams:
     r: Optional[float] = None
 
     def __post_init__(self):
-        if self.sigma < 1:
-            raise ParameterError("sigma must be >= 1")
+        # every check is written so that NaN fails it
+        if not 1 <= self.sigma < math.inf:
+            raise ParameterError("sigma must be finite and >= 1")
         if not 0 <= self.delta <= self.sigma / 2:
             raise ParameterError("delta must lie in [0, sigma/2]")
         if not 1 <= self.m < 2:
@@ -63,13 +65,13 @@ class EquationParams:
             raise ParameterError("n must be a positive integer")
         if self.n > 3:
             raise ParameterError("only dimensions 1-3 are supported numerically")
-        if self.p <= 1:
-            raise ParameterError("p must exceed 1")
+        if not 1 < self.p < math.inf:
+            raise ParameterError("p must be finite and exceed 1")
         object.__setattr__(self, "target", Target(self.target))
         if self.r is None:
             object.__setattr__(self, "r", float(self.sigma))
-        if self.r < 0:
-            raise ParameterError("r must be nonnegative")
+        if not 0 <= self.r < math.inf:
+            raise ParameterError("r must be finite and nonnegative")
 
     @property
     def m0(self) -> Fraction:

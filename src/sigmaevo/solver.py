@@ -11,9 +11,15 @@ trapezoid rule's O(dt^3) local error.
 With w = u_t the stepper runs in PEC (predict-evaluate-correct) mode: a step
 that continues from the state the previous step returned takes that step's
 corrector forcing f(w_pred) as its f0, which is within O(dt^2) of f(w).  Each
-step then makes one modulus evaluation and three transforms (the forcing's
-forward transform, the predictor's inverse, and the loop's inverse of u_t,
-which the blow-up check reads).  With w = u every step evaluates f(u) afresh.
+step then makes one modulus evaluation and two transforms (the forcing's
+forward transform and the predictor's inverse); the blow-up check reads a
+bound on sup |u_t| from the spectrum, and transforms u_t back only where the
+bound does not clear the threshold.  With w = u every step evaluates f(u)
+afresh.
+
+A run allocates its arrays once: the loop and the stepper write every step
+into a workspace (two state pairs used in turn, the physical fields, the
+squared moduli of a norm row), so only the snapshots a run keeps are fresh.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite
@@ -22,7 +28,7 @@ is never emitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +36,8 @@ import numpy as np
 from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2
+from .spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2,
+                       sup_bound)
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
@@ -45,13 +52,19 @@ class SolverConfig:
     store_fields: bool = False
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
+        for key in ("dt", "t_end"):
+            if not math.isfinite(getattr(self, key)):
+                raise ParameterError(f"{key} must be finite")
         if self.dt <= 0:
             raise ParameterError("dt must be positive")
         if self.t_end <= self.dt:
             raise ParameterError("t_end must exceed dt")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ParameterError("t_end / dt must be finite")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ParameterError("dealias_fraction must lie in (0, 1]")
-        if self.blowup_threshold is not None and self.blowup_threshold <= 0:
+        if self.blowup_threshold is not None and not self.blowup_threshold > 0:
             raise ParameterError("blowup_threshold must be positive")
         if not (self.snapshot_stride >= 1 and float(self.snapshot_stride).is_integer()):
             raise ParameterError("snapshot_stride must be a positive integer")
@@ -85,14 +98,15 @@ class Trajectory:
         return np.column_stack([self.times, self.column(name)])
 
 
-def blow_up_detect(w: np.ndarray, row: Optional[tuple],
+def blow_up_detect(w: Optional[np.ndarray], row: Optional[tuple],
                    threshold: Optional[float], sup: Optional[float] = None) -> Optional[str]:
     """"nan" once the monitored field w or the norm row (if one is due) holds
     a non-finite value, "escape" once sup |w| passes a threshold that is not
     None, else None.  The row carries u_t and the squared norms, which w may not.
-    ``sup`` is sup |w| when the caller already has it."""
+    ``sup`` is sup |w|, or a finite bound on it that does not pass the
+    threshold, when the caller already has one; w is then not read."""
     if sup is None:
-        sup = float(np.max(np.abs(w)))    # NaN and inf propagate through the max
+        sup = _sup_abs(w)
     if not math.isfinite(sup) or (row is not None and not all(map(math.isfinite, row))):
         return "nan"
     if threshold is not None and sup > threshold:
@@ -100,8 +114,14 @@ def blow_up_detect(w: np.ndarray, row: Optional[tuple],
     return None
 
 
+def _sup_abs(u: np.ndarray) -> float:
+    """max |u| with no |u| temporary.  NaN propagates (max and min both return
+    it); abs() turns the -0.0 of an all -0.0 field into 0.0."""
+    return abs(float(max(u.max(), -u.min())))
+
+
 class _Stepper:
-    """Precomputed multipliers for repeated steps of size dt."""
+    """Precomputed multipliers and a workspace for repeated steps of size dt."""
 
     def __init__(self, params: EquationParams, mu: ModulusSpec,
                  config: SolverConfig, grid: GridSpec):
@@ -110,69 +130,93 @@ class _Stepper:
         self.config = config
         self.grid = grid
         self.cache = MultiplierCache.build(grid, params.sigma, params.delta)
-        self.prop = Propagator.build(self.cache, config.dt)
+        self.prop = prop = Propagator.build(self.cache, config.dt)
         self.mask = grid.dealias_mask(config.dealias_fraction)
+        self.on_u = params.target == Target.ON_U
+        # f0 enters the predicted w through dt K1 (on_u) or dt D1 (on_ut), and
+        # u through (dt/2) K1: the products dt * K1 * f0 and 0.5 * dt * K1 * f0
+        # evaluate left to right, so these are their first factors, bit for bit
+        self.dt_pred = config.dt * (prop.K1 if self.on_u else prop.D1)
+        self.half_dt_K1 = 0.5 * config.dt * prop.K1
+        half = prop.K0.shape
+        self._f = (np.empty(half, dtype=complex), np.empty(half, dtype=complex))
+        self._tmp = np.empty(half, dtype=complex)
+        self._w = np.empty(grid.shape)
+        self._aw = np.empty(grid.shape)
+        self._psi = np.empty(grid.shape)
         self._last = (None, None)    # on_ut: (uth returned, its corrector forcing)
 
-    def _f_hat(self, w_phys: np.ndarray) -> np.ndarray:
-        """Half spectrum of the forcing |w|^p mu(|w|), cut to the dealias band.
+    def _f_hat(self, w_phys: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Half spectrum of the forcing |w|^p mu(|w|), cut to the dealias band,
+        fresh or written into ``out``.
 
         A modulus evaluation failure is re-raised with its location.
         """
-        aw = np.abs(w_phys)
+        aw = np.abs(w_phys, out=self._aw)
         try:
-            f = psi(aw, self.params.p, self.mu)
+            f = psi(aw, self.params.p, self.mu, self._psi)
         except Exception as exc:
             worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(aw)), aw.shape))
             raise SigmaevoError(
                 f"modulus evaluation failed on field (max |w| = {float(np.max(aw))} "
                 f"at index {worst}): {exc}") from exc
-        return self.grid.fft(f) * self.mask
+        fh = self.grid.fft(f, out=out)
+        return np.multiply(fh, self.mask, out=fh)
 
-    def step(self, uh: np.ndarray, uth: np.ndarray, w_phys: np.ndarray):
+    def step(self, uh: np.ndarray, uth: np.ndarray, w_phys: Optional[np.ndarray],
+             out: Optional[tuple] = None):
         """One exponential-trapezoid step from the current spectral state.
 
         ``w_phys`` is the physical nonlinearity argument already available
-        from the caller (u for on_u, u_t for on_ut).  On on_ut the step runs
+        from the caller (u for on_u, u_t for on_ut), or None, and the step
+        then transforms it back itself if it needs it.  On on_ut the step runs
         in PEC mode: when ``uth`` is the very array the previous step returned,
         that step's corrector forcing f(w_pred) stands in for f(w_phys), so a
-        step evaluates the modulus and transforms forward once.
+        step evaluates the modulus and transforms forward once.  The new state
+        is fresh, or written into the pair ``out``, which must alias neither
+        input.
         """
-        dt = self.config.dt
-        prop = self.prop
-        on_u = self.params.target == Target.ON_U
+        if out is None:
+            out = (np.empty_like(self._tmp), np.empty_like(self._tmp))
         last_uth, last_f1 = self._last
-        f0 = last_f1 if not on_u and uth is last_uth else self._f_hat(w_phys)
-        lin_u, lin_ut = prop.apply(uh, uth)
-        if on_u:
-            w_pred = self.grid.ifft(lin_u + dt * prop.K1 * f0)
+        if not self.on_u and uth is last_uth:
+            f0 = last_f1
         else:
-            w_pred = self.grid.ifft(lin_ut + dt * prop.D1 * f0)
-        f1 = self._f_hat(w_pred)
-        uh_new = lin_u + 0.5 * dt * prop.K1 * f0
-        uth_new = lin_ut + 0.5 * dt * (prop.D1 * f0 + f1)
-        if not on_u:
+            if w_phys is None:
+                w_phys = self.grid.ifft(uh if self.on_u else uth, out=self._w)
+            f0 = self._f_hat(w_phys, out=self._f[0])
+        uh_new, uth_new = self.prop.apply(uh, uth, out=out)     # the linear part
+        tmp = self._tmp
+        np.multiply(self.dt_pred, f0, out=tmp)
+        np.add(uh_new if self.on_u else uth_new, tmp, out=tmp)
+        w_pred = self.grid.ifft(tmp, out=self._w)
+        f1 = self._f_hat(w_pred, out=self._f[1] if f0 is self._f[0] else self._f[0])
+        np.add(uh_new, np.multiply(self.half_dt_K1, f0, out=tmp), out=uh_new)
+        # lin_ut + 0.5 * dt * (D1 * f0 + f1), in that order
+        np.add(np.multiply(self.prop.D1, f0, out=tmp), f1, out=tmp)
+        np.add(uth_new, np.multiply(0.5 * self.config.dt, tmp, out=tmp), out=uth_new)
+        if not self.on_u:
             self._last = (uth_new, f1)
         return uh_new, uth_new
 
 
-def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams) -> tuple:
-    """One row in NORM_COLUMNS order, in one pass over the half spectra.
+def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams,
+              work: Optional[np.ndarray] = None) -> tuple:
+    """One row in NORM_COLUMNS order, in one pass over each half spectrum.
 
-    |uh|^2 and |uth|^2 are formed once and each squared norm is one
-    plancherel_sum; the energy adds squared sums, with no square root
-    squared back.
+    |uh|^2, then |uth|^2, is formed once, in ``work`` (real, shape
+    (2,) + uh.shape) when given, and each squared norm is one plancherel_sum;
+    the energy adds squared sums, with no square root squared back.
     """
-    abs_u = uh.real ** 2 + uh.imag ** 2
-    abs_ut = uth.real ** 2 + uth.imag ** 2
+    abs_sq, tmp = np.empty((2,) + uh.shape) if work is None else work
     rs = max(params.r - params.sigma, 0.0)   # positive-part convention for the u_t norm
-    ut_sq = plancherel_sum(abs_ut, grid)
-    return (math.sqrt(plancherel_sum(abs_u, grid)),
-            math.sqrt(plancherel_sum(abs_u, grid, params.r)),
-            math.sqrt(ut_sq),
-            math.sqrt(plancherel_sum(abs_ut, grid, rs)),
-            float(np.max(np.abs(u_phys))),
-            ut_sq + plancherel_sum(abs_u, grid, params.sigma))
+    sq = []
+    for z, powers in ((uh, (0.0, params.r, params.sigma)), (uth, (0.0, rs))):
+        np.add(np.square(z.real, out=abs_sq), np.square(z.imag, out=tmp), out=abs_sq)
+        sq += [plancherel_sum(abs_sq, grid, power) for power in powers]
+    u_sq, ur_sq, u_sigma_sq, ut_sq, utrs_sq = sq
+    return (math.sqrt(u_sq), math.sqrt(ur_sq), math.sqrt(ut_sq), math.sqrt(utrs_sq),
+            _sup_abs(u_phys), ut_sq + u_sigma_sq)
 
 
 def default_blowup_threshold(u0: np.ndarray, u1: np.ndarray) -> float:
@@ -198,32 +242,54 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
            levels: np.ndarray, advance, monitor: Target, threshold: Optional[float],
            stride: int = 1, store_fields: bool = False) -> Trajectory:
     """The time loop of both runs: from the data at t = 0 through the times
-    ``levels``, ``advance(uh, uth, w, dt)`` moving the state on by dt (w is
-    the monitored field, u or u_t, of the level it leaves).  Every
-    ``stride``-th level is a row; a None ``threshold`` leaves only "nan"."""
+    ``levels``, ``advance(uh, uth, w, dt, out)`` moving the state on by dt
+    into the pair ``out`` (w is the monitored field, u or u_t, of the level it
+    leaves, or None where that level did not transform it back).  Every
+    ``stride``-th level is a row; a None ``threshold`` leaves only "nan".
+
+    The state alternates between two preallocated pairs, and the fields a
+    level transforms back land in preallocated arrays, except the snapshots
+    a row keeps, which are fresh.
+    """
     grid.check_field(u0)
     grid.check_field(u1)
     if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
         raise ParameterError("initial data must be finite")
-    uh = grid.fft(np.asarray(u0, dtype=float))
-    uth = grid.fft(np.asarray(u1, dtype=float))
+    half = grid.xi_squared().shape
+    pairs = [(np.empty(half, dtype=complex), np.empty(half, dtype=complex)) for _ in range(2)]
+    uh = grid.fft(np.asarray(u0, dtype=float), out=pairs[0][0])
+    uth = grid.fft(np.asarray(u1, dtype=float), out=pairs[0][1])
+    fields = (np.empty(grid.shape), np.empty(grid.shape))
+    work = np.empty((2,) + half)
     on_u = monitor == Target.ON_U
 
     row_times, rows, snaps_u, snaps_ut = [], [], [], []
     blowup, t_state, w = None, 0.0, None
     for k, t in enumerate(levels.tolist()):
         if t != t_state:
-            uh, uth = advance(uh, uth, w, t - t_state)
+            out = pairs[1] if uh is pairs[0][0] else pairs[0]
+            uh, uth = advance(uh, uth, w, t - t_state, out)
             t_state = t
         row = k % stride == 0
+        keep = row and store_fields
+        u_buf, ut_buf = (None, None) if keep else fields
         # transform back only what this level reads: w, and the fields of a row
-        u_phys = grid.ifft(uh) if on_u or row else None
-        ut_phys = grid.ifft(uth) if not on_u or (row and store_fields) else None
+        u_phys = grid.ifft(uh, out=u_buf) if on_u or row else None
+        norms = _norm_row(uh, uth, u_phys, grid, params, work) if row else None
+        if on_u:
+            # a row's Linf_u is sup |u|: the check reads it rather than retaking it
+            sup = norms[NORM_COLUMNS.index("Linf_u")] if row else None
+        elif keep or threshold is None:
+            sup = None
+        else:
+            # u_t is transformed back for the check only where its bound from
+            # the spectrum does not clear the threshold by a margin far above
+            # rounding (1e-9); a NaN or inf bound never does
+            bound = sup_bound(uth, grid, work[1])
+            sup = bound if math.isfinite(bound) and bound * (1 + 1e-9) <= threshold else None
+        ut_phys = grid.ifft(uth, out=ut_buf) if keep or (not on_u and sup is None) else None
         w = u_phys if on_u else ut_phys
 
-        norms = _norm_row(uh, uth, u_phys, grid, params) if row else None
-        # a row's Linf_u is sup |u|: on u the check reads it rather than retaking it
-        sup = norms[NORM_COLUMNS.index("Linf_u")] if on_u and row else None
         reason = blow_up_detect(w, norms, threshold, sup)
         if reason is not None:
             blowup = BlowUp(time=t, reason=reason)
@@ -253,13 +319,14 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     bit-identical rows: the loop is sequential and purely deterministic.
     """
     _warn_if_outside_window(params)
-    if config.blowup_threshold is None:
-        config = replace(config, blowup_threshold=default_blowup_threshold(u0, u1))
+    threshold = config.blowup_threshold
+    if threshold is None:
+        threshold = default_blowup_threshold(u0, u1)
     stepper = _Stepper(params, mu, config, grid)
     n_steps = int(round(config.t_end / config.dt))
     return _march(u0, u1, grid, params, np.arange(n_steps + 1) * config.dt,
-                  lambda uh, uth, w, dt: stepper.step(uh, uth, w),
-                  params.target, config.blowup_threshold,
+                  lambda uh, uth, w, dt, out: stepper.step(uh, uth, w, out=out),
+                  params.target, threshold,
                   config.snapshot_stride, config.store_fields)
 
 
@@ -280,11 +347,11 @@ def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     cache = MultiplierCache.build(grid, params.sigma, params.delta)
     prop = None
 
-    def advance(uh, uth, w, dt):
+    def advance(uh, uth, w, dt, out):
         nonlocal prop
         if prop is None or abs(dt - prop.t) > 1e-12 * prop.t:
             prop = Propagator.build(cache, dt)
-        return prop.apply(uh, uth)
+        return prop.apply(uh, uth, out=out)
 
     return _march(u0, u1, grid, params, times, advance, Target.ON_U, None,
                   store_fields=store_fields)

@@ -91,19 +91,35 @@ class GridSpec:
         """|xi|^2 on the half spectrum."""
         return _xi_squared_cached(self.n, self.N, self.L)
 
-    def fft(self, u: np.ndarray) -> np.ndarray:
-        """Half spectrum (rfftn over the last n axes) of a real field or a
-        stack of fields."""
+    def fft(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Half spectrum of a real field or a stack of fields, written into
+        ``out`` when given.
+
+        rfftn's passes, bit for bit, without its per-call argument handling:
+        rfft on the last axis, then fft in place on the others, last first.
+        """
         self.check_stack(u)
-        return np.fft.rfftn(u, axes=self._axes)
+        uh = np.fft.rfft(u, axis=-1, out=out)
+        for axis in range(-2, -self.n - 1, -1):
+            np.fft.fft(uh, axis=axis, out=uh)
+        return uh
 
-    def ifft(self, uh: np.ndarray) -> np.ndarray:
-        """Real field (or stack of fields) from its half spectrum (irfftn)."""
-        return np.fft.irfftn(uh, s=self.shape, axes=self._axes)
+    def ifft(self, uh: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Real field (or stack of fields) from its half spectrum, written
+        into ``out`` when given; ``uh`` is not modified.
 
-    @property
-    def _axes(self) -> tuple:
-        return tuple(range(-self.n, 0))
+        irfftn's passes, bit for bit: ifft on the leading axes, first first,
+        then irfft on the last.  With ``out`` (a single field) the complex
+        passes run in a scratch array the grid keeps, so nothing is allocated.
+        """
+        work = self._spectral_scratch if out is not None and self.n > 1 else None
+        for axis in range(-self.n, -1):
+            uh = work = np.fft.ifft(uh, axis=axis, out=work)
+        return np.fft.irfft(uh, n=self.N, axis=-1, out=out)
+
+    @functools.cached_property
+    def _spectral_scratch(self) -> np.ndarray:
+        return np.empty(self.xi_squared().shape, dtype=complex)
 
     def check_field(self, u: np.ndarray):
         if np.shape(u) != self.shape:
@@ -280,8 +296,21 @@ class Propagator:
         s = cache.shell
         return cls(t, K0[s], K1[s], D0[s], D1[s])
 
-    def apply(self, uh: np.ndarray, uth: np.ndarray):
-        return self.K0 * uh + self.K1 * uth, self.D0 * uh + self.D1 * uth
+    def apply(self, uh: np.ndarray, uth: np.ndarray, out: Optional[tuple] = None):
+        """(K0 uh + K1 uth, D0 uh + D1 uth), fresh, or written into the pair
+        ``out``: two arrays of the multipliers' shape that alias neither input.
+        The products pass through a scratch array the propagator keeps."""
+        if out is None:
+            out = (np.empty_like(uh), np.empty_like(uh))
+        tmp = self._scratch
+        for dest, a, b in zip(out, (self.K0, self.D0), (self.K1, self.D1)):
+            np.multiply(a, uh, out=dest)
+            np.add(dest, np.multiply(b, uth, out=tmp), out=dest)
+        return out
+
+    @functools.cached_property
+    def _scratch(self) -> np.ndarray:
+        return np.empty(self.K0.shape, dtype=complex)
 
 
 def fractional_derivative(u: np.ndarray, s: float, grid: GridSpec) -> np.ndarray:
@@ -306,6 +335,19 @@ def plancherel_sum(abs_sq: np.ndarray, grid: GridSpec, weight_power: float = 0.0
     """
     w = _l2_weight_cached(grid.n, grid.N, grid.L, weight_power)
     return grid.cell_volume / grid.N ** grid.n * float(np.dot(w.ravel(), np.ravel(abs_sq)))
+
+
+def sup_bound(uh: np.ndarray, grid: GridSpec, scratch: Optional[np.ndarray] = None) -> float:
+    """A bound on sup |ifft(uh)| that takes no transform: sum m_k |uh_k| / N^n
+    over the half spectrum, m_k the Hermitian multiplicity of plancherel_sum.
+
+    It is the triangle inequality on the inverse sum, and holds for any half
+    spectrum: irfft reads only the real part of the zero and Nyquist columns.
+    NaN or inf when uh is not finite.  ``scratch`` (real, uh's shape) takes
+    |uh|.
+    """
+    m = _l2_weight_cached(grid.n, grid.N, grid.L, 0.0)
+    return float(np.dot(m.ravel(), np.abs(uh, out=scratch).ravel())) / grid.N ** grid.n
 
 
 def spectral_l2(uh: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:

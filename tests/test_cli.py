@@ -263,6 +263,30 @@ class TestCommands:
         assert f"{key} must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("solver", "dt", float("nan"), "dt must be finite"),
+        ("solver", "dt", float("inf"), "dt must be finite"),
+        ("solver", "t_end", float("inf"), "t_end must be finite"),
+        ("solver", "t_end", float("nan"), "t_end must be finite"),
+        ("solver", "dt", 1e-320, "t_end / dt must be finite"),
+        ("solver", "blowup_threshold", float("nan"), "blowup_threshold must be positive"),
+        ("params", "p", float("nan"), "p must be finite and exceed 1"),
+        ("params", "p", float("inf"), "p must be finite and exceed 1"),
+        ("params", "r", float("nan"), "r must be finite and nonnegative"),
+        ("params", "r", float("inf"), "r must be finite and nonnegative"),
+        ("params", "sigma", float("nan"), "sigma must be finite and >= 1"),
+        ("params", "sigma", float("inf"), "sigma must be finite and >= 1")])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, section, key, value, named):
+        # NaN dt or t_end, an infinite t_end, r or sigma ended in tracebacks; a
+        # NaN p recorded a false blow-up and a NaN threshold could never escape
+        doc = small_config_doc(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["semilinear", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_modulus_config_exits_2(self, tmp_path, capsys):
         # log-power:nan once ran and recorded a false blow-up
         path, _ = write_config(tmp_path, mu="log-power:nan")

@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from sigmaevo.errors import ParameterError, SigmaevoError
-from sigmaevo.modulus import ModulusSpec
+from sigmaevo.modulus import ModulusSpec, psi
 from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
 from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _norm_row,
                              _Stepper, blow_up_detect, default_blowup_threshold,
                              energy_identity_residuals, simulate,
                              simulate_linear)
-from sigmaevo.spectral import GridSpec, MultiplierCache, Propagator, energy, spectral_l2
+from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator, energy, plancherel_sum,
+                               spectral_l2, sup_bound)
 
 
 @pytest.fixture
@@ -121,9 +124,13 @@ class TestDuhamelStep:
         assert np.log2(e1 / e2) >= 1.9
 
 
-def fresh_f0_step(stepper, uh, uth, w_phys):
-    """The step PEC mode replaced: f(w) evaluated afresh at every step start."""
+def fresh_f0_step(stepper, uh, uth, w_phys, out=None):
+    """The step PEC mode replaced: f(w) evaluated afresh at every step start.
+    A None ``w_phys`` is transformed back from the state; the result is always
+    fresh, whatever ``out`` says."""
     dt, prop = stepper.config.dt, stepper.prop
+    if w_phys is None:
+        w_phys = stepper.grid.ifft(uh if stepper.params.target == Target.ON_U else uth)
     f0 = stepper._f_hat(w_phys)
     lin_u, lin_ut = prop.apply(uh, uth)
     if stepper.params.target == Target.ON_U:
@@ -199,6 +206,30 @@ class TestPECStep:
         cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_stride=4)
         simulate(np.zeros_like(u1), u1, ON_UT, ModulusSpec.hoelder(0.5), cfg, grid)
         assert len(calls) == 20 + 1
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    def test_direct_steps_return_fresh_arrays(self, grid, mu, target):
+        # the stepper's own buffers never leak into what a direct call returns
+        p = EquationParams(sigma=2, delta=1, m=1, n=1, p=3, r=3, target=target)
+        stepper = _Stepper(p, mu, SolverConfig(dt=0.05, t_end=1.0), grid)
+        uh, uth = grid.fft(gaussian(grid, 0.5)), grid.fft(gaussian(grid, 0.3))
+        first = stepper.step(uh, uth, None)
+        kept = [a.copy() for a in first]
+        second = stepper.step(*first, None)
+        stepper.step(*second, None)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, kept))
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    def test_none_w_is_transformed_from_the_state(self, grid, mu, target):
+        p = EquationParams(sigma=2, delta=1, m=1, n=1, p=3, r=3, target=target)
+        uh, uth = grid.fft(gaussian(grid, 0.5)), grid.fft(gaussian(grid, 0.3))
+        w = grid.ifft(uh if target == Target.ON_U else uth)
+        given = _Stepper(p, mu, SolverConfig(dt=0.05, t_end=1.0), grid).step(uh, uth, w)
+        derived = _Stepper(p, mu, SolverConfig(dt=0.05, t_end=1.0), grid).step(uh, uth, None)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(given, derived))
 
     @pytest.mark.filterwarnings("ignore:parameters outside")
     def test_on_u_step_is_the_fresh_f0_step(self, grid, params, mu):
@@ -601,3 +632,224 @@ class TestNormRow:
                energy(uh, uth, g, p.sigma))
         assert all(type(v) is float for v in row)
         np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+
+
+# -- the loop before its workspace, kept as the oracle ---------------------------
+#
+# The time loop, the step and the norm row as they were before the loop wrote
+# into a per-run workspace: every array fresh, transforms by numpy's n-D
+# rfftn/irfftn, sup |w| as np.max(np.abs(w)), and u_t transformed back at
+# every on_ut level for the blow-up check.  The workspace loop must reproduce
+# their rows, snapshots and blow-up byte for byte.
+
+def _rfftn(grid, u):
+    return np.fft.rfftn(u, axes=tuple(range(-grid.n, 0)))
+
+
+def _irfftn(grid, uh):
+    return np.fft.irfftn(uh, s=grid.shape, axes=tuple(range(-grid.n, 0)))
+
+
+def _apply(prop, uh, uth):
+    return prop.K0 * uh + prop.K1 * uth, prop.D0 * uh + prop.D1 * uth
+
+
+class OracleStepper:
+    def __init__(self, params, mu, config, grid):
+        self.params, self.mu, self.config, self.grid = params, mu, config, grid
+        self.prop = Propagator.build(MultiplierCache.build(grid, params.sigma, params.delta),
+                                     config.dt)
+        self.mask = grid.dealias_mask(config.dealias_fraction)
+        self._last = (None, None)
+
+    def _f_hat(self, w_phys):
+        return _rfftn(self.grid, psi(np.abs(w_phys), self.params.p, self.mu)) * self.mask
+
+    def step(self, uh, uth, w_phys):
+        dt = self.config.dt
+        prop = self.prop
+        on_u = self.params.target == Target.ON_U
+        last_uth, last_f1 = self._last
+        f0 = last_f1 if not on_u and uth is last_uth else self._f_hat(w_phys)
+        lin_u, lin_ut = _apply(prop, uh, uth)
+        if on_u:
+            w_pred = _irfftn(self.grid, lin_u + dt * prop.K1 * f0)
+        else:
+            w_pred = _irfftn(self.grid, lin_ut + dt * prop.D1 * f0)
+        f1 = self._f_hat(w_pred)
+        uh_new = lin_u + 0.5 * dt * prop.K1 * f0
+        uth_new = lin_ut + 0.5 * dt * (prop.D1 * f0 + f1)
+        if not on_u:
+            self._last = (uth_new, f1)
+        return uh_new, uth_new
+
+
+def oracle_norm_row(uh, uth, u_phys, grid, params):
+    abs_u = uh.real ** 2 + uh.imag ** 2
+    abs_ut = uth.real ** 2 + uth.imag ** 2
+    rs = max(params.r - params.sigma, 0.0)
+    ut_sq = plancherel_sum(abs_ut, grid)
+    return (math.sqrt(plancherel_sum(abs_u, grid)),
+            math.sqrt(plancherel_sum(abs_u, grid, params.r)),
+            math.sqrt(ut_sq),
+            math.sqrt(plancherel_sum(abs_ut, grid, rs)),
+            float(np.max(np.abs(u_phys))),
+            ut_sq + plancherel_sum(abs_u, grid, params.sigma))
+
+
+def oracle_march(u0, u1, grid, params, levels, advance, on_u, threshold, stride=1,
+                 store_fields=False):
+    uh, uth = _rfftn(grid, np.asarray(u0, dtype=float)), _rfftn(grid, np.asarray(u1, dtype=float))
+    times, rows, snaps_u, snaps_ut = [], [], [], []
+    blowup, t_state, w = None, 0.0, None
+    for k, t in enumerate(levels.tolist()):
+        if t != t_state:
+            uh, uth = advance(uh, uth, w, t - t_state)
+            t_state = t
+        row = k % stride == 0
+        u_phys = _irfftn(grid, uh) if on_u or row else None
+        ut_phys = _irfftn(grid, uth) if not on_u or (row and store_fields) else None
+        w = u_phys if on_u else ut_phys
+        norms = oracle_norm_row(uh, uth, u_phys, grid, params) if row else None
+        sup = float(np.max(np.abs(w)))
+        if not math.isfinite(sup) or (norms is not None and not all(map(math.isfinite, norms))):
+            blowup = BlowUp(t, "nan")
+        elif threshold is not None and sup > threshold:
+            blowup = BlowUp(t, "escape")
+        if blowup is not None:
+            break
+        if row:
+            times.append(t)
+            rows.append(norms)
+            if store_fields:
+                snaps_u.append(u_phys)
+                snaps_ut.append(ut_phys)
+    return (np.asarray(times, dtype=float), np.asarray(rows, dtype=float).reshape(-1, 6),
+            blowup, np.asarray(snaps_u), np.asarray(snaps_ut))
+
+
+def oracle_simulate(u0, u1, params, mu, config, grid):
+    threshold = config.blowup_threshold
+    if threshold is None:
+        threshold = default_blowup_threshold(u0, u1)
+    stepper = OracleStepper(params, mu, config, grid)
+    n_steps = int(round(config.t_end / config.dt))
+    return oracle_march(u0, u1, grid, params, np.arange(n_steps + 1) * config.dt,
+                        lambda uh, uth, w, dt: stepper.step(uh, uth, w),
+                        params.target == Target.ON_U, threshold,
+                        config.snapshot_stride, config.store_fields)
+
+
+def oracle_simulate_linear(u0, u1, params, times, grid):
+    cache = MultiplierCache.build(grid, params.sigma, params.delta)
+    prop = None
+
+    def advance(uh, uth, w, dt):
+        nonlocal prop
+        if prop is None or abs(dt - prop.t) > 1e-12 * prop.t:
+            prop = Propagator.build(cache, dt)
+        return _apply(prop, uh, uth)
+
+    return oracle_march(u0, u1, grid, params, np.asarray(times, dtype=float), advance, True,
+                        None, store_fields=True)
+
+
+def assert_byte_equal(traj, oracle, store_fields):
+    times, rows, blowup, snaps_u, snaps_ut = oracle
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.norms.tobytes() == rows.tobytes()
+    assert traj.blowup == blowup
+    if store_fields:
+        assert traj.snapshots_u.tobytes() == snaps_u.tobytes()
+        assert traj.snapshots_ut.tobytes() == snaps_ut.tobytes()
+    else:
+        assert traj.snapshots_u is None and traj.snapshots_ut is None
+
+
+def field(grid, amplitude, width=1.0, shift=0.0):
+    return amplitude * np.exp(-sum(((c - shift) / width) ** 2 for c in grid.coords()))
+
+
+class TestWorkspaceLoopOracle:
+    """simulate and simulate_linear against the loop before its workspace."""
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    @pytest.mark.parametrize("store_fields", [False, True])
+    @pytest.mark.parametrize("stride", [1, 10])
+    @pytest.mark.parametrize("n,N,L", [(1, 256, 20.0), (2, 32, 10.0)])
+    def test_semilinear_rows_snapshots_blowup(self, target, store_fields, stride, n, N, L):
+        g = GridSpec(n, N, L)
+        p = EquationParams(sigma=2, delta=1, m=1, n=n, p=3, target=target, r=3)
+        mu = ModulusSpec.log_log_lip(2)
+        u0, u1 = field(g, 0.5), field(g, 0.4, 1.5, 0.5)
+        cfg = SolverConfig(dt=0.05, t_end=3.0, snapshot_stride=stride, store_fields=store_fields)
+        traj = simulate(u0, u1, p, mu, cfg, g)
+        assert traj.blowup is None and len(traj.times) == 60 // stride + 1
+        assert_byte_equal(traj, oracle_simulate(u0, u1, p, mu, cfg, g), store_fields)
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("n,N,L", [(1, 256, 20.0), (2, 32, 10.0), (3, 16, 8.0)])
+    def test_exact_linear_path(self, n, N, L):
+        g = GridSpec(n, N, L)
+        p = EquationParams(sigma=1.5, delta=0.5, m=1, n=n, p=3, r=1)
+        u0, u1 = field(g, 1.0), field(g, 0.5, 1.5, 0.5)
+        times = np.arange(0.0, 20.1, 0.2)
+        traj = simulate_linear(u0, u1, p, times, g, store_fields=True)
+        assert_byte_equal(traj, oracle_simulate_linear(u0, u1, p, times, g), True)
+
+    def test_escape_on_u(self):
+        # the fixture of acceptance test 07
+        g = GridSpec(1, 2048, 20.0)
+        p = EquationParams(sigma=1, delta=0, m=1, n=1, p=3, r=1)
+        mu = ModulusSpec.log_power(1.0)
+        u1 = 3.0 * np.exp(-((g.axis() / 0.5) ** 2))
+        cfg = SolverConfig(dt=0.002, t_end=20.0, blowup_threshold=1e4,
+                           snapshot_stride=25, store_fields=True)
+        traj = simulate(np.zeros_like(u1), u1, p, mu, cfg, g)
+        assert traj.blowup.reason == "escape"
+        assert_byte_equal(traj, oracle_simulate(np.zeros_like(u1), u1, p, mu, cfg, g), True)
+
+    @pytest.mark.parametrize("store_fields", [False, True])
+    def test_escape_on_ut(self, store_fields):
+        g = GridSpec(1, 512, 40.0)
+        u1 = gaussian(g, 1.5)
+        cfg = SolverConfig(dt=0.01, t_end=30.0, blowup_threshold=100.0, snapshot_stride=10,
+                           store_fields=store_fields)
+        mu = ModulusSpec.log_power(1.0)
+        traj = simulate(np.zeros_like(u1), u1, ON_UT, mu, cfg, g)
+        assert traj.blowup.reason == "escape"
+        assert_byte_equal(traj, oracle_simulate(np.zeros_like(u1), u1, ON_UT, mu, cfg, g),
+                          store_fields)
+
+    @pytest.mark.parametrize("store_fields", [False, True])
+    def test_bound_over_threshold_falls_back_to_the_transform(self, store_fields):
+        # two bumps of opposite sign: the spectral bound on sup |u_t| exceeds
+        # the threshold at t = 0 while sup |u_t| itself does not
+        g = GridSpec(1, 512, 40.0)
+        u1 = 0.15 * np.exp(-g.axis() ** 2) - 0.14 * np.exp(-(g.axis() - 8.0) ** 2)
+        threshold = 0.17
+        assert np.max(np.abs(u1)) < threshold < sup_bound(g.fft(u1), g)
+        cfg = SolverConfig(dt=0.05, t_end=2.0, blowup_threshold=threshold, snapshot_stride=4,
+                           store_fields=store_fields)
+        mu = ModulusSpec.hoelder(0.5)
+        traj = simulate(np.zeros_like(u1), u1, ON_UT, mu, cfg, g)
+        assert traj.blowup is None
+        assert_byte_equal(traj, oracle_simulate(np.zeros_like(u1), u1, ON_UT, mu, cfg, g),
+                          store_fields)
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    def test_nan_ending(self, target):
+        # u (on_u) or u_t (on_ut) of size 1e75 overflows within one step
+        g = GridSpec(1, 64, 20.0)
+        p = EquationParams(sigma=2, delta=1, m=1, n=1, p=3, r=3, target=target)
+        mu = ModulusSpec.hoelder(0.5)
+        big = 1e75 * np.exp(-g.axis() ** 2)
+        u0, u1 = (big, np.zeros_like(big)) if target == Target.ON_U else (np.zeros_like(big), big)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, blowup_threshold=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(u0, u1, p, mu, cfg, g)
+            want = oracle_simulate(u0, u1, p, mu, cfg, g)
+        assert traj.blowup == BlowUp(0.1, "nan")
+        assert_byte_equal(traj, want, False)

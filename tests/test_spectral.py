@@ -12,8 +12,8 @@ from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator,
                                characteristic_roots, energy,
                                fractional_derivative, fractional_symbol,
                                mode_coefficients, propagator_multipliers,
-                               read_field, spectral_l2, synthesize, wrap_time,
-                               write_field)
+                               read_field, spectral_l2, sup_bound, synthesize,
+                               wrap_time, write_field)
 
 
 def oracle_multipliers(t, xi, sigma, delta, rtol=1e-12):
@@ -499,6 +499,86 @@ class TestHalfSpectrum:
         g = GridSpec(2, 8, 2.0) if len(shape) == 3 else GridSpec(1, 8, 2.0)
         with pytest.raises(GridMismatchError):
             g.fft(np.zeros(shape))
+
+
+class TestOutArguments:
+    """The transform pair and the multiplier apply with and without ``out``."""
+
+    @staticmethod
+    def half_spectrum(g, rng):
+        # imaginary parts everywhere, the zero and Nyquist columns included,
+        # which irfft does not read
+        shape = g.xi_squared().shape
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
+    def test_pair_is_numpys_nd_pair_bit_for_bit(self, n, N):
+        g = GridSpec(n, N, 3.0)
+        rng = np.random.default_rng(n)
+        axes = tuple(range(-n, 0))
+        u = rng.standard_normal((2,) + g.shape)
+        assert g.fft(u).tobytes() == np.fft.rfftn(u, axes=axes).tobytes()
+        uh = self.half_spectrum(g, rng)
+        kept = uh.copy()
+        want = np.fft.irfftn(uh, s=g.shape, axes=axes)
+        assert g.ifft(uh).tobytes() == want.tobytes()
+        buf = np.empty(g.shape)
+        assert g.ifft(uh, out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert uh.tobytes() == kept.tobytes()
+        spec = np.empty(uh.shape, dtype=complex)
+        assert g.fft(u[0], out=spec) is spec
+        assert spec.tobytes() == np.fft.rfftn(u[0], axes=axes).tobytes()
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
+    def test_sup_bound_holds(self, n, N):
+        g = GridSpec(n, N, 3.0)
+        rng = np.random.default_rng(10 + n)
+        axes = tuple(range(-n, 0))
+        scratch = np.empty(g.xi_squared().shape)
+        for scale in (1.0, 1e-200, 1e200):
+            for _ in range(20):
+                uh = scale * self.half_spectrum(g, rng)
+                sup = np.max(np.abs(np.fft.irfftn(uh, s=g.shape, axes=axes)))
+                bound = sup_bound(uh, g, scratch)
+                assert sup <= bound and bound == sup_bound(uh, g)
+        # a single mode attains it: the bound is the sup of a plane wave
+        uh = np.zeros(g.xi_squared().shape, dtype=complex)
+        uh[(1,) * n] = 2.0
+        sup = np.max(np.abs(g.ifft(uh)))
+        assert sup_bound(uh, g) == pytest.approx(sup, rel=1e-12)
+        uh[(0,) * n] = np.nan
+        assert math.isnan(sup_bound(uh, g))
+        uh[(0,) * n] = np.inf
+        assert sup_bound(uh, g) == math.inf
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_fresh_results_are_not_overwritten(self, n, N):
+        g = GridSpec(n, N, 3.0)
+        rng = np.random.default_rng(20 + n)
+        a, b = self.half_spectrum(g, rng), self.half_spectrum(g, rng)
+        first = g.ifft(a)
+        kept = first.copy()
+        g.ifft(b)
+        g.ifft(b, out=np.empty(g.shape))
+        assert first.tobytes() == kept.tobytes()
+        prop = Propagator.build(MultiplierCache.build(g, 1.5, 0.5), 0.3)
+        first = prop.apply(a, b)
+        kept = [x.copy() for x in first]
+        prop.apply(b, a)
+        prop.apply(b, a, out=(np.empty_like(a), np.empty_like(a)))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, kept))
+
+    def test_apply_out_matches_fresh(self):
+        g = GridSpec(2, 16, 3.0)
+        rng = np.random.default_rng(3)
+        a, b = self.half_spectrum(g, rng), self.half_spectrum(g, rng)
+        prop = Propagator.build(MultiplierCache.build(g, 2.0, 0.5), 0.7)
+        out = (np.empty_like(a), np.empty_like(a))
+        got = prop.apply(a, b, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        for x, y in zip(got, prop.apply(a, b)):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestTwoDimensional:
