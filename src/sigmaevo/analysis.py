@@ -67,9 +67,9 @@ def compare_to_theory(fit: DecayFit, predicted: float, tolerance: float) -> Comp
                              fitted=fit.exponent, predicted=predicted)
 
 
-def default_fit_window(t_end: float, wrap_time: Optional[float] = None,
-                       t_min: float = 10.0) -> Tuple[float, float]:
-    """Tail window: drop t < t_min and anything past the torus wrap time."""
+def default_fit_window(t_end: float, wrap_time: Optional[float] = None) -> Tuple[float, float]:
+    """Tail window: drop t < 10 and anything past the torus wrap time."""
+    t_min = 10.0
     t_max = t_end if wrap_time is None else min(t_end, wrap_time)
     if t_max <= t_min:
         raise DataSeriesError(f"no usable fit window: t_min={t_min}, t_max={t_max}")

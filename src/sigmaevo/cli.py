@@ -173,20 +173,20 @@ def save_run(outdir: str, config: RunConfig, traj: Trajectory,
     if extra_manifest:
         manifest.update(extra_manifest)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh, indent=2, allow_nan=False)
     write_norms_csv(os.path.join(outdir, "norms.csv"), traj)
     if traj.snapshots_u is not None:
         fdir = os.path.join(outdir, "fields")
         os.makedirs(fdir, exist_ok=True)
-        for i, t in enumerate(traj.snapshot_times):
-            write_field(os.path.join(fdir, f"u_{i:06d}.bin"),
-                        traj.snapshots_u[i], config.grid, float(t))
-            write_field(os.path.join(fdir, f"ut_{i:06d}.bin"),
-                        traj.snapshots_ut[i], config.grid, float(t))
+        for i, t in enumerate(traj.times):
+            for name, stack in (("u", traj.snapshots_u), ("ut", traj.snapshots_ut)):
+                write_field(os.path.join(fdir, f"{name}_{i:06d}.bin"),
+                            stack[i], config.grid, float(t))
 
 
 def load_run(outdir: str) -> tuple:
-    """(config, trajectory) reconstructed from a run directory."""
+    """(config, trajectory) reconstructed from a run directory; row i of
+    norms.csv reads the snapshots fields/u_{i:06d}.bin and ut_{i:06d}.bin."""
     manifest = _load_json(os.path.join(outdir, "manifest.json"), "run manifest")
     config = RunConfig.from_dict(manifest["config"])
     _, data = read_norms_csv(os.path.join(outdir, "norms.csv"))
@@ -199,17 +199,16 @@ def load_run(outdir: str) -> tuple:
                       blowup_threshold=manifest.get("blowup_threshold"))
     fdir = os.path.join(outdir, "fields")
     if os.path.isdir(fdir):
-        us = sorted(f for f in os.listdir(fdir) if f.startswith("u_"))
-        snaps_u, snaps_ut, snap_t = [], [], []
-        for name in us:
-            u, _, t = read_field(os.path.join(fdir, name))
-            ut, _, _ = read_field(os.path.join(fdir, name.replace("u_", "ut_")))
-            snaps_u.append(u)
-            snaps_ut.append(ut)
-            snap_t.append(t)
-        traj.snapshot_times = np.asarray(snap_t)
-        traj.snapshots_u = np.asarray(snaps_u)
-        traj.snapshots_ut = np.asarray(snaps_ut)
+        stacks = [np.empty((len(traj.times),) + config.grid.shape) for _ in range(2)]
+        for i, t in enumerate(traj.times.tolist()):
+            for name, stack in zip(("u", "ut"), stacks):
+                path = os.path.join(fdir, f"{name}_{i:06d}.bin")
+                field, grid, time = read_field(path)
+                if (grid, time) != (config.grid, t):
+                    raise ParameterError(f"{path}: header grid {grid} at t = {time!r} does not "
+                                         f"match row {i} of norms.csv, t = {t!r} on {config.grid}")
+                stack[i] = field
+        traj.snapshots_u, traj.snapshots_ut = stacks
     return config, traj
 
 
@@ -378,11 +377,11 @@ def cmd_blowup_scan(args) -> int:
     return 0
 
 
-def _default_R_values(traj: Trajectory, rundir: str, count: int = 10) -> list:
+def _default_R_values(traj: Trajectory, rundir: str) -> list:
     t_hi = float(traj.snapshot_times[-1]) * 0.9
     if t_hi <= 0.0:
         raise CoverageError(f"run directory {rundir}: its field snapshots end at t = 0")
-    return list(np.geomspace(t_hi / 10.0, t_hi, count))
+    return list(np.geomspace(t_hi / 10.0, t_hi, 10))
 
 
 def cmd_check_inequalities(args) -> int:

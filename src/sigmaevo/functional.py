@@ -32,10 +32,11 @@ Three exact facts keep the quadrature cheap.  Psi(|w|) does not depend on
 R, so it is computed once.  The spatial multipliers have real, even
 symbols, so they move from phi_R onto the solution by adjointness,
 sum_x w * S phi = sum_x (S w) * phi, and the operator-applied stacks are
-also computed once.  And phi_R, phi*_R, their time derivatives and PhiR
-vanish identically on every column where |x|^sp + t_0 >= R, so each R
-evaluates the profile, the time stencils and the quadrature on its
-remaining columns only, with no transform.
+also computed once, from one forward transform of the monitored stack.
+And phi_R, phi*_R, their time derivatives and PhiR vanish identically on
+every column where |x|^sp + t_0 >= R, so each R evaluates the profile, the
+time stencils and the quadrature on its remaining columns only, with no
+transform.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import CoverageError, ParameterError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import GridSpec, fractional_derivative
+from .spectral import GridSpec, fractional_symbol
 from .solver import Trajectory
 
 
@@ -90,13 +91,15 @@ class QuinticProfile:
         return np.where(inside, 4.0 * self._s2(y), 0.0)
 
 
+_PROFILE = QuinticProfile()
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Cutoff profile plus the target-dependent scaling exponents."""
+    """The target-dependent scaling exponents of the quintic cutoff."""
 
     __test__ = False   # not a pytest collectible despite the name
 
-    profile: QuinticProfile
     target: Target
     sigma: float
     delta: float
@@ -108,10 +111,8 @@ class TestFunctionSpec:
             raise ParameterError("R_values must be positive and increasing")
 
     @classmethod
-    def for_params(cls, params: EquationParams, R_values: Sequence[float],
-                   profile: Optional[QuinticProfile] = None) -> "TestFunctionSpec":
-        return cls(profile or QuinticProfile(), params.target,
-                   params.sigma, params.delta, tuple(float(r) for r in R_values))
+    def for_params(cls, params: EquationParams, R_values: Sequence[float]) -> "TestFunctionSpec":
+        return cls(params.target, params.sigma, params.delta, tuple(float(r) for r in R_values))
 
     @property
     def scale_power(self) -> float:
@@ -151,7 +152,7 @@ def _cutoff(t, radius, R: float, spec: TestFunctionSpec, n: int):
     if R <= 0:
         raise ParameterError("R must be positive")
     arg = (np.asarray(radius, dtype=float) ** spec.scale_power + np.asarray(t, dtype=float)) / R
-    return arg, spec.profile.value(arg) ** spec.power(n)
+    return arg, _PROFILE.value(arg) ** spec.power(n)
 
 
 # -- finite differences in time (Fornberg weights) ---------------------------
@@ -209,40 +210,29 @@ def time_derivative(arr: np.ndarray, dt: float, order: int) -> np.ndarray:
 
 # -- quadrature over trajectories ---------------------------------------------
 
-def _snapshot_stack(traj: Trajectory):
-    if traj.snapshot_times is None or traj.snapshots_u is None:
-        raise CoverageError("trajectory carries no field snapshots")
-    times = np.asarray(traj.snapshot_times, dtype=float)
-    if len(times) < 6:
-        raise CoverageError("need at least 6 field snapshots")
-    dt = times[1] - times[0]
-    if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(dt, 1e-30):
-        raise CoverageError("field snapshots must be uniformly spaced")
-    return times, float(dt)
-
-
-def _field_for_target(traj: Trajectory, spec: TestFunctionSpec) -> np.ndarray:
-    return traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
-
-
-def _spacetime_quadrature(values: np.ndarray, dt: float, grid: GridSpec) -> float:
-    """Trapezoid in t (axis 0) x Riemann cells in x."""
-    spatial = values.reshape(values.shape[0], -1).sum(axis=1) * grid.cell_volume
-    return float(np.trapezoid(spatial, dx=dt))
-
-
 class _Kernel:
     """The per-R quadrature shared by I_R, J_R and g(R) on a trajectory.
 
-    Construction checks coverage for every R first: the snapshots must reach
-    t = R and the support radius R^(1/sp) must stay within
-    ``spatial_fraction * L``.  Stacks handed to a call are (T, k) arrays on
-    ``columns``, the grid points whose |x|^sp + t_0 lies below the largest R.
+    It reads the trajectory's grid and its monitored stack ``w`` (u on on_u,
+    u_t on on_ut).  Construction checks coverage for every R first: at least
+    6 uniformly spaced snapshots that reach t = R, and a support radius
+    R^(1/sp) within ``spatial_fraction * L``.  Stacks handed to a call are
+    (T, k) arrays on ``columns``, the grid points whose |x|^sp + t_0 lies
+    below the largest R.
     """
 
-    def __init__(self, traj: Trajectory, spec: TestFunctionSpec, grid: GridSpec,
+    def __init__(self, traj: Trajectory, spec: TestFunctionSpec,
                  R_values: Sequence[float], spatial_fraction: float):
-        times, dt = _snapshot_stack(traj)
+        grid = traj.grid
+        w = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
+        if w is None:
+            raise CoverageError("trajectory carries no field snapshots")
+        times = np.asarray(traj.times, dtype=float)
+        if len(times) < 6:
+            raise CoverageError("need at least 6 field snapshots")
+        dt = float(times[1] - times[0])
+        if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(dt, 1e-30):
+            raise CoverageError("field snapshots must be uniformly spaced")
         for R in R_values:
             if times[-1] < R - 1e-12:
                 raise CoverageError(
@@ -256,7 +246,7 @@ class _Kernel:
         near = radius ** spec.scale_power + times[0]
         self.columns = np.flatnonzero(near < max(R_values))
         self.radius, self.near = radius[self.columns], near[self.columns]
-        self.traj, self.spec, self.grid = traj, spec, grid
+        self.w, self.spec, self.grid = w, spec, grid
         self.times, self.dt = times, dt
 
     def _restrict(self, stack: np.ndarray) -> np.ndarray:
@@ -264,20 +254,21 @@ class _Kernel:
 
     def weight(self, mu: ModulusSpec, p0: float) -> np.ndarray:
         """Psi(|w|) on the kernel's columns."""
-        return psi(np.abs(self._restrict(_field_for_target(self.traj, self.spec))), p0, mu)
+        return psi(np.abs(self._restrict(self.w)), p0, mu)
 
     def adjoint(self, params: EquationParams) -> tuple:
         """The solution and the two operator-applied stacks J_R pairs with phi_R.
 
         on_u: (u, (-Lap)^sigma u, (-Lap)^delta u);
         on_ut: (u_t, (-Lap)^sigma u_t, (-Lap)^(sigma/2) u_t).
+        One forward transform of w serves both powers; power 0 is w itself.
         """
-        if self.spec.target == Target.ON_U:
-            w, powers = self.traj.snapshots_u, (2.0 * params.sigma, 2.0 * params.delta)
-        else:
-            w, powers = self.traj.snapshots_ut, (2.0 * params.sigma, params.sigma)
-        return (self._restrict(w),) + tuple(
-            self._restrict(fractional_derivative(w, p, self.grid)) for p in powers)
+        low = 2.0 * params.delta if self.spec.target == Target.ON_U else params.sigma
+        wh = self.grid.fft(self.w)
+        xisq = self.grid.xi_squared()
+        return (self._restrict(self.w),) + tuple(
+            self._restrict(self.grid.ifft(fractional_symbol(xisq, p) * wh) if p else self.w)
+            for p in (2.0 * params.sigma, low))
 
     def __call__(self, R: float, weight: Optional[np.ndarray] = None,
                  adjoint: Optional[tuple] = None) -> tuple:
@@ -309,18 +300,20 @@ class _Kernel:
         return I, J, g
 
     def _integral(self, values: np.ndarray) -> float:
-        return _spacetime_quadrature(values, self.dt, self.grid)
+        """Trapezoid in t (axis 0) x Riemann cells in x."""
+        spatial = values.reshape(values.shape[0], -1).sum(axis=1) * self.grid.cell_volume
+        return float(np.trapezoid(spatial, dx=self.dt))
 
 
 def compute_I_R(traj: Trajectory, mu: ModulusSpec, p0: float, R: float,
-                spec: TestFunctionSpec, grid: Optional[GridSpec] = None) -> float:
+                spec: TestFunctionSpec) -> float:
     """Weighted nonlinearity mass: integral of Psi(|w|) phi_R over Q_R."""
-    kernel = _Kernel(traj, spec, grid or traj.grid, [R], spatial_fraction=1.0)
+    kernel = _Kernel(traj, spec, [R], spatial_fraction=1.0)
     return kernel(R, weight=kernel.weight(mu, p0))[0]
 
 
 def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
-                params: EquationParams, grid: Optional[GridSpec] = None) -> float:
+                params: EquationParams) -> float:
     """Adjoint-operator functional paired with the solution.
 
     on_u:  integral of u * (d2/dt2 phi_R + (-Lap)^sigma phi_R
@@ -333,34 +326,32 @@ def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
     adjointness (phi_R must sit well inside the torus: support radius below
     L/2).
     """
-    kernel = _Kernel(traj, spec, grid or traj.grid, [R], spatial_fraction=0.5)
+    kernel = _Kernel(traj, spec, [R], spatial_fraction=0.5)
     return kernel(R, adjoint=kernel.adjoint(params))[1]
 
 
 # -- averaged functionals -------------------------------------------------------
 
 def compute_g(traj: Trajectory, mu: ModulusSpec, p0: float, r: float,
-              spec: TestFunctionSpec, grid: Optional[GridSpec] = None) -> float:
+              spec: TestFunctionSpec) -> float:
     """g(r) = integral of Psi(|w|) phi*_r over the snapshot coverage."""
-    kernel = _Kernel(traj, spec, grid or traj.grid, [r], spatial_fraction=1.0)
+    kernel = _Kernel(traj, spec, [r], spatial_fraction=1.0)
     return kernel(r, weight=kernel.weight(mu, p0))[2]
 
 
 def compute_G(traj: Trajectory, mu: ModulusSpec, p0: float,
-              spec: TestFunctionSpec, R_grid: Sequence[float],
-              grid: Optional[GridSpec] = None) -> list:
+              spec: TestFunctionSpec, R_grid: Sequence[float]) -> list:
     """Rows (R, g(R), G(R)) with G(R) = integral of g(r)/r dr from 0 to R.
 
     G accumulates by trapezoid in log r, with the leading piece below the
     first grid point extrapolated from the measure scaling g(r) ~ r^(1+n/sp).
     G is nondecreasing because g >= 0.
     """
-    grid = grid or traj.grid
     rs = _increasing(R_grid, "R_grid")
-    kernel = _Kernel(traj, spec, grid, rs, spatial_fraction=1.0)
+    kernel = _Kernel(traj, spec, rs, spatial_fraction=1.0)
     weight = kernel.weight(mu, p0)
     gs = [kernel(r, weight=weight)[2] for r in rs]
-    return list(zip(rs, gs, _accumulate_G(rs, gs, spec.measure_exponent(grid.n))))
+    return list(zip(rs, gs, _accumulate_G(rs, gs, spec.measure_exponent(traj.grid.n))))
 
 
 def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec,
@@ -373,7 +364,7 @@ def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec,
     work.
     """
     rs = _increasing(R_values, "R_values")
-    kernel = _Kernel(traj, spec, traj.grid, rs, spatial_fraction=0.5)
+    kernel = _Kernel(traj, spec, rs, spatial_fraction=0.5)
     weight, adjoint = kernel.weight(mu, p0), kernel.adjoint(params)
     rows = [kernel(R, weight, adjoint) for R in rs]
     Gs = _accumulate_G(rs, [g for _, _, g in rows], spec.measure_exponent(traj.grid.n))

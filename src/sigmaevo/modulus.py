@@ -307,12 +307,11 @@ class AxiomReport:
                 and self.midpoint_concave and self.finite_nonnegative)
 
 
-def check_modulus_axioms(mu: ModulusSpec, sample_count: int = 200,
-                         concavity_tol: float = 1e-10) -> AxiomReport:
+def check_modulus_axioms(mu: ModulusSpec, sample_count: int = 200) -> AxiomReport:
     """Sampled check of mu(0)=0, monotonicity and midpoint concavity.
 
     Evaluates on a log-spaced grid in (0, domain_cap].  Midpoint concavity
-    uses mu((a+b)/2) >= (mu(a)+mu(b))/2 - tol on all sampled pairs, which
+    uses mu((a+b)/2) >= (mu(a)+mu(b))/2 - 1e-10 on all sampled pairs, which
     also works for tabulated data where no second derivative exists.
     """
     if sample_count < 3:
@@ -338,7 +337,7 @@ def check_modulus_axioms(mu: ModulusSpec, sample_count: int = 200,
     gap = mid_vals - (vals[:, None] + vals[None, :]) / 2.0
     iu = np.triu_indices(len(grid), k=1)
     gaps = gap[iu]
-    conc_ok = bool(np.all(gaps >= -concavity_tol))
+    conc_ok = bool(np.all(gaps >= -1e-10))
     worst_conc = None
     if not conc_ok:
         k = int(np.argmin(gaps))
@@ -384,6 +383,7 @@ class CriterionVerdict:
 _CONVERGENT = "convergent"
 _DIVERGENT = "divergent"
 _INCONCLUSIVE = "inconclusive"
+_DOUBLINGS = 20
 
 
 def _classify_analytic(mu: ModulusSpec) -> str:
@@ -394,11 +394,11 @@ def _classify_analytic(mu: ModulusSpec) -> str:
     return _INCONCLUSIVE  # tabulated: no closed form to match
 
 
-def _classify_numeric(mu: ModulusSpec, c0: float, doublings: int) -> CriterionVerdict:
+def _classify_numeric(mu: ModulusSpec, c0: float) -> CriterionVerdict:
     """Doubling test on partial integrals of mu(1/s)/s.
 
     In t = log(s) the tail integral is integral of mu(exp(-t)) dt.  Partial
-    integrals run to t = 2**k * log(c0): under this doubling a logarithmically
+    integrals run to t = 2**k * log(c0), k = 0..20: under this doubling a logarithmically
     divergent tail (log-power alpha=1) yields constant increments, faster
     divergence yields growing ones, and any convergent tail yields increments
     collapsing at a geometric-or-better rate.
@@ -406,14 +406,14 @@ def _classify_numeric(mu: ModulusSpec, c0: float, doublings: int) -> CriterionVe
     from scipy.integrate import quad   # deferred: scipy dominates the package import time
 
     t0 = math.log(c0)
-    edges = [t0 * 2.0 ** k for k in range(doublings + 1)]
+    edges = [t0 * 2.0 ** k for k in range(_DOUBLINGS + 1)]
     increments = []
     for a, b in zip(edges[:-1], edges[1:]):
         val, _ = quad(mu.evaluate_neglog, a, b, limit=200, epsabs=1e-14, epsrel=1e-10)
         increments.append(max(val, 0.0))
     inc = np.array(increments)
     total = float(np.sum(inc))
-    evidence = {"c0": c0, "doublings": doublings,
+    evidence = {"c0": c0, "doublings": _DOUBLINGS,
                 "increments": inc.tolist(), "total": total}
 
     floor = max(1e-14 * max(total, 1.0), 1e-290)
@@ -441,7 +441,7 @@ def _classify_numeric(mu: ModulusSpec, c0: float, doublings: int) -> CriterionVe
 
 
 def classify_integral_criterion(mu: ModulusSpec, c0: float = math.e,
-                                mode: str = "both", doublings: int = 20) -> CriterionVerdict:
+                                mode: str = "both") -> CriterionVerdict:
     """Decide whether the tail integral of mu(1/s)/s converges.
 
     ``mode`` is "analytic" (pattern-match the named family), "numeric"
@@ -457,10 +457,10 @@ def classify_integral_criterion(mu: ModulusSpec, c0: float = math.e,
     if mode == "analytic":
         return CriterionVerdict(_classify_analytic(mu), "analytic", {"c0": c0})
     if mode == "numeric":
-        return _classify_numeric(mu, c0, doublings)
+        return _classify_numeric(mu, c0)
 
     analytic = _classify_analytic(mu)
-    numeric = _classify_numeric(mu, c0, doublings)
+    numeric = _classify_numeric(mu, c0)
     evidence = dict(numeric.evidence)
     evidence["analytic"] = analytic
     if analytic == _INCONCLUSIVE:

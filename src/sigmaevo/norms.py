@@ -85,19 +85,19 @@ def check_embedding(u: np.ndarray, s1: float, s2: float, grid: GridSpec) -> floa
     return lebesgue_norm(u, np.inf, grid) / den
 
 
-def check_fractional_powers(u: np.ndarray, p: float, s: float, grid: GridSpec,
-                            dealias_fraction: float = 2.0 / 3.0) -> float:
+def check_fractional_powers(u: np.ndarray, p: float, s: float, grid: GridSpec) -> float:
     """Ratio ||F(u)||_{Hdot^s} / (||u||_{Hdot^s} ||u||_Linf^(p-1)), F(u) = |u|^p.
 
     Requires s in (n/2, p); the pointwise power is spectrally truncated like
-    the solver's nonlinearity so both routes see the same product rule.
+    the solver's nonlinearity (the default 2/3 band) so both routes see the
+    same product rule.
     """
     if p <= 1.0:
         raise ParameterError("p must exceed 1")
     if not grid.n / 2.0 < s < p:
         raise ParameterError(f"need s in (n/2, p), got s={s}, n/2={grid.n / 2}, p={p}")
     grid.check_field(u)
-    fu = grid.ifft(grid.fft(np.power(np.abs(u), p)) * grid.dealias_mask(dealias_fraction))
+    fu = grid.ifft(grid.fft(np.power(np.abs(u), p)) * grid.dealias_mask())
     den = sobolev_norm(u, s, grid) * lebesgue_norm(u, np.inf, grid) ** (p - 1.0)
     if den == 0.0:
         return 0.0

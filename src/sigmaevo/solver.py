@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+from warnings import warn
 
 import numpy as np
 
 from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
-from .params import EquationParams, Target
+from .params import EquationParams, Target, _select_source, check_admissibility
 from .spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2,
                        sup_bound)
 
@@ -64,8 +65,8 @@ class SolverConfig:
             raise ParameterError("t_end / dt must be finite")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ParameterError("dealias_fraction must lie in (0, 1]")
-        if self.blowup_threshold is not None and not self.blowup_threshold > 0:
-            raise ParameterError("blowup_threshold must be positive")
+        if self.blowup_threshold is not None and not 0 < self.blowup_threshold < math.inf:
+            raise ParameterError("blowup_threshold must be positive and finite")
         if not (self.snapshot_stride >= 1 and float(self.snapshot_stride).is_integer()):
             raise ParameterError("snapshot_stride must be a positive integer")
 
@@ -80,15 +81,19 @@ class BlowUp:
 class Trajectory:
     """Norm time series (and optional field snapshots) from one simulation."""
 
-    times: np.ndarray                      # snapshot times, strictly increasing
+    times: np.ndarray                      # row times, strictly increasing
     norms: np.ndarray                      # shape (len(times), 6), NORM_COLUMNS order
     grid: GridSpec
     params: EquationParams
     blowup: Optional[BlowUp] = None
     blowup_threshold: Optional[float] = None      # the threshold simulate resolved
-    snapshot_times: Optional[np.ndarray] = None
-    snapshots_u: Optional[np.ndarray] = None      # shape (k, *grid.shape)
+    snapshots_u: Optional[np.ndarray] = None      # one per row: (len(times), *grid.shape)
     snapshots_ut: Optional[np.ndarray] = None
+
+    @property
+    def snapshot_times(self) -> Optional[np.ndarray]:
+        """The row times when the trajectory keeps snapshots (one per row)."""
+        return None if self.snapshots_u is None else self.times
 
     def column(self, name: str) -> np.ndarray:
         return self.norms[:, NORM_COLUMNS.index(name)]
@@ -221,16 +226,14 @@ def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams,
 
 def default_blowup_threshold(u0: np.ndarray, u1: np.ndarray) -> float:
     """1e6 x the initial sup-norm scale (guarded for u0 = 0 data)."""
-    scale = max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1))), 1e-12)
-    return 1e6 * scale
+    threshold = 1e6 * max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1))), 1e-12)
+    if threshold == math.inf:
+        raise ParameterError("blowup_threshold: 1e6 x the initial sup norm overflows")
+    return threshold
 
 
 def _warn_if_outside_window(params: EquationParams):
-    from warnings import warn
-
-    from .params import check_admissibility
-    key = "thm_1_3" if params.target == Target.ON_UT else \
-          ("thm_1_2" if params.delta == params.sigma / 2 else "thm_1_1")
+    key = _select_source(params).value
     report = check_admissibility(params)
     if not report.admissible(key):
         bad = report.first_violation(key)
@@ -245,7 +248,7 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
     ``levels``, ``advance(uh, uth, w, dt, out)`` moving the state on by dt
     into the pair ``out`` (w is the monitored field, u or u_t, of the level it
     leaves, or None where that level did not transform it back).  Every
-    ``stride``-th level is a row; a None ``threshold`` leaves only "nan".
+    ``stride``-th level is a row; a None ``threshold`` (u monitored) leaves only "nan".
 
     The state alternates between two preallocated pairs, and the fields a
     level transforms back land in preallocated arrays, except the snapshots
@@ -279,7 +282,7 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
         if on_u:
             # a row's Linf_u is sup |u|: the check reads it rather than retaking it
             sup = norms[NORM_COLUMNS.index("Linf_u")] if row else None
-        elif keep or threshold is None:
+        elif keep:
             sup = None
         else:
             # u_t is transformed back for the check only where its bound from
@@ -301,9 +304,9 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
                 snaps_u.append(u_phys)
                 snaps_ut.append(ut_phys)
 
-    times = np.asarray(row_times, dtype=float)
-    snaps = (times, np.asarray(snaps_u), np.asarray(snaps_ut)) if store_fields else (None,) * 3
-    return Trajectory(times, np.asarray(rows).reshape(len(rows), len(NORM_COLUMNS)), grid, params,
+    snaps = (np.asarray(snaps_u), np.asarray(snaps_ut)) if store_fields else (None, None)
+    return Trajectory(np.asarray(row_times, dtype=float),
+                      np.asarray(rows).reshape(len(rows), len(NORM_COLUMNS)), grid, params,
                       blowup, threshold, *snaps)
 
 
@@ -358,14 +361,13 @@ def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
 
 
 def energy_identity_residuals(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
-                              times: np.ndarray, grid: GridSpec,
-                              gauss_panels: int = 4) -> np.ndarray:
+                              times: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Relative residual of dE/dt = -2 || |D|^delta u_t ||^2 per interval.
 
     E is the energy column of the exact linear trajectory at ``times``; the
     dissipation integrand is evaluated exactly (linear propagator) at
-    composite Gauss-Legendre nodes.  The only error is quadrature, so the
-    residual isolates genuine violations of the dissipation identity.
+    Gauss-Legendre nodes, 5 on each of 4 panels.  The only error is
+    quadrature, so the residual isolates genuine violations of the identity.
     """
     E_vals = simulate_linear(u0, u1, params, times, grid).column("energy")
     cache = MultiplierCache.build(grid, params.sigma, params.delta)
@@ -381,7 +383,7 @@ def energy_identity_residuals(u0: np.ndarray, u1: np.ndarray, params: EquationPa
     for i in range(len(times) - 1):
         a, b = times[i], times[i + 1]
         total = 0.0
-        edges = np.linspace(a, b, gauss_panels + 1)
+        edges = np.linspace(a, b, 5)
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
             total += half * np.sum(weights * np.array([dissipation(mid + half * x) for x in nodes]))

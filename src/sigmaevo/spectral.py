@@ -410,11 +410,11 @@ def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def wrap_time(grid: GridSpec, sigma: float, delta: float,
               data_spectrum: Optional[np.ndarray] = None,
-              support_radius: float = 0.0, tol: float = 1e-4) -> float:
+              support_radius: float = 0.0) -> float:
     """Estimated time before periodic images contaminate a centred solution.
 
     A mode contaminates once its oscillatory group velocity carries it to the
-    boundary while its damped amplitude still exceeds ``tol`` relative to the
+    boundary while its damped amplitude still exceeds 1e-4 relative to the
     data spectrum's peak (wraps fainter than that cannot move a rate fit).
     ``data_spectrum`` is a half spectrum, as returned by ``GridSpec.fft``.
     Overdamped modes do not propagate and are ignored.  Returns inf when no
@@ -443,7 +443,7 @@ def wrap_time(grid: GridSpec, sigma: float, delta: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         t_reach = np.where(vg > 1e-12, distance / np.maximum(vg, 1e-12), np.inf)
     surviving = profile * np.exp(-decay * np.minimum(t_reach, 1e18))
-    contaminating = (omega > 0.0) & (surviving > tol) & np.isfinite(t_reach)
+    contaminating = (omega > 0.0) & (surviving > 1e-4) & np.isfinite(t_reach)
     if not np.any(contaminating):
         return float("inf")
     return float(np.min(t_reach[contaminating]))

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -115,6 +117,18 @@ class TestPersistence:
         assert np.array_equal(traj2.snapshots_u, traj.snapshots_u)
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "u1_mean_positive" in manifest
+
+    def test_loaded_snapshots_are_the_rows(self, tmp_path):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        config = RunConfig.load(path)
+        traj = run_semilinear(config)
+        save_run(tmp_path / "saved", config, traj)
+        _, loaded = load_run(tmp_path / "saved")
+        assert traj.snapshot_times is traj.times and loaded.snapshot_times is loaded.times
+        assert np.array_equal(loaded.times, traj.times)
+        assert np.array_equal(loaded.snapshots_u, traj.snapshots_u)
+        assert np.array_equal(loaded.snapshots_ut, traj.snapshots_ut)
 
     def test_save_run_builds_u1_once(self, tmp_path, monkeypatch):
         path, _ = write_config(tmp_path, data={
@@ -270,6 +284,7 @@ class TestCommands:
         ("solver", "t_end", float("nan"), "t_end must be finite"),
         ("solver", "dt", 1e-320, "t_end / dt must be finite"),
         ("solver", "blowup_threshold", float("nan"), "blowup_threshold must be positive"),
+        ("solver", "blowup_threshold", float("inf"), "blowup_threshold must be positive"),
         ("params", "p", float("nan"), "p must be finite and exceed 1"),
         ("params", "p", float("inf"), "p must be finite and exceed 1"),
         ("params", "r", float("nan"), "r must be finite and nonnegative"),
@@ -392,6 +407,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert str(snapshot) in err and "does not match" in err
 
+    @pytest.mark.parametrize("damage", ["ut-time", "u-time", "missing-ut"])
+    def test_blowup_scan_snapshot_off_its_row_named_cleanly(self, tmp_path, capsys, damage):
+        # row i of norms.csv reads fields/u_{i:06d}.bin and ut_{i:06d}.bin, whose
+        # header times must equal the row's; an edited ut_ time once loaded silently
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        fields = rundir / "fields"
+        if damage == "missing-ut":
+            named = fields / "ut_000004.bin"
+            named.unlink()
+        else:
+            named = fields / ("ut_000002.bin" if damage == "ut-time" else "u_000002.bin")
+            header, _, payload = named.read_bytes().partition(b"\n")
+            named.write_bytes(re.sub(rb"time=\S+", b"time=1.25", header) + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert str(named) in err and "Traceback" not in err
+
+    def test_run_without_rows_loads_empty_stacks(self, tmp_path):
+        solver = dict(small_config_doc(tmp_path)["solver"], blowup_threshold=0.001,
+                      store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        assert (rundir / "fields").is_dir() and not list((rundir / "fields").iterdir())
+        _, traj = load_run(rundir)
+        assert traj.snapshots_u.shape == traj.snapshots_ut.shape == (0, 256)
+        assert traj.snapshot_times is traj.times
+
     def test_manifest_records_resolved_threshold(self, tmp_path):
         path, _ = write_config(tmp_path)
         out = tmp_path / "run"
@@ -454,6 +501,36 @@ class TestCommands:
         lines = ledger.read_text().strip().splitlines()
         assert len(lines) == 2
         assert "PASS" in lines[1]
+
+
+def strict_json(path):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not standard JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("threshold", [None, 1e3, math.inf])
+    def test_written_json_is_standard(self, tmp_path, capsys, threshold):
+        # an infinite threshold once ran and wrote Infinity into every manifest
+        solver = dict(small_config_doc(tmp_path)["solver"], blowup_threshold=threshold)
+        path, doc = write_config(tmp_path, solver=solver)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"base": doc, "sweep": {"data.u0.amplitude": [0.01, 0.02]}}))
+        out = tmp_path / "out"
+        codes = [main(["semilinear", "--config", str(path), "--out", str(out / "semilinear")]),
+                 main(["linear-decay", "--config", str(path), "--out", str(out / "linear"),
+                       "--window-lo", "1", "--window-hi", "4"]),
+                 main(["sweep", "--config", str(sweep), "--out", str(out / "sweep")])]
+        written = sorted(out.rglob("*.json"))
+        for name in written:
+            strict_json(name)
+        if threshold == math.inf:
+            assert codes == [2, 2, 1] and written == []
+            assert "blowup_threshold must be positive and finite" in capsys.readouterr().err
+        else:
+            assert codes == [0, 0, 0] and len(written) == 4
 
 
 class TestReproducibility:

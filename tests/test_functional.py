@@ -33,7 +33,7 @@ def frozen_trajectory(grid, value=1.0, t_end=4.0, dt=0.02, params=None):
     fields = np.full((len(times),) + grid.shape, value)
     return Trajectory(times=times, norms=np.zeros((len(times), 6)),
                       grid=grid, params=params,
-                      snapshot_times=times, snapshots_u=fields,
+                      snapshots_u=fields,
                       snapshots_ut=fields.copy())
 
 
@@ -479,7 +479,7 @@ def moving_trajectory(grid, params, t_end, dt, seed):
         return out + rng.uniform(0.1, 0.3)
 
     return Trajectory(times=times, norms=np.zeros((len(times), 6)), grid=grid,
-                      params=params, snapshot_times=times,
+                      params=params,
                       snapshots_u=stack(), snapshots_ut=stack())
 
 

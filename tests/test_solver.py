@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from sigmaevo.modulus import ModulusSpec, psi
 from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
 from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _norm_row,
-                             _Stepper, blow_up_detect, default_blowup_threshold,
-                             energy_identity_residuals, simulate,
-                             simulate_linear)
+                             _Stepper, _warn_if_outside_window, blow_up_detect,
+                             default_blowup_threshold, energy_identity_residuals,
+                             simulate, simulate_linear)
 from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator, energy, plancherel_sum,
                                spectral_l2, sup_bound)
 
@@ -613,6 +615,51 @@ class TestTrajectory:
             SolverConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ParameterError):
             SolverConfig(dt=0.1, t_end=1.0, dealias_fraction=1.5)
+
+    @pytest.mark.parametrize("threshold", [math.inf, 0.0])
+    def test_threshold_positive_and_finite(self, threshold):
+        # an infinite threshold once ran and wrote Infinity into manifest.json
+        with pytest.raises(ParameterError, match="blowup_threshold must be positive and finite"):
+            SolverConfig(dt=0.1, t_end=1.0, blowup_threshold=threshold)
+
+    def test_default_threshold_overflow_named(self, grid):
+        u0 = gaussian(grid, amplitude=1e303)
+        with pytest.raises(ParameterError, match="blowup_threshold"):
+            default_blowup_threshold(u0, np.zeros_like(u0))
+
+    @pytest.mark.parametrize("store_fields", [False, True])
+    def test_snapshot_times_are_the_rows(self, grid, params, mu, store_fields):
+        u0 = gaussian(grid, amplitude=0.01)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, snapshot_stride=3, store_fields=store_fields)
+        traj = simulate(u0, np.zeros_like(u0), params, mu, cfg, grid)
+        if store_fields:
+            assert traj.snapshot_times is traj.times
+            assert len(traj.snapshots_u) == len(traj.snapshots_ut) == len(traj.times)
+        else:
+            assert traj.snapshot_times is None
+
+
+class TestTheoremWindowWarning:
+    """simulate warns about the window of the theorem params._select_source picks."""
+
+    @pytest.mark.parametrize("kwargs,key,violated", [
+        (dict(sigma=1, delta=0, r=0.25), "thm_1_1", "n < 2r"),          # on_u, delta < sigma/2
+        (dict(sigma=2, delta=1, r=1), "thm_1_2", "m*sigma < n"),        # on_u, delta = sigma/2
+        (dict(sigma=2, delta=1, r=2, target="on_ut"), "thm_1_3", "r > sigma + n/2"),
+    ])
+    def test_outside_window_names_theorem(self, kwargs, key, violated):
+        p = EquationParams(m=1, n=1, p=3, **kwargs)
+        with pytest.warns(UserWarning, match=re.escape(f"outside the {key} window ({violated}:")):
+            _warn_if_outside_window(p)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(sigma=1, delta=0, r=1),                         # thm_1_1
+        dict(sigma=2, delta=1, r=3, target="on_ut"),         # thm_1_3
+    ])
+    def test_inside_window_is_silent(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _warn_if_outside_window(EquationParams(m=1, n=1, p=3, **kwargs))
 
 
 class TestNormRow:
