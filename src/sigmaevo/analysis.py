@@ -58,8 +58,8 @@ def fit_decay(series: Sequence, window: Tuple[float, float]) -> DecayFit:
 
 def compare_to_theory(fit: DecayFit, predicted: float, tolerance: float) -> ComparisonVerdict:
     """Pass iff |fitted - predicted| <= tolerance; margin is the slack left."""
-    if tolerance <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:   # written so that NaN fails it
+        raise ParameterError("tolerance must be positive and finite")
     predicted = float(predicted)
     diff = abs(fit.exponent - predicted)
     return ComparisonVerdict(passed=bool(diff <= tolerance),

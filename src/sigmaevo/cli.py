@@ -51,6 +51,9 @@ class DataSpec:
     def __post_init__(self):
         if self.family not in ("zero", "gaussian", "cosine-bump", "from-file"):
             raise ConfigError(f"unknown data family {self.family!r}")
+        for key in ("amplitude", "width", "center"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"data {key} must be finite")
         if self.family in ("gaussian", "cosine-bump") and self.width <= 0:
             raise ConfigError("data width must be positive")
         if self.family == "from-file" and not self.path:
@@ -111,6 +114,8 @@ class RunConfig:
             raise ConfigError(f"config missing required key: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        if params.n != grid.n:
+            raise ConfigError(f"params.n = {params.n} does not match grid.n = {grid.n}")
         return cls(params=params, mu_key=mu_key, grid=grid, solver=solver,
                    u0=u0, u1=u1, output_dir=doc.get("output_dir"))
 
@@ -151,9 +156,16 @@ def write_norms_csv(path: str, traj: Trajectory):
 def read_norms_csv(path: str):
     with open(path) as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ParameterError(f"{path}: empty file, no header row")
     header, body = rows[0], rows[1:]
     # shape (0, ncols) when the run ended before its first row
-    data = np.array([[float(v) for v in row] for row in body]).reshape(len(body), len(header))
+    data = np.empty((len(body), len(header)))
+    for i, row in enumerate(body):
+        try:   # a cell that is no number, or a row of the wrong length
+            data[i] = [float(v) for v in row]
+        except ValueError as exc:
+            raise ParameterError(f"{path}: row {i}: {exc}") from exc
     return header, data
 
 
@@ -189,7 +201,11 @@ def load_run(outdir: str) -> tuple:
     norms.csv reads the snapshots fields/u_{i:06d}.bin and ut_{i:06d}.bin."""
     manifest = _load_json(os.path.join(outdir, "manifest.json"), "run manifest")
     config = RunConfig.from_dict(manifest["config"])
-    _, data = read_norms_csv(os.path.join(outdir, "norms.csv"))
+    norms_path = os.path.join(outdir, "norms.csv")
+    header, data = read_norms_csv(norms_path)
+    if header != ["t", *NORM_COLUMNS]:
+        raise ParameterError(f"{norms_path}: header {','.join(header)} is not "
+                             f"{','.join(('t',) + NORM_COLUMNS)}")
     blowup = None
     if manifest.get("blowup"):
         from .solver import BlowUp
@@ -299,10 +315,11 @@ def cmd_linear_decay(args) -> int:
     outdir = _resolve_outdir(config, args.out)
     u0 = config.u0.build(config.grid)
     u1 = config.u1.build(config.grid)
-    stride_dt = config.solver.dt * config.solver.snapshot_stride
-    times = np.arange(0.0, config.solver.t_end + 0.5 * stride_dt, stride_dt)
+    # the row times of a semilinear run of the same config
+    solver = config.solver
+    times = np.arange(0, solver.n_steps + 1, solver.snapshot_stride) * solver.dt
     traj = simulate_linear(u0, u1, config.params, times, config.grid,
-                           store_fields=config.solver.store_fields)
+                           store_fields=solver.store_fields)
     window = _fit_window(config, u0, u1, (args.window_lo, args.window_hi)
                          if args.window_lo is not None else None)
     fit = analysis.fit_decay(traj.series("L2_u"), window)

@@ -105,11 +105,6 @@ class TestFunctionSpec:
     delta: float
     R_values: tuple
 
-    def __post_init__(self):
-        rs = self.R_values
-        if len(rs) == 0 or any(r <= 0 for r in rs) or list(rs) != sorted(rs):
-            raise ParameterError("R_values must be positive and increasing")
-
     @classmethod
     def for_params(cls, params: EquationParams, R_values: Sequence[float]) -> "TestFunctionSpec":
         return cls(params.target, params.sigma, params.delta, tuple(float(r) for r in R_values))
@@ -373,8 +368,9 @@ def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec,
 
 def _increasing(values: Sequence[float], name: str) -> list:
     rs = [float(r) for r in values]
-    if rs != sorted(rs) or any(r <= 0 for r in rs):
-        raise ParameterError(f"{name} must be positive and increasing")
+    # written so that NaN and inf fail it
+    if not (rs and all(0 < r < math.inf for r in rs) and rs == sorted(rs)):
+        raise ParameterError(f"{name} must be positive, finite and increasing")
     return rs
 
 

@@ -292,6 +292,10 @@ def psi(s, p: float, mu: ModulusSpec, out: Optional[np.ndarray] = None):
 
 # -- axiom checking -------------------------------------------------------
 
+# log-spaced sample points of (0, domain_cap] that the axiom and slope checks read
+SAMPLE_COUNT = 200
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     zero_at_zero: bool
@@ -307,17 +311,15 @@ class AxiomReport:
                 and self.midpoint_concave and self.finite_nonnegative)
 
 
-def check_modulus_axioms(mu: ModulusSpec, sample_count: int = 200) -> AxiomReport:
+def check_modulus_axioms(mu: ModulusSpec) -> AxiomReport:
     """Sampled check of mu(0)=0, monotonicity and midpoint concavity.
 
     Evaluates on a log-spaced grid in (0, domain_cap].  Midpoint concavity
     uses mu((a+b)/2) >= (mu(a)+mu(b))/2 - 1e-10 on all sampled pairs, which
     also works for tabulated data where no second derivative exists.
     """
-    if sample_count < 3:
-        raise ParameterError("sample_count must be at least 3")
     cap = mu.domain_cap
-    grid = np.concatenate([[0.0], np.logspace(np.log10(cap) - 8, np.log10(cap), sample_count)])
+    grid = np.concatenate([[0.0], np.logspace(np.log10(cap) - 8, np.log10(cap), SAMPLE_COUNT)])
     vals = mu.evaluate(grid)
 
     zero_ok = vals[0] == 0.0
@@ -346,7 +348,7 @@ def check_modulus_axioms(mu: ModulusSpec, sample_count: int = 200) -> AxiomRepor
     return AxiomReport(zero_ok, mono_ok, conc_ok, finite_ok, worst_mono, worst_conc)
 
 
-def check_derivative_bound(mu: ModulusSpec, sample_count: int = 200) -> float:
+def check_derivative_bound(mu: ModulusSpec) -> float:
     """Supremum of s*mu'(s)/mu(s) over a log-spaced sample of (0, domain_cap].
 
     The slope condition asks for this ratio to stay bounded; no universal
@@ -354,10 +356,8 @@ def check_derivative_bound(mu: ModulusSpec, sample_count: int = 200) -> float:
     Sample points where mu(s) = 0 with s > 0 are excluded (with a warning);
     if every one is, ParameterError.
     """
-    if sample_count < 3:
-        raise ParameterError("sample_count must be at least 3")
     cap = mu.domain_cap
-    grid = np.logspace(np.log10(cap) - 8, np.log10(cap), sample_count)
+    grid = np.logspace(np.log10(cap) - 8, np.log10(cap), SAMPLE_COUNT)
     vals = np.asarray(mu.evaluate(grid))
     dvals = np.asarray(mu.derivative(grid))
     ok = vals > 0.0

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
-from .params import EquationParams, Target, _select_source, check_admissibility
+from .params import EquationParams, Target, theorem_window
 from .spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2,
                        sup_bound)
 
@@ -69,6 +69,11 @@ class SolverConfig:
             raise ParameterError("blowup_threshold must be positive and finite")
         if not (self.snapshot_stride >= 1 and float(self.snapshot_stride).is_integer()):
             raise ParameterError("snapshot_stride must be a positive integer")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps from t = 0 to t_end, rounded to the nearest whole step."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -233,11 +238,9 @@ def default_blowup_threshold(u0: np.ndarray, u1: np.ndarray) -> float:
 
 
 def _warn_if_outside_window(params: EquationParams):
-    key = _select_source(params).value
-    report = check_admissibility(params)
-    if not report.admissible(key):
-        bad = report.first_violation(key)
-        warn(f"parameters outside the {key} window ({bad.name}: {bad.detail}); "
+    source, bad = theorem_window(params)
+    if bad is not None:
+        warn(f"parameters outside the {source.value} window ({bad.name}: {bad.detail}); "
              "running anyway")
 
 
@@ -326,8 +329,7 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     if threshold is None:
         threshold = default_blowup_threshold(u0, u1)
     stepper = _Stepper(params, mu, config, grid)
-    n_steps = int(round(config.t_end / config.dt))
-    return _march(u0, u1, grid, params, np.arange(n_steps + 1) * config.dt,
+    return _march(u0, u1, grid, params, np.arange(config.n_steps + 1) * config.dt,
                   lambda uh, uth, w, dt, out: stepper.step(uh, uth, w, out=out),
                   params.target, threshold,
                   config.snapshot_stride, config.store_fields)

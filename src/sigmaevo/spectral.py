@@ -59,8 +59,8 @@ class GridSpec:
             raise ParameterError("grid dimension must be 1, 2 or 3")
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ParameterError("N must be a power of two, at least 4")
-        if self.L <= 0:
-            raise ParameterError("L must be positive")
+        if not 0 < self.L < np.inf:   # written so that NaN fails it
+            raise ParameterError("L must be positive and finite")
 
     @property
     def shape(self) -> tuple:

@@ -94,6 +94,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="params"):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
+    def test_params_n_must_match_grid_n(self, tmp_path, capsys, command):
+        # a 3D params.n on a 1D grid once ran the numerics in 1D and the
+        # window warning, rates and predicted exponent in 3D
+        doc = small_config_doc(tmp_path)
+        doc["params"]["n"] = 3
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 2
+        assert "params.n = 3 does not match grid.n = 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_parameter_propagates(self, tmp_path):
         doc = small_config_doc(tmp_path)
         doc["params"]["delta"] = 3.0
@@ -204,6 +216,19 @@ class TestCommands:
         assert (out / "fit.csv").exists()
         assert "PASS" in capsys.readouterr().out
 
+    def test_linear_decay_rows_are_the_semilinear_rows(self, tmp_path):
+        # with t_end = 1, dt = 0.05 and stride 3 the rows stop at step 18,
+        # t = 0.9; linear-decay once wrote one more, at t = 1.05 > t_end
+        solver = dict(small_config_doc(tmp_path)["solver"], t_end=1.0, snapshot_stride=3)
+        path, _ = write_config(tmp_path, solver=solver)
+        semi, lin = tmp_path / "semi", tmp_path / "lin"
+        assert main(["semilinear", "--config", str(path), "--out", str(semi)]) == 0
+        assert main(["linear-decay", "--config", str(path), "--out", str(lin),
+                     "--window-lo", "0", "--window-hi", "1"]) == 0
+        times = [[row[0] for row in csv.reader((d / "norms.csv").read_text().splitlines())][1:]
+                 for d in (semi, lin)]
+        assert times[0] == times[1] == [repr(k * 0.05) for k in range(0, 19, 3)]
+
     def test_semilinear_blowup_is_exit_zero(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,
@@ -290,17 +315,49 @@ class TestCommands:
         ("params", "r", float("nan"), "r must be finite and nonnegative"),
         ("params", "r", float("inf"), "r must be finite and nonnegative"),
         ("params", "sigma", float("nan"), "sigma must be finite and >= 1"),
-        ("params", "sigma", float("inf"), "sigma must be finite and >= 1")])
+        ("params", "sigma", float("inf"), "sigma must be finite and >= 1"),
+        ("grid", "L", float("nan"), "L must be positive and finite"),
+        ("grid", "L", float("inf"), "L must be positive and finite"),
+        ("data.u0", "amplitude", float("inf"), "data amplitude must be finite"),
+        ("data.u0", "amplitude", float("nan"), "data amplitude must be finite"),
+        ("data.u0", "width", float("inf"), "data width must be finite"),
+        ("data.u0", "width", float("nan"), "data width must be finite"),
+        ("data.u0", "center", float("nan"), "data center must be finite"),
+        ("data.u0", "center", float("inf"), "data center must be finite")])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, section, key, value, named):
         # NaN dt or t_end, an infinite t_end, r or sigma ended in tracebacks; a
-        # NaN p recorded a false blow-up and a NaN threshold could never escape
+        # NaN p recorded a false blow-up and a NaN threshold could never escape;
+        # an infinite amplitude was blamed on the default blow-up threshold
         doc = small_config_doc(tmp_path)
-        doc[section][key] = value
+        node = doc
+        for name in section.split("."):
+            node = node[name]
+        node[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["semilinear", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("command", ["linear-decay", "fit"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tolerance):
+        # a NaN tolerance once wrote nan into fit.csv, and an infinite one
+        # passed any fit
+        path, _ = write_config(tmp_path)
+        window = ["--window-lo", "0", "--window-hi", "5", "--tolerance", tolerance]
+        if command == "fit":
+            assert main(["semilinear", "--config", str(path)]) == 0
+            argv = ["fit", str(tmp_path / "run" / "norms.csv"), "L2_u",
+                    "--predicted", "-0.25", "--ledger", str(tmp_path / "fits.csv")]
+            written = tmp_path / "fits.csv"
+        else:
+            argv = ["linear-decay", "--config", str(path)]
+            written = tmp_path / "run"
+        capsys.readouterr()
+        assert main(argv + window) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not written.exists()
 
     def test_non_finite_modulus_config_exits_2(self, tmp_path, capsys):
         # log-power:nan once ran and recorded a false blow-up
@@ -394,6 +451,58 @@ class TestCommands:
         assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert str(field) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["blowup-scan", "fit"])
+    @pytest.mark.parametrize("damage", ["non-numeric", "ragged", "empty"])
+    def test_damaged_norms_csv_named_cleanly(self, tmp_path, capsys, command, damage):
+        # a non-numeric cell once ended in a ValueError traceback, an empty
+        # file (fit) in an IndexError one
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        norms_csv = rundir / "norms.csv"
+        lines = norms_csv.read_text().splitlines(keepends=True)
+        if damage == "non-numeric":
+            lines[3] = lines[3].replace(",", ",x", 1)
+        elif damage == "ragged":
+            lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
+        norms_csv.write_text("".join(lines) if damage != "empty" else "")
+        named = str(norms_csv) + (": empty file" if damage == "empty" else ": row 2:")
+        argv = (["blowup-scan", str(rundir)] if command == "blowup-scan" else
+                ["fit", str(norms_csv), "L2_u", "--window-lo", "0", "--window-hi", "5",
+                 "--ledger", str(tmp_path / "fits.csv")])
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (rundir / "functional.csv").exists() and not (tmp_path / "fits.csv").exists()
+
+    def test_blowup_scan_norms_csv_without_energy_named_cleanly(self, tmp_path, capsys):
+        # load_run once ignored the header: a norms.csv without a column scanned
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        norms_csv = rundir / "norms.csv"
+        rows = list(csv.reader(norms_csv.read_text().splitlines()))
+        norms_csv.write_text("".join(",".join(row[:-1]) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert str(norms_csv) in err and "is not t,L2_u,Hr_u,L2_ut,Hrs_ut,Linf_u,energy" in err
+        assert not (rundir / "functional.csv").exists()
+
+    @pytest.mark.parametrize("R", [["nan"], ["1", "nan"], ["inf"], ["0.5", "inf"], ["2", "1"]])
+    def test_blowup_scan_bad_R_values_exit_2(self, tmp_path, capsys, R):
+        # --R nan once wrote a functional.csv row with R = nan and "violated"
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir), "--R", *R]) == 2
+        assert "R_values must be positive, finite and increasing" in capsys.readouterr().err
+        assert not (rundir / "functional.csv").exists()
 
     def test_blowup_scan_truncated_snapshot_named_cleanly(self, tmp_path, capsys):
         solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)

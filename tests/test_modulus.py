@@ -318,10 +318,6 @@ class TestAxioms:
         report = check_modulus_axioms(ModulusSpec.log_power(1.0))
         assert isinstance(report, AxiomReport)
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ParameterError):
-            check_modulus_axioms(ModulusSpec.lipschitz(), sample_count=2)
-
 
 class TestDerivativeBound:
     def test_lipschitz_is_one(self):

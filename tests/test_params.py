@@ -1,12 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from sigmaevo.errors import AdmissibilityError, ParameterError
-from sigmaevo.params import (DataClass, EquationParams, RateSource, Target,
-                             check_admissibility, critical_exponent,
-                             predict_linear_rate, predict_theorem_rates,
-                             proposition_exponents)
+from sigmaevo.params import (EquationParams, RateSource, Target, check_admissibility,
+                             critical_exponent, predict_linear_rate,
+                             predict_theorem_rates, theorem_window)
 
 
 class TestValidation:
@@ -99,30 +99,33 @@ class TestLinearRates:
         p = EquationParams(sigma=2, delta=1, m=1, n=1, p=2, r=2)
         assert predict_linear_rate(p, 0, 0) == (Fraction(-1, 4), Fraction(3, 4))
 
-    def test_l2_only_branch(self):
-        p = EquationParams(sigma=2, delta=1, m=1, n=1, p=2, r=2)
-        assert predict_linear_rate(p, 0, 0, DataClass.L2_ONLY) == (0, 1)
-
-    def test_m2_degenerates_to_l2_branch(self):
-        # the mixing gain (1/m - 1/2) vanishes at m = 2, so the formula value
-        # must equal the pure-L2 branch for every (a, j)
-        for sigma, delta, n in [(1, 0.5, 1), (2, 0.3, 2), (1.5, 0.75, 3)]:
-            for a in (0, 0.5, 2):
-                for j in (0, 1):
-                    full = proposition_exponents(sigma, delta, 2, n, a, j,
-                                                 DataClass.LM_CAP_L2)
-                    l2 = proposition_exponents(sigma, delta, 1, n, a, j,
-                                               DataClass.L2_ONLY)
-                    assert full == l2
-
     def test_sharp_form_requires_dimension(self):
-        # n <= 2*m0*delta: strict mode refuses, default falls back
+        # n <= 2*m0*delta: the non-sharp fallback carries the +1 on the u1 term
         p = EquationParams(sigma=2, delta=0.9, m=1, n=3, p=2, r=2)
-        with pytest.raises(AdmissibilityError):
-            predict_linear_rate(p, 0, 0, strict=True)
         e0, e1 = predict_linear_rate(p, 0, 0)
-        # fallback carries the +1 on the u1 term
         assert e1 - e0 == 1
+
+    def test_equals_replaced_formula(self):
+        # exact rational equality with the two-function form it replaced,
+        # over every branch: borderline, sharp and fallback
+        branches = set()
+        for sigma in (1, 1.5, 2, 3):
+            for frac in (0, 0.1, 0.25, 0.45, 0.9, 1):
+                delta = frac * sigma / 2
+                for m in (1, 1.25, 1.5, 1.75):
+                    for n in (1, 2, 3):
+                        for r in (0.5 * sigma, sigma, 1.3):
+                            p = EquationParams(sigma=sigma, delta=delta, m=m, n=n, p=2, r=r)
+                            for a in (0, 0.5, p.r):
+                                for j in (0, 1):
+                                    got = predict_linear_rate(p, a, j)
+                                    assert got == replaced_proposition_exponents(
+                                        sigma, delta, m, n, a, j)
+                                    assert all(type(e) is Fraction for e in got)
+                            branches.add("borderline" if p.borderline else
+                                         "sharp" if n > 2 * p.m0 * Fraction(delta) else
+                                         "fallback")
+        assert branches == {"borderline", "sharp", "fallback"}
 
     def test_invalid_j(self):
         p = EquationParams(sigma=1, delta=0, m=1, n=1, p=3)
@@ -152,7 +155,7 @@ class TestTheoremRates:
         p = EquationParams(sigma=1, delta=0.5, m=1, n=1, p=2, r=1)
         with pytest.raises(AdmissibilityError):
             predict_theorem_rates(p)
-        pred = predict_theorem_rates(p, check=False)
+        pred = predict_theorem_rates(p, RateSource.THM_1_2)
         assert pred.exponent_u_L2 == Fraction(1, 2)
 
     def test_on_ut_rates(self):
@@ -172,8 +175,8 @@ class TestTheoremRates:
             for r_mult in (0.5, 1.0):
                 p = EquationParams(sigma=sigma, delta=sigma / 2, m=m, n=n, p=2,
                                    r=sigma * r_mult)
-                lhs = predict_theorem_rates(p, RateSource.THM_1_1, check=False)
-                rhs = predict_theorem_rates(p, RateSource.THM_1_2, check=False)
+                lhs = predict_theorem_rates(p, RateSource.THM_1_1)
+                rhs = predict_theorem_rates(p, RateSource.THM_1_2)
                 assert lhs.exponent_u_L2 == rhs.exponent_u_L2
 
     def test_derivative_norm_decays_no_slower(self):
@@ -182,6 +185,56 @@ class TestTheoremRates:
                  (3, 1, 1, 2, 2.5), (1.5, 0.5, 1.2, 1, 1.4)]
         for sigma, delta, m, n, r in cases:
             p = EquationParams(sigma=sigma, delta=delta, m=m, n=n, p=2, r=r)
-            pred = predict_theorem_rates(p, RateSource.THM_1_1, check=False)
+            pred = predict_theorem_rates(p, RateSource.THM_1_1)
             if r >= 2 * delta:
                 assert pred.exponent_Dr_u_L2 <= pred.exponent_u_L2
+
+
+class TestTheoremWindow:
+    @pytest.mark.parametrize("kwargs,source", [
+        (dict(sigma=1, delta=0, r=1), RateSource.THM_1_1),
+        (dict(sigma=2, delta=1, n=3, r=2), RateSource.THM_1_2),
+        (dict(sigma=2, delta=1, r=2.6, target="on_ut"), RateSource.THM_1_3),
+    ])
+    def test_selects_theorem_inside_its_window(self, kwargs, source):
+        p = EquationParams(**dict(dict(m=1, n=1, p=3), **kwargs))
+        assert theorem_window(p) == (source, None)
+        assert predict_theorem_rates(p).source == source
+
+    def test_rates_raise_on_the_first_violation(self):
+        p = EquationParams(sigma=1, delta=0.5, m=1, n=1, p=2, r=1)
+        source, bad = theorem_window(p)
+        assert (source, bad.name) == (RateSource.THM_1_2, "m*sigma < n")
+        with pytest.raises(AdmissibilityError,
+                           match=re.escape(f"thm_1_2 violated: {bad.name} ({bad.detail})")):
+            predict_theorem_rates(p)
+
+
+# -- the linear-rate formula before it was folded, kept as the oracle ----------
+#
+# proposition_exponents as it was with its defaults (data in L^m and L^2, the
+# fallback instead of an error), working from the raw floats rather than from
+# params.mixing_gain and params.m0; predict_linear_rate must equal it exactly.
+
+def replaced_proposition_exponents(sigma, delta, m, n, a, j):
+    sigma, delta, m, n = Fraction(sigma), Fraction(delta), Fraction(m), Fraction(n)
+    a, j = Fraction(a), Fraction(j)
+    gain = 1 / m - Fraction(1, 2)
+
+    if delta == sigma / 2:
+        base = -(n / sigma) * gain
+        e0 = base - a / sigma - j
+        e1 = 1 + base - a / sigma - j
+        return e0, e1
+
+    m0 = 1 / (1 / m - Fraction(1, 2)) if m < 2 else None
+    sharp_ok = delta == 0 or (m0 is not None and n > 2 * m0 * delta) or gain == 0
+    two_sd = 2 * (sigma - delta)
+    base = -(n / two_sd) * gain
+    if sharp_ok:
+        e0 = base - a / two_sd - j
+        e1 = base - (a - 2 * delta) / two_sd - j
+        return e0, e1
+    e0 = base - (a + 2 * j * delta) / two_sd
+    e1 = 1 + base - (a + 2 * j * delta) / two_sd
+    return e0, e1

@@ -640,7 +640,7 @@ class TestTrajectory:
 
 
 class TestTheoremWindowWarning:
-    """simulate warns about the window of the theorem params._select_source picks."""
+    """simulate warns about the window of the theorem params.theorem_window picks."""
 
     @pytest.mark.parametrize("kwargs,key,violated", [
         (dict(sigma=1, delta=0, r=0.25), "thm_1_1", "n < 2r"),          # on_u, delta < sigma/2
