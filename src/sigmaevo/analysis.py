@@ -22,8 +22,6 @@ class DecayFit:
 class ComparisonVerdict:
     passed: bool
     margin: float          # tolerance - |fit - predicted|; negative when failing
-    fitted: float
-    predicted: float
 
 
 def fit_decay(series: Sequence, window: Tuple[float, float]) -> DecayFit:
@@ -60,11 +58,8 @@ def compare_to_theory(fit: DecayFit, predicted: float, tolerance: float) -> Comp
     """Pass iff |fitted - predicted| <= tolerance; margin is the slack left."""
     if not 0 < tolerance < np.inf:   # written so that NaN fails it
         raise ParameterError("tolerance must be positive and finite")
-    predicted = float(predicted)
-    diff = abs(fit.exponent - predicted)
-    return ComparisonVerdict(passed=bool(diff <= tolerance),
-                             margin=float(tolerance - diff),
-                             fitted=fit.exponent, predicted=predicted)
+    diff = abs(fit.exponent - float(predicted))
+    return ComparisonVerdict(passed=bool(diff <= tolerance), margin=float(tolerance - diff))
 
 
 def default_fit_window(t_end: float, wrap_time: Optional[float] = None) -> Tuple[float, float]:

@@ -145,12 +145,24 @@ def _dataspec_dict(d: DataSpec) -> dict:
 
 # -- run persistence -----------------------------------------------------------
 
-def write_norms_csv(path: str, traj: Trajectory):
-    with open(path, "w", newline="") as fh:
+def write_table(path: str, header, rows, append: bool = False):
+    """Write one CSV table: a float cell (numpy floats included) as
+    repr(float(v)), so it reads back bit for bit, any other cell unchanged.
+    Appending writes the header only into a new file."""
+    new = not (append and os.path.exists(path))
+    with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("t",) + NORM_COLUMNS)
-        for t, row in zip(traj.times, traj.norms):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        if new:
+            writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def write_norms_csv(path: str, traj: Trajectory):
+    # no table-sized temporary: one (column_stack or tolist) raised linear-2d's
+    # peak RSS and scan-1d's page faults per job
+    write_table(path, ("t",) + NORM_COLUMNS,
+                ([t, *row] for t, row in zip(traj.times, traj.norms)))
 
 
 def read_norms_csv(path: str):
@@ -228,12 +240,9 @@ def load_run(outdir: str) -> tuple:
     return config, traj
 
 
-def _resolve_outdir(config: RunConfig, override: Optional[str]) -> str:
-    out = override or config.output_dir
-    if out is None:
-        root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
-        out = os.path.join(root, "run")
-    return out
+def _output_dir(override: Optional[str], configured: Optional[str], name: str) -> str:
+    """--out, else the config's output_dir, else <$SIGMAEVO_OUT or runs>/<name>."""
+    return override or configured or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "runs"), name)
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -286,11 +295,10 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _expected_linear_exponent(config: RunConfig) -> float:
-    """Dominant predicted L2 exponent given which data are present."""
-    e0, e1 = predict_linear_rate(config.params, 0.0, 0)
-    has_u0 = config.u0.family != "zero" and config.u0.amplitude != 0 or config.u0.family == "from-file"
-    has_u1 = config.u1.family != "zero" and config.u1.amplitude != 0 or config.u1.family == "from-file"
+def _expected_linear_exponent(params: EquationParams, u0: np.ndarray, u1: np.ndarray) -> float:
+    """Dominant predicted L2 exponent given which data are present (nonzero)."""
+    e0, e1 = predict_linear_rate(params, 0.0, 0)
+    has_u0, has_u1 = bool(np.any(u0)), bool(np.any(u1))
     if has_u0 and not has_u1:
         return float(e0)
     if has_u1 and not has_u0:
@@ -298,10 +306,7 @@ def _expected_linear_exponent(config: RunConfig) -> float:
     return float(max(e0, e1))
 
 
-def _fit_window(config: RunConfig, u0: np.ndarray, u1: np.ndarray,
-                override: Optional[tuple]) -> tuple:
-    if override is not None:
-        return override
+def _fit_window(config: RunConfig, u0: np.ndarray, u1: np.ndarray) -> tuple:
     spectrum = np.abs(config.grid.fft(u0)) + np.abs(config.grid.fft(u1))
     support = 4.0 * max(config.u0.width if config.u0.family != "zero" else 0.0,
                         config.u1.width if config.u1.family != "zero" else 0.0, 1.0)
@@ -311,8 +316,10 @@ def _fit_window(config: RunConfig, u0: np.ndarray, u1: np.ndarray,
 
 
 def cmd_linear_decay(args) -> int:
+    if (args.window_lo is None) != (args.window_hi is None):
+        raise ParameterError("--window-lo and --window-hi go together: give both or neither")
     config = RunConfig.load(args.config)
-    outdir = _resolve_outdir(config, args.out)
+    outdir = _output_dir(args.out, config.output_dir, "run")
     u0 = config.u0.build(config.grid)
     u1 = config.u1.build(config.grid)
     # the row times of a semilinear run of the same config
@@ -320,19 +327,17 @@ def cmd_linear_decay(args) -> int:
     times = np.arange(0, solver.n_steps + 1, solver.snapshot_stride) * solver.dt
     traj = simulate_linear(u0, u1, config.params, times, config.grid,
                            store_fields=solver.store_fields)
-    window = _fit_window(config, u0, u1, (args.window_lo, args.window_hi)
-                         if args.window_lo is not None else None)
+    window = ((args.window_lo, args.window_hi) if args.window_lo is not None
+              else _fit_window(config, u0, u1))
     fit = analysis.fit_decay(traj.series("L2_u"), window)
-    predicted = _expected_linear_exponent(config)
+    predicted = _expected_linear_exponent(config.params, u0, u1)
     verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
     save_run(outdir, config, traj, {"kind": "linear-decay"})
-    with open(os.path.join(outdir, "fit.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column", "exponent", "predicted", "tolerance",
-                         "window_lo", "window_hi", "residual_rms", "passed"])
-        writer.writerow(["L2_u", repr(fit.exponent), repr(predicted), repr(args.tolerance),
-                         repr(window[0]), repr(window[1]), repr(fit.residual_rms),
-                         verdict.passed])
+    write_table(os.path.join(outdir, "fit.csv"),
+                ["column", "exponent", "predicted", "tolerance",
+                 "window_lo", "window_hi", "residual_rms", "passed"],
+                [["L2_u", fit.exponent, predicted, args.tolerance, *window,
+                  fit.residual_rms, verdict.passed]])
     print(f"fitted L2 exponent {fit.exponent:+.4f} vs predicted {predicted:+.4f} "
           f"on t in [{window[0]:g}, {window[1]:g}]: "
           f"{'PASS' if verdict.passed else 'FAIL'} (margin {verdict.margin:+.4f})")
@@ -342,7 +347,7 @@ def cmd_linear_decay(args) -> int:
 
 def cmd_semilinear(args) -> int:
     config = RunConfig.load(args.config)
-    outdir = _resolve_outdir(config, args.out)
+    outdir = _output_dir(args.out, config.output_dir, "run")
     traj = run_semilinear(config)
     save_run(outdir, config, traj, {"kind": "semilinear"})
     if traj.blowup is not None:
@@ -369,27 +374,19 @@ def cmd_blowup_scan(args) -> int:
     if traj.snapshots_u is None:
         print("run directory has no field snapshots; re-run with store_fields", file=sys.stderr)
         return 2
-    params = config.params
     mu = config.mu()
-    p0 = float(critical_exponent(replace(params, m=1.0)))
-    R_values = args.R or _default_R_values(traj, args.rundir)
-    spec = functional.TestFunctionSpec.for_params(params, R_values)
-    out_rows = []
+    p0 = float(critical_exponent(replace(config.params, m=1.0)))
+    spec = functional.TestFunctionSpec.for_params(
+        config.params, args.R or _default_R_values(traj, args.rundir))
     bound = math.log(1.0 + math.e)
-    for (R, I, J, g, G) in functional.scan(traj, mu, p0, spec, R_values, params):
-        ok = (0.0 <= I < J) and (G <= bound * I * (1.0 + 1e-6) + 1e-12)
-        out_rows.append((R, I, J, g, G, "ok" if ok else "violated"))
+    rows = [(R, I, J, g, G, "ok" if (0.0 <= I < J) and (G <= bound * I * (1.0 + 1e-6) + 1e-12)
+             else "violated") for R, I, J, g, G in functional.scan(traj, mu, p0, spec)]
     outdir = args.out or args.rundir
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "functional.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["R", "I_R", "J_R", "g", "G", "verdict"])
-        for row in out_rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    for row in out_rows:
-        print(f"R={row[0]:9.4g}  I_R={row[1]:12.6g}  J_R={row[2]:12.6g}  "
-              f"g={row[3]:12.6g}  G={row[4]:12.6g}  {row[5]}")
+    write_table(path, ["R", "I_R", "J_R", "g", "G", "verdict"], rows)
+    for row in rows:
+        print("R={:9.4g}  I_R={:12.6g}  J_R={:12.6g}  g={:12.6g}  G={:12.6g}  {}".format(*row))
     print(f"wrote {path}")
     return 0
 
@@ -407,35 +404,29 @@ def cmd_check_inequalities(args) -> int:
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(1, args.N, float(args.L))
     fine = GridSpec(1, 2 * args.N, float(args.L))
-    maxima = {"gagliardo-nirenberg": [0.0, 0.0], "embedding": [0.0, 0.0],
-              "fractional-powers": [0.0, 0.0]}
+    checks = {
+        "gagliardo-nirenberg": lambda u, g: norms.check_gagliardo_nirenberg(u, 2, 2, 2, 0.5, 1.0, g),
+        "embedding": lambda u, g: norms.check_embedding(u, 0.25, 1.0, g),
+        "fractional-powers": lambda u, g: norms.check_fractional_powers(u, 2.5, 1.1, g),
+    }
+    maxima = {name: [0.0, 0.0] for name in checks}
     for _ in range(args.fields):
         coeffs = mode_coefficients(args.kmax, 1, rng, mean_zero=True)
         for j, g in enumerate((grid, fine)):
             u = synthesize(coeffs, g)
-            maxima["gagliardo-nirenberg"][j] = max(
-                maxima["gagliardo-nirenberg"][j],
-                norms.check_gagliardo_nirenberg(u, 2, 2, 2, 0.5, 1.0, g))
-            maxima["embedding"][j] = max(
-                maxima["embedding"][j], norms.check_embedding(u, 0.25, 1.0, g))
-            maxima["fractional-powers"][j] = max(
-                maxima["fractional-powers"][j],
-                norms.check_fractional_powers(u, 2.5, 1.1, g))
+            for name, check in checks.items():
+                maxima[name][j] = max(maxima[name][j], check(u, g))
+    rows = [(name, coarse, refined, refined / coarse if coarse > 0 else float("nan"))
+            for name, (coarse, refined) in maxima.items()]
     print(f"{'check':24s} {'max ratio':>12s} {'refined':>12s} {'growth':>8s}")
-    worst = 0.0
-    for name, (coarse, refined) in maxima.items():
-        growth = refined / coarse if coarse > 0 else float("nan")
-        worst = max(worst, growth)
-        print(f"{name:24s} {coarse:12.6g} {refined:12.6g} {growth:8.4f}")
+    for row in rows:
+        print("{:24s} {:12.6g} {:12.6g} {:8.4f}".format(*row))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "inequalities.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "max_ratio", "max_ratio_refined", "growth"])
-            for name, (coarse, refined) in maxima.items():
-                writer.writerow([name, repr(coarse), repr(refined),
-                                 repr(refined / coarse if coarse else float("nan"))])
-    return 0 if worst < 1.5 else 1
+        write_table(os.path.join(args.out, "inequalities.csv"),
+                    ["check", "max_ratio", "max_ratio_refined", "growth"], rows)
+    # a NaN growth (no field gave a nonzero ratio) never sets the exit code
+    return 0 if max(0.0, *(row[3] for row in rows)) < 1.5 else 1
 
 
 def cmd_fit(args) -> int:
@@ -446,21 +437,16 @@ def cmd_fit(args) -> int:
     idx = header.index(args.column)
     series = np.column_stack([data[:, 0], data[:, idx]])
     fit = analysis.fit_decay(series, (args.window_lo, args.window_hi))
-    line = [args.norms, args.column, repr(fit.exponent), repr(fit.log_amplitude),
-            repr(fit.residual_rms), repr(args.window_lo), repr(args.window_hi)]
+    row = [args.norms, args.column, fit.exponent, fit.log_amplitude, fit.residual_rms,
+           args.window_lo, args.window_hi, "", "", ""]
     verdict = ""
     if args.predicted is not None:
         cmp = analysis.compare_to_theory(fit, args.predicted, args.tolerance)
         verdict = "PASS" if cmp.passed else "FAIL"
-        line += [repr(args.predicted), repr(args.tolerance), verdict]
-    new = not os.path.exists(args.ledger)
-    with open(args.ledger, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(["norms", "column", "exponent", "log_amplitude",
-                             "residual_rms", "window_lo", "window_hi",
-                             "predicted", "tolerance", "verdict"])
-        writer.writerow(line + [""] * (10 - len(line)))
+        row[7:] = [args.predicted, args.tolerance, verdict]
+    write_table(args.ledger, ["norms", "column", "exponent", "log_amplitude", "residual_rms",
+                              "window_lo", "window_hi", "predicted", "tolerance", "verdict"],
+                [row], append=True)
     print(f"{args.column}: exponent {fit.exponent:+.5f} "
           f"(residual {fit.residual_rms:.3g}) {verdict}")
     return 0
@@ -496,25 +482,29 @@ def _sweep_worker(task) -> dict:
         "run_dir": outdir,
         "status": "ok",
         "error": "",
-        "blowup_time": "" if traj.blowup is None else repr(traj.blowup.time),
+        "blowup_time": "" if traj.blowup is None else traj.blowup.time,
         "blowup_reason": "" if traj.blowup is None else traj.blowup.reason,
         "rows": len(traj.times),
         # a member that escapes at t = 0 has no rows
-        "final_L2_u": repr(float(traj.column("L2_u")[-1])) if len(traj.times) else "",
+        "final_L2_u": traj.column("L2_u")[-1] if len(traj.times) else "",
     }
 
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    if "base" not in doc or "sweep" not in doc:
-        print("sweep config needs 'base' (a run config) and 'sweep' "
-              "(dotted-path -> list of values)", file=sys.stderr)
-        return 2
+    if not (isinstance(doc, dict) and "base" in doc and "sweep" in doc):
+        raise ConfigError("sweep config needs 'base' (a run config) and 'sweep' "
+                          "(dotted-path -> list of values)")
     base, axes = doc["base"], doc["sweep"]
+    if not isinstance(base, dict):
+        raise ConfigError("sweep config 'base' must be an object (a run config)")
+    if not isinstance(axes, dict):
+        raise ConfigError("sweep config 'sweep' must map dotted paths to lists of values")
+    for path, values in axes.items():
+        if not (isinstance(values, list) and values):
+            raise ConfigError(f"sweep path {path!r} must map to a non-empty list of values")
     keys = sorted(axes)
-    outroot = args.out or doc.get("output_dir") or \
-        os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "runs"), "sweep")
-    os.makedirs(outroot, exist_ok=True)
+    outroot = _output_dir(args.out, doc.get("output_dir"), "sweep")
 
     combos = [()]
     for k in keys:
@@ -527,24 +517,21 @@ def cmd_sweep(args) -> int:
             _set_by_path(member, k, v)
         label = ", ".join(f"{k}={v!r}" for k, v in zip(keys, combo))
         tasks.append((member, os.path.join(outroot, f"member_{i:04d}"), label))
+    os.makedirs(outroot, exist_ok=True)
 
     if args.workers <= 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
-    results = list(zip(combos, results))
 
     summary = os.path.join(outroot, "summary.csv")
     columns = ["run_dir", "status", "error", "blowup_time", "blowup_reason",
                "rows", "final_L2_u"]
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(keys) + columns)
-        for combo, res in results:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in combo]
-                            + [res.get(c, "") for c in columns])
-    failed = [res for _, res in results if res["status"] == "error"]
+    write_table(summary, keys + columns,
+                [list(combo) + [res.get(c, "") for c in columns]
+                 for combo, res in zip(combos, results)])
+    failed = [res for res in results if res["status"] == "error"]
     for res in failed:
         print(f"error: sweep member {res['run_dir']}: {res['error']}", file=sys.stderr)
     print(f"{len(results) - len(failed)} of {len(results)} sweep members complete; "

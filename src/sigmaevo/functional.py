@@ -107,7 +107,9 @@ class TestFunctionSpec:
 
     @classmethod
     def for_params(cls, params: EquationParams, R_values: Sequence[float]) -> "TestFunctionSpec":
-        return cls(params.target, params.sigma, params.delta, tuple(float(r) for r in R_values))
+        """The spec of ``params`` scanned over R_values (positive, finite, increasing)."""
+        return cls(params.target, params.sigma, params.delta,
+                   tuple(_increasing(R_values, "R_values")))
 
     @property
     def scale_power(self) -> float:
@@ -349,18 +351,17 @@ def compute_G(traj: Trajectory, mu: ModulusSpec, p0: float,
     return list(zip(rs, gs, _accumulate_G(rs, gs, spec.measure_exponent(traj.grid.n))))
 
 
-def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec,
-         R_values: Sequence[float], params: EquationParams) -> list:
-    """Rows (R, I_R, J_R, g(R), G(R)) over increasing R_values in one pass.
+def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec) -> list:
+    """Rows (R, I_R, J_R, g(R), G(R)) over spec.R_values in one pass.
 
     The rows equal compute_I_R, compute_J_R and compute_G up to rounding.
     Psi(|w|) and the operator-applied stacks are built once; every R must
     meet the J_R coverage rule (support radius <= L/2), checked before any
     work.
     """
-    rs = _increasing(R_values, "R_values")
+    rs = list(spec.R_values)
     kernel = _Kernel(traj, spec, rs, spatial_fraction=0.5)
-    weight, adjoint = kernel.weight(mu, p0), kernel.adjoint(params)
+    weight, adjoint = kernel.weight(mu, p0), kernel.adjoint(traj.params)
     rows = [kernel(R, weight, adjoint) for R in rs]
     Gs = _accumulate_G(rs, [g for _, _, g in rows], spec.measure_exponent(traj.grid.n))
     return [(R, I, J, g, G) for R, (I, J, g), G in zip(rs, rows, Gs)]

@@ -409,8 +409,7 @@ def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
 # -- torus wrap-time heuristic -------------------------------------------------
 
 def wrap_time(grid: GridSpec, sigma: float, delta: float,
-              data_spectrum: Optional[np.ndarray] = None,
-              support_radius: float = 0.0) -> float:
+              data_spectrum: np.ndarray, support_radius: float) -> float:
     """Estimated time before periodic images contaminate a centred solution.
 
     A mode contaminates once its oscillatory group velocity carries it to the
@@ -429,15 +428,12 @@ def wrap_time(grid: GridSpec, sigma: float, delta: float,
     decay = -cache.alpha[cache.shell]
     vg = np.gradient(omega, xi)
 
-    if data_spectrum is not None:
-        mags = np.sqrt(grid.xi_squared()).ravel()
-        amps = np.abs(np.asarray(data_spectrum)).ravel()
-        peak = float(np.max(amps)) or 1.0
-        idx = np.clip(np.searchsorted(xi, mags), 0, len(xi) - 1)
-        profile = np.zeros(len(xi))
-        np.maximum.at(profile, idx, amps / peak)
-    else:
-        profile = np.ones(len(xi))
+    mags = np.sqrt(grid.xi_squared()).ravel()
+    amps = np.abs(np.asarray(data_spectrum)).ravel()
+    peak = float(np.max(amps)) or 1.0
+    idx = np.clip(np.searchsorted(xi, mags), 0, len(xi) - 1)
+    profile = np.zeros(len(xi))
+    np.maximum.at(profile, idx, amps / peak)
 
     distance = max(grid.L - support_radius, 1e-12)
     with np.errstate(divide="ignore", invalid="ignore"):

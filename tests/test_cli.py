@@ -216,6 +216,14 @@ class TestCommands:
         assert (out / "fit.csv").exists()
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--window-lo", "12"], ["--window-hi", "20"]])
+    def test_linear_decay_window_flags_go_together(self, tmp_path, capsys, flag):
+        # --window-lo alone once ended in a TypeError, --window-hi alone was ignored
+        path, _ = write_config(tmp_path)
+        assert main(["linear-decay", "--config", str(path), *flag]) == 2
+        assert "--window-lo and --window-hi go together" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_linear_decay_rows_are_the_semilinear_rows(self, tmp_path):
         # with t_end = 1, dt = 0.05 and stride 3 the rows stop at step 18,
         # t = 0.9; linear-decay once wrote one more, at t = 1.05 > t_end
@@ -372,6 +380,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "cannot read config" in err and str(missing) in err
 
+    @pytest.mark.parametrize("shape,named", [
+        ({"sweep": {"params.p": 3}}, "sweep path 'params.p' must map to a non-empty list"),
+        ({"sweep": {"params.p": []}}, "sweep path 'params.p' must map to a non-empty list"),
+        ({"sweep": ["params.p"]}, "'sweep' must map dotted paths to lists"),
+        ({"base": [1]}, "'base' must be an object"),
+    ])
+    def test_malformed_sweep_document_exits_2(self, tmp_path, capsys, shape, named):
+        # each of these but the empty list once ended in a traceback; the
+        # empty list ran no member and exited 0
+        sweep_doc = dict({"base": small_config_doc(tmp_path), "sweep": {"params.p": [3.0]},
+                          "output_dir": str(tmp_path / "sw")}, **shape)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_bad_sweep_path_named_cleanly(self, tmp_path, capsys):
         sweep_doc = {"base": small_config_doc(tmp_path),
                      "sweep": {"data.u9.amplitude": [0.01]},
@@ -381,6 +406,7 @@ class TestCommands:
         assert main(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "data.u9.amplitude" in err and "'u9'" in err
+        assert not (tmp_path / "sw").exists()
 
     def test_blowup_scan_missing_rundir_named_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "nope"
@@ -640,6 +666,65 @@ class TestStrictJson:
             assert "blowup_threshold must be positive and finite" in capsys.readouterr().err
         else:
             assert codes == [0, 0, 0] and len(written) == 4
+
+
+# each table the CLI writes: its path in the fixture's tree, its documented
+# header and the indices of its float columns
+TABLES = {
+    "norms.csv": ("semilinear/norms.csv",
+                  ["t", "L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy"], range(7)),
+    "fit.csv": ("linear/fit.csv",
+                ["column", "exponent", "predicted", "tolerance", "window_lo", "window_hi",
+                 "residual_rms", "passed"], range(1, 7)),
+    "functional.csv": ("semilinear/functional.csv",
+                       ["R", "I_R", "J_R", "g", "G", "verdict"], range(5)),
+    "inequalities.csv": ("inequalities/inequalities.csv",
+                         ["check", "max_ratio", "max_ratio_refined", "growth"], range(1, 4)),
+    "fits.csv": ("fits.csv",
+                 ["norms", "column", "exponent", "log_amplitude", "residual_rms", "window_lo",
+                  "window_hi", "predicted", "tolerance", "verdict"], range(2, 9)),
+    "summary.csv": ("sweep/summary.csv",
+                    ["data.u0.amplitude", "solver.dt", "run_dir", "status", "error",
+                     "blowup_time", "blowup_reason", "rows", "final_L2_u"], (0, 1, 5, 8)),
+}
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """The six tables, written by one run of each command (two fit appends)."""
+    out = tmp_path_factory.mktemp("tables")
+    solver = dict(small_config_doc(out)["solver"], store_fields=True)
+    path, doc = write_config(out, solver=solver)
+    sweep = out / "sweep.json"
+    sweep.write_text(json.dumps({"base": doc, "sweep": {"data.u0.amplitude": [0.01, 0.02],
+                                                        "solver.dt": [0.05, -1.0]}}))
+    norms_csv = str(out / "semilinear" / "norms.csv")
+    fit = ["fit", norms_csv, "L2_u", "--window-lo", "1", "--window-hi", "4",
+           "--ledger", str(out / "fits.csv")]
+    codes = [main(["semilinear", "--config", str(path), "--out", str(out / "semilinear")]),
+             main(["blowup-scan", str(out / "semilinear")]),
+             main(["linear-decay", "--config", str(path), "--out", str(out / "linear"),
+                   "--window-lo", "1", "--window-hi", "4"]),
+             main(["check-inequalities", "--fields", "3", "--N", "64", "--kmax", "8",
+                   "--out", str(out / "inequalities")]),
+             main(fit),
+             main(fit + ["--predicted", "-0.25"]),
+             main(["sweep", "--config", str(sweep), "--out", str(out / "sweep")])]
+    assert codes == [0, 0, 0, 0, 0, 0, 1]
+    return out
+
+
+class TestTables:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_header_and_floats_read_back_exactly(self, tables, name):
+        path, header, float_columns = TABLES[name]
+        with open(tables / path, newline="") as fh:
+            head, *body = list(csv.reader(fh))
+        assert head == header and body
+        for row in body:
+            assert len(row) == len(header)
+            cells = [row[j] for j in float_columns if row[j] != ""]
+            assert cells == [repr(float(cell)) for cell in cells]
 
 
 class TestReproducibility:

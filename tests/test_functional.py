@@ -510,7 +510,8 @@ class TestScan:
         mu, p0 = ModulusSpec.log_power(1.0), 3.0
 
         want = per_R_rows(traj, mu, p0, spec, R_values, params)
-        assert_columns_close(scan(traj, mu, p0, spec, R_values, params), want)
+        assert_columns_close(scan(traj, mu, p0, TestFunctionSpec.for_params(params, R_values)),
+                             want)
         views = [(R, compute_I_R(traj, mu, p0, R, spec), compute_J_R(traj, R, spec, params),
                   g, G) for R, g, G in compute_G(traj, mu, p0, spec, R_values)]
         assert_columns_close(views, want)
@@ -525,9 +526,9 @@ class TestScan:
         # R = 3 fits I_R and g (radius 1.73 <= L) but not J_R (> L/2)
         assert compute_I_R(traj, mu, 3.0, 3.0, spec) > 0.0
         with pytest.raises(CoverageError, match="radius"):
-            scan(traj, mu, 3.0, spec, [1.0, 3.0], params)
+            scan(traj, mu, 3.0, TestFunctionSpec.for_params(params, [1.0, 3.0]))
         with pytest.raises(ParameterError):
-            scan(traj, mu, 3.0, spec, [2.0, 1.0], params)
+            scan(traj, mu, 3.0, TestFunctionSpec.for_params(params, [2.0, 1.0]))
 
     def test_cli_functional_csv_matches_per_R_path(self, tmp_path):
         doc = {

@@ -1,7 +1,9 @@
 import ast
+import inspect
 import pathlib
 
 import sigmaevo
+from sigmaevo import cli
 
 SRC = pathlib.Path(sigmaevo.__file__).parent
 
@@ -25,3 +27,10 @@ def test_no_module_reads_a_private_name_of_another():
                   and node.value.id in siblings and _private(node.attr)):
                 found.append(f"{path.name} reads {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_only_write_table_creates_a_csv_writer():
+    # one place formats the numbers of every table the package writes
+    counts = {path.name: path.read_text().count("csv.writer(") for path in SRC.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
+    assert "csv.writer(" in inspect.getsource(cli.write_table)
