@@ -148,8 +148,16 @@ def _dataspec_dict(d: DataSpec) -> dict:
 def write_table(path: str, header, rows, append: bool = False):
     """Write one CSV table: a float cell (numpy floats included) as
     repr(float(v)), so it reads back bit for bit, any other cell unchanged.
-    Appending writes the header only into a new file."""
-    new = not (append and os.path.exists(path))
+    Appending writes the header only into a new or empty file, and refuses,
+    leaving the file as it is, a file whose first row is another header."""
+    new = True
+    if append and os.path.exists(path):
+        with open(path, newline="") as fh:
+            first = next(csv.reader(fh), None)
+        new = first is None
+        if not new and first != list(header):
+            raise ParameterError(f"{path}: first row {','.join(first)} is not the header "
+                                 f"{','.join(header)}; not appending to another table")
     with open(path, "a" if append else "w", newline="") as fh:
         writer = csv.writer(fh)
         if new:

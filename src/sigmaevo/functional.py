@@ -32,7 +32,10 @@ Three exact facts keep the quadrature cheap.  Psi(|w|) does not depend on
 R, so it is computed once.  The spatial multipliers have real, even
 symbols, so they move from phi_R onto the solution by adjointness,
 sum_x w * S phi = sum_x (S w) * phi, and the operator-applied stacks are
-also computed once, from one forward transform of the monitored stack.
+also computed once, transforming the monitored stack in blocks of rows (at
+most 256 KiB of half spectrum each) and keeping only the columns the
+quadrature reads; every row is transformed on its own either way, so the
+bits do not depend on the block size.
 And phi_R, phi*_R, their time derivatives and PhiR vanish identically on
 every column where |x|^sp + t_0 >= R, so each R evaluates the profile, the
 time stencils and the quadrature on its remaining columns only, with no
@@ -92,6 +95,9 @@ class QuinticProfile:
 
 
 _PROFILE = QuinticProfile()
+
+# complex half spectrum that one block of rows in _Kernel.adjoint may hold
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -258,14 +264,21 @@ class _Kernel:
 
         on_u: (u, (-Lap)^sigma u, (-Lap)^delta u);
         on_ut: (u_t, (-Lap)^sigma u_t, (-Lap)^(sigma/2) u_t).
-        One forward transform of w serves both powers; power 0 is w itself.
+        One forward transform of a block of rows of w serves both powers, whose
+        inverses keep only the kernel's columns; power 0 is w itself.
         """
         low = 2.0 * params.delta if self.spec.target == Target.ON_U else params.sigma
-        wh = self.grid.fft(self.w)
         xisq = self.grid.xi_squared()
-        return (self._restrict(self.w),) + tuple(
-            self._restrict(self.grid.ifft(fractional_symbol(xisq, p) * wh) if p else self.w)
-            for p in (2.0 * params.sigma, low))
+        powers = (2.0 * params.sigma, low)
+        w = self._restrict(self.w)
+        stacks = [np.empty_like(w) if p else w for p in powers]
+        applied = [(fractional_symbol(xisq, p), out) for p, out in zip(powers, stacks) if p]
+        block = max(1, _BLOCK_BYTES // (16 * xisq.size))
+        for lo in range(0, len(w), block):
+            wh = self.grid.fft(self.w[lo:lo + block])
+            for sym, out in applied:
+                out[lo:lo + block] = self._restrict(self.grid.ifft(sym * wh))
+        return (w, *stacks)
 
     def __call__(self, R: float, weight: Optional[np.ndarray] = None,
                  adjoint: Optional[tuple] = None) -> tuple:

@@ -19,7 +19,9 @@ afresh.
 
 A run allocates its arrays once: the loop and the stepper write every step
 into a workspace (two state pairs used in turn, the physical fields, the
-squared moduli of a norm row), so only the snapshots a run keeps are fresh.
+squared moduli of a norm row), and the snapshots a run keeps are transformed
+straight into two stacks allocated up front, whose unreached rows are never
+written and so take no resident memory.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite
@@ -254,8 +256,8 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
     ``stride``-th level is a row; a None ``threshold`` (u monitored) leaves only "nan".
 
     The state alternates between two preallocated pairs, and the fields a
-    level transforms back land in preallocated arrays, except the snapshots
-    a row keeps, which are fresh.
+    level transforms back land in preallocated arrays: the snapshots a row
+    keeps in its row of the two stacks, the others in a shared pair.
     """
     grid.check_field(u0)
     grid.check_field(u1)
@@ -268,8 +270,10 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
     fields = (np.empty(grid.shape), np.empty(grid.shape))
     work = np.empty((2,) + half)
     on_u = monitor == Target.ON_U
+    n_rows = math.ceil(len(levels) / stride)
+    stacks = [np.empty((n_rows,) + grid.shape) for _ in range(2)] if store_fields else None
 
-    row_times, rows, snaps_u, snaps_ut = [], [], [], []
+    row_times, rows = [], []
     blowup, t_state, w = None, 0.0, None
     for k, t in enumerate(levels.tolist()):
         if t != t_state:
@@ -278,7 +282,7 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
             t_state = t
         row = k % stride == 0
         keep = row and store_fields
-        u_buf, ut_buf = (None, None) if keep else fields
+        u_buf, ut_buf = [stack[len(rows)] for stack in stacks] if keep else fields
         # transform back only what this level reads: w, and the fields of a row
         u_phys = grid.ifft(uh, out=u_buf) if on_u or row else None
         norms = _norm_row(uh, uth, u_phys, grid, params, work) if row else None
@@ -303,11 +307,8 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
         if row:
             row_times.append(t)
             rows.append(norms)
-            if store_fields:
-                snaps_u.append(u_phys)
-                snaps_ut.append(ut_phys)
 
-    snaps = (np.asarray(snaps_u), np.asarray(snaps_ut)) if store_fields else (None, None)
+    snaps = [stack[:len(rows)] for stack in stacks] if store_fields else (None, None)
     return Trajectory(np.asarray(row_times, dtype=float),
                       np.asarray(rows).reshape(len(rows), len(NORM_COLUMNS)), grid, params,
                       blowup, threshold, *snaps)

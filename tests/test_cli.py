@@ -637,6 +637,41 @@ class TestCommands:
         assert len(lines) == 2
         assert "PASS" in lines[1]
 
+    @staticmethod
+    def _decaying_norms(path):
+        from sigmaevo.params import EquationParams
+        from sigmaevo.solver import Trajectory
+        from sigmaevo.spectral import GridSpec
+        t = np.linspace(1, 50, 60)
+        write_norms_csv(path, Trajectory(times=t, norms=np.tile((1 + t)[:, None] ** -0.5, (1, 6)),
+                                         grid=GridSpec(1, 8, 1.0),
+                                         params=EquationParams(sigma=1, delta=0, p=2)))
+
+    def test_fit_refuses_a_ledger_that_is_another_table(self, tmp_path, capsys):
+        # a --ledger naming the norms table once appended a ledger row under its header
+        victim = tmp_path / "victim.csv"
+        self._decaying_norms(victim)
+        before = victim.read_bytes()
+        rc = main(["fit", str(victim), "L2_u", "--window-lo", "10", "--window-hi", "50",
+                   "--ledger", str(victim)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err and "header" in err
+        assert victim.read_bytes() == before
+
+    def test_fit_writes_the_header_into_an_empty_ledger(self, tmp_path):
+        norms_path = tmp_path / "norms.csv"
+        self._decaying_norms(norms_path)
+        ledger = tmp_path / "fits.csv"
+        ledger.write_text("")
+        for _ in range(2):
+            assert main(["fit", str(norms_path), "L2_u", "--window-lo", "10",
+                         "--window-hi", "50", "--ledger", str(ledger)]) == 0
+        with open(ledger, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["norms", "column", "exponent"]
+        assert [row[0] for row in rows[1:]] == [str(norms_path)] * 2
+
 
 def strict_json(path):
     """json.loads that rejects NaN, Infinity and -Infinity."""

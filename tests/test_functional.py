@@ -7,8 +7,8 @@ import pytest
 
 from sigmaevo.cli import load_run, main
 from sigmaevo.errors import CoverageError, ParameterError
-from sigmaevo.functional import (QuinticProfile, TestFunctionSpec, compute_G,
-                                 compute_I_R, compute_J_R, compute_g,
+from sigmaevo.functional import (_BLOCK_BYTES, QuinticProfile, TestFunctionSpec, _Kernel,
+                                 compute_G, compute_I_R, compute_J_R, compute_g,
                                  fd_weights, phi_R, phi_star_R, psi, scan,
                                  support_measure, time_derivative)
 from sigmaevo.modulus import ModulusSpec
@@ -566,3 +566,56 @@ class TestScan:
         verdicts = ["ok" if (0.0 <= I < J) and (G <= bound * I * (1.0 + 1e-6) + 1e-12)
                     else "violated" for _, I, J, _, G in want]
         assert [row[5] for row in body] == verdicts
+
+
+# -- the whole-stack adjoint that the row blocks replaced, kept as their oracle --
+
+def whole_stack_adjoint(kernel, params):
+    """One forward transform of the whole monitored stack, then one inverse
+    per power on the whole stack."""
+    low = 2.0 * params.delta if kernel.spec.target == Target.ON_U else params.sigma
+    wh = kernel.grid.fft(kernel.w)
+    xisq = kernel.grid.xi_squared()
+    return (kernel._restrict(kernel.w),) + tuple(
+        kernel._restrict(kernel.grid.ifft(fractional_symbol(xisq, p) * wh) if p else kernel.w)
+        for p in (2.0 * params.sigma, low))
+
+
+# (sigma, delta, target, n, N, L): 7 rows per block on the 1D N = 4096 and the
+# 2D N = 64 grids; delta = 0 on on_u makes the low power the identity
+ADJOINT_GRIDS = [
+    (1.5, 0.5, "on_u", 1, 4096, 64.0),
+    (1.0, 0.0, "on_u", 2, 64, 6.0),
+    (1.5, 0.3, "on_ut", 1, 4096, 64.0),
+    (2.0, 1.0, "on_ut", 2, 64, 6.0),
+]
+
+
+class TestBlockedAdjoint:
+    # T = 6 is below one block, 10 is no multiple of it, 24 spans four blocks
+    @pytest.mark.parametrize("T", [6, 10, 24])
+    @pytest.mark.parametrize("sigma,delta,target,n,N,L", ADJOINT_GRIDS)
+    def test_matches_whole_stack_bit_for_bit(self, sigma, delta, target, n, N, L, T):
+        params = EquationParams(sigma=sigma, delta=delta, n=n, p=3, target=target)
+        grid = GridSpec(n, N, L)
+        assert _BLOCK_BYTES // (16 * grid.xi_squared().size) == 7
+        self._check(params, grid, T)
+
+    def test_rows_larger_than_a_block_go_one_at_a_time(self):
+        params = EquationParams(sigma=2.0, delta=1.0, n=2, p=3, target="on_ut")
+        grid = GridSpec(2, 256, 40.0)
+        assert 16 * grid.xi_squared().size > _BLOCK_BYTES
+        self._check(params, grid, 6)
+
+    @staticmethod
+    def _check(params, grid, T):
+        dt = 0.1
+        traj = moving_trajectory(grid, params, (T - 1) * dt, dt, seed=T)
+        assert len(traj.times) == T
+        spec = TestFunctionSpec.for_params(params, [traj.times[-1]])
+        kernel = _Kernel(traj, spec, spec.R_values, spatial_fraction=0.5)
+        got, want = kernel.adjoint(params), whole_stack_adjoint(kernel, params)
+        assert len(got) == len(want) == 3
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (T, len(kernel.columns))
+            assert np.array_equal(a, b)
