@@ -28,7 +28,7 @@ from .modulus import ModulusSpec, check_derivative_bound, check_modulus_axioms, 
     classify_integral_criterion
 from .params import (EquationParams, check_admissibility, critical_exponent,
                      predict_linear_rate, predict_theorem_rates)
-from .solver import (NORM_COLUMNS, SolverConfig, Trajectory, simulate,
+from .solver import (NORM_COLUMNS, BlowUp, SolverConfig, Trajectory, simulate,
                      simulate_linear)
 from .spectral import (GridSpec, mode_coefficients, read_field, synthesize,
                        wrap_time, write_field)
@@ -56,8 +56,8 @@ class DataSpec:
                 raise ConfigError(f"data {key} must be finite")
         if self.family in ("gaussian", "cosine-bump") and self.width <= 0:
             raise ConfigError("data width must be positive")
-        if self.family == "from-file" and not self.path:
-            raise ConfigError("from-file data needs a path")
+        if self.family == "from-file" and not (isinstance(self.path, str) and self.path):
+            raise ConfigError(f"from-file data needs a path (a file name), not {self.path!r:.40}")
 
     def build(self, grid: GridSpec) -> np.ndarray:
         if self.family == "zero":
@@ -102,18 +102,13 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Validated config from its JSON form; a legacy "seed" key is ignored
         (every data family is deterministic)."""
-        try:
-            params = EquationParams(**doc["params"])
-            grid = GridSpec(**doc["grid"])
-            solver = SolverConfig(**doc["solver"])
-            u0 = DataSpec(**doc["data"]["u0"])
-            u1 = DataSpec(**doc["data"]["u1"])
-            mu_key = doc["mu"]
-            ModulusSpec.from_key(mu_key)  # validate early
-        except KeyError as exc:
-            raise ConfigError(f"config missing required key: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        params = _record(EquationParams, doc, "params")
+        grid = _record(GridSpec, doc, "grid")
+        solver = _record(SolverConfig, doc, "solver")
+        data = _section(doc, "data")
+        u0, u1 = (_record(DataSpec, data, key, "config data") for key in ("u0", "u1"))
+        mu_key = _section(doc, "mu", kind=str)
+        ModulusSpec.from_key(mu_key)  # validate early
         if params.n != grid.n:
             raise ConfigError(f"params.n = {params.n} does not match grid.n = {grid.n}")
         return cls(params=params, mu_key=mu_key, grid=grid, solver=solver,
@@ -125,13 +120,37 @@ class RunConfig:
 
 
 def _load_json(path: str, kind: str = "config") -> dict:
+    """The JSON object in ``path`` (a config, run manifest or sweep document)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{kind} {path} is not a JSON object: {doc!r:.40}")
+    return doc
+
+
+def _section(doc: dict, key: str, where: str = "config", kind: type = dict):
+    """doc[key], a JSON object (a string with kind=str); ``where`` names doc."""
+    if key not in doc:
+        raise ConfigError(f"{where} missing required key: {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} key {key!r} must be "
+                          f"{'a string' if kind is str else 'an object'}, not {value!r:.40}")
+    return value
+
+
+def _record(cls, doc: dict, key: str, where: str = "config"):
+    """cls(**doc[key]); a field that cls lacks or rejects raises ConfigError."""
+    section = _section(doc, key, where)
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _dataspec_dict(d: DataSpec) -> dict:
@@ -219,17 +238,16 @@ def save_run(outdir: str, config: RunConfig, traj: Trajectory,
 def load_run(outdir: str) -> tuple:
     """(config, trajectory) reconstructed from a run directory; row i of
     norms.csv reads the snapshots fields/u_{i:06d}.bin and ut_{i:06d}.bin."""
-    manifest = _load_json(os.path.join(outdir, "manifest.json"), "run manifest")
-    config = RunConfig.from_dict(manifest["config"])
+    path = os.path.join(outdir, "manifest.json")
+    manifest = _load_json(path, "run manifest")
+    config = RunConfig.from_dict(_section(manifest, "config", path))
     norms_path = os.path.join(outdir, "norms.csv")
     header, data = read_norms_csv(norms_path)
     if header != ["t", *NORM_COLUMNS]:
         raise ParameterError(f"{norms_path}: header {','.join(header)} is not "
                              f"{','.join(('t',) + NORM_COLUMNS)}")
-    blowup = None
-    if manifest.get("blowup"):
-        from .solver import BlowUp
-        blowup = BlowUp(manifest["blowup"]["time"], manifest["blowup"]["reason"])
+    blowup = (None if manifest.get("blowup") is None
+              else _record(BlowUp, manifest, "blowup", path))
     traj = Trajectory(times=data[:, 0], norms=data[:, 1:], grid=config.grid,
                       params=config.params, blowup=blowup,
                       blowup_threshold=manifest.get("blowup_threshold"))
@@ -250,6 +268,8 @@ def load_run(outdir: str) -> tuple:
 
 def _output_dir(override: Optional[str], configured: Optional[str], name: str) -> str:
     """--out, else the config's output_dir, else <$SIGMAEVO_OUT or runs>/<name>."""
+    if not isinstance(configured, (str, type(None))):
+        raise ConfigError(f"config key 'output_dir' must be a string, not {configured!r:.40}")
     return override or configured or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "runs"), name)
 
 
@@ -376,12 +396,11 @@ def run_semilinear(config: RunConfig) -> Trajectory:
 def cmd_blowup_scan(args) -> int:
     config, traj = load_run(args.rundir)
     if not len(traj.times):
-        print(f"run directory {args.rundir} holds no rows (the run ended before its first)",
-              file=sys.stderr)
-        return 2
+        raise CoverageError(f"run directory {args.rundir} holds no rows "
+                            "(the run ended before its first)")
     if traj.snapshots_u is None:
-        print("run directory has no field snapshots; re-run with store_fields", file=sys.stderr)
-        return 2
+        raise CoverageError(f"run directory {args.rundir} has no field snapshots; "
+                            "re-run with store_fields")
     mu = config.mu()
     p0 = float(critical_exponent(replace(config.params, m=1.0)))
     spec = functional.TestFunctionSpec.for_params(
@@ -440,8 +459,7 @@ def cmd_check_inequalities(args) -> int:
 def cmd_fit(args) -> int:
     header, data = read_norms_csv(args.norms)
     if args.column not in header:
-        print(f"column {args.column!r} not in {header}", file=sys.stderr)
-        return 2
+        raise ParameterError(f"{args.norms}: column {args.column!r} not in {header}")
     idx = header.index(args.column)
     series = np.column_stack([data[:, 0], data[:, idx]])
     fit = analysis.fit_decay(series, (args.window_lo, args.window_hi))
@@ -471,11 +489,7 @@ def _set_by_path(doc: dict, dotted: str, value):
 
 
 # the errors main() reports as exit 2; in a sweep they fail one member only
-_USER_ERRORS = (SigmaevoError, OSError, KeyError, json.JSONDecodeError)
-
-
-def _error_message(exc: BaseException) -> str:
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+_USER_ERRORS = (SigmaevoError, OSError)
 
 
 def _sweep_worker(task) -> dict:
@@ -485,7 +499,7 @@ def _sweep_worker(task) -> dict:
         traj = run_semilinear(config)
         save_run(outdir, config, traj, {"kind": "sweep-member"})
     except _USER_ERRORS as exc:
-        return {"run_dir": outdir, "status": "error", "error": f"{label}: {_error_message(exc)}"}
+        return {"run_dir": outdir, "status": "error", "error": f"{label}: {exc}"}
     return {
         "run_dir": outdir,
         "status": "ok",
@@ -499,15 +513,10 @@ def _sweep_worker(task) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ParameterError(f"--workers must be at least 1, got {args.workers}")
     doc = _load_json(args.config)
-    if not (isinstance(doc, dict) and "base" in doc and "sweep" in doc):
-        raise ConfigError("sweep config needs 'base' (a run config) and 'sweep' "
-                          "(dotted-path -> list of values)")
-    base, axes = doc["base"], doc["sweep"]
-    if not isinstance(base, dict):
-        raise ConfigError("sweep config 'base' must be an object (a run config)")
-    if not isinstance(axes, dict):
-        raise ConfigError("sweep config 'sweep' must map dotted paths to lists of values")
+    base, axes = _section(doc, "base", args.config), _section(doc, "sweep", args.config)
     for path, values in axes.items():
         if not (isinstance(values, list) and values):
             raise ConfigError(f"sweep path {path!r} must map to a non-empty list of values")
@@ -527,10 +536,12 @@ def cmd_sweep(args) -> int:
         tasks.append((member, os.path.join(outroot, f"member_{i:04d}"), label))
     os.makedirs(outroot, exist_ok=True)
 
-    if args.workers <= 1:
+    # no more processes than members or CPUs: a pool forks all of them at once
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
+    if workers == 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
 
     summary = os.path.join(outroot, "summary.csv")
@@ -634,7 +645,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"error: {_error_message(exc)}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
     return 2
 
 

@@ -305,11 +305,6 @@ class AxiomReport:
     worst_monotone_pair: Optional[tuple] = None
     worst_concavity_pair: Optional[tuple] = None
 
-    @property
-    def all_pass(self) -> bool:
-        return (self.zero_at_zero and self.nondecreasing
-                and self.midpoint_concave and self.finite_nonnegative)
-
 
 def check_modulus_axioms(mu: ModulusSpec) -> AxiomReport:
     """Sampled check of mu(0)=0, monotonicity and midpoint concavity.

@@ -271,7 +271,12 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
     work = np.empty((2,) + half)
     on_u = monitor == Target.ON_U
     n_rows = math.ceil(len(levels) / stride)
-    stacks = [np.empty((n_rows,) + grid.shape) for _ in range(2)] if store_fields else None
+    try:
+        stacks = [np.empty((n_rows,) + grid.shape) for _ in range(2)] if store_fields else None
+    except MemoryError as exc:
+        raise ParameterError(f"store_fields: the two snapshot stacks of {n_rows} rows "
+                             f"({8 * n_rows * grid.N ** grid.n} bytes each) cannot be "
+                             "allocated; raise snapshot_stride or shorten t_end") from exc
 
     row_times, rows = [], []
     blowup, t_state, w = None, 0.0, None

@@ -55,9 +55,9 @@ class GridSpec:
     L: float
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
+        if self.n not in (1, 2, 3) or not isinstance(self.n, (int, np.integer)):
             raise ParameterError("grid dimension must be 1, 2 or 3")
-        if self.N < 4 or (self.N & (self.N - 1)) != 0:
+        if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N & (self.N - 1):
             raise ParameterError("N must be a power of two, at least 4")
         if not 0 < self.L < np.inf:   # written so that NaN fails it
             raise ParameterError("L must be positive and finite")
@@ -311,18 +311,6 @@ class Propagator:
     @functools.cached_property
     def _scratch(self) -> np.ndarray:
         return np.empty(self.K0.shape, dtype=complex)
-
-
-def fractional_derivative(u: np.ndarray, s: float, grid: GridSpec) -> np.ndarray:
-    """|D|^s u by spectral multiplier, for a field or a stack of fields;
-    s = 0 is the identity."""
-    if s < 0:
-        raise ParameterError("s must be nonnegative")
-    if s == 0:
-        grid.check_stack(u)
-        return np.array(u, dtype=float, copy=True)
-    sym = fractional_symbol(grid.xi_squared(), s)
-    return grid.ifft(sym * grid.fft(u))
 
 
 # -- norm helpers on the spectral side ---------------------------------------

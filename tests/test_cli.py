@@ -374,6 +374,56 @@ class TestCommands:
         assert "'log-power:nan'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("override,named", [
+        ({"mu": 7}, "config key 'mu' must be a string, not 7"),
+        ({"data": 3}, "config key 'data' must be an object, not 3"),
+        ({"data": {"u0": {"family": "zero"}}}, "config data missing required key: 'u1'"),
+        ({"data": {"u0": [], "u1": {"family": "zero"}}},
+         "config data key 'u0' must be an object, not []"),
+        ({"params": [1]}, "config key 'params' must be an object, not [1]"),
+        ({"grid": None}, "config key 'grid' must be an object, not None"),
+        ({"grid": {"n": 1.0, "N": 256, "L": 30.0}}, "grid dimension must be 1, 2 or 3"),
+        ({"grid": {"n": 1, "N": 256.0, "L": 30.0}}, "N must be a power of two"),
+        ({"data": {"u0": {"family": "from-file", "path": 1000}, "u1": {"family": "zero"}}},
+         "from-file data needs a path (a file name), not 1000"),
+        ({"output_dir": 7}, "config key 'output_dir' must be a string, not 7"),
+    ])
+    @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
+    def test_malformed_config_document_named_cleanly(self, tmp_path, capsys, command,
+                                                     override, named):
+        # each of these once ended in a traceback (a float grid.n builds no
+        # shape), ran (a from-file path read that file descriptor), or exited 2
+        # naming neither key nor file
+        path, _ = write_config(tmp_path, **override)
+        assert main([command, "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_that_is_no_object_named_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([small_config_doc(tmp_path)]))
+        assert main(["semilinear", "--config", str(path)]) == 2
+        assert f"config {path} is not a JSON object" in capsys.readouterr().err
+
+    def test_unallocatable_snapshot_stacks_exit_2(self, tmp_path, capsys, monkeypatch):
+        # 100 steps at stride 4 keep 26 rows of 256 points; only the two
+        # stacks of that shape fail, so no real allocation is attempted
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        empty = np.empty
+
+        def failing_empty(shape, *args, **kwargs):
+            if shape == (26, 256):
+                raise MemoryError("cannot allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", failing_empty)
+        assert main(["semilinear", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "store_fields" in err and "snapshot_stride" in err
+        assert f"26 rows ({8 * 26 * 256} bytes each)" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_sweep_config_named_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert main(["sweep", "--config", str(missing)]) == 2
@@ -383,18 +433,23 @@ class TestCommands:
     @pytest.mark.parametrize("shape,named", [
         ({"sweep": {"params.p": 3}}, "sweep path 'params.p' must map to a non-empty list"),
         ({"sweep": {"params.p": []}}, "sweep path 'params.p' must map to a non-empty list"),
-        ({"sweep": ["params.p"]}, "'sweep' must map dotted paths to lists"),
-        ({"base": [1]}, "'base' must be an object"),
+        ({"sweep": ["params.p"]}, "{cfg} key 'sweep' must be an object"),
+        ({"base": [1]}, "{cfg} key 'base' must be an object"),
+        ({"base": "config.json"}, "{cfg} key 'base' must be an object"),
+        ({"output_dir": 7}, "'output_dir' must be a string, not 7"),
+        ({"sweep": None}, "{cfg} key 'sweep' must be an object, not None"),
+        ("list", "config {cfg} is not a JSON object"),
     ])
     def test_malformed_sweep_document_exits_2(self, tmp_path, capsys, shape, named):
-        # each of these but the empty list once ended in a traceback; the
-        # empty list ran no member and exited 0
-        sweep_doc = dict({"base": small_config_doc(tmp_path), "sweep": {"params.p": [3.0]},
-                          "output_dir": str(tmp_path / "sw")}, **shape)
+        # each of these but the empty list once ended in a traceback or an
+        # unnamed exit 2; the empty list ran no member and exited 0
+        sweep_doc = {"base": small_config_doc(tmp_path), "sweep": {"params.p": [3.0]},
+                     "output_dir": str(tmp_path / "sw")}
+        sweep_doc = [sweep_doc] if shape == "list" else dict(sweep_doc, **shape)
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(sweep_doc))
         assert main(["sweep", "--config", str(cfg)]) == 2
-        assert named in capsys.readouterr().err
+        assert named.format(cfg=cfg) in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
     def test_bad_sweep_path_named_cleanly(self, tmp_path, capsys):
@@ -414,18 +469,33 @@ class TestCommands:
         assert str(missing / "manifest.json") in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["corrupt-manifest", "manifest-without-config",
+                                        "manifest-list", "config-not-object",
+                                        "blowup-not-object", "blowup-without-reason",
                                         "missing-norms"])
     def test_blowup_scan_damaged_rundir_named_cleanly(self, tmp_path, capsys, damage):
         path, _ = write_config(tmp_path)
         rundir = tmp_path / "run"
         assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
         manifest = rundir / "manifest.json"
+        doc = json.loads(manifest.read_text())
         if damage == "corrupt-manifest":
             manifest.write_text("{not json")
             named = str(manifest)
         elif damage == "manifest-without-config":
             manifest.write_text(json.dumps({"version": "0"}))
-            named = "missing key 'config'"
+            named = f"{manifest} missing required key: 'config'"
+        elif damage == "manifest-list":
+            manifest.write_text(json.dumps([doc]))
+            named = f"run manifest {manifest} is not a JSON object"
+        elif damage == "config-not-object":
+            manifest.write_text(json.dumps(dict(doc, config=5)))
+            named = f"{manifest} key 'config' must be an object, not 5"
+        elif damage == "blowup-not-object":
+            manifest.write_text(json.dumps(dict(doc, blowup=1.5)))
+            named = f"{manifest} key 'blowup' must be an object, not 1.5"
+        elif damage == "blowup-without-reason":
+            manifest.write_text(json.dumps(dict(doc, blowup={"time": 1.5})))
+            named = "'reason'"
         else:
             (rundir / "norms.csv").unlink()
             named = str(rundir / "norms.csv")
@@ -462,6 +532,15 @@ class TestCommands:
         assert main(["blowup-scan", str(rundir)]) == 2
         err = capsys.readouterr().err
         assert str(rundir) in err and "end at t = 0" in err
+
+    def test_blowup_scan_without_snapshots_named_cleanly(self, tmp_path, capsys):
+        path, _ = write_config(tmp_path)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert f"run directory {rundir} has no field snapshots" in err
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage-header"])
     def test_damaged_from_file_datum_named_cleanly(self, tmp_path, capsys, damage):
@@ -659,6 +738,15 @@ class TestCommands:
         assert str(victim) in err and "header" in err
         assert victim.read_bytes() == before
 
+    def test_fit_unknown_column_named_cleanly(self, tmp_path, capsys):
+        norms_path = tmp_path / "norms.csv"
+        self._decaying_norms(norms_path)
+        ledger = tmp_path / "fits.csv"
+        assert main(["fit", str(norms_path), "L9_u", "--window-lo", "10", "--window-hi", "50",
+                     "--ledger", str(ledger)]) == 2
+        assert f"{norms_path}: column 'L9_u' not in" in capsys.readouterr().err
+        assert not ledger.exists()
+
     def test_fit_writes_the_header_into_an_empty_ledger(self, tmp_path):
         norms_path = tmp_path / "norms.csv"
         self._decaying_norms(norms_path)
@@ -822,24 +910,78 @@ class TestSweep:
         assert bad["run_dir"].endswith("member_0001")
         assert bad["rows"] == bad["final_L2_u"] == ""
 
+    @pytest.mark.parametrize("axis,error", [
+        ({"solver.dt": [0.05, -1.0]}, "solver.dt=-1.0: dt must be positive"),
+        # a modulus key that is no string once aborted the sweep in a traceback
+        ({"mu": ["hoelder:0.5", 7]}, "mu=7: config key 'mu' must be a string, not 7"),
+    ], ids=["dt", "mu"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_invalid_member_recorded_not_fatal(self, tmp_path, capsys, workers):
+    def test_invalid_member_recorded_not_fatal(self, tmp_path, capsys, workers, axis, error):
         base = small_config_doc(tmp_path)
         base["solver"]["t_end"] = 1.0
-        sweep_doc = {"base": base, "sweep": {"solver.dt": [0.05, -1.0]},
-                     "output_dir": str(tmp_path / "sw")}
+        sweep_doc = {"base": base, "sweep": axis, "output_dir": str(tmp_path / "sw")}
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(sweep_doc))
         assert main(["sweep", "--config", str(cfg), "--workers", str(workers)]) == 1
         err = capsys.readouterr().err
-        assert "solver.dt=-1.0: dt must be positive" in err
+        assert error in err
         with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["ok", "error"]
         ok, bad = rows
         assert int(ok["rows"]) > 0
-        assert bad["error"] == "solver.dt=-1.0: dt must be positive"
+        assert bad["error"] == error
         assert bad["run_dir"].endswith("member_0001")
+
+    @staticmethod
+    def _three_member_sweep(tmp_path):
+        base = small_config_doc(tmp_path)
+        base["solver"]["t_end"] = 1.0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": base, "sweep": {"params.p": [2.5, 3.0, 3.5]},
+                                   "output_dir": str(tmp_path / "sw")}))
+        return cfg
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        # they once ran the sweep serially without a word
+        cfg = self._three_member_sweep(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 2
+        assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    # (--workers, os.cpu_count(), the pool's max_workers or None for a serial
+    # sweep) on three members
+    @pytest.mark.parametrize("workers,cpus,pool", [
+        ("5000", 8, 3), ("2", 8, 2), ("5000", 2, 2), ("5000", None, None), ("1", 8, None),
+        ("2", 1, None),
+    ])
+    def test_pool_is_bounded_by_members_and_cpus(self, tmp_path, monkeypatch, workers,
+                                                  cpus, pool):
+        # a pool forks all its max_workers processes at the first submit; this
+        # one records the size and runs the members in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = self._three_member_sweep(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 0
+        assert sizes == ([] if pool is None else [pool])
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            assert [r["status"] for r in csv.DictReader(fh)] == ["ok"] * 3
 
     def test_fractional_stride_member_recorded(self, tmp_path, capsys):
         base = small_config_doc(tmp_path)

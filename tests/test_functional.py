@@ -619,3 +619,34 @@ class TestBlockedAdjoint:
         for a, b in zip(got, want):
             assert a.shape == b.shape == (T, len(kernel.columns))
             assert np.array_equal(a, b)
+
+
+# (sigma, delta, target): the powers (2 sigma, low) are (2, 1), (2, 0) and
+# (2.5, 1.25); low = 2 delta = 0 on on_u makes the low stack the rows themselves
+EIGEN_PARAMS = [(1.0, 0.5, "on_u"), (1.0, 0.0, "on_u"), (1.25, 0.5, "on_ut")]
+
+
+class TestAdjointEigenfunctions:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("sigma,delta,target", EIGEN_PARAMS)
+    def test_cosine_rows_scale_by_the_symbol(self, sigma, delta, target, n, k):
+        # cos(k x_1) on a torus of length 2 pi is an eigenfunction of
+        # (-Lap)^(s/2) with eigenvalue k^s; each row has its own amplitude
+        params = EquationParams(sigma=sigma, delta=delta, n=n, p=3, target=target)
+        grid = GridSpec(n, 32 if n == 1 else 16, np.pi)
+        times = 0.1 * np.arange(6)
+        rows = (1.0 + times)[:, None] * np.cos(k * grid.coords()[0]).reshape(1, -1)
+        stack = rows.reshape((len(times),) + grid.shape)
+        traj = Trajectory(times=times, norms=np.zeros((len(times), 6)), grid=grid,
+                          params=params, snapshots_u=stack, snapshots_ut=stack.copy())
+        spec = TestFunctionSpec.for_params(params, [times[-1]])
+        kernel = _Kernel(traj, spec, spec.R_values, spatial_fraction=0.5)
+        w, s_sigma, s_low = kernel.adjoint(params)
+        want = rows[:, kernel.columns]
+        low = 2.0 * delta if target == "on_u" else sigma
+        assert len(kernel.columns) > 0 and np.array_equal(w, want)
+        for got, power in ((s_sigma, 2.0 * sigma), (s_low, low)):
+            assert np.max(np.abs(got - k ** power * want)) < 1e-12
+        if low == 0.0:
+            assert s_low is w

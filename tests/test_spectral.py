@@ -9,8 +9,7 @@ from sigmaevo.errors import GridMismatchError, ParameterError
 from sigmaevo.params import EquationParams
 from sigmaevo.solver import simulate_linear
 from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator,
-                               characteristic_roots, energy,
-                               fractional_derivative, fractional_symbol,
+                               characteristic_roots, energy, fractional_symbol,
                                mode_coefficients, propagator_multipliers,
                                read_field, spectral_l2, sup_bound, synthesize,
                                wrap_time, write_field)
@@ -399,46 +398,11 @@ class TestLinearEvolve:
             linear_evolve(self.u0[:128], np.zeros(128), 1.0, self.params, self.grid)
 
 
-class TestFractionalDerivative:
-    def test_identity_at_zero(self):
-        g = GridSpec(1, 64, 2.0)
-        u = np.sin(g.axis())
-        assert np.array_equal(fractional_derivative(u, 0.0, g), u)
-
-    def test_laplacian_of_cosine(self):
-        g = GridSpec(1, 128, np.pi)
-        u = np.cos(g.axis())
-        out = fractional_derivative(u, 2.0, g)
-        assert np.max(np.abs(out - u)) < 1e-12
-
-    def test_first_power_scales_mode(self):
-        g = GridSpec(1, 128, np.pi)
-        u = np.cos(2 * g.axis())
-        out = fractional_derivative(u, 1.0, g)
-        assert np.max(np.abs(out - 2 * u)) < 1e-12
-
+class TestFractionalSymbol:
     def test_symbol_zero_mode(self):
         xisq = np.array([0.0, 1.0, 4.0])
         assert fractional_symbol(xisq, 0.0).tolist() == [1.0, 1.0, 1.0]
         assert fractional_symbol(xisq, 3.0)[0] == 0.0
-
-    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
-    def test_stack_matches_per_slice(self, s):
-        g = GridSpec(2, 16, 2.0)
-        stack = np.random.default_rng(1).standard_normal((3,) + g.shape)
-        out = fractional_derivative(stack, s, g)
-        for k in range(len(stack)):
-            one = fractional_derivative(stack[k], s, g)
-            assert np.allclose(out[k], one, rtol=0, atol=1e-13 * np.max(np.abs(one)))
-        if s == 0.0:
-            assert np.array_equal(out, stack) and out is not stack
-        with pytest.raises(GridMismatchError):
-            fractional_derivative(stack[..., :8], s, g)
-
-    def test_negative_power_rejected(self):
-        g = GridSpec(1, 64, 1.0)
-        with pytest.raises(ParameterError):
-            fractional_derivative(np.zeros(g.shape), -1.0, g)
 
 
 class TestBandLimited:
