@@ -2,20 +2,28 @@
 
 A run is described by one JSON document (diff-able, round-trips losslessly)
 and produces a run directory holding the exact config used (manifest.json),
-norms.csv, and optional binary field snapshots.  Numerical blow-up is a
-recorded verdict, never a process failure; validation problems exit nonzero
-with the violated constraint named.
+norms.csv, and optional binary field snapshots, one file per field and row.
+Numerical blow-up is a recorded verdict, never a process failure; validation
+problems exit nonzero with the violated constraint named.
+
+Snapshots stream through the run directory and no command holds a stack of
+them: a run writes each kept row as its loop makes it (FieldFiles, the one
+writer of field files), and a loaded run's stacks read their rows from the
+files on demand (FieldStack).
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import copy
 import csv
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -30,10 +38,12 @@ from .params import (EquationParams, check_admissibility, critical_exponent,
                      predict_linear_rate, predict_theorem_rates)
 from .solver import (NORM_COLUMNS, BlowUp, SolverConfig, Trajectory, simulate,
                      simulate_linear)
-from .spectral import (GridSpec, mode_coefficients, read_field, synthesize,
+from .spectral import (GridSpec, field_header, mode_coefficients, read_field, synthesize,
                        wrap_time, write_field)
 
 OUTPUT_ROOT_ENV = "SIGMAEVO_OUT"
+# the keys of a run config; a legacy "seed" key is also accepted, and ignored
+CONFIG_KEYS = ("params", "mu", "grid", "solver", "data", "output_dir")
 
 
 # -- initial data ------------------------------------------------------------
@@ -101,7 +111,11 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Validated config from its JSON form; a legacy "seed" key is ignored
-        (every data family is deterministic)."""
+        (every data family is deterministic), any other unknown key rejected."""
+        unknown = sorted(set(doc) - set(CONFIG_KEYS) - {"seed"})
+        if unknown:
+            raise ConfigError(f"config has unknown key(s) {', '.join(map(repr, unknown))}; "
+                              f"the keys are {', '.join(CONFIG_KEYS)}")
         params = _record(EquationParams, doc, "params")
         grid = _record(GridSpec, doc, "grid")
         solver = _record(SolverConfig, doc, "solver")
@@ -210,6 +224,8 @@ def read_norms_csv(path: str):
 
 def save_run(outdir: str, config: RunConfig, traj: Trajectory,
              extra_manifest: Optional[dict] = None):
+    """Write manifest.json and norms.csv, and the snapshots of a trajectory
+    that holds them (a run streamed to outdir holds none: its loop wrote them)."""
     os.makedirs(outdir, exist_ok=True)
     mean_u1 = float(np.mean(config.u1.build(config.grid)))
     manifest = {
@@ -227,17 +243,117 @@ def save_run(outdir: str, config: RunConfig, traj: Trajectory,
         json.dump(manifest, fh, indent=2, allow_nan=False)
     write_norms_csv(os.path.join(outdir, "norms.csv"), traj)
     if traj.snapshots_u is not None:
+        with _field_sink(outdir, config.grid) as files:
+            for i, t in enumerate(traj.times.tolist()):
+                files.write(i, t, traj.snapshots_u[i], traj.snapshots_ut[i])
+
+
+def _field_path(fdir: str, name: str, i: int) -> str:
+    """The file of row i's snapshot of field ``name`` (u or ut)."""
+    return os.path.join(fdir, f"{name}_{i:06d}.bin")
+
+
+class FieldFiles:
+    """The snapshot sink that streams a run to files (see
+    solver.SnapshotStacks): row i's u and u_t are transformed into one pair
+    of buffers and written to u_{i:06d}.bin and ut_{i:06d}.bin in ``fdir``
+    once the row has passed its blow-up check.  It holds no stack."""
+
+    def __init__(self, fdir: str, grid: GridSpec):
+        self.fdir, self.grid = fdir, grid
+        self._buffers = (np.empty(grid.shape), np.empty(grid.shape))
+
+    def buffers(self, i: int) -> tuple:
+        return self._buffers
+
+    def keep(self, i: int, t: float):
+        self.write(i, t, *self._buffers)
+
+    def write(self, i: int, t: float, u: np.ndarray, ut: np.ndarray):
+        for name, field in (("u", u), ("ut", ut)):
+            write_field(_field_path(self.fdir, name, i), field, self.grid, float(t))
+
+    def stacks(self, n: int) -> tuple:
+        return None, None
+
+
+@contextlib.contextmanager
+def _field_sink(outdir: str, grid: GridSpec, store: bool = True):
+    """A FieldFiles sink for outdir/fields (None unless ``store``).
+
+    The files go to a staging directory inside outdir that replaces
+    outdir/fields when the block ends; a block that raises leaves outdir as
+    it found it, removing the directories it made.
+    """
+    if not store:
+        yield None
+        return
+    made, parent = None, os.path.abspath(outdir)
+    while not os.path.exists(parent):
+        made, parent = parent, os.path.dirname(parent)
+    os.makedirs(outdir, exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=".fields-", dir=outdir)
+    try:
+        # mkdtemp's directory is private (0700); the one inside it is made
+        # with the usual permissions, and is what becomes outdir/fields
+        staged = os.path.join(stage, "fields")
+        os.mkdir(staged)
+        yield FieldFiles(staged, grid)
         fdir = os.path.join(outdir, "fields")
-        os.makedirs(fdir, exist_ok=True)
-        for i, t in enumerate(traj.times):
-            for name, stack in (("u", traj.snapshots_u), ("ut", traj.snapshots_ut)):
-                write_field(os.path.join(fdir, f"{name}_{i:06d}.bin"),
-                            stack[i], config.grid, float(t))
+        if os.path.isdir(fdir):
+            shutil.rmtree(fdir)
+        os.rename(staged, fdir)
+    except BaseException:
+        shutil.rmtree(made or stage, ignore_errors=True)
+        raise
+    os.rmdir(stage)
+
+
+def _check_snapshot(path: str, i: int, t: float, header: tuple, grid: GridSpec):
+    """Row i of norms.csv, at time t on ``grid``, against a snapshot's header."""
+    if header != (grid, t):
+        raise ParameterError(f"{path}: header grid {header[0]} at t = {header[1]!r} does not "
+                             f"match row {i} of norms.csv, t = {t!r} on {grid}")
+
+
+class FieldStack:
+    """One field's snapshots in a run directory, read on demand: row i is
+    <fdir>/<name>_{i:06d}.bin, whose header must match time times[i] on
+    ``grid``.  A row or a slice of rows reads just those files into an
+    array; np.asarray reads them all."""
+
+    def __init__(self, fdir: str, name: str, times: list, grid: GridSpec):
+        self.fdir, self.name, self.times, self.grid = fdir, name, times, grid
+        self.shape = (len(times),) + grid.shape
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            rows = range(len(self))[key]
+            out = np.empty((len(rows),) + self.grid.shape)
+            for j, i in enumerate(rows):
+                out[j] = self._row(i)
+            return out
+        return self._row(range(len(self))[key])
+
+    def _row(self, i: int) -> np.ndarray:
+        path = _field_path(self.fdir, self.name, i)
+        field, grid, time = read_field(path)
+        _check_snapshot(path, i, self.times[i], (grid, time), self.grid)
+        return field
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:] if dtype is None else self[:].astype(dtype)
 
 
 def load_run(outdir: str) -> tuple:
     """(config, trajectory) reconstructed from a run directory; row i of
-    norms.csv reads the snapshots fields/u_{i:06d}.bin and ut_{i:06d}.bin."""
+    norms.csv reads the snapshots fields/u_{i:06d}.bin and ut_{i:06d}.bin.
+
+    Every snapshot's header (grid, time and payload size) is checked against
+    its row here; the trajectory's stacks are FieldStacks, read on demand."""
     path = os.path.join(outdir, "manifest.json")
     manifest = _load_json(path, "run manifest")
     config = RunConfig.from_dict(_section(manifest, "config", path))
@@ -253,16 +369,13 @@ def load_run(outdir: str) -> tuple:
                       blowup_threshold=manifest.get("blowup_threshold"))
     fdir = os.path.join(outdir, "fields")
     if os.path.isdir(fdir):
-        stacks = [np.empty((len(traj.times),) + config.grid.shape) for _ in range(2)]
-        for i, t in enumerate(traj.times.tolist()):
-            for name, stack in zip(("u", "ut"), stacks):
-                path = os.path.join(fdir, f"{name}_{i:06d}.bin")
-                field, grid, time = read_field(path)
-                if (grid, time) != (config.grid, t):
-                    raise ParameterError(f"{path}: header grid {grid} at t = {time!r} does not "
-                                         f"match row {i} of norms.csv, t = {t!r} on {config.grid}")
-                stack[i] = field
-        traj.snapshots_u, traj.snapshots_ut = stacks
+        times = traj.times.tolist()
+        for i, t in enumerate(times):
+            for name in ("u", "ut"):
+                path = _field_path(fdir, name, i)
+                _check_snapshot(path, i, t, field_header(path), config.grid)
+        traj.snapshots_u, traj.snapshots_ut = (FieldStack(fdir, name, times, config.grid)
+                                               for name in ("u", "ut"))
     return config, traj
 
 
@@ -353,14 +466,15 @@ def cmd_linear_decay(args) -> int:
     # the row times of a semilinear run of the same config
     solver = config.solver
     times = np.arange(0, solver.n_steps + 1, solver.snapshot_stride) * solver.dt
-    traj = simulate_linear(u0, u1, config.params, times, config.grid,
-                           store_fields=solver.store_fields)
-    window = ((args.window_lo, args.window_hi) if args.window_lo is not None
-              else _fit_window(config, u0, u1))
-    fit = analysis.fit_decay(traj.series("L2_u"), window)
-    predicted = _expected_linear_exponent(config.params, u0, u1)
-    verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
-    save_run(outdir, config, traj, {"kind": "linear-decay"})
+    with _field_sink(outdir, config.grid, solver.store_fields) as fields:
+        traj = simulate_linear(u0, u1, config.params, times, config.grid,
+                               store_fields=solver.store_fields, fields=fields)
+        window = ((args.window_lo, args.window_hi) if args.window_lo is not None
+                  else _fit_window(config, u0, u1))
+        fit = analysis.fit_decay(traj.series("L2_u"), window)
+        predicted = _expected_linear_exponent(config.params, u0, u1)
+        verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
+        save_run(outdir, config, traj, {"kind": "linear-decay"})
     write_table(os.path.join(outdir, "fit.csv"),
                 ["column", "exponent", "predicted", "tolerance",
                  "window_lo", "window_hi", "residual_rms", "passed"],
@@ -376,8 +490,7 @@ def cmd_linear_decay(args) -> int:
 def cmd_semilinear(args) -> int:
     config = RunConfig.load(args.config)
     outdir = _output_dir(args.out, config.output_dir, "run")
-    traj = run_semilinear(config)
-    save_run(outdir, config, traj, {"kind": "semilinear"})
+    traj = run_semilinear(config, outdir, "semilinear")
     if traj.blowup is not None:
         print(f"blow-up at t = {traj.blowup.time:g} ({traj.blowup.reason}); "
               "verdict recorded")
@@ -387,10 +500,20 @@ def cmd_semilinear(args) -> int:
     return 0
 
 
-def run_semilinear(config: RunConfig) -> Trajectory:
+def run_semilinear(config: RunConfig, outdir: Optional[str] = None,
+                   kind: str = "semilinear") -> Trajectory:
+    """The semilinear run of ``config``; with ``outdir`` it is also saved
+    there, its snapshots (with store_fields) streamed to outdir/fields as
+    the loop keeps them, and a run that raises leaves outdir as it was."""
     u0 = config.u0.build(config.grid)
     u1 = config.u1.build(config.grid)
-    return simulate(u0, u1, config.params, config.mu(), config.solver, config.grid)
+    if outdir is None:
+        return simulate(u0, u1, config.params, config.mu(), config.solver, config.grid)
+    with _field_sink(outdir, config.grid, config.solver.store_fields) as fields:
+        traj = simulate(u0, u1, config.params, config.mu(), config.solver, config.grid,
+                        fields=fields)
+        save_run(outdir, config, traj, {"kind": kind})
+    return traj
 
 
 def cmd_blowup_scan(args) -> int:
@@ -496,8 +619,7 @@ def _sweep_worker(task) -> dict:
     doc, outdir, label = task
     try:
         config = RunConfig.from_dict(doc)
-        traj = run_semilinear(config)
-        save_run(outdir, config, traj, {"kind": "sweep-member"})
+        traj = run_semilinear(config, outdir, "sweep-member")
     except _USER_ERRORS as exc:
         return {"run_dir": outdir, "status": "error", "error": f"{label}: {exc}"}
     return {
@@ -518,6 +640,9 @@ def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
     base, axes = _section(doc, "base", args.config), _section(doc, "sweep", args.config)
     for path, values in axes.items():
+        if path.split(".", 1)[0] not in CONFIG_KEYS:
+            raise ConfigError(f"sweep path {path!r} does not start with a key of a run config "
+                              f"({', '.join(CONFIG_KEYS)})")
         if not (isinstance(values, list) and values):
             raise ConfigError(f"sweep path {path!r} must map to a non-empty list of values")
     keys = sorted(axes)

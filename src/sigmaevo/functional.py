@@ -32,10 +32,13 @@ Three exact facts keep the quadrature cheap.  Psi(|w|) does not depend on
 R, so it is computed once.  The spatial multipliers have real, even
 symbols, so they move from phi_R onto the solution by adjointness,
 sum_x w * S phi = sum_x (S w) * phi, and the operator-applied stacks are
-also computed once, transforming the monitored stack in blocks of rows (at
-most 256 KiB of half spectrum each) and keeping only the columns the
-quadrature reads; every row is transformed on its own either way, so the
-bits do not depend on the block size.
+also computed once.  One pass reads the monitored stack in blocks of rows
+(at most 256 KiB of half spectrum each) and keeps only the columns the
+quadrature reads: of each block, the rows themselves (Psi's argument) and
+the two operator-applied rows.  So the stack may be a lazy one that reads
+its rows from files (a loaded run directory), and no stack-sized array is
+made; every row is transformed on its own either way, so the bits do not
+depend on the block size.
 And phi_R, phi*_R, their time derivatives and PhiR vanish identically on
 every column where |x|^sp + t_0 >= R, so each R evaluates the profile, the
 time stencils and the quadrature on its remaining columns only, with no
@@ -217,11 +220,12 @@ class _Kernel:
     """The per-R quadrature shared by I_R, J_R and g(R) on a trajectory.
 
     It reads the trajectory's grid and its monitored stack ``w`` (u on on_u,
-    u_t on on_ut).  Construction checks coverage for every R first: at least
-    6 uniformly spaced snapshots that reach t = R, and a support radius
-    R^(1/sp) within ``spatial_fraction * L``.  Stacks handed to a call are
-    (T, k) arrays on ``columns``, the grid points whose |x|^sp + t_0 lies
-    below the largest R.
+    u_t on on_ut), an array or a lazy stack whose rows are arrays, in one
+    pass of row blocks per call of adjoint (or of weight without ``w``).
+    Construction checks coverage for every R first: at least 6 uniformly
+    spaced snapshots that reach t = R, and a support radius R^(1/sp) within
+    ``spatial_fraction * L``.  Stacks handed to a call are (T, k) arrays on
+    ``columns``, the grid points whose |x|^sp + t_0 lies below the largest R.
     """
 
     def __init__(self, traj: Trajectory, spec: TestFunctionSpec,
@@ -255,30 +259,51 @@ class _Kernel:
     def _restrict(self, stack: np.ndarray) -> np.ndarray:
         return stack.reshape(len(stack), -1)[:, self.columns]
 
-    def weight(self, mu: ModulusSpec, p0: float) -> np.ndarray:
-        """Psi(|w|) on the kernel's columns."""
-        return psi(np.abs(self._restrict(self.w)), p0, mu)
+    def weight(self, mu: ModulusSpec, p0: float, w: Optional[np.ndarray] = None) -> np.ndarray:
+        """Psi(|w|) on the kernel's columns, from the restricted stack ``w``
+        that adjoint returned, or from a pass of its own."""
+        if w is None:
+            (w,) = self._read(())
+        return psi(np.abs(w), p0, mu)
 
     def adjoint(self, params: EquationParams) -> tuple:
         """The solution and the two operator-applied stacks J_R pairs with phi_R.
 
         on_u: (u, (-Lap)^sigma u, (-Lap)^delta u);
         on_ut: (u_t, (-Lap)^sigma u_t, (-Lap)^(sigma/2) u_t).
-        One forward transform of a block of rows of w serves both powers, whose
-        inverses keep only the kernel's columns; power 0 is w itself.
         """
         low = 2.0 * params.delta if self.spec.target == Target.ON_U else params.sigma
+        return tuple(self._read((2.0 * params.sigma, low)))
+
+    def _read(self, powers: tuple) -> list:
+        """w, then (-Lap)^(s/2) w for each power s, on the kernel's columns,
+        from one pass over the rows of w in blocks.  One forward transform of
+        a block serves every power, whose inverses keep only the kernel's
+        columns; power 0 is w itself.  A block's rows, spectrum and inverse
+        go through buffers allocated once per pass: a block-sized array made
+        per block is mapped and unmapped by the allocator each time, and
+        page-faulted afresh (about 2,900 minor faults per scan-1d scan)."""
         xisq = self.grid.xi_squared()
-        powers = (2.0 * params.sigma, low)
-        w = self._restrict(self.w)
+        T = len(self.times)
+        w = np.empty((T, len(self.columns)))
         stacks = [np.empty_like(w) if p else w for p in powers]
         applied = [(fractional_symbol(xisq, p), out) for p, out in zip(powers, stacks) if p]
-        block = max(1, _BLOCK_BYTES // (16 * xisq.size))
-        for lo in range(0, len(w), block):
-            wh = self.grid.fft(self.w[lo:lo + block])
-            for sym, out in applied:
-                out[lo:lo + block] = self._restrict(self.grid.ifft(sym * wh))
-        return (w, *stacks)
+        size = min(T, max(1, _BLOCK_BYTES // (16 * xisq.size)))
+        rows = np.empty((size,) + self.grid.shape)
+        if applied:
+            spectrum, product = (np.empty((size,) + xisq.shape, dtype=complex) for _ in range(2))
+            back = np.empty_like(rows)
+        for lo in range(0, T, size):
+            m = min(size, T - lo)
+            for j in range(m):
+                rows[j] = self.w[lo + j]
+            w[lo:lo + m] = self._restrict(rows[:m])
+            if applied:
+                wh = self.grid.fft(rows[:m], out=spectrum[:m])
+                for sym, out in applied:
+                    np.multiply(sym, wh, out=product[:m])
+                    out[lo:lo + m] = self._restrict(self.grid.ifft(product[:m], out=back[:m]))
+        return [w, *stacks]
 
     def __call__(self, R: float, weight: Optional[np.ndarray] = None,
                  adjoint: Optional[tuple] = None) -> tuple:
@@ -368,13 +393,15 @@ def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec) -
     """Rows (R, I_R, J_R, g(R), G(R)) over spec.R_values in one pass.
 
     The rows equal compute_I_R, compute_J_R and compute_G up to rounding.
-    Psi(|w|) and the operator-applied stacks are built once; every R must
+    One pass over the monitored stack builds its restricted rows and the
+    operator-applied stacks, and Psi(|w|) is built once; every R must
     meet the J_R coverage rule (support radius <= L/2), checked before any
     work.
     """
     rs = list(spec.R_values)
     kernel = _Kernel(traj, spec, rs, spatial_fraction=0.5)
-    weight, adjoint = kernel.weight(mu, p0), kernel.adjoint(traj.params)
+    adjoint = kernel.adjoint(traj.params)
+    weight = kernel.weight(mu, p0, adjoint[0])
     rows = [kernel(R, weight, adjoint) for R in rs]
     Gs = _accumulate_G(rs, [g for _, _, g in rows], spec.measure_exponent(traj.grid.n))
     return [(R, I, J, g, G) for R, (I, J, g), G in zip(rs, rows, Gs)]

@@ -19,9 +19,13 @@ afresh.
 
 A run allocates its arrays once: the loop and the stepper write every step
 into a workspace (two state pairs used in turn, the physical fields, the
-squared moduli of a norm row), and the snapshots a run keeps are transformed
-straight into two stacks allocated up front, whose unreached rows are never
-written and so take no resident memory.
+squared moduli of a norm row).  The snapshots a run keeps go to a sink: the
+loop transforms a kept row's u and u_t into the buffers the sink names, and
+hands the row over only once it has passed its blow-up check, so the sink
+keeps exactly the rows of the trajectory.  ``SnapshotStacks``, the default,
+is two in-memory stacks allocated up front, whose unreached rows are never
+written and so take no resident memory; the command line streams the rows to
+files instead (``cli.FieldFiles``) and holds no stack.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite
@@ -44,6 +48,9 @@ from .spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum, sp
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
+# the most steps a run may take: t_end / dt beyond it is rejected up front
+MAX_STEPS = 10 ** 9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -65,6 +72,9 @@ class SolverConfig:
             raise ParameterError("t_end must exceed dt")
         if not math.isfinite(self.t_end / self.dt):
             raise ParameterError("t_end / dt must be finite")
+        if self.n_steps > MAX_STEPS:
+            raise ParameterError(f"t_end / dt = {self.t_end / self.dt:.3g} steps exceeds the "
+                                 f"maximum of {MAX_STEPS}; raise dt or shorten t_end")
         if not 0.0 < self.dealias_fraction <= 1.0:
             raise ParameterError("dealias_fraction must lie in (0, 1]")
         if self.blowup_threshold is not None and not 0 < self.blowup_threshold < math.inf:
@@ -94,7 +104,9 @@ class Trajectory:
     params: EquationParams
     blowup: Optional[BlowUp] = None
     blowup_threshold: Optional[float] = None      # the threshold simulate resolved
-    snapshots_u: Optional[np.ndarray] = None      # one per row: (len(times), *grid.shape)
+    # one per row, (len(times), *grid.shape): arrays, or the lazy stacks of a
+    # loaded run directory (cli.FieldStack), whose row slices are arrays
+    snapshots_u: Optional[np.ndarray] = None
     snapshots_ut: Optional[np.ndarray] = None
 
     @property
@@ -246,18 +258,48 @@ def _warn_if_outside_window(params: EquationParams):
              "running anyway")
 
 
+class SnapshotStacks:
+    """The in-memory snapshot sink: two stacks of ``n_rows`` rows allocated
+    up front, row i's u and u_t transformed straight into row i of each.
+
+    A snapshot sink names, by ``buffers(i)``, the pair of arrays that row i's
+    u and u_t are transformed into; ``keep(i, t)`` takes row i, at time t,
+    once it has passed its blow-up check; ``stacks(n)`` is the trajectory's
+    (snapshots_u, snapshots_ut) after n kept rows.
+    """
+
+    def __init__(self, n_rows: int, grid: GridSpec):
+        try:
+            self.u, self.ut = (np.empty((n_rows,) + grid.shape) for _ in range(2))
+        except MemoryError as exc:
+            raise ParameterError(f"store_fields: the two snapshot stacks of {n_rows} rows "
+                                 f"({8 * n_rows * grid.N ** grid.n} bytes each) cannot be "
+                                 "allocated; raise snapshot_stride or shorten t_end") from exc
+
+    def buffers(self, i: int) -> tuple:
+        return self.u[i], self.ut[i]
+
+    def keep(self, i: int, t: float):
+        pass
+
+    def stacks(self, n: int) -> tuple:
+        return self.u[:n], self.ut[:n]
+
+
 def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParams,
-           levels: np.ndarray, advance, monitor: Target, threshold: Optional[float],
-           stride: int = 1, store_fields: bool = False) -> Trajectory:
+           levels, advance, monitor: Target, threshold: Optional[float],
+           stride: int = 1, fields=None) -> Trajectory:
     """The time loop of both runs: from the data at t = 0 through the times
-    ``levels``, ``advance(uh, uth, w, dt, out)`` moving the state on by dt
-    into the pair ``out`` (w is the monitored field, u or u_t, of the level it
-    leaves, or None where that level did not transform it back).  Every
-    ``stride``-th level is a row; a None ``threshold`` (u monitored) leaves only "nan".
+    ``levels`` (an iterable of floats), ``advance(uh, uth, w, dt, out)``
+    moving the state on by dt into the pair ``out`` (w is the monitored
+    field, u or u_t, of the level it leaves, or None where that level did not
+    transform it back).  Every ``stride``-th level is a row; a None
+    ``threshold`` (u monitored) leaves only "nan".  A snapshot sink
+    ``fields`` (see SnapshotStacks) keeps the fields of every row.
 
     The state alternates between two preallocated pairs, and the fields a
     level transforms back land in preallocated arrays: the snapshots a row
-    keeps in its row of the two stacks, the others in a shared pair.
+    keeps in the buffers its sink names, the others in a shared pair.
     """
     grid.check_field(u0)
     grid.check_field(u1)
@@ -267,27 +309,20 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
     pairs = [(np.empty(half, dtype=complex), np.empty(half, dtype=complex)) for _ in range(2)]
     uh = grid.fft(np.asarray(u0, dtype=float), out=pairs[0][0])
     uth = grid.fft(np.asarray(u1, dtype=float), out=pairs[0][1])
-    fields = (np.empty(grid.shape), np.empty(grid.shape))
+    scratch = (np.empty(grid.shape), np.empty(grid.shape))
     work = np.empty((2,) + half)
     on_u = monitor == Target.ON_U
-    n_rows = math.ceil(len(levels) / stride)
-    try:
-        stacks = [np.empty((n_rows,) + grid.shape) for _ in range(2)] if store_fields else None
-    except MemoryError as exc:
-        raise ParameterError(f"store_fields: the two snapshot stacks of {n_rows} rows "
-                             f"({8 * n_rows * grid.N ** grid.n} bytes each) cannot be "
-                             "allocated; raise snapshot_stride or shorten t_end") from exc
 
     row_times, rows = [], []
     blowup, t_state, w = None, 0.0, None
-    for k, t in enumerate(levels.tolist()):
+    for k, t in enumerate(levels):
         if t != t_state:
             out = pairs[1] if uh is pairs[0][0] else pairs[0]
             uh, uth = advance(uh, uth, w, t - t_state, out)
             t_state = t
         row = k % stride == 0
-        keep = row and store_fields
-        u_buf, ut_buf = [stack[len(rows)] for stack in stacks] if keep else fields
+        keep = row and fields is not None
+        u_buf, ut_buf = fields.buffers(len(rows)) if keep else scratch
         # transform back only what this level reads: w, and the fields of a row
         u_phys = grid.ifft(uh, out=u_buf) if on_u or row else None
         norms = _norm_row(uh, uth, u_phys, grid, params, work) if row else None
@@ -312,19 +347,23 @@ def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParam
         if row:
             row_times.append(t)
             rows.append(norms)
+            if keep:
+                fields.keep(len(rows) - 1, t)
 
-    snaps = [stack[:len(rows)] for stack in stacks] if store_fields else (None, None)
+    snaps = (None, None) if fields is None else fields.stacks(len(rows))
     return Trajectory(np.asarray(row_times, dtype=float),
                       np.asarray(rows).reshape(len(rows), len(NORM_COLUMNS)), grid, params,
                       blowup, threshold, *snaps)
 
 
 def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
-             mu: ModulusSpec, config: SolverConfig, grid: GridSpec) -> Trajectory:
+             mu: ModulusSpec, config: SolverConfig, grid: GridSpec,
+             fields=None) -> Trajectory:
     """Run the semilinear problem to t_end or blow-up.
 
     Records one norm row every ``snapshot_stride`` steps (always including
-    t = 0), plus field snapshots when ``store_fields``.  The nonlinearity
+    t = 0), plus field snapshots when ``store_fields``: into the snapshot
+    sink ``fields`` when given, else into SnapshotStacks.  The nonlinearity
     argument follows ``params.target``; t_end is rounded to the nearest whole
     step.  Parameters outside the relevant existence window only warn:
     experiments deliberately probe both sides.  Identical inputs produce
@@ -335,16 +374,21 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     if threshold is None:
         threshold = default_blowup_threshold(u0, u1)
     stepper = _Stepper(params, mu, config, grid)
-    return _march(u0, u1, grid, params, np.arange(config.n_steps + 1) * config.dt,
+    if config.store_fields and fields is None:
+        fields = SnapshotStacks(config.n_steps // config.snapshot_stride + 1, grid)
+    # level k is at k * dt, formed per level: no array of every level's time
+    return _march(u0, u1, grid, params, (k * config.dt for k in range(config.n_steps + 1)),
                   lambda uh, uth, w, dt, out: stepper.step(uh, uth, w, out=out),
-                  params.target, threshold,
-                  config.snapshot_stride, config.store_fields)
+                  params.target, threshold, config.snapshot_stride,
+                  fields if config.store_fields else None)
 
 
 def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
                     times: np.ndarray, grid: GridSpec,
-                    store_fields: bool = False) -> Trajectory:
-    """Exact linear trajectory at nonnegative, strictly increasing times.
+                    store_fields: bool = False, fields=None) -> Trajectory:
+    """Exact linear trajectory at nonnegative, strictly increasing times,
+    with the snapshots of every sample when ``store_fields`` (into the sink
+    ``fields`` when given, else into SnapshotStacks).
 
     The flow is a semigroup, S(t + d) = S(d) S(t): each sample is the previous
     one moved on by the exact propagator of the increment, rebuilt only when
@@ -364,8 +408,10 @@ def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
             prop = Propagator.build(cache, dt)
         return prop.apply(uh, uth, out=out)
 
-    return _march(u0, u1, grid, params, times, advance, Target.ON_U, None,
-                  store_fields=store_fields)
+    if store_fields and fields is None:
+        fields = SnapshotStacks(len(times), grid)
+    return _march(u0, u1, grid, params, times.tolist(), advance, Target.ON_U, None,
+                  fields=fields if store_fields else None)
 
 
 def energy_identity_residuals(u0: np.ndarray, u1: np.ndarray, params: EquationParams,

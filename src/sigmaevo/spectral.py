@@ -38,6 +38,7 @@ identity operator).
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -109,10 +110,11 @@ class GridSpec:
         into ``out`` when given; ``uh`` is not modified.
 
         irfftn's passes, bit for bit: ifft on the leading axes, first first,
-        then irfft on the last.  With ``out`` (a single field) the complex
+        then irfft on the last.  With ``out`` and a single field the complex
         passes run in a scratch array the grid keeps, so nothing is allocated.
         """
-        work = self._spectral_scratch if out is not None and self.n > 1 else None
+        single = out is not None and self.n > 1 and uh.ndim == self.n
+        work = self._spectral_scratch if single else None
         for axis in range(-self.n, -1):
             uh = work = np.fft.ifft(uh, axis=axis, out=work)
         return np.fft.irfft(uh, n=self.N, axis=-1, out=out)
@@ -447,12 +449,11 @@ def write_field(path, u: np.ndarray, grid: GridSpec, time: float = 0.0):
         fh.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
 
 
-def read_field(path):
-    """Inverse of :func:`write_field`: returns (array, grid, time).  A damaged
-    header or payload raises ParameterError naming the path."""
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        raw = fh.read()
+def _read_header(fh, path) -> tuple:
+    """(grid, time, payload bytes) of the open field file ``fh``, positioned
+    at its payload; a damaged header, or a payload that does not match the
+    header's grid, raises ParameterError naming the path."""
+    header = fh.readline()
     try:
         magic, *fields = header.decode("ascii").split()
         kv = dict(f.split("=", 1) for f in fields)
@@ -462,7 +463,25 @@ def read_field(path):
         time = float(kv["time"])
     except (ValueError, KeyError) as exc:    # UnicodeDecodeError is a ValueError
         raise ParameterError(f"{path}: not a sigmaevo field file") from exc
-    if len(raw) != 8 * grid.N ** grid.n:
-        raise ParameterError(f"{path}: payload of {len(raw)} bytes does not match "
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != 8 * grid.N ** grid.n:
+        raise ParameterError(f"{path}: payload of {size} bytes does not match "
                              f"the {grid.shape} grid of its header")
-    return np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy(), grid, time
+    return grid, time, size
+
+
+def field_header(path) -> tuple:
+    """(grid, time) of a field file, its payload size checked but not read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[:2]
+
+
+def read_field(path):
+    """Inverse of :func:`write_field`: returns (array, grid, time).  A damaged
+    header or payload raises ParameterError naming the path."""
+    with open(path, "rb") as fh:
+        grid, time, size = _read_header(fh, path)
+        field = np.empty(grid.shape, dtype="<f8")
+        if fh.readinto(field) != size:
+            raise ParameterError(f"{path}: payload ends before {size} bytes")
+    return field.astype(float, copy=False), grid, time

@@ -13,8 +13,23 @@ import sigmaevo
 from sigmaevo import cli
 from sigmaevo.cli import (DataSpec, RunConfig, load_run, main, read_norms_csv,
                           run_semilinear, save_run, write_norms_csv)
-from sigmaevo.errors import ConfigError
+from sigmaevo.errors import ConfigError, ParameterError
 from sigmaevo.modulus import classify_integral_criterion
+from sigmaevo.solver import simulate_linear
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes; and every
+    directory, mapped to None."""
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            out[os.path.relpath(os.path.join(dirpath, name), root)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
 
 
 def small_config_doc(tmp_path, **overrides):
@@ -94,6 +109,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="params"):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["muu", "solvers", "Seed"])
+    def test_unknown_key_named(self, tmp_path, key):
+        # an unknown key was once ignored, so a misspelt one ran the defaults
+        doc = small_config_doc(tmp_path, **{key: 1})
+        with pytest.raises(ConfigError, match=f"unknown key\\(s\\) '{key}'"):
+            RunConfig.from_dict(doc)
+
     @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
     def test_params_n_must_match_grid_n(self, tmp_path, capsys, command):
         # a 3D params.n on a 1D grid once ran the numerics in 1D and the
@@ -141,6 +163,77 @@ class TestPersistence:
         assert np.array_equal(loaded.times, traj.times)
         assert np.array_equal(loaded.snapshots_u, traj.snapshots_u)
         assert np.array_equal(loaded.snapshots_ut, traj.snapshots_ut)
+
+    @pytest.mark.parametrize("params", [
+        {"sigma": 1, "delta": 0, "m": 1, "n": 1, "p": 3, "target": "on_u", "r": 1},
+        {"sigma": 2, "delta": 1, "m": 1, "n": 1, "p": 3, "target": "on_ut", "r": 3},
+    ], ids=["on_u", "on_ut"])
+    def test_streamed_run_equals_saved_in_memory_run(self, tmp_path, params):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver, params=params)
+        assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        config = RunConfig.load(path)
+        save_run(tmp_path / "b", config, run_semilinear(config), {"kind": "semilinear"})
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        assert len(os.listdir(tmp_path / "a" / "fields")) == 2 * 26
+
+    def test_streamed_linear_run_equals_saved_in_memory_run(self, tmp_path):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        assert main(["linear-decay", "--config", str(path), "--out", str(tmp_path / "a"),
+                     "--window-lo", "1", "--window-hi", "4"]) == 0
+        config = RunConfig.load(path)
+        u0, u1 = config.u0.build(config.grid), config.u1.build(config.grid)
+        times = np.arange(0, 101, 4) * 0.05
+        traj = simulate_linear(u0, u1, config.params, times, config.grid, store_fields=True)
+        save_run(tmp_path / "b", config, traj, {"kind": "linear-decay"})
+        a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
+        assert a.pop("fit.csv") and a == b
+
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("fault", ["write", "interrupt"])
+    def test_run_that_raises_leaves_the_output_as_it_was(self, tmp_path, monkeypatch,
+                                                         existing, fault):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        out = tmp_path / "deep" / "run"
+        if existing:   # an earlier run of another config, fields included
+            short, _ = write_config(tmp_path, "short.json", solver=dict(solver, t_end=1.0))
+            assert main(["semilinear", "--config", str(short), "--out", str(out)]) == 0
+        before = tree_bytes(tmp_path)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 7:   # mid-loop: row 3's u file
+                raise OSError("No space left on device") if fault == "write" \
+                    else KeyboardInterrupt()
+            return write_field(*args, **kwargs)
+
+        write_field = cli.write_field
+        monkeypatch.setattr(cli, "write_field", failing)
+        if fault == "write":
+            assert main(["semilinear", "--config", str(path), "--out", str(out)]) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(["semilinear", "--config", str(path), "--out", str(out)])
+        assert len(calls) == 7
+        assert tree_bytes(tmp_path) == before
+        assert out.parent.exists() == existing
+
+    def test_loaded_stacks_read_rows_on_demand(self, tmp_path):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        config = RunConfig.load(path)
+        traj = run_semilinear(config)
+        save_run(tmp_path / "saved", config, traj)
+        _, loaded = load_run(tmp_path / "saved")
+        for got, want in ((loaded.snapshots_u, traj.snapshots_u),
+                          (loaded.snapshots_ut, traj.snapshots_ut)):
+            assert len(got) == 26 and got.shape == want.shape == (26, 256)
+            assert np.array_equal(got[3:10], want[3:10]) and got[3:10].shape == (7, 256)
+            assert np.array_equal(got[-1], want[-1]) and np.array_equal(got[::5], want[::5])
+            assert np.array_equal(np.asarray(got), want)
 
     def test_save_run_builds_u1_once(self, tmp_path, monkeypatch):
         path, _ = write_config(tmp_path, data={
@@ -399,17 +492,27 @@ class TestCommands:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
+    def test_step_count_beyond_the_maximum_exits_2(self, tmp_path, capsys, command):
+        # it once ended in "ValueError: Maximum allowed size exceeded"
+        solver = dict(small_config_doc(tmp_path)["solver"], dt=1e-300)
+        path, _ = write_config(tmp_path, solver=solver)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "t_end / dt = 5e+300 steps exceeds the maximum" in err
+        assert "raise dt or shorten t_end" in err
+        assert not (tmp_path / "run").exists()
+
     def test_config_that_is_no_object_named_cleanly(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps([small_config_doc(tmp_path)]))
         assert main(["semilinear", "--config", str(path)]) == 2
         assert f"config {path} is not a JSON object" in capsys.readouterr().err
 
-    def test_unallocatable_snapshot_stacks_exit_2(self, tmp_path, capsys, monkeypatch):
-        # 100 steps at stride 4 keep 26 rows of 256 points; only the two
-        # stacks of that shape fail, so no real allocation is attempted
-        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
-        path, _ = write_config(tmp_path, solver=solver)
+    @staticmethod
+    def _fail_snapshot_stacks(monkeypatch):
+        # 100 steps at stride 4 keep 26 rows of 256 points; only arrays of
+        # that shape fail, so no real allocation is attempted
         empty = np.empty
 
         def failing_empty(shape, *args, **kwargs):
@@ -418,11 +521,29 @@ class TestCommands:
             return empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", failing_empty)
-        assert main(["semilinear", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "store_fields" in err and "snapshot_stride" in err
-        assert f"26 rows ({8 * 26 * 256} bytes each)" in err
-        assert not (tmp_path / "run").exists()
+
+    def test_unallocatable_snapshot_stacks_raise_in_simulate(self, tmp_path, monkeypatch):
+        # the in-memory stacks of simulate are allocated up front, and main
+        # reports this ParameterError as exit 2
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        config = RunConfig.load(path)
+        self._fail_snapshot_stacks(monkeypatch)
+        with pytest.raises(ParameterError) as info:
+            run_semilinear(config)
+        message = str(info.value)
+        assert "store_fields" in message and "snapshot_stride" in message
+        assert f"26 rows ({8 * 26 * 256} bytes each)" in message
+
+    def test_streamed_run_allocates_no_stacks(self, tmp_path, monkeypatch):
+        # the command streams its rows to files: a stack that cannot be
+        # allocated does not matter to it
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        self._fail_snapshot_stacks(monkeypatch)
+        assert main(["semilinear", "--config", str(path)]) == 0
+        names = sorted(os.listdir(tmp_path / "run" / "fields"))
+        assert names == sorted(f"{name}_{i:06d}.bin" for name in ("u", "ut") for i in range(26))
 
     def test_missing_sweep_config_named_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -433,6 +554,11 @@ class TestCommands:
     @pytest.mark.parametrize("shape,named", [
         ({"sweep": {"params.p": 3}}, "sweep path 'params.p' must map to a non-empty list"),
         ({"sweep": {"params.p": []}}, "sweep path 'params.p' must map to a non-empty list"),
+        # a misspelt top-level key once ran identical members, all ok
+        ({"sweep": {"muu": ["hoelder:0.5", "lipschitz"]}},
+         "sweep path 'muu' does not start with a key of a run config"),
+        ({"sweep": {"params.p": [3.0], "solverr.dt": [0.1]}},
+         "sweep path 'solverr.dt' does not start with a key of a run config"),
         ({"sweep": ["params.p"]}, "{cfg} key 'sweep' must be an object"),
         ({"base": [1]}, "{cfg} key 'base' must be an object"),
         ({"base": "config.json"}, "{cfg} key 'base' must be an object"),
@@ -607,6 +733,24 @@ class TestCommands:
         capsys.readouterr()
         assert main(["blowup-scan", str(rundir), "--R", *R]) == 2
         assert "R_values must be positive, finite and increasing" in capsys.readouterr().err
+        assert not (rundir / "functional.csv").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "time"])
+    def test_blowup_scan_damaged_unread_snapshot_named_cleanly(self, tmp_path, capsys, damage):
+        # an on_ut scan reads no u snapshot, but load_run checks every header
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        params = {"sigma": 2, "delta": 1, "m": 1, "n": 1, "p": 3, "target": "on_ut", "r": 3}
+        path, _ = write_config(tmp_path, solver=solver, params=params)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        snapshot = rundir / "fields" / "u_000003.bin"
+        data = snapshot.read_bytes()
+        snapshot.write_bytes(data[:-8] if damage == "truncated"
+                             else data.replace(b"time=0.6000000000000001", b"time=0.5", 1))
+        capsys.readouterr()
+        assert main(["blowup-scan", str(rundir)]) == 2
+        err = capsys.readouterr().err
+        assert str(snapshot) in err and "does not match" in err and "Traceback" not in err
         assert not (rundir / "functional.csv").exists()
 
     def test_blowup_scan_truncated_snapshot_named_cleanly(self, tmp_path, capsys):
@@ -914,7 +1058,10 @@ class TestSweep:
         ({"solver.dt": [0.05, -1.0]}, "solver.dt=-1.0: dt must be positive"),
         # a modulus key that is no string once aborted the sweep in a traceback
         ({"mu": ["hoelder:0.5", 7]}, "mu=7: config key 'mu' must be a string, not 7"),
-    ], ids=["dt", "mu"])
+        # a step count beyond any array once aborted the sweep in a traceback
+        ({"solver.dt": [0.05, 1e-300]}, "solver.dt=1e-300: t_end / dt = 1e+300 steps exceeds "
+                                        "the maximum of 1000000000; raise dt or shorten t_end"),
+    ], ids=["dt", "mu", "tiny-dt"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_invalid_member_recorded_not_fatal(self, tmp_path, capsys, workers, axis, error):
         base = small_config_doc(tmp_path)

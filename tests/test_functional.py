@@ -404,7 +404,7 @@ def _per_R_weighted(traj, mu, p0, R, spec, cutoff):
     grid, times = traj.grid, traj.snapshot_times
     w = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
     phi = cutoff(times[:, None], grid.radius().ravel()[None, :], R, spec, grid.n)
-    integrand = psi(np.abs(w.reshape(len(times), -1)), p0, mu) * phi
+    integrand = psi(np.abs(np.asarray(w).reshape(len(times), -1)), p0, mu) * phi
     return _per_R_quadrature(integrand, times[1] - times[0], grid)
 
 

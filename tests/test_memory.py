@@ -1,15 +1,21 @@
-"""Each snapshot stack is held once, from the time loop through the scan.
+"""No command holds a snapshot stack, and simulate holds each of its once.
 
-A "stack" is one (rows, N) array of float64 snapshots.  simulate keeps two
-(u and u_t) and needs a small workspace beside them; the scan transforms the
-monitored stack in row blocks and keeps only the columns its quadrature
-reads, so it adds less than one stack to the trajectory it reads.
+A "stack" is one (rows, N) array of float64 snapshots.  In memory, simulate
+keeps two (u and u_t) and needs a small workspace beside them; the scan
+reads the monitored stack in row blocks and keeps only the columns its
+quadrature reads, so it adds less than one stack to the trajectory it reads.
+The command line streams the rows through the run directory, so
+``semilinear`` and ``blowup-scan`` each stay below one stack in all.
 """
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sigmaevo.cli import main
 from sigmaevo.functional import TestFunctionSpec, scan
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.params import EquationParams
@@ -53,3 +59,47 @@ def test_scan_adds_less_than_one_stack(run):
     rows, peak = traced_peak(lambda: scan(traj, ModulusSpec.from_key("log-log-lip:2"), 3.0, spec))
     assert len(rows) == 10 and all(np.isfinite(row).all() for row in rows)
     assert peak < stack
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    """The run of the ``run`` fixture as a config file of the command line."""
+    def gaussian(center):
+        return {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": center}
+
+    path = tmp_path_factory.mktemp("memory") / "config.json"
+    path.write_text(json.dumps({
+        "params": {"sigma": 2.0, "delta": 1.0, "m": 1.0, "n": 1, "p": 3.0,
+                   "target": "on_ut", "r": 3.0},
+        "mu": "log-log-lip:2",
+        "grid": {"n": 1, "N": 4096, "L": 200.0},
+        "solver": {"dt": 0.05, "t_end": 5.0, "snapshot_stride": 1, "store_fields": True},
+        "data": {"u0": gaussian(0.0), "u1": gaussian(0.5)},
+    }))
+    return path
+
+
+def traced_command(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
+    return peak
+
+
+@pytest.fixture(scope="module")
+def streamed(run, config_path):
+    """The run directory ``semilinear`` writes, and its traced peak."""
+    rundir = config_path.parent / "run"
+    peak = traced_command(["semilinear", "--config", str(config_path), "--out", str(rundir)])
+    assert len(list((rundir / "fields").iterdir())) == 2 * 101
+    return rundir, peak
+
+
+def test_semilinear_command_holds_no_stack(run, streamed):
+    assert streamed[1] < run[2]
+
+
+def test_blowup_scan_command_holds_no_stack(run, streamed):
+    rundir, _ = streamed
+    assert traced_command(["blowup-scan", str(rundir)]) < run[2]
+    assert len((rundir / "functional.csv").read_text().splitlines()) == 11

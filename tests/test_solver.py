@@ -9,7 +9,7 @@ from sigmaevo.errors import ParameterError, SigmaevoError
 from sigmaevo.modulus import ModulusSpec, psi
 from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
-from sigmaevo.solver import (BlowUp, SolverConfig, Trajectory, _norm_row,
+from sigmaevo.solver import (MAX_STEPS, BlowUp, SolverConfig, Trajectory, _norm_row,
                              _Stepper, _warn_if_outside_window, blow_up_detect,
                              default_blowup_threshold, energy_identity_residuals,
                              simulate, simulate_linear)
@@ -615,6 +615,55 @@ class TestTrajectory:
             SolverConfig(dt=1.0, t_end=0.5)
         with pytest.raises(ParameterError):
             SolverConfig(dt=0.1, t_end=1.0, dealias_fraction=1.5)
+
+    def test_step_count_bounded(self):
+        # np.arange of 5e300 levels once ended the run in a ValueError
+        assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
+        with pytest.raises(ParameterError, match=r"t_end / dt = 1e\+09 steps exceeds the "
+                                                  r"maximum of 1000000000; raise dt or shorten"):
+            SolverConfig(dt=1.0, t_end=MAX_STEPS + 1.0)
+
+    def test_row_times_are_the_arange_times(self, grid, params, mu):
+        # level k is formed as k * dt, bit for bit the np.arange(n + 1) * dt
+        # array the loop once built
+        u0 = gaussian(grid, amplitude=0.01)
+        cfg = SolverConfig(dt=0.07, t_end=3.0, snapshot_stride=3)
+        traj = simulate(u0, np.zeros_like(u0), params, mu, cfg, grid)
+        assert traj.times.tobytes() == (np.arange(cfg.n_steps + 1) * cfg.dt)[::3].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target,threshold", [("on_u", 5.0), ("on_ut", 1e3)])
+    def test_sink_takes_exactly_the_rows(self, grid, mu, target, threshold):
+        # the run escapes (on_ut at a row level); the sink is handed each row
+        # once it passed its check
+        params = EquationParams(sigma=1, delta=0, m=1, n=1, p=3, r=1, target=target)
+        u0 = np.zeros(grid.shape)
+        u1 = gaussian(grid, amplitude=2.0)
+        cfg = SolverConfig(dt=0.05, t_end=5.0, snapshot_stride=2, store_fields=True,
+                           blowup_threshold=threshold)
+
+        class Sink:
+            def __init__(self):
+                self.kept, self.pair = [], (np.empty(grid.shape), np.empty(grid.shape))
+
+            def buffers(self, i):
+                return self.pair
+
+            def keep(self, i, t):
+                self.kept.append((i, t, self.pair[0].copy(), self.pair[1].copy()))
+
+            def stacks(self, n):
+                return None, None
+
+        sink = Sink()
+        streamed = simulate(u0, u1, params, mu, cfg, grid, fields=sink)
+        held = simulate(u0, u1, params, mu, cfg, grid)
+        assert streamed.blowup == held.blowup and streamed.blowup.reason == "escape"
+        assert streamed.snapshots_u is None and 2 <= len(sink.kept) == len(held.times)
+        for i, (j, t, u, ut) in enumerate(sink.kept):
+            assert (j, t) == (i, held.times[i])
+            assert np.array_equal(u, held.snapshots_u[i])
+            assert np.array_equal(ut, held.snapshots_ut[i])
 
     @pytest.mark.parametrize("threshold", [math.inf, 0.0])
     def test_threshold_positive_and_finite(self, threshold):
