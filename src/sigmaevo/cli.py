@@ -77,12 +77,24 @@ class DataSpec:
             if g != grid:
                 raise ConfigError(f"field file grid {g} does not match run grid {grid}")
             return arr
-        r = np.sqrt(sum((c - self.center) ** 2 for c in grid.coords()))
+        # |x - c| formed in one array, each axis's term broadcast along its
+        # axis and added in axis order; the profile is then applied in place
+        sq = (grid.axis() - self.center) ** 2
+        r = np.empty(grid.shape)
+        r[...] = sq.reshape((-1,) + (1,) * (grid.n - 1))
+        for axis in range(1, grid.n):
+            r += sq.reshape((-1,) + (1,) * (grid.n - 1 - axis))
+        np.sqrt(r, out=r)
         if self.family == "gaussian":
-            return self.amplitude * np.exp(-((r / self.width) ** 2))
-        bump = np.where(r < self.width,
-                        np.cos(0.5 * np.pi * np.minimum(r / self.width, 1.0)) ** 2, 0.0)
-        return self.amplitude * bump
+            np.divide(r, self.width, out=r)
+            np.exp(np.negative(np.square(r, out=r), out=r), out=r)
+        else:
+            outside = r >= self.width
+            np.divide(r, self.width, out=r)
+            np.cos(np.multiply(0.5 * np.pi, np.minimum(r, 1.0, out=r), out=r), out=r)
+            np.square(r, out=r)
+            r[outside] = 0.0
+        return np.multiply(self.amplitude, r, out=r)
 
 
 @dataclass
@@ -461,18 +473,19 @@ def cmd_linear_decay(args) -> int:
         raise ParameterError("--window-lo and --window-hi go together: give both or neither")
     config = RunConfig.load(args.config)
     outdir = _output_dir(args.out, config.output_dir, "run")
-    u0 = config.u0.build(config.grid)
-    u1 = config.u1.build(config.grid)
+    data = [config.u0.build(config.grid), config.u1.build(config.grid)]
+    window = ((args.window_lo, args.window_hi) if args.window_lo is not None
+              else _fit_window(config, *data))
+    predicted = _expected_linear_exponent(config.params, *data)
     # the row times of a semilinear run of the same config
     solver = config.solver
     times = np.arange(0, solver.n_steps + 1, solver.snapshot_stride) * solver.dt
     with _field_sink(outdir, config.grid, solver.store_fields) as fields:
-        traj = simulate_linear(u0, u1, config.params, times, config.grid,
+        # popped from the list: the run holds the only references to the
+        # data, and lets them go once it has transformed them
+        traj = simulate_linear(data.pop(0), data.pop(0), config.params, times, config.grid,
                                store_fields=solver.store_fields, fields=fields)
-        window = ((args.window_lo, args.window_hi) if args.window_lo is not None
-                  else _fit_window(config, u0, u1))
         fit = analysis.fit_decay(traj.series("L2_u"), window)
-        predicted = _expected_linear_exponent(config.params, u0, u1)
         verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
         save_run(outdir, config, traj, {"kind": "linear-decay"})
     write_table(os.path.join(outdir, "fit.csv"),
@@ -505,14 +518,13 @@ def run_semilinear(config: RunConfig, outdir: Optional[str] = None,
     """The semilinear run of ``config``; with ``outdir`` it is also saved
     there, its snapshots (with store_fields) streamed to outdir/fields as
     the loop keeps them, and a run that raises leaves outdir as it was."""
-    u0 = config.u0.build(config.grid)
-    u1 = config.u1.build(config.grid)
-    if outdir is None:
-        return simulate(u0, u1, config.params, config.mu(), config.solver, config.grid)
-    with _field_sink(outdir, config.grid, config.solver.store_fields) as fields:
-        traj = simulate(u0, u1, config.params, config.mu(), config.solver, config.grid,
-                        fields=fields)
-        save_run(outdir, config, traj, {"kind": kind})
+    grid, store = config.grid, config.solver.store_fields
+    with _field_sink(outdir, grid, store and outdir is not None) as fields:
+        # the data are built in the call, so that only the run holds them
+        traj = simulate(config.u0.build(grid), config.u1.build(grid), config.params,
+                        config.mu(), config.solver, grid, fields=fields)
+        if outdir is not None:
+            save_run(outdir, config, traj, {"kind": kind})
     return traj
 
 

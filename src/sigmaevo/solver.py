@@ -17,15 +17,16 @@ bound on sup |u_t| from the spectrum, and transforms u_t back only where the
 bound does not clear the threshold.  With w = u every step evaluates f(u)
 afresh.
 
-A run allocates its arrays once: the loop and the stepper write every step
-into a workspace (two state pairs used in turn, the physical fields, the
-squared moduli of a norm row).  The snapshots a run keeps go to a sink: the
-loop transforms a kept row's u and u_t into the buffers the sink names, and
-hands the row over only once it has passed its blow-up check, so the sink
-keeps exactly the rows of the trajectory.  ``SnapshotStacks``, the default,
-is two in-memory stacks allocated up front, whose unreached rows are never
-written and so take no resident memory; the command line streams the rows to
-files instead (``cli.FieldFiles``) and holds no stack.
+A run allocates its arrays once: the loop holds one state pair, which the
+stepper (or the exact propagator) advances in place, and every step writes
+into a workspace (the physical fields, the squared moduli of a norm row).
+The data are let go once transformed.  The snapshots a run keeps go to a
+sink: the loop transforms a kept row's u and u_t into the buffers the sink
+names, and hands the row over only once it has passed its blow-up check, so
+the sink keeps exactly the rows of the trajectory.  ``SnapshotStacks``, the
+default, is two in-memory stacks allocated up front, whose unreached rows
+are never written and so take no resident memory; the command line streams
+the rows to files instead (``cli.FieldFiles``) and holds no stack.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite
@@ -50,6 +51,8 @@ NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
 # the most steps a run may take: t_end / dt beyond it is rejected up front
 MAX_STEPS = 10 ** 9
+# the most rows (n_steps // snapshot_stride + 1) a run may record
+MAX_ROWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,22 @@ class SolverConfig:
             raise ParameterError("blowup_threshold must be positive and finite")
         if not (self.snapshot_stride >= 1 and float(self.snapshot_stride).is_integer()):
             raise ParameterError("snapshot_stride must be a positive integer")
+        if self.n_rows > MAX_ROWS:
+            raise ParameterError(f"t_end / dt = {self.t_end / self.dt:.3g} steps at "
+                                 f"snapshot_stride {self.snapshot_stride} record {self.n_rows} "
+                                 f"rows, over the maximum of {MAX_ROWS}; raise "
+                                 "snapshot_stride or dt, or shorten t_end")
 
     @property
     def n_steps(self) -> int:
         """Steps from t = 0 to t_end, rounded to the nearest whole step."""
         return int(round(self.t_end / self.dt))
+
+    @property
+    def n_rows(self) -> int:
+        """Norm rows of a run that reaches t_end: every snapshot_stride-th
+        step, from t = 0."""
+        return self.n_steps // int(self.snapshot_stride) + 1
 
 
 @dataclass(frozen=True)
@@ -197,8 +211,9 @@ class _Stepper:
         in PEC mode: when ``uth`` is the very array the previous step returned,
         that step's corrector forcing f(w_pred) stands in for f(w_phys), so a
         step evaluates the modulus and transforms forward once.  The new state
-        is fresh, or written into the pair ``out``, which must alias neither
-        input.
+        is fresh, or written into the pair ``out``: (uh, uth) itself, advanced
+        in place (w_phys and f0 are formed before the state is overwritten),
+        or two arrays that alias neither input.
         """
         if out is None:
             out = (np.empty_like(self._tmp), np.empty_like(self._tmp))
@@ -286,39 +301,44 @@ class SnapshotStacks:
         return self.u[:n], self.ut[:n]
 
 
-def _march(u0: np.ndarray, u1: np.ndarray, grid: GridSpec, params: EquationParams,
-           levels, advance, monitor: Target, threshold: Optional[float],
-           stride: int = 1, fields=None) -> Trajectory:
-    """The time loop of both runs: from the data at t = 0 through the times
-    ``levels`` (an iterable of floats), ``advance(uh, uth, w, dt, out)``
-    moving the state on by dt into the pair ``out`` (w is the monitored
-    field, u or u_t, of the level it leaves, or None where that level did not
-    transform it back).  Every ``stride``-th level is a row; a None
-    ``threshold`` (u monitored) leaves only "nan".  A snapshot sink
-    ``fields`` (see SnapshotStacks) keeps the fields of every row.
-
-    The state alternates between two preallocated pairs, and the fields a
-    level transforms back land in preallocated arrays: the snapshots a row
-    keeps in the buffers its sink names, the others in a shared pair.
-    """
+def _initial_state(u0: np.ndarray, u1: np.ndarray, grid: GridSpec) -> tuple:
+    """The spectral state (uh, uth) of the data at t = 0, in a fresh pair,
+    once the data are checked (grid shape, finite values)."""
     grid.check_field(u0)
     grid.check_field(u1)
     if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(u1))):
         raise ParameterError("initial data must be finite")
     half = grid.xi_squared().shape
-    pairs = [(np.empty(half, dtype=complex), np.empty(half, dtype=complex)) for _ in range(2)]
-    uh = grid.fft(np.asarray(u0, dtype=float), out=pairs[0][0])
-    uth = grid.fft(np.asarray(u1, dtype=float), out=pairs[0][1])
-    scratch = (np.empty(grid.shape), np.empty(grid.shape))
-    work = np.empty((2,) + half)
+    return tuple(grid.fft(np.asarray(u, dtype=float), out=np.empty(half, dtype=complex))
+                 for u in (u0, u1))
+
+
+def _march(uh: np.ndarray, uth: np.ndarray, grid: GridSpec, params: EquationParams,
+           levels, advance, monitor: Target, threshold: Optional[float],
+           stride: int = 1, fields=None) -> Trajectory:
+    """The time loop of both runs: from the spectral state (uh, uth) at t = 0
+    through the times ``levels`` (an iterable of floats), ``advance(uh, uth,
+    w, dt)`` returning the state moved on by dt, the pair it is given
+    advanced in place (w is the monitored field, u or u_t, of the level it
+    leaves, or None where that level did not transform it back).  Every
+    ``stride``-th level is a row; a None ``threshold`` (u monitored) leaves
+    only "nan".  A snapshot sink ``fields`` (see SnapshotStacks) keeps the
+    fields of every row.
+
+    The fields a level transforms back land in preallocated arrays: the
+    snapshots a row keeps in the buffers its sink names, the others in a
+    buffer of their own, which only a field that is transformed back outside
+    a kept row has (u always, u_t only where it is monitored).
+    """
     on_u = monitor == Target.ON_U
+    scratch = (np.empty(grid.shape), None if on_u else np.empty(grid.shape))
+    work = np.empty((2,) + uh.shape)
 
     row_times, rows = [], []
     blowup, t_state, w = None, 0.0, None
     for k, t in enumerate(levels):
         if t != t_state:
-            out = pairs[1] if uh is pairs[0][0] else pairs[0]
-            uh, uth = advance(uh, uth, w, t - t_state, out)
+            uh, uth = advance(uh, uth, w, t - t_state)
             t_state = t
         row = k % stride == 0
         keep = row and fields is not None
@@ -373,12 +393,14 @@ def simulate(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     threshold = config.blowup_threshold
     if threshold is None:
         threshold = default_blowup_threshold(u0, u1)
+    uh, uth = _initial_state(u0, u1, grid)
+    del u0, u1    # the data go once transformed, unless the caller keeps them
     stepper = _Stepper(params, mu, config, grid)
     if config.store_fields and fields is None:
-        fields = SnapshotStacks(config.n_steps // config.snapshot_stride + 1, grid)
+        fields = SnapshotStacks(config.n_rows, grid)
     # level k is at k * dt, formed per level: no array of every level's time
-    return _march(u0, u1, grid, params, (k * config.dt for k in range(config.n_steps + 1)),
-                  lambda uh, uth, w, dt, out: stepper.step(uh, uth, w, out=out),
+    return _march(uh, uth, grid, params, (k * config.dt for k in range(config.n_steps + 1)),
+                  lambda uh, uth, w, dt: stepper.step(uh, uth, w, out=(uh, uth)),
                   params.target, threshold, config.snapshot_stride,
                   fields if config.store_fields else None)
 
@@ -399,18 +421,20 @@ def simulate_linear(u0: np.ndarray, u1: np.ndarray, params: EquationParams,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not (np.all(times >= 0) and np.all(np.diff(times) > 0)):
         raise ParameterError("sample times must be nonnegative and strictly increasing")
+    uh, uth = _initial_state(u0, u1, grid)
+    del u0, u1    # the data go once transformed, unless the caller keeps them
     cache = MultiplierCache.build(grid, params.sigma, params.delta)
     prop = None
 
-    def advance(uh, uth, w, dt, out):
+    def advance(uh, uth, w, dt):
         nonlocal prop
         if prop is None or abs(dt - prop.t) > 1e-12 * prop.t:
             prop = Propagator.build(cache, dt)
-        return prop.apply(uh, uth, out=out)
+        return prop.apply(uh, uth, out=(uh, uth))
 
     if store_fields and fields is None:
         fields = SnapshotStacks(len(times), grid)
-    return _march(u0, u1, grid, params, times.tolist(), advance, Target.ON_U, None,
+    return _march(uh, uth, grid, params, times.tolist(), advance, Target.ON_U, None,
                   fields=fields if store_fields else None)
 
 

@@ -38,6 +38,7 @@ identity operator).
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -45,6 +46,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
+
+# the most cells (N ** n) a grid may have: one real field of it is 128 MiB
+MAX_CELLS = 2 ** 24
+# the complex half-spectrum rows that one block of Propagator.apply holds
+_APPLY_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,11 @@ class GridSpec:
             raise ParameterError("N must be a power of two, at least 4")
         if not 0 < self.L < np.inf:   # written so that NaN fails it
             raise ParameterError("L must be positive and finite")
+        cells = int(self.N) ** int(self.n)
+        if cells > MAX_CELLS:
+            raise ParameterError(f"grid.N = {self.N} in {self.n}D gives {cells} cells, "
+                                 f"{8 * cells} bytes per field; a field may have at most "
+                                 f"{MAX_CELLS} cells ({8 * MAX_CELLS} bytes)")
 
     @property
     def shape(self) -> tuple:
@@ -300,19 +311,33 @@ class Propagator:
 
     def apply(self, uh: np.ndarray, uth: np.ndarray, out: Optional[tuple] = None):
         """(K0 uh + K1 uth, D0 uh + D1 uth), fresh, or written into the pair
-        ``out``: two arrays of the multipliers' shape that alias neither input.
-        The products pass through a scratch array the propagator keeps."""
+        ``out``: either (uh, uth) itself, advanced in place, or two arrays of
+        the multipliers' shape that alias neither input.
+
+        The pair is formed in blocks of rows.  A block's D0 uh and K1 uth go
+        first into two block-sized arrays the propagator keeps, so its inputs
+        may then be overwritten; the sums are K0 uh + K1 uth and
+        D1 uth + D0 uh, and IEEE addition commutes, so the bits are those of
+        D0 uh + D1 uth."""
         if out is None:
             out = (np.empty_like(uh), np.empty_like(uh))
-        tmp = self._scratch
-        for dest, a, b in zip(out, (self.K0, self.D0), (self.K1, self.D1)):
-            np.multiply(a, uh, out=dest)
-            np.add(dest, np.multiply(b, uth, out=tmp), out=dest)
+        u_new, ut_new = out
+        d0u, k1ut = self._blocks
+        size = len(d0u)
+        for lo in range(0, len(uh), size):
+            rows, m = slice(lo, lo + size), min(size, len(uh) - lo)
+            np.multiply(self.D0[rows], uh[rows], out=d0u[:m])
+            np.multiply(self.K1[rows], uth[rows], out=k1ut[:m])
+            u, ut = u_new[rows], ut_new[rows]
+            np.add(np.multiply(self.K0[rows], uh[rows], out=u), k1ut[:m], out=u)
+            np.add(np.multiply(self.D1[rows], uth[rows], out=ut), d0u[:m], out=ut)
         return out
 
     @functools.cached_property
-    def _scratch(self) -> np.ndarray:
-        return np.empty(self.K0.shape, dtype=complex)
+    def _blocks(self) -> tuple:
+        shape = self.K0.shape
+        size = min(shape[0], max(1, _APPLY_BLOCK_BYTES // (16 * math.prod(shape[1:]))))
+        return tuple(np.empty((size,) + shape[1:], dtype=complex) for _ in range(2))
 
 
 # -- norm helpers on the spectral side ---------------------------------------

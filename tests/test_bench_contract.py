@@ -37,7 +37,7 @@ def test_every_traced_name_is_defined_on_its_owner():
     assert targets and not missing
 
 
-@pytest.mark.parametrize("name", ["scan-1d", "linear-2d"])
+@pytest.mark.parametrize("name", ["scan-1d", "linear-2d", "semilinear-2d"])
 def test_default_seed_job_matches_the_reference(name, tmp_path):
     workloads = load_bench_module("workloads")
     workload = workloads.WORKLOADS[name]

@@ -78,6 +78,30 @@ class TestDataSpec:
         with pytest.raises(ConfigError):
             DataSpec("wavelet")
 
+    @staticmethod
+    def meshgrid_build(spec, grid):
+        """The profiles as build once formed them: |x - c| from meshgrid
+        copies of the coordinates, each step a fresh array."""
+        r = np.sqrt(sum((c - spec.center) ** 2 for c in grid.coords()))
+        if spec.family == "gaussian":
+            return spec.amplitude * np.exp(-((r / spec.width) ** 2))
+        bump = np.where(r < spec.width,
+                        np.cos(0.5 * np.pi * np.minimum(r / spec.width, 1.0)) ** 2, 0.0)
+        return spec.amplitude * bump
+
+    @pytest.mark.parametrize("family", ["gaussian", "cosine-bump"])
+    @pytest.mark.parametrize("center,width", [(0.7, 1.5), (-1.3, 3.0)])
+    @pytest.mark.parametrize("n,N,L", [(1, 256, 20.0), (2, 64, 10.0), (3, 16, 8.0)])
+    def test_build_matches_the_meshgrid_formula(self, family, center, width, n, N, L):
+        from sigmaevo.spectral import GridSpec
+        g = GridSpec(n, N, L)
+        spec = DataSpec(family, amplitude=-0.3, width=width, center=center)
+        u = spec.build(g)
+        assert u.shape == g.shape and u.dtype == np.float64
+        assert u.tobytes() == self.meshgrid_build(spec, g).tobytes()
+        if family == "cosine-bump":
+            assert 0 < np.count_nonzero(u) < u.size
+
 
 class TestRunConfig:
     def test_roundtrip_lossless(self, tmp_path):
@@ -487,6 +511,27 @@ class TestCommands:
         # each of these once ended in a traceback (a float grid.n builds no
         # shape), ran (a from-file path read that file descriptor), or exited 2
         # naming neither key nor file
+        path, _ = write_config(tmp_path, **override)
+        assert main([command, "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override,named", [
+        # 8 TiB per field: numpy's MemoryError once ended the command
+        ({"grid": {"n": 1, "N": 2 ** 40, "L": 30.0}},
+         f"grid.N = {2 ** 40} in 1D gives {2 ** 40} cells, {8 * 2 ** 40} bytes per field; "
+         "a field may have at most 16777216 cells (134217728 bytes)"),
+        ({"solver": {"dt": 1e-7, "t_end": 5.0, "snapshot_stride": 4}},
+         "t_end / dt = 5e+07 steps at snapshot_stride 4 record 12500001 rows, over the "
+         "maximum of 1000000; raise snapshot_stride or dt, or shorten t_end"),
+    ], ids=["cells", "rows"])
+    @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
+    def test_size_beyond_the_maximum_exits_2_before_any_data(self, tmp_path, capsys,
+                                                             monkeypatch, command, override,
+                                                             named):
+        # the config is rejected as it is read: no field, sample time or
+        # norm row of the run is allocated
+        monkeypatch.setattr(DataSpec, "build", lambda spec, grid: pytest.fail("data built"))
         path, _ = write_config(tmp_path, **override)
         assert main([command, "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
@@ -1079,6 +1124,21 @@ class TestSweep:
         assert int(ok["rows"]) > 0
         assert bad["error"] == error
         assert bad["run_dir"].endswith("member_0001")
+
+    def test_member_beyond_the_size_maximum_recorded(self, tmp_path, capsys):
+        base = small_config_doc(tmp_path)
+        base["solver"]["t_end"] = 1.0
+        sweep_doc = {"base": base, "sweep": {"grid.N": [256, 2 ** 40], "solver.dt": [0.05, 1e-7]},
+                     "output_dir": str(tmp_path / "sw")}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_doc))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.count("error: sweep member") == 3
+        with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "error", "error", "error"]
+        assert "record 2500001 rows, over the maximum" in rows[1]["error"]
+        assert all(f"grid.N = {2 ** 40} in 1D" in r["error"] for r in rows[2:])
 
     @staticmethod
     def _three_member_sweep(tmp_path):

@@ -6,6 +6,9 @@ reads the monitored stack in row blocks and keeps only the columns its
 quadrature reads, so it adds less than one stack to the trajectory it reads.
 The command line streams the rows through the run directory, so
 ``semilinear`` and ``blowup-scan`` each stay below one stack in all.
+
+``linear-decay`` holds no stack, and is bounded in grid-sized arrays: one
+state pair advanced in place, the data released once transformed.
 """
 import contextlib
 import io
@@ -103,3 +106,27 @@ def test_blowup_scan_command_holds_no_stack(run, streamed):
     rundir, _ = streamed
     assert traced_command(["blowup-scan", str(rundir)]) < run[2]
     assert len((rundir / "functional.csv").read_text().splitlines()) == 11
+
+
+def test_linear_decay_command_holds_few_fields(tmp_path):
+    # a grid no other test uses, so that its cached |xi|^2 and norm weights
+    # are built inside the traced command, as in a fresh process
+    grid = {"n": 2, "N": 256, "L": 37.0}
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps({
+        "params": {"sigma": 1.0, "delta": 0.0, "m": 1.0, "n": 2, "p": 2.0, "target": "on_u"},
+        "mu": "hoelder:0.5",
+        "grid": grid,
+        "solver": {"dt": 0.05, "t_end": 6.0, "snapshot_stride": 4},
+        "data": {"u0": {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": 0.0},
+                 "u1": {"family": "zero"}},
+    }))
+    field = 8 * grid["N"] ** grid["n"]
+    peak = traced_command(["linear-decay", "--config", str(path), "--out", str(tmp_path / "run"),
+                           "--window-lo", "1", "--window-hi", "5"])
+    # about 11 fields: the state pair (2), u (1), a norm row's work (1), the
+    # multipliers and their shell index (2.5), apply's two row blocks (0.5),
+    # the grid's transform scratch (1), |xi|^2 and norm weights (1.5).  Two
+    # state pairs, a full-size apply scratch, an unused u_t buffer and the
+    # data held through the run made 16.5
+    assert peak < 13 * field

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from sigmaevo import spectral
 from sigmaevo.errors import ParameterError, SigmaevoError
 from sigmaevo.modulus import ModulusSpec, psi
 from sigmaevo.norms import lebesgue_norm
 from sigmaevo.params import EquationParams, Target
-from sigmaevo.solver import (MAX_STEPS, BlowUp, SolverConfig, Trajectory, _norm_row,
+from sigmaevo.solver import (MAX_ROWS, MAX_STEPS, BlowUp, SolverConfig, Trajectory, _norm_row,
                              _Stepper, _warn_if_outside_window, blow_up_detect,
                              default_blowup_threshold, energy_identity_residuals,
                              simulate, simulate_linear)
@@ -617,11 +618,25 @@ class TestTrajectory:
             SolverConfig(dt=0.1, t_end=1.0, dealias_fraction=1.5)
 
     def test_step_count_bounded(self):
-        # np.arange of 5e300 levels once ended the run in a ValueError
-        assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
+        # np.arange of 5e300 levels once ended the run in a ValueError; the
+        # stride keeps the run's rows under MAX_ROWS
+        assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS),
+                            snapshot_stride=10 ** 4).n_steps == MAX_STEPS
         with pytest.raises(ParameterError, match=r"t_end / dt = 1e\+09 steps exceeds the "
                                                   r"maximum of 1000000000; raise dt or shorten"):
             SolverConfig(dt=1.0, t_end=MAX_STEPS + 1.0)
+
+    def test_row_count_bounded(self):
+        # linear-decay's sample times and every run's norm rows grow with it
+        assert SolverConfig(dt=1.0, t_end=MAX_ROWS - 1.0).n_steps == MAX_ROWS - 1
+        assert SolverConfig(dt=1.0, t_end=2.0 * (MAX_ROWS - 1), snapshot_stride=2).n_steps
+        with pytest.raises(ParameterError, match=r"t_end / dt = 1e\+06 steps at snapshot_stride 1 "
+                                                  r"record 1000001 rows, over the maximum of "
+                                                  r"1000000; raise snapshot_stride or dt, or "
+                                                  r"shorten t_end"):
+            SolverConfig(dt=1.0, t_end=float(MAX_ROWS))
+        with pytest.raises(ParameterError, match="snapshot_stride 3 record 3333334 rows"):
+            SolverConfig(dt=1e-7, t_end=1.0, snapshot_stride=3)
 
     def test_row_times_are_the_arange_times(self, grid, params, mu):
         # level k is formed as k * dt, bit for bit the np.arange(n + 1) * dt
@@ -949,3 +964,50 @@ class TestWorkspaceLoopOracle:
             want = oracle_simulate(u0, u1, p, mu, cfg, g)
         assert traj.blowup == BlowUp(0.1, "nan")
         assert_byte_equal(traj, want, False)
+
+
+class TestInPlaceState:
+    """The loop advances one state pair in place: Propagator.apply and
+    _Stepper.step with out=(uh, uth) against their fresh results."""
+
+    @staticmethod
+    def state(grid, seed):
+        half = grid.xi_squared().shape
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(half) + 1j * rng.standard_normal(half) for _ in range(2)]
+
+    # rows per block of apply: None is the default size, which at 256^2 is
+    # 63 rows; every size here leaves a short last block
+    @pytest.mark.parametrize("n,N,rows", [(1, 64, 5), (2, 16, 3), (3, 8, 3), (2, 256, None)])
+    def test_apply_in_place_matches_fresh_and_oracle(self, n, N, rows, monkeypatch):
+        g = GridSpec(n, N, 3.0)
+        half = g.xi_squared().shape
+        if rows is not None:
+            monkeypatch.setattr(spectral, "_APPLY_BLOCK_BYTES", rows * 16 * math.prod(half[1:]))
+        prop = Propagator.build(MultiplierCache.build(g, 1.5, 0.5), 0.3)
+        assert half[0] % len(prop._blocks[0]) != 0 and len(prop._blocks[0]) < half[0]
+        uh, uth = self.state(g, n)
+        for _ in range(3):
+            fresh, oracle = prop.apply(uh, uth), _apply(prop, uh, uth)
+            got = prop.apply(uh, uth, out=(uh, uth))
+            assert got[0] is uh and got[1] is uth
+            for x, y, z in zip(got, fresh, oracle):
+                assert x.tobytes() == y.tobytes() == z.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    @pytest.mark.parametrize("n,N,L", [(1, 128, 20.0), (2, 32, 10.0)])
+    def test_step_in_place_matches_fresh(self, target, n, N, L, mu):
+        # on_ut runs in PEC mode either way: the in-place step sees the very
+        # uth it returned, the fresh one the array it returned last
+        g = GridSpec(n, N, L)
+        p = EquationParams(sigma=2, delta=1, m=1, n=n, p=3, r=3, target=target)
+        cfg = SolverConfig(dt=0.05, t_end=1.0)
+        fresh_stepper, stepper = _Stepper(p, mu, cfg, g), _Stepper(p, mu, cfg, g)
+        fresh = [0.1 * z for z in self.state(g, 7)]
+        uh, uth = (z.copy() for z in fresh)
+        for _ in range(10):
+            fresh = fresh_stepper.step(*fresh, None)
+            got = stepper.step(uh, uth, None, out=(uh, uth))
+            assert got[0] is uh and got[1] is uth
+            assert uh.tobytes() == fresh[0].tobytes() and uth.tobytes() == fresh[1].tobytes()

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from sigmaevo.errors import GridMismatchError, ParameterError
 from sigmaevo.params import EquationParams
 from sigmaevo.solver import simulate_linear
-from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator,
+from sigmaevo.spectral import (MAX_CELLS, GridSpec, MultiplierCache, Propagator,
                                characteristic_roots, energy, fractional_symbol,
                                mode_coefficients, propagator_multipliers,
                                read_field, spectral_l2, sup_bound, synthesize,
@@ -133,6 +133,19 @@ class TestGrid:
     def test_power_of_two_required(self):
         with pytest.raises(ParameterError):
             GridSpec(1, 100, 1.0)
+
+    def test_cell_count_bounded(self):
+        # N = 2**40 once ended in numpy's MemoryError at the first field;
+        # the check reads N and n only, and allocates nothing
+        assert GridSpec(2, 2 ** 12, 1.0).shape == (2 ** 12,) * 2    # MAX_CELLS
+        assert GridSpec(3, 2 ** 8, 1.0).N ** 3 == MAX_CELLS
+        with pytest.raises(ParameterError, match=re.escape(
+                "grid.N = 8192 in 2D gives 67108864 cells, 536870912 bytes per field; "
+                "a field may have at most 16777216 cells (134217728 bytes)")):
+            GridSpec(2, 2 ** 13, 1.0)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"grid.N = {2 ** 40} in 1D gives {2 ** 40} cells, {8 * 2 ** 40} bytes")):
+            GridSpec(1, np.int64(2 ** 40), 1.0)
 
     def test_cell_volume(self):
         g = GridSpec(2, 8, 2.0)
