@@ -10,11 +10,13 @@ Snapshots stream through the run directory and no command holds a stack of
 them: a run writes each kept row as its loop makes it (FieldFiles, the one
 writer of field files), and a loaded run's stacks read their rows from the
 files on demand (FieldStack).
+
+Each command imports the modules that only it uses (analysis, functional,
+norms, concurrent.futures) as it runs, so that no other command loads them.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -30,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from . import analysis, functional, norms
 from .errors import ConfigError, CoverageError, ParameterError, SigmaevoError
 from .modulus import ModulusSpec, check_derivative_bound, check_modulus_axioms, \
     classify_integral_criterion
@@ -234,12 +235,12 @@ def read_norms_csv(path: str):
     return header, data
 
 
-def save_run(outdir: str, config: RunConfig, traj: Trajectory,
+def save_run(outdir: str, config: RunConfig, traj: Trajectory, mean_u1: float,
              extra_manifest: Optional[dict] = None):
     """Write manifest.json and norms.csv, and the snapshots of a trajectory
-    that holds them (a run streamed to outdir holds none: its loop wrote them)."""
+    that holds them (a run streamed to outdir holds none: its loop wrote them).
+    ``mean_u1`` is the mean of the run's u1, taken where the data are built."""
     os.makedirs(outdir, exist_ok=True)
-    mean_u1 = float(np.mean(config.u1.build(config.grid)))
     manifest = {
         "version": __version__,
         "config": config.to_dict(),
@@ -465,15 +466,18 @@ def _fit_window(config: RunConfig, u0: np.ndarray, u1: np.ndarray) -> tuple:
                         config.u1.width if config.u1.family != "zero" else 0.0, 1.0)
     tw = wrap_time(config.grid, config.params.sigma, config.params.delta,
                    spectrum, support)
+    from . import analysis
     return analysis.default_fit_window(config.solver.t_end, tw)
 
 
 def cmd_linear_decay(args) -> int:
     if (args.window_lo is None) != (args.window_hi is None):
         raise ParameterError("--window-lo and --window-hi go together: give both or neither")
+    from . import analysis
     config = RunConfig.load(args.config)
     outdir = _output_dir(args.out, config.output_dir, "run")
     data = [config.u0.build(config.grid), config.u1.build(config.grid)]
+    mean_u1 = float(np.mean(data[1]))
     window = ((args.window_lo, args.window_hi) if args.window_lo is not None
               else _fit_window(config, *data))
     predicted = _expected_linear_exponent(config.params, *data)
@@ -487,7 +491,7 @@ def cmd_linear_decay(args) -> int:
                                store_fields=solver.store_fields, fields=fields)
         fit = analysis.fit_decay(traj.series("L2_u"), window)
         verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
-        save_run(outdir, config, traj, {"kind": "linear-decay"})
+        save_run(outdir, config, traj, mean_u1, {"kind": "linear-decay"})
     write_table(os.path.join(outdir, "fit.csv"),
                 ["column", "exponent", "predicted", "tolerance",
                  "window_lo", "window_hi", "residual_rms", "passed"],
@@ -519,16 +523,20 @@ def run_semilinear(config: RunConfig, outdir: Optional[str] = None,
     there, its snapshots (with store_fields) streamed to outdir/fields as
     the loop keeps them, and a run that raises leaves outdir as it was."""
     grid, store = config.grid, config.solver.store_fields
+    data = [config.u0.build(grid), config.u1.build(grid)]
+    mean_u1 = float(np.mean(data[1]))
     with _field_sink(outdir, grid, store and outdir is not None) as fields:
-        # the data are built in the call, so that only the run holds them
-        traj = simulate(config.u0.build(grid), config.u1.build(grid), config.params,
+        # popped from the list: the run holds the only references to the
+        # data, and lets them go once it has transformed them
+        traj = simulate(data.pop(0), data.pop(0), config.params,
                         config.mu(), config.solver, grid, fields=fields)
         if outdir is not None:
-            save_run(outdir, config, traj, {"kind": kind})
+            save_run(outdir, config, traj, mean_u1, {"kind": kind})
     return traj
 
 
 def cmd_blowup_scan(args) -> int:
+    from . import functional
     config, traj = load_run(args.rundir)
     if not len(traj.times):
         raise CoverageError(f"run directory {args.rundir} holds no rows "
@@ -563,6 +571,7 @@ def _default_R_values(traj: Trajectory, rundir: str) -> list:
 def cmd_check_inequalities(args) -> int:
     if args.fields < 1:
         raise ParameterError(f"--fields must be at least 1, got {args.fields}")
+    from . import norms
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(1, args.N, float(args.L))
     fine = GridSpec(1, 2 * args.N, float(args.L))
@@ -592,6 +601,7 @@ def cmd_check_inequalities(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import analysis
     header, data = read_norms_csv(args.norms)
     if args.column not in header:
         raise ParameterError(f"{args.norms}: column {args.column!r} not in {header}")
@@ -678,6 +688,7 @@ def cmd_sweep(args) -> int:
     if workers == 1:
         results = [_sweep_worker(task) for task in tasks]
     else:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
 

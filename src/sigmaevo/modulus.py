@@ -45,10 +45,19 @@ _LOG_FAMILIES = ("log-lip", "log-log-lip", "log-power")
 _INF = float("inf")
 
 
-def _relog(v, order: int):
-    """logm continued from its first level v = log(x) + 1 >= 1."""
+def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
+    """x ** e written into ``out``.  A 0-d x takes numpy's scalar power, as a
+    scalar call always has: its last bit can differ from the array loop's."""
+    if x.ndim == 0:
+        out[()] = x[()] ** e
+        return out
+    return np.power(x, e, out=out)
+
+
+def _relog(v: np.ndarray, order: int) -> np.ndarray:
+    """logm continued from its first level v = log(x) + 1 >= 1, in place."""
     for _ in range(order - 1):
-        v = np.log(v) + 1.0
+        np.add(np.log(v, out=v), 1.0, out=v)
     return v
 
 
@@ -178,37 +187,61 @@ class ModulusSpec:
             return float(self.table[-1][0])
         return _INF
 
-    def _core(self, s: np.ndarray, lg: Optional[np.ndarray] = None) -> np.ndarray:
-        """The family's closed form on [0, _formula_limit].
+    def _core(self, s: np.ndarray, out: np.ndarray,
+              lg: Optional[np.ndarray] = None) -> np.ndarray:
+        """The family's closed form on [0, _formula_limit], written into
+        ``out`` (an array of s's shape, not s itself); the log families
+        overwrite s, which they use as scratch.
 
-        The log families read lg = log(1/s).  Without it they form
-        log(1/s) + 1 as 1 - log(s), never through 1/s (which overflows for
-        subnormal s), and give 0 at s = 0.
+        The log families read lg = log(1/s) when given.  Without it they form
+        log(1/s) + 1 as 1 - log(max(s, 5e-324)), never through 1/s (which
+        overflows for subnormal s): the floor touches s = 0 alone, where
+        mu(0) = 0 x finite = 0.  log-power forms 1 - log(s) instead, so that
+        mu(0) = (1 - log 0) ** -alpha = inf ** -alpha = 0.  NaN gives NaN.
         """
         if self.family == "lipschitz":
-            return s.copy()
+            np.copyto(out, s)
+            return out
         if self.family == "hoelder":
-            return s ** self.alpha
+            return _power(s, self.alpha, out)
         if self.family == "tabulated":
             xs = np.array([p[0] for p in self.table])
             ys = np.array([p[1] for p in self.table])
-            return np.interp(s, xs, ys)
-        masked = lg is None
-        ell = 1.0 - np.log(np.where(s > 0.0, s, 1.0)) if masked else lg + 1.0
+            np.copyto(out, np.interp(s, xs, ys))
+            return out
+        ell = out
+        if lg is not None:
+            np.add(lg, 1.0, out=ell)
+        elif self.family == "log-power":
+            with np.errstate(divide="ignore"):
+                np.subtract(1.0, np.log(s, out=ell), out=ell)
+        else:
+            np.subtract(1.0, np.log(np.maximum(s, 5e-324, out=ell), out=ell), out=ell)
+        if self.family == "log-power":
+            return _power(ell, -self.alpha, out)
+        np.add(s, 0.0, out=s)   # -0.0 + 0.0 = +0.0, the sign mu(0) has
         if self.family == "log-lip":
-            out = s * ell
-        elif self.family == "log-log-lip":
-            out = s * ell * _relog(ell, self.order)
-        else:  # log-power
-            out = ell ** (-self.alpha)
-        return np.where(s > 0.0, out, 0.0) if masked else out
+            return np.multiply(s, ell, out=out)
+        # s ell L_m, in that order: s ell goes into s, then L_m over ell
+        np.multiply(s, ell, out=s)
+        return np.multiply(s, _relog(ell, self.order), out=out)
 
-    def evaluate(self, s):
-        """mu(s) for scalar or array s >= 0."""
+    def evaluate(self, s, out: Optional[np.ndarray] = None,
+                 work: Optional[np.ndarray] = None):
+        """mu(s) for scalar or array s >= 0; NaN gives NaN.
+
+        For an array s the result is written into ``out``, with ``work`` as
+        scratch, when given: two distinct arrays of s's shape, of which only
+        ``work`` may be s itself.  s is capped at the closed form's range into
+        ``work``, whose contents are undefined afterwards (s's too, when it is
+        passed as ``work``).
+        """
         arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0):
+        if np.min(arr, initial=0.0) < 0.0:   # no mask; NaN and -0.0 pass
             raise DomainError("modulus argument must be nonnegative")
-        out = self._core(np.minimum(arr, self._formula_limit))
+        capped = np.minimum(arr, self._formula_limit,
+                            out=np.empty_like(arr) if work is None else work)
+        out = self._core(capped, np.empty_like(arr) if out is None else out)
         if np.isscalar(s) or arr.ndim == 0:
             return float(out)
         return out
@@ -235,7 +268,8 @@ class ModulusSpec:
                 h = 1e-6 * limit
                 lo = np.maximum(x - h, 0.0)
                 hi = np.minimum(x + h, limit)
-                d = (self._core(hi) - self._core(lo)) / np.maximum(hi - lo, 1e-300)
+                d = ((self._core(hi, np.empty_like(hi)) - self._core(lo, np.empty_like(lo)))
+                     / np.maximum(hi - lo, 1e-300))
             else:
                 lg = -np.log(x)
                 ell = lg + 1.0
@@ -270,24 +304,27 @@ class ModulusSpec:
         if self.family == "hoelder":
             out = np.exp(-self.alpha * tt)
         else:
-            out = self._core(np.exp(-tt), tt)
+            out = self._core(np.exp(-tt, out=np.empty_like(tt)), np.empty_like(tt), tt)
         if np.isscalar(t) or tt.ndim == 0:
             return float(out)
         return out
 
 
-def psi(s, p: float, mu: ModulusSpec, out: Optional[np.ndarray] = None):
-    """Psi(s) = s^p mu(s) for scalar or array s >= 0, written into ``out``
-    (an array of s's shape) when given.
+def psi(s, p: float, mu: ModulusSpec, out: Optional[np.ndarray] = None,
+        work: Optional[np.ndarray] = None):
+    """Psi(s) = s^p mu(s) for scalar or array s >= 0.
 
     This is the nonlinearity |w|^p mu(|w|) at s = |w| and the weight of the
-    blow-up functionals.  np.power is exact at s = 0 for p > 0.
+    blow-up functionals.  For an array s it is written into ``out``, with
+    ``work`` as scratch, when given: two distinct arrays of s's shape, neither
+    s itself.  mu(s) goes into ``out`` first (mu.evaluate's scratch is
+    ``work``), then s^p into ``work``.  np.power is exact at s = 0 for p > 0.
     """
     arr = np.asarray(s, dtype=float)
     if np.isscalar(s) or arr.ndim == 0:
         return float(np.power(arr, p) * mu.evaluate(arr))
-    out = np.power(arr, p, out=out)
-    return np.multiply(out, mu.evaluate(arr), out=out)
+    out = mu.evaluate(arr, out, work)
+    return np.multiply(np.power(arr, p, out=work), out, out=out)
 
 
 # -- axiom checking -------------------------------------------------------

@@ -19,7 +19,8 @@ afresh.
 
 A run allocates its arrays once: the loop holds one state pair, which the
 stepper (or the exact propagator) advances in place, and every step writes
-into a workspace (the physical fields, the squared moduli of a norm row).
+into a workspace (the physical fields, |w| and Psi, the squared moduli of a
+norm row, the last of which borrows the grid's transform scratch).
 The data are let go once transformed.  The snapshots a run keeps go to a
 sink: the loop transforms a kept row's u and u_t into the buffers the sink
 names, and hands the row over only once it has passed its blow-up check, so
@@ -192,7 +193,8 @@ class _Stepper:
         """
         aw = np.abs(w_phys, out=self._aw)
         try:
-            f = psi(aw, self.params.p, self.mu, self._psi)
+            # w_phys is read, and _w (which may hold it) is free: Psi's scratch
+            f = psi(aw, self.params.p, self.mu, self._psi, self._w)
         except Exception as exc:
             worst = tuple(int(i) for i in np.unravel_index(int(np.argmax(aw)), aw.shape))
             raise SigmaevoError(
@@ -328,11 +330,14 @@ def _march(uh: np.ndarray, uth: np.ndarray, grid: GridSpec, params: EquationPara
     The fields a level transforms back land in preallocated arrays: the
     snapshots a row keeps in the buffers its sink names, the others in a
     buffer of their own, which only a field that is transformed back outside
-    a kept row has (u always, u_t only where it is monitored).
+    a kept row has (u always, u_t only where it is monitored).  A norm row's
+    squared moduli and sup_bound's |uth| go into the grid's transform scratch
+    (GridSpec.half_spectrum_work), each filled and read between two
+    transforms.
     """
     on_u = monitor == Target.ON_U
     scratch = (np.empty(grid.shape), None if on_u else np.empty(grid.shape))
-    work = np.empty((2,) + uh.shape)
+    work = grid.half_spectrum_work()
 
     row_times, rows = [], []
     blowup, t_state, w = None, 0.0, None

@@ -122,13 +122,22 @@ class GridSpec:
 
         irfftn's passes, bit for bit: ifft on the leading axes, first first,
         then irfft on the last.  With ``out`` and a single field the complex
-        passes run in a scratch array the grid keeps, so nothing is allocated.
+        passes run in a scratch array the grid keeps, so nothing is allocated;
+        between such calls the grid lends that scratch out (half_spectrum_work).
         """
         single = out is not None and self.n > 1 and uh.ndim == self.n
         work = self._spectral_scratch if single else None
         for axis in range(-self.n, -1):
             uh = work = np.fft.ifft(uh, axis=axis, out=work)
         return np.fft.irfft(uh, n=self.N, axis=-1, out=out)
+
+    def half_spectrum_work(self) -> np.ndarray:
+        """Two real arrays of the half spectrum's shape, as one (2, *half)
+        array in the bytes of the scratch that ifft(out=) runs its complex
+        passes in.  Their contents last only until the next such call: a
+        caller fills and reads them between two transforms."""
+        scratch = self._spectral_scratch
+        return scratch.view(float).reshape((2,) + scratch.shape)
 
     @functools.cached_property
     def _spectral_scratch(self) -> np.ndarray:

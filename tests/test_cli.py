@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -56,6 +57,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path, doc
+
+
+def mean_u1(config):
+    """The mean of config's u1, as the commands hand it to save_run."""
+    return float(np.mean(config.u1.build(config.grid)))
 
 
 class TestDataSpec:
@@ -167,7 +173,7 @@ class TestPersistence:
         config = RunConfig.load(path)
         traj = run_semilinear(config)
         outdir = tmp_path / "saved"
-        save_run(outdir, config, traj)
+        save_run(outdir, config, traj, mean_u1(config))
         config2, traj2 = load_run(outdir)
         assert config2.to_dict() == config.to_dict()
         assert np.array_equal(traj2.times, traj.times)
@@ -181,7 +187,7 @@ class TestPersistence:
         path, _ = write_config(tmp_path, solver=solver)
         config = RunConfig.load(path)
         traj = run_semilinear(config)
-        save_run(tmp_path / "saved", config, traj)
+        save_run(tmp_path / "saved", config, traj, mean_u1(config))
         _, loaded = load_run(tmp_path / "saved")
         assert traj.snapshot_times is traj.times and loaded.snapshot_times is loaded.times
         assert np.array_equal(loaded.times, traj.times)
@@ -197,7 +203,8 @@ class TestPersistence:
         path, _ = write_config(tmp_path, solver=solver, params=params)
         assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
         config = RunConfig.load(path)
-        save_run(tmp_path / "b", config, run_semilinear(config), {"kind": "semilinear"})
+        save_run(tmp_path / "b", config, run_semilinear(config), mean_u1(config),
+                 {"kind": "semilinear"})
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
         assert len(os.listdir(tmp_path / "a" / "fields")) == 2 * 26
 
@@ -210,7 +217,7 @@ class TestPersistence:
         u0, u1 = config.u0.build(config.grid), config.u1.build(config.grid)
         times = np.arange(0, 101, 4) * 0.05
         traj = simulate_linear(u0, u1, config.params, times, config.grid, store_fields=True)
-        save_run(tmp_path / "b", config, traj, {"kind": "linear-decay"})
+        save_run(tmp_path / "b", config, traj, float(np.mean(u1)), {"kind": "linear-decay"})
         a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
         assert a.pop("fit.csv") and a == b
 
@@ -250,7 +257,7 @@ class TestPersistence:
         path, _ = write_config(tmp_path, solver=solver)
         config = RunConfig.load(path)
         traj = run_semilinear(config)
-        save_run(tmp_path / "saved", config, traj)
+        save_run(tmp_path / "saved", config, traj, mean_u1(config))
         _, loaded = load_run(tmp_path / "saved")
         for got, want in ((loaded.snapshots_u, traj.snapshots_u),
                           (loaded.snapshots_ut, traj.snapshots_ut)):
@@ -259,19 +266,20 @@ class TestPersistence:
             assert np.array_equal(got[-1], want[-1]) and np.array_equal(got[::5], want[::5])
             assert np.array_equal(np.asarray(got), want)
 
-    def test_save_run_builds_u1_once(self, tmp_path, monkeypatch):
+    def test_save_run_writes_the_mean_it_is_given(self, tmp_path, monkeypatch):
         path, _ = write_config(tmp_path, data={
             "u0": {"family": "zero"},
             "u1": {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": 0.0}})
         config = RunConfig.load(path)
         traj = run_semilinear(config)
+        mean = mean_u1(config)
         built = []
         build = DataSpec.build
         monkeypatch.setattr(DataSpec, "build", lambda self, g: built.append(self) or build(self, g))
-        save_run(tmp_path / "saved", config, traj)
-        assert built == [config.u1]
+        save_run(tmp_path / "saved", config, traj, mean)
+        assert built == []
         manifest = json.loads((tmp_path / "saved" / "manifest.json").read_text())
-        assert manifest["mean_u1"] > 0 and manifest["u1_mean_positive"] is True
+        assert manifest["mean_u1"] == mean > 0 and manifest["u1_mean_positive"] is True
 
     def test_norms_csv_roundtrip_exact(self, tmp_path):
         from sigmaevo.params import EquationParams
@@ -1046,9 +1054,9 @@ class TestReproducibility:
         path, _ = write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         config = RunConfig.load(path)
-        save_run(out1, config, run_semilinear(config))
+        save_run(out1, config, run_semilinear(config), mean_u1(config))
         persisted, _ = load_run(out1)
-        save_run(out2, persisted, run_semilinear(persisted))
+        save_run(out2, persisted, run_semilinear(persisted), mean_u1(persisted))
         assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
 
 
@@ -1182,7 +1190,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # sweep imports concurrent.futures when it runs: the same module object
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         cfg = self._three_member_sweep(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--workers", workers]) == 0
@@ -1230,3 +1239,40 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,loaded", [
+    (["semilinear"], []),
+    (["linear-decay", "--window-lo", "1", "--window-hi", "4"], ["sigmaevo.analysis"]),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, loaded):
+    # functional (blowup-scan), norms (check-inequalities), analysis (the
+    # fits) and concurrent.futures (a parallel sweep) load with their command
+    path, _ = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(sigmaevo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    lazy = ["concurrent.futures", "sigmaevo.analysis", "sigmaevo.functional", "sigmaevo.norms"]
+    code = ("import sys; from sigmaevo.cli import main; "
+            f"assert main({command + ['--config', str(path)]!r}) == 0; "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == repr(loaded)
+
+
+@pytest.mark.parametrize("command", [
+    ["semilinear"], ["linear-decay", "--window-lo", "1", "--window-hi", "4"]])
+def test_command_builds_each_datum_once(tmp_path, monkeypatch, command):
+    # mean_u1 in manifest.json is taken from the data the run is given
+    path, _ = write_config(tmp_path, data={
+        "u0": {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": 0.0},
+        "u1": {"family": "cosine-bump", "amplitude": 0.02, "width": 2.0, "center": 0.5}})
+    config = RunConfig.load(path)
+    built = []
+    build = DataSpec.build
+    monkeypatch.setattr(DataSpec, "build", lambda self, g: built.append(self) or build(self, g))
+    assert main(command + ["--config", str(path)]) == 0
+    assert built == [config.u0, config.u1]
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["mean_u1"] == float(np.mean(build(config.u1, config.grid)))

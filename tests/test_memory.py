@@ -7,8 +7,10 @@ quadrature reads, so it adds less than one stack to the trajectory it reads.
 The command line streams the rows through the run directory, so
 ``semilinear`` and ``blowup-scan`` each stay below one stack in all.
 
-``linear-decay`` holds no stack, and is bounded in grid-sized arrays: one
-state pair advanced in place, the data released once transformed.
+``linear-decay`` and a 2D ``semilinear`` hold no stack, and are bounded in
+grid-sized arrays: one state pair advanced in place, the data released once
+transformed, a norm row's workspace shared with the transform scratch.  A
+step of the semilinear stepper holds no grid-sized temporary at all.
 """
 import contextlib
 import io
@@ -22,7 +24,7 @@ from sigmaevo.cli import main
 from sigmaevo.functional import TestFunctionSpec, scan
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.params import EquationParams
-from sigmaevo.solver import SolverConfig, simulate
+from sigmaevo.solver import SolverConfig, _Stepper, simulate
 from sigmaevo.spectral import GridSpec
 
 GRID = GridSpec(1, 4096, 200.0)
@@ -124,9 +126,52 @@ def test_linear_decay_command_holds_few_fields(tmp_path):
     field = 8 * grid["N"] ** grid["n"]
     peak = traced_command(["linear-decay", "--config", str(path), "--out", str(tmp_path / "run"),
                            "--window-lo", "1", "--window-hi", "5"])
-    # about 11 fields: the state pair (2), u (1), a norm row's work (1), the
-    # multipliers and their shell index (2.5), apply's two row blocks (0.5),
-    # the grid's transform scratch (1), |xi|^2 and norm weights (1.5).  Two
-    # state pairs, a full-size apply scratch, an unused u_t buffer and the
-    # data held through the run made 16.5
-    assert peak < 13 * field
+    # about 9.5 fields: the state pair (2), u (1), the multipliers and their
+    # shell index (2.5), apply's two row blocks (0.5), the grid's transform
+    # scratch, which is also a norm row's work (1), |xi|^2 and norm weights
+    # (1.5).  A norm row's own work made 10.4; two state pairs, a full-size
+    # apply scratch, an unused u_t buffer and the data held through the run
+    # made 16.5
+    assert peak < 10 * field
+
+
+def test_semilinear_2d_command_holds_few_fields(tmp_path):
+    # a grid of its own, as above
+    grid = {"n": 2, "N": 256, "L": 43.0}
+    data = {"family": "gaussian", "amplitude": 0.1, "width": 2.0, "center": 0.0}
+    path = tmp_path / "semilinear.json"
+    path.write_text(json.dumps({
+        "params": {"sigma": 2.0, "delta": 0.0, "m": 1.0, "n": 2, "p": 3.0, "target": "on_u",
+                   "r": 1.5},
+        "mu": "hoelder:0.5",
+        "grid": grid,
+        "solver": {"dt": 0.05, "t_end": 1.0, "snapshot_stride": 10},
+        "data": {"u0": data, "u1": data},
+    }))
+    peak = traced_command(["semilinear", "--config", str(path), "--out", str(tmp_path / "run")])
+    # about 17 fields.  A norm row's own work and the two temporaries of each
+    # modulus evaluation made 19.7
+    assert peak < 18 * 8 * grid["N"] ** grid["n"]
+
+
+@pytest.mark.parametrize("target,key", [("on_u", "hoelder:0.5"), ("on_ut", "log-log-lip:2")])
+def test_stepper_step_holds_no_field_temporary(target, key):
+    # numpy's casts of a real multiplier against a complex spectrum take
+    # buffers of 8192 elements, a quarter of a field at 256^2; a modulus
+    # evaluation into fresh arrays took two fields
+    grid = GridSpec(2, 256, 20.0)
+    params = EquationParams(sigma=2.0, delta=1.0, n=2, p=3.0, target=target, r=3.0)
+    stepper = _Stepper(params, ModulusSpec.from_key(key), SolverConfig(dt=0.05, t_end=1.0), grid)
+    x, y = grid.coords()
+    uh, uth = grid.fft(0.1 * np.exp(-x * x - y * y)), grid.fft(0.1 * np.exp(-x * x - y * y / 2))
+    uh, uth = stepper.step(uh, uth, None, out=(uh, uth))   # warm: caches and PEC state
+
+    def ten_steps():
+        state = uh, uth
+        for _ in range(10):
+            state = stepper.step(*state, None, out=state)
+        return state
+
+    (uh2, uth2), peak = traced_peak(ten_steps)
+    assert uh2 is uh and uth2 is uth and np.isfinite(uh).all()
+    assert peak < 0.5 * 8 * 256 ** 2

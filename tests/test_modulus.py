@@ -188,6 +188,58 @@ class TestOneClosedForm:
         assert np.array_equal(mu.derivative(s), replaced_derivative(mu, s))
 
 
+# zeros of both signs, subnormals, 1e-300 up to each closed form's range,
+# and beyond it (1.0 is the log families' range, 0.75 the table's)
+PSI_POINTS = np.concatenate([[0.0, -0.0, 5e-324, 1e-320, 1e-310, 2.2e-308],
+                             np.geomspace(1e-300, 1.0, 1201),
+                             [0.75, np.nextafter(1.0, 2.0), 2.0, 10.0, 1e50, math.inf]])
+
+
+def replaced_psi(mu, s, p):
+    """Psi as the path with two temporaries per call computed it."""
+    return np.power(s, p) * replaced_evaluate(mu, s)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestPsiInBuffers:
+    """evaluate and psi, fresh or into caller buffers, against the old path."""
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_evaluate_matches_old_path(self, mu):
+        s = PSI_POINTS.copy()
+        want = replaced_evaluate(mu, s)
+        assert_same_bits(mu.evaluate(s), want)
+        out, work = np.full_like(s, np.nan), np.full_like(s, np.nan)
+        assert mu.evaluate(s, out, work) is out
+        assert_same_bits(out, want)
+        assert_same_bits(s, PSI_POINTS)
+        # work may be s itself, which is then overwritten (work is scratch)
+        assert_same_bits(mu.evaluate(s, np.empty_like(s), s), want)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_psi_matches_old_path(self, mu, p):
+        s = PSI_POINTS.reshape(1, -1).repeat(2, axis=0)
+        want = replaced_psi(mu, s, p)
+        assert_same_bits(psi(s, p, mu), want)
+        out, work = np.full_like(s, np.nan), np.full_like(s, np.nan)
+        assert psi(s, p, mu, out, work) is out
+        assert_same_bits(out, want)
+        assert_same_bits(s[0], PSI_POINTS) and assert_same_bits(s[1], PSI_POINTS)
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_nan_gives_nan(self, mu):
+        # the log families gave 0 at NaN before their zero mask went
+        s = np.array([0.5, np.nan, 0.0])
+        for got in (mu.evaluate(s), mu.evaluate(s, np.empty(3), np.empty(3)),
+                    psi(s, 3.0, mu), psi(s, 3.0, mu, np.empty(3), np.empty(3))):
+            assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+        assert math.isnan(mu.evaluate(math.nan)) and math.isnan(psi(math.nan, 3.0, mu))
+
+
 def _with_axiom_cap(mu: ModulusSpec) -> ModulusSpec:
     cap = AXIOM_CAPS[mu.family]
     if cap is None:

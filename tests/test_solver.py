@@ -75,7 +75,7 @@ class TestNonlinearity:
 
     def test_modulus_failure_names_location(self, grid, params):
         class Failing(ModulusSpec):
-            def evaluate(self, s):
+            def evaluate(self, s, out=None, work=None):
                 raise ArithmeticError("no value")
 
         cfg = SolverConfig(dt=0.1, t_end=1.0)
