@@ -27,7 +27,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -78,14 +78,8 @@ class DataSpec:
             if g != grid:
                 raise ConfigError(f"field file grid {g} does not match run grid {grid}")
             return arr
-        # |x - c| formed in one array, each axis's term broadcast along its
-        # axis and added in axis order; the profile is then applied in place
-        sq = (grid.axis() - self.center) ** 2
-        r = np.empty(grid.shape)
-        r[...] = sq.reshape((-1,) + (1,) * (grid.n - 1))
-        for axis in range(1, grid.n):
-            r += sq.reshape((-1,) + (1,) * (grid.n - 1 - axis))
-        np.sqrt(r, out=r)
+        # the profile is applied in place to the fresh |x - c|
+        r = grid.radius(self.center)
         if self.family == "gaussian":
             np.divide(r, self.width, out=r)
             np.exp(np.negative(np.square(r, out=r), out=r), out=r)
@@ -172,8 +166,26 @@ def _section(doc: dict, key: str, where: str = "config", kind: type = dict):
 
 
 def _record(cls, doc: dict, key: str, where: str = "config"):
-    """cls(**doc[key]); a field that cls lacks or rejects raises ConfigError."""
+    """cls(**doc[key]); a field that cls lacks or rejects raises ConfigError.
+
+    A number field (float, int or Optional[float]) must hold a JSON number
+    that is not a bool, or null where Optional; a bool field true or false.
+    The range of each value is cls's to check."""
     section = _section(doc, key, where)
+    hints = get_type_hints(cls)
+    for name, value in section.items():
+        hint = hints.get(name)
+        if hint is bool:
+            ok, want = isinstance(value, bool), "true or false"
+        elif hint in (float, int, Optional[float]):
+            nullable = hint == Optional[float]
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  or nullable and value is None)
+            want = "a number or null" if nullable else "a number"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{where} key '{key}.{name}' must be {want}, not {value!r:.40}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -235,10 +247,9 @@ def read_norms_csv(path: str):
     return header, data
 
 
-def save_run(outdir: str, config: RunConfig, traj: Trajectory, mean_u1: float,
-             extra_manifest: Optional[dict] = None):
-    """Write manifest.json and norms.csv, and the snapshots of a trajectory
-    that holds them (a run streamed to outdir holds none: its loop wrote them).
+def save_run(outdir: str, config: RunConfig, traj: Trajectory, mean_u1: float, kind: str):
+    """Write manifest.json and norms.csv of a run of the command ``kind``; its
+    snapshots, if any, were streamed to outdir/fields by its loop.
     ``mean_u1`` is the mean of the run's u1, taken where the data are built."""
     os.makedirs(outdir, exist_ok=True)
     manifest = {
@@ -249,16 +260,11 @@ def save_run(outdir: str, config: RunConfig, traj: Trajectory, mean_u1: float,
         "blowup": None if traj.blowup is None else
                   {"time": traj.blowup.time, "reason": traj.blowup.reason},
         "blowup_threshold": traj.blowup_threshold,
+        "kind": kind,
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, allow_nan=False)
     write_norms_csv(os.path.join(outdir, "norms.csv"), traj)
-    if traj.snapshots_u is not None:
-        with _field_sink(outdir, config.grid) as files:
-            for i, t in enumerate(traj.times.tolist()):
-                files.write(i, t, traj.snapshots_u[i], traj.snapshots_ut[i])
 
 
 def _field_path(fdir: str, name: str, i: int) -> str:
@@ -280,10 +286,7 @@ class FieldFiles:
         return self._buffers
 
     def keep(self, i: int, t: float):
-        self.write(i, t, *self._buffers)
-
-    def write(self, i: int, t: float, u: np.ndarray, ut: np.ndarray):
-        for name, field in (("u", u), ("ut", ut)):
+        for name, field in zip(("u", "ut"), self._buffers):
             write_field(_field_path(self.fdir, name, i), field, self.grid, float(t))
 
     def stacks(self, n: int) -> tuple:
@@ -291,7 +294,7 @@ class FieldFiles:
 
 
 @contextlib.contextmanager
-def _field_sink(outdir: str, grid: GridSpec, store: bool = True):
+def _field_sink(outdir: str, grid: GridSpec, store: bool):
     """A FieldFiles sink for outdir/fields (None unless ``store``).
 
     The files go to a staging directory inside outdir that replaces
@@ -332,33 +335,20 @@ def _check_snapshot(path: str, i: int, t: float, header: tuple, grid: GridSpec):
 class FieldStack:
     """One field's snapshots in a run directory, read on demand: row i is
     <fdir>/<name>_{i:06d}.bin, whose header must match time times[i] on
-    ``grid``.  A row or a slice of rows reads just those files into an
-    array; np.asarray reads them all."""
+    ``grid``.  It has a length, and an integer row reads just that file."""
 
     def __init__(self, fdir: str, name: str, times: list, grid: GridSpec):
         self.fdir, self.name, self.times, self.grid = fdir, name, times, grid
-        self.shape = (len(times),) + grid.shape
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            rows = range(len(self))[key]
-            out = np.empty((len(rows),) + self.grid.shape)
-            for j, i in enumerate(rows):
-                out[j] = self._row(i)
-            return out
-        return self._row(range(len(self))[key])
-
-    def _row(self, i: int) -> np.ndarray:
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
         path = _field_path(self.fdir, self.name, i)
         field, grid, time = read_field(path)
         _check_snapshot(path, i, self.times[i], (grid, time), self.grid)
         return field
-
-    def __array__(self, dtype=None, copy=None):
-        return self[:] if dtype is None else self[:].astype(dtype)
 
 
 def load_run(outdir: str) -> tuple:
@@ -403,13 +393,13 @@ def _output_dir(override: Optional[str], configured: Optional[str], name: str) -
 
 def cmd_mu_classify(args) -> int:
     mu = ModulusSpec.from_key(args.mu)
+    verdicts = [classify_integral_criterion(mu, c0, args.mode).verdict for c0 in args.c0]
     report = check_modulus_axioms(mu)
     sup = check_derivative_bound(mu)
     print(f"modulus {args.mu}")
     print(f"  axioms: zero_at_zero={report.zero_at_zero} nondecreasing={report.nondecreasing} "
           f"midpoint_concave={report.midpoint_concave} finite={report.finite_nonnegative}")
     print(f"  slope-bound supremum s*mu'/mu: {sup:.6g}")
-    verdicts = [classify_integral_criterion(mu, c0, args.mode).verdict for c0 in args.c0]
     for c0, verdict in zip(args.c0, verdicts):
         print(f"  criterion (c0={c0:g}, mode={args.mode}): {verdict}")
     print(f"verdict: {verdicts[0]}")
@@ -491,7 +481,7 @@ def cmd_linear_decay(args) -> int:
                                store_fields=solver.store_fields, fields=fields)
         fit = analysis.fit_decay(traj.series("L2_u"), window)
         verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
-        save_run(outdir, config, traj, mean_u1, {"kind": "linear-decay"})
+        save_run(outdir, config, traj, mean_u1, "linear-decay")
     write_table(os.path.join(outdir, "fit.csv"),
                 ["column", "exponent", "predicted", "tolerance",
                  "window_lo", "window_hi", "residual_rms", "passed"],
@@ -517,21 +507,20 @@ def cmd_semilinear(args) -> int:
     return 0
 
 
-def run_semilinear(config: RunConfig, outdir: Optional[str] = None,
-                   kind: str = "semilinear") -> Trajectory:
-    """The semilinear run of ``config``; with ``outdir`` it is also saved
-    there, its snapshots (with store_fields) streamed to outdir/fields as
-    the loop keeps them, and a run that raises leaves outdir as it was."""
-    grid, store = config.grid, config.solver.store_fields
+def run_semilinear(config: RunConfig, outdir: str, kind: str) -> Trajectory:
+    """The semilinear run of ``config``, saved to ``outdir`` as a run of the
+    command ``kind``: its snapshots (with store_fields) are streamed to
+    outdir/fields as the loop keeps them, and a run that raises leaves
+    outdir as it was."""
+    grid = config.grid
     data = [config.u0.build(grid), config.u1.build(grid)]
     mean_u1 = float(np.mean(data[1]))
-    with _field_sink(outdir, grid, store and outdir is not None) as fields:
+    with _field_sink(outdir, grid, config.solver.store_fields) as fields:
         # popped from the list: the run holds the only references to the
         # data, and lets them go once it has transformed them
         traj = simulate(data.pop(0), data.pop(0), config.params,
                         config.mu(), config.solver, grid, fields=fields)
-        if outdir is not None:
-            save_run(outdir, config, traj, mean_u1, {"kind": kind})
+        save_run(outdir, config, traj, mean_u1, kind)
     return traj
 
 
@@ -569,8 +558,10 @@ def _default_R_values(traj: Trajectory, rundir: str) -> list:
 
 
 def cmd_check_inequalities(args) -> int:
-    if args.fields < 1:
-        raise ParameterError(f"--fields must be at least 1, got {args.fields}")
+    for option, value, least in (("--fields", args.fields, 1), ("--kmax", args.kmax, 1),
+                                 ("--seed", args.seed, 0)):
+        if value < least:
+            raise ParameterError(f"{option} must be at least {least}, got {value}")
     from . import norms
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(1, args.N, float(args.L))

@@ -70,31 +70,11 @@ class QuinticProfile:
     def _s(y):
         return y ** 3 * (10.0 - 15.0 * y + 6.0 * y * y)
 
-    @staticmethod
-    def _s1(y):
-        return 30.0 * y * y * (1.0 - y) ** 2
-
-    @staticmethod
-    def _s2(y):
-        return 60.0 * y * (1.0 - y) * (1.0 - 2.0 * y)
-
     def value(self, r):
         r = np.asarray(r, dtype=float)
         y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
         out = self._s(y)
         return np.where(r <= 0.5, 1.0, np.where(r >= 1.0, 0.0, out))
-
-    def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = (r > 0.5) & (r < 1.0)
-        y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
-        return np.where(inside, -2.0 * self._s1(y), 0.0)
-
-    def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = (r > 0.5) & (r < 1.0)
-        y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
-        return np.where(inside, 4.0 * self._s2(y), 0.0)
 
 
 _PROFILE = QuinticProfile()

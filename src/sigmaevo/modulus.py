@@ -478,11 +478,11 @@ def classify_integral_criterion(mu: ModulusSpec, c0: float = math.e,
 
     ``mode`` is "analytic" (pattern-match the named family), "numeric"
     (doubling partial integrals), or "both" (cross-check; disagreement of two
-    definite verdicts downgrades to inconclusive).  Requires c0 >= e so that
-    1/s stays within every family's core domain.
+    definite verdicts downgrades to inconclusive).  Requires a finite c0 >= e
+    so that 1/s stays within every family's core domain.
     """
-    if c0 < math.e:
-        raise ParameterError("c0 must be at least e")
+    if not math.e <= c0 < math.inf:   # written so that NaN fails it
+        raise ParameterError(f"c0 must be finite and at least e, got {c0}")
     if mode not in ("analytic", "numeric", "both"):
         raise ParameterError("mode must be 'analytic', 'numeric' or 'both'")
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .spectral import GridSpec, spectral_l2
+from .spectral import GridSpec, spectral_l2, sup_abs
 
 
 def lebesgue_norm(u: np.ndarray, p: float, grid: GridSpec) -> float:
     """(sum |u|^p * cellvol)^(1/p); p = inf gives max |u|."""
     grid.check_field(u)
     if p == np.inf:
-        return float(np.max(np.abs(u)))
+        return sup_abs(u)
     if p < 1:
         raise ParameterError("p must be >= 1")
     return float((np.sum(np.abs(u) ** p) * grid.cell_volume) ** (1.0 / p))

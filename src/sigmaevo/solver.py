@@ -46,7 +46,7 @@ from .errors import ParameterError, SigmaevoError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target, theorem_window
 from .spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2,
-                       sup_bound)
+                       sup_abs, sup_bound)
 
 NORM_COLUMNS = ("L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u", "energy")
 
@@ -120,7 +120,7 @@ class Trajectory:
     blowup: Optional[BlowUp] = None
     blowup_threshold: Optional[float] = None      # the threshold simulate resolved
     # one per row, (len(times), *grid.shape): arrays, or the lazy stacks of a
-    # loaded run directory (cli.FieldStack), whose row slices are arrays
+    # loaded run directory (cli.FieldStack), whose rows are arrays
     snapshots_u: Optional[np.ndarray] = None
     snapshots_ut: Optional[np.ndarray] = None
 
@@ -145,18 +145,12 @@ def blow_up_detect(w: Optional[np.ndarray], row: Optional[tuple],
     ``sup`` is sup |w|, or a finite bound on it that does not pass the
     threshold, when the caller already has one; w is then not read."""
     if sup is None:
-        sup = _sup_abs(w)
+        sup = sup_abs(w)
     if not math.isfinite(sup) or (row is not None and not all(map(math.isfinite, row))):
         return "nan"
     if threshold is not None and sup > threshold:
         return "escape"
     return None
-
-
-def _sup_abs(u: np.ndarray) -> float:
-    """max |u| with no |u| temporary.  NaN propagates (max and min both return
-    it); abs() turns the -0.0 of an all -0.0 field into 0.0."""
-    return abs(float(max(u.max(), -u.min())))
 
 
 class _Stepper:
@@ -257,12 +251,12 @@ def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams,
         sq += [plancherel_sum(abs_sq, grid, power) for power in powers]
     u_sq, ur_sq, u_sigma_sq, ut_sq, utrs_sq = sq
     return (math.sqrt(u_sq), math.sqrt(ur_sq), math.sqrt(ut_sq), math.sqrt(utrs_sq),
-            _sup_abs(u_phys), ut_sq + u_sigma_sq)
+            sup_abs(u_phys), ut_sq + u_sigma_sq)
 
 
 def default_blowup_threshold(u0: np.ndarray, u1: np.ndarray) -> float:
     """1e6 x the initial sup-norm scale (guarded for u0 = 0 data)."""
-    threshold = 1e6 * max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1))), 1e-12)
+    threshold = 1e6 * max(sup_abs(u0), sup_abs(u1), 1e-12)
     if threshold == math.inf:
         raise ParameterError("blowup_threshold: 1e6 x the initial sup norm overflows")
     return threshold

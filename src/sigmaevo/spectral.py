@@ -90,14 +90,16 @@ class GridSpec:
         """Physical coordinates along one axis: -L + i * dx."""
         return -self.L + self.dx * np.arange(self.N)
 
-    def coords(self) -> tuple:
-        """Meshgrid coordinate arrays (ij indexing)."""
-        ax = self.axis()
-        return np.meshgrid(*([ax] * self.n), indexing="ij")
-
-    def radius(self) -> np.ndarray:
-        """Euclidean |x| on the grid."""
-        return np.sqrt(sum(c * c for c in self.coords()))
+    def radius(self, center: float = 0.0) -> np.ndarray:
+        """Euclidean |x - c| on the grid, c = (center, ..., center), in a fresh
+        array: each axis's squared term is broadcast along its axis and added
+        in axis order, so no coordinate mesh is built."""
+        sq = (self.axis() - center) ** 2
+        r = np.empty(self.shape)
+        r[...] = sq.reshape((-1,) + (1,) * (self.n - 1))
+        for axis in range(1, self.n):
+            r += sq.reshape((-1,) + (1,) * (self.n - 1 - axis))
+        return np.sqrt(r, out=r)
 
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the half spectrum."""
@@ -392,9 +394,10 @@ def _l2_weight_cached(n: int, N: int, L: float, power: float) -> np.ndarray:
     return out
 
 
-def energy(uh: np.ndarray, uth: np.ndarray, grid: GridSpec, sigma: float) -> float:
-    """E = ||u_t||_L2^2 + || |D|^sigma u ||_L2^2 from spectral data."""
-    return spectral_l2(uth, grid) ** 2 + spectral_l2(uh, grid, sigma) ** 2
+def sup_abs(u: np.ndarray) -> float:
+    """max |u| with no |u| temporary.  NaN propagates (max and min both return
+    it); abs() turns the -0.0 of an all -0.0 field into 0.0."""
+    return abs(float(max(u.max(), -u.min())))
 
 
 # -- band-limited random fields (verification inputs) -------------------------

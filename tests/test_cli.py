@@ -16,7 +16,8 @@ from sigmaevo.cli import (DataSpec, RunConfig, load_run, main, read_norms_csv,
                           run_semilinear, save_run, write_norms_csv)
 from sigmaevo.errors import ConfigError, ParameterError
 from sigmaevo.modulus import classify_integral_criterion
-from sigmaevo.solver import simulate_linear
+from sigmaevo.solver import simulate, simulate_linear
+from sigmaevo.spectral import read_field, write_field
 
 
 def tree_bytes(root):
@@ -64,6 +65,33 @@ def mean_u1(config):
     return float(np.mean(config.u1.build(config.grid)))
 
 
+def in_memory_run(config):
+    """The semilinear run of config held in memory: simulate on the config's
+    data, the snapshots (with store_fields) in solver.SnapshotStacks."""
+    grid = config.grid
+    return simulate(config.u0.build(grid), config.u1.build(grid), config.params,
+                    config.mu(), config.solver, grid)
+
+
+def save_in_memory_run(outdir, config, traj, kind):
+    """The run directory of an in-memory trajectory: save_run's manifest and
+    norms, and each row's snapshots written by spectral.write_field under
+    the names the commands stream them to."""
+    save_run(outdir, config, traj, mean_u1(config), kind)
+    if traj.snapshots_u is not None:
+        os.mkdir(os.path.join(outdir, "fields"))
+        for i, t in enumerate(traj.times.tolist()):
+            for name, stack in (("u", traj.snapshots_u), ("ut", traj.snapshots_ut)):
+                write_field(os.path.join(outdir, "fields", f"{name}_{i:06d}.bin"), stack[i],
+                            config.grid, t)
+
+
+def stack_rows(stack):
+    """Every row of a snapshot stack (an array, or a loaded run's
+    cli.FieldStack, which reads one integer row at a time) as one array."""
+    return np.array([stack[i] for i in range(len(stack))])
+
+
 class TestDataSpec:
     def test_gaussian(self):
         from sigmaevo.spectral import GridSpec
@@ -88,7 +116,8 @@ class TestDataSpec:
     def meshgrid_build(spec, grid):
         """The profiles as build once formed them: |x - c| from meshgrid
         copies of the coordinates, each step a fresh array."""
-        r = np.sqrt(sum((c - spec.center) ** 2 for c in grid.coords()))
+        coords = np.meshgrid(*[grid.axis()] * grid.n, indexing="ij")
+        r = np.sqrt(sum((c - spec.center) ** 2 for c in coords))
         if spec.family == "gaussian":
             return spec.amplitude * np.exp(-((r / spec.width) ** 2))
         bump = np.where(r < spec.width,
@@ -171,28 +200,27 @@ class TestPersistence:
             "dt": 0.05, "t_end": 2.0, "dealias_fraction": 2 / 3,
             "blowup_threshold": None, "snapshot_stride": 4, "store_fields": True})
         config = RunConfig.load(path)
-        traj = run_semilinear(config)
+        traj = in_memory_run(config)
         outdir = tmp_path / "saved"
-        save_run(outdir, config, traj, mean_u1(config))
+        assert main(["semilinear", "--config", str(path), "--out", str(outdir)]) == 0
         config2, traj2 = load_run(outdir)
         assert config2.to_dict() == config.to_dict()
         assert np.array_equal(traj2.times, traj.times)
         assert traj2.norms == pytest.approx(traj.norms, rel=1e-15)
-        assert np.array_equal(traj2.snapshots_u, traj.snapshots_u)
+        assert np.array_equal(stack_rows(traj2.snapshots_u), traj.snapshots_u)
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "u1_mean_positive" in manifest
 
     def test_loaded_snapshots_are_the_rows(self, tmp_path):
         solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
         path, _ = write_config(tmp_path, solver=solver)
-        config = RunConfig.load(path)
-        traj = run_semilinear(config)
-        save_run(tmp_path / "saved", config, traj, mean_u1(config))
+        traj = in_memory_run(RunConfig.load(path))
+        assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "saved")]) == 0
         _, loaded = load_run(tmp_path / "saved")
         assert traj.snapshot_times is traj.times and loaded.snapshot_times is loaded.times
         assert np.array_equal(loaded.times, traj.times)
-        assert np.array_equal(loaded.snapshots_u, traj.snapshots_u)
-        assert np.array_equal(loaded.snapshots_ut, traj.snapshots_ut)
+        assert np.array_equal(stack_rows(loaded.snapshots_u), traj.snapshots_u)
+        assert np.array_equal(stack_rows(loaded.snapshots_ut), traj.snapshots_ut)
 
     @pytest.mark.parametrize("params", [
         {"sigma": 1, "delta": 0, "m": 1, "n": 1, "p": 3, "target": "on_u", "r": 1},
@@ -203,8 +231,7 @@ class TestPersistence:
         path, _ = write_config(tmp_path, solver=solver, params=params)
         assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
         config = RunConfig.load(path)
-        save_run(tmp_path / "b", config, run_semilinear(config), mean_u1(config),
-                 {"kind": "semilinear"})
+        save_in_memory_run(tmp_path / "b", config, in_memory_run(config), "semilinear")
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
         assert len(os.listdir(tmp_path / "a" / "fields")) == 2 * 26
 
@@ -217,7 +244,7 @@ class TestPersistence:
         u0, u1 = config.u0.build(config.grid), config.u1.build(config.grid)
         times = np.arange(0, 101, 4) * 0.05
         traj = simulate_linear(u0, u1, config.params, times, config.grid, store_fields=True)
-        save_run(tmp_path / "b", config, traj, float(np.mean(u1)), {"kind": "linear-decay"})
+        save_in_memory_run(tmp_path / "b", config, traj, "linear-decay")
         a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
         assert a.pop("fit.csv") and a == b
 
@@ -252,31 +279,34 @@ class TestPersistence:
         assert tree_bytes(tmp_path) == before
         assert out.parent.exists() == existing
 
-    def test_loaded_stacks_read_rows_on_demand(self, tmp_path):
+    def test_loaded_stacks_read_rows_on_demand(self, tmp_path, monkeypatch):
         solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
         path, _ = write_config(tmp_path, solver=solver)
-        config = RunConfig.load(path)
-        traj = run_semilinear(config)
-        save_run(tmp_path / "saved", config, traj, mean_u1(config))
+        traj = in_memory_run(RunConfig.load(path))
+        assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "saved")]) == 0
         _, loaded = load_run(tmp_path / "saved")
-        for got, want in ((loaded.snapshots_u, traj.snapshots_u),
-                          (loaded.snapshots_ut, traj.snapshots_ut)):
-            assert len(got) == 26 and got.shape == want.shape == (26, 256)
-            assert np.array_equal(got[3:10], want[3:10]) and got[3:10].shape == (7, 256)
-            assert np.array_equal(got[-1], want[-1]) and np.array_equal(got[::5], want[::5])
-            assert np.array_equal(np.asarray(got), want)
+        reads = []
+        monkeypatch.setattr(cli, "read_field",
+                            lambda path: reads.append(os.path.basename(path)) or read_field(path))
+        for name, got, want in (("u", loaded.snapshots_u, traj.snapshots_u),
+                                ("ut", loaded.snapshots_ut, traj.snapshots_ut)):
+            assert len(got) == 26 and want.shape == (26, 256)
+            reads.clear()
+            assert np.array_equal(got[3], want[3]) and reads == [f"{name}_000003.bin"]
+            assert np.array_equal(got[-1], want[-1]) and reads[-1] == f"{name}_000025.bin"
+            assert np.array_equal(stack_rows(got), want)
 
     def test_save_run_writes_the_mean_it_is_given(self, tmp_path, monkeypatch):
         path, _ = write_config(tmp_path, data={
             "u0": {"family": "zero"},
             "u1": {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": 0.0}})
         config = RunConfig.load(path)
-        traj = run_semilinear(config)
+        traj = in_memory_run(config)
         mean = mean_u1(config)
         built = []
         build = DataSpec.build
         monkeypatch.setattr(DataSpec, "build", lambda self, g: built.append(self) or build(self, g))
-        save_run(tmp_path / "saved", config, traj, mean)
+        save_run(tmp_path / "saved", config, traj, mean, "semilinear")
         assert built == []
         manifest = json.loads((tmp_path / "saved" / "manifest.json").read_text())
         assert manifest["mean_u1"] == mean > 0 and manifest["u1_mean_positive"] is True
@@ -472,6 +502,49 @@ class TestCommands:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("section,key,value,named", [
+        # a string "false" is truthy: the run once stored its fields
+        ("solver", "store_fields", "false", "'solver.store_fields' must be true or false, "
+                                            "not 'false'"),
+        ("solver", "store_fields", 0, "'solver.store_fields' must be true or false, not 0"),
+        # a number as a string once exited 2 naming no key
+        ("solver", "dt", "0.1", "'solver.dt' must be a number, not '0.1'"),
+        ("params", "sigma", "2", "'params.sigma' must be a number, not '2'"),
+        ("grid", "L", "200", "'grid.L' must be a number, not '200'"),
+        ("data.u0", "amplitude", "1", "'u0.amplitude' must be a number, not '1'"),
+        ("solver", "dealias_fraction", "0.5", "'solver.dealias_fraction' must be a number"),
+        ("solver", "blowup_threshold", "1e3",
+         "'solver.blowup_threshold' must be a number or null, not '1e3'"),
+        # true was once read as the number 1
+        ("params", "n", True, "'params.n' must be a number, not True"),
+        ("params", "sigma", True, "'params.sigma' must be a number, not True"),
+        ("grid", "n", True, "'grid.n' must be a number, not True"),
+        ("solver", "snapshot_stride", True, "'solver.snapshot_stride' must be a number, not True"),
+        ("solver", "t_end", None, "'solver.t_end' must be a number, not None"),
+    ])
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, section, key, value,
+                                             named):
+        doc = small_config_doc(tmp_path)
+        node = doc
+        for name in section.split("."):
+            node = node[name]
+        node[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["semilinear", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "snapshot_stride", 4.0), ("params", "sigma", 1), ("grid", "L", 30),
+        ("solver", "blowup_threshold", 100), ("solver", "store_fields", True)])
+    def test_value_of_an_accepted_type_runs(self, tmp_path, section, key, value):
+        doc = small_config_doc(tmp_path)
+        doc[section][key] = value
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        assert main(["semilinear", "--config", str(path)]) == 0
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
     @pytest.mark.parametrize("command", ["linear-decay", "fit"])
     def test_bad_tolerance_exits_2(self, tmp_path, capsys, command, tolerance):
@@ -583,7 +656,7 @@ class TestCommands:
         config = RunConfig.load(path)
         self._fail_snapshot_stacks(monkeypatch)
         with pytest.raises(ParameterError) as info:
-            run_semilinear(config)
+            in_memory_run(config)
         message = str(info.value)
         assert "store_fields" in message and "snapshot_stride" in message
         assert f"26 rows ({8 * 26 * 256} bytes each)" in message
@@ -847,7 +920,7 @@ class TestCommands:
         assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
         assert (rundir / "fields").is_dir() and not list((rundir / "fields").iterdir())
         _, traj = load_run(rundir)
-        assert traj.snapshots_u.shape == traj.snapshots_ut.shape == (0, 256)
+        assert len(traj.snapshots_u) == len(traj.snapshots_ut) == 0
         assert traj.snapshot_times is traj.times
 
     def test_manifest_records_resolved_threshold(self, tmp_path):
@@ -892,6 +965,26 @@ class TestCommands:
         assert main(["check-inequalities", "--fields", "0", "--out", str(tmp_path)]) == 2
         assert "--fields" in capsys.readouterr().err
         assert not (tmp_path / "inequalities.csv").exists()
+
+    @pytest.mark.parametrize("option,value,least", [("--kmax", "-1", 1), ("--kmax", "0", 1),
+                                                     ("--seed", "-1", 0)])
+    def test_check_inequalities_bad_count_exits_2(self, tmp_path, capsys, option, value, least):
+        # a negative --kmax or --seed once ended in a numpy ValueError
+        # traceback; --kmax 0 gives zero fields, NaN growth and a pass
+        argv = ["check-inequalities", "--fields", "2", "--N", "64", "--out", str(tmp_path)]
+        assert main(argv + [option, value]) == 2
+        assert f"{option} must be at least {least}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "inequalities.csv").exists()
+
+    @pytest.mark.parametrize("mu,c0", [("log-power:0.5", "inf"), ("hoelder:0.5", "nan"),
+                                       ("lipschitz", "1")])
+    @pytest.mark.parametrize("mode", ["analytic", "numeric", "both"])
+    def test_mu_classify_bad_c0_exits_2_before_printing(self, capsys, mu, c0, mode):
+        # --c0 inf and nan once passed the c0 >= e check and printed false
+        # verdicts; --c0 1 printed the axiom lines before its error
+        assert main(["mu-classify", mu, "--c0", c0, "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"c0 must be finite and at least e, got {float(c0)}" in err
 
     def test_fit_subcommand_appends_ledger(self, tmp_path):
         t = np.linspace(1, 50, 60)
@@ -1054,9 +1147,9 @@ class TestReproducibility:
         path, _ = write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         config = RunConfig.load(path)
-        save_run(out1, config, run_semilinear(config), mean_u1(config))
+        run_semilinear(config, out1, "semilinear")
         persisted, _ = load_run(out1)
-        save_run(out2, persisted, run_semilinear(persisted), mean_u1(persisted))
+        run_semilinear(persisted, out2, "semilinear")
         assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
 
 

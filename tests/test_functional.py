@@ -37,6 +37,26 @@ def frozen_trajectory(grid, value=1.0, t_end=4.0, dt=0.02, params=None):
                       snapshots_ut=fields.copy())
 
 
+def quintic_d1(r):
+    """d/dr of the quintic profile: -2 S'(y) with y = 2 (1 - r) inside (1/2, 1)."""
+    r = np.asarray(r, dtype=float)
+    y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
+    return np.where((r > 0.5) & (r < 1.0), -2.0 * (30.0 * y * y * (1.0 - y) ** 2), 0.0)
+
+
+def quintic_d2(r):
+    """d^2/dr^2 of the quintic profile: 4 S''(y) with y = 2 (1 - r) inside (1/2, 1)."""
+    r = np.asarray(r, dtype=float)
+    y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
+    return np.where((r > 0.5) & (r < 1.0), 4.0 * (60.0 * y * (1.0 - y) * (1.0 - 2.0 * y)), 0.0)
+
+
+def stack_rows(stack):
+    """Every row of a snapshot stack (an array, or a loaded run's
+    cli.FieldStack, which reads one integer row at a time) as one array."""
+    return np.array([stack[i] for i in range(len(stack))])
+
+
 def fine_grid_integral(func, R, x_extent=6.0, nx=4001, nt=3001, chunk=256):
     """Independent space-time quadrature on a dense trapezoid lattice."""
     xs = np.linspace(-x_extent, x_extent, nx)
@@ -69,8 +89,8 @@ class TestProfile:
         prof = QuinticProfile()
         for r0 in (0.5, 1.0):
             for side in (-1e-9, 1e-9):
-                assert prof.d1(r0 + side) == pytest.approx(0.0, abs=1e-7)
-                assert prof.d2(r0 + side) == pytest.approx(0.0, abs=1e-4)
+                assert quintic_d1(r0 + side) == pytest.approx(0.0, abs=1e-7)
+                assert quintic_d2(r0 + side) == pytest.approx(0.0, abs=1e-4)
 
     def test_derivatives_match_finite_differences(self):
         prof = QuinticProfile()
@@ -78,8 +98,8 @@ class TestProfile:
         h = 1e-4   # second difference is round-off limited below this
         fd1 = (prof.value(r + h) - prof.value(r - h)) / (2 * h)
         fd2 = (prof.value(r + h) - 2 * prof.value(r) + prof.value(r - h)) / h ** 2
-        assert np.max(np.abs(prof.d1(r) - fd1)) < 1e-6
-        assert np.max(np.abs(prof.d2(r) - fd2)) < 1e-4
+        assert np.max(np.abs(quintic_d1(r) - fd1)) < 1e-6
+        assert np.max(np.abs(quintic_d2(r) - fd2)) < 1e-4
 
 
 class TestPhi:
@@ -199,7 +219,7 @@ class TestJR:
 
         def op(x, t):
             a = (x * x + t) / R
-            v, d1, d2 = prof.value(a), prof.d1(a), prof.d2(a)
+            v, d1, d2 = prof.value(a), quintic_d1(a), quintic_d2(a)
             safe = np.where(v > 0, v, 1.0)
             phi_tt = (P * (P - 1) * safe ** (P - 2) * d1 ** 2
                       + P * safe ** (P - 1) * d2) / R ** 2
@@ -224,7 +244,7 @@ class TestJR:
             phi0 = prof.value(a) ** P
             safe = np.where(prof.value(a) > 0, prof.value(a), 1.0)
             phit0 = np.where(prof.value(a) > 0,
-                             P * safe ** (P - 1) * prof.d1(a) / R, 0.0)
+                             P * safe ** (P - 1) * quintic_d1(a) / R, 0.0)
             oracle = np.trapezoid(phi0 - phit0, xs)
             J = compute_J_R(traj, R, spec, params)
             assert J == pytest.approx(oracle, rel=2e-4)
@@ -404,7 +424,7 @@ def _per_R_weighted(traj, mu, p0, R, spec, cutoff):
     grid, times = traj.grid, traj.snapshot_times
     w = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
     phi = cutoff(times[:, None], grid.radius().ravel()[None, :], R, spec, grid.n)
-    integrand = psi(np.abs(np.asarray(w).reshape(len(times), -1)), p0, mu) * phi
+    integrand = psi(np.abs(stack_rows(w).reshape(len(times), -1)), p0, mu) * phi
     return _per_R_quadrature(integrand, times[1] - times[0], grid)
 
 
@@ -426,7 +446,7 @@ def per_R_J(traj, R, spec, params):
         op = (time_derivative(phi, dt, 2)
               + lap(phi, 2.0 * params.sigma, grid)
               - lap(time_derivative(phi, dt, 1), 2.0 * params.delta, grid))
-        w = traj.snapshots_u
+        w = stack_rows(traj.snapshots_u)
     else:
         rev = np.flip(np.cumsum(np.flip(
             0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
@@ -434,7 +454,7 @@ def per_R_J(traj, R, spec, params):
         op = (-time_derivative(phi, dt, 1)
               + lap(Phi, 2.0 * params.sigma, grid)
               + lap(phi, params.sigma, grid))
-        w = traj.snapshots_ut
+        w = stack_rows(traj.snapshots_ut)
     return _per_R_quadrature(w * op, dt, grid)
 
 
@@ -465,7 +485,7 @@ def moving_trajectory(grid, params, t_end, dt, seed):
     """Smooth, time-varying, independent u and u_t snapshot stacks."""
     rng = np.random.default_rng(seed)
     times = np.arange(0.0, t_end + 0.5 * dt, dt)
-    coords = grid.coords()
+    coords = np.meshgrid(*[grid.axis()] * grid.n, indexing="ij")
 
     def stack():
         out = np.zeros((len(times),) + grid.shape)
@@ -636,7 +656,7 @@ class TestAdjointEigenfunctions:
         params = EquationParams(sigma=sigma, delta=delta, n=n, p=3, target=target)
         grid = GridSpec(n, 32 if n == 1 else 16, np.pi)
         times = 0.1 * np.arange(6)
-        rows = (1.0 + times)[:, None] * np.cos(k * grid.coords()[0]).reshape(1, -1)
+        rows = (1.0 + times)[:, None] * np.cos(k * np.meshgrid(*[grid.axis()] * n, indexing="ij")[0]).reshape(1, -1)
         stack = rows.reshape((len(times),) + grid.shape)
         traj = Trajectory(times=times, norms=np.zeros((len(times), 6)), grid=grid,
                           params=params, snapshots_u=stack, snapshots_ut=stack.copy())

@@ -44,7 +44,7 @@ def traced_peak(fn):
 
 @pytest.fixture(scope="module")
 def run():
-    x = GRID.coords()[0]
+    x = GRID.axis()
     u0, u1 = 0.01 * np.exp(-x * x), 0.01 * np.exp(-(x - 0.5) ** 2)
     traj, peak = traced_peak(lambda: simulate(u0, u1, PARAMS, ModulusSpec.from_key("log-log-lip:2"),
                                               CONFIG, GRID))
@@ -162,7 +162,7 @@ def test_stepper_step_holds_no_field_temporary(target, key):
     grid = GridSpec(2, 256, 20.0)
     params = EquationParams(sigma=2.0, delta=1.0, n=2, p=3.0, target=target, r=3.0)
     stepper = _Stepper(params, ModulusSpec.from_key(key), SolverConfig(dt=0.05, t_end=1.0), grid)
-    x, y = grid.coords()
+    x, y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
     uh, uth = grid.fft(0.1 * np.exp(-x * x - y * y)), grid.fft(0.1 * np.exp(-x * x - y * y / 2))
     uh, uth = stepper.step(uh, uth, None, out=(uh, uth))   # warm: caches and PEC state
 

@@ -34,3 +34,33 @@ def test_only_write_table_creates_a_csv_writer():
     counts = {path.name: path.read_text().count("csv.writer(") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"cli.py": 1}
     assert "csv.writer(" in inspect.getsource(cli.write_table)
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # a public function, class or method of the package is referenced from
+    # the package itself, from the benchmark (whose spans install wrappers by
+    # name, so a string counts) or from the acceptance suite; one that only
+    # the unit tests call belongs in those tests, as their oracle
+    root = pathlib.Path(__file__).resolve().parent.parent
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    readers = ([(path, False) for path in SRC.glob("*.py")]
+               + [(path, True) for path in (root / "bench").glob("*.py")]
+               + [(root / "tests" / "test_acceptance.py", False)])
+    referenced = set()
+    for path, strings in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    assert [qualified for qualified, name in defined if name not in referenced] == []

@@ -14,8 +14,20 @@ from sigmaevo.solver import (MAX_ROWS, MAX_STEPS, BlowUp, SolverConfig, Trajecto
                              _Stepper, _warn_if_outside_window, blow_up_detect,
                              default_blowup_threshold, energy_identity_residuals,
                              simulate, simulate_linear)
-from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator, energy, plancherel_sum,
+from sigmaevo.spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum,
                                spectral_l2, sup_bound)
+
+
+def coords(grid):
+    """The grid's coordinate arrays, one per axis (meshgrid, ij indexing)."""
+    return np.meshgrid(*[grid.axis()] * grid.n, indexing="ij")
+
+
+def energy(uh, uth, grid, sigma):
+    """E = ||u_t||_L2^2 + || |D|^sigma u ||_L2^2, squared back from two
+    spectral_l2 roots: the column-by-column form the norm row's energy
+    (a sum of squared Plancherel sums) is checked against."""
+    return spectral_l2(uth, grid) ** 2 + spectral_l2(uh, grid, sigma) ** 2
 
 
 @pytest.fixture
@@ -493,9 +505,9 @@ class TestSimulateLinear:
     def test_chained_matches_per_sample_builds(self, n, N, L, sigma, delta, sampling):
         g = GridSpec(n, N, L)
         p = EquationParams(sigma=sigma, delta=delta, m=1, n=n, p=3, r=1)
-        r2 = sum(c * c for c in g.coords())
+        r2 = sum(c * c for c in coords(g))
         u0 = np.exp(-r2)
-        u1 = 0.5 * np.exp(-2.0 * sum((c - 1.0) ** 2 for c in g.coords()))
+        u1 = 0.5 * np.exp(-2.0 * sum((c - 1.0) ** 2 for c in coords(g)))
         if sampling == "uniform-1000":
             times = np.linspace(0.0, 1e3, 1000)
         else:
@@ -544,7 +556,7 @@ class TestSimulateLinear:
         # differ by rounding; one propagator serves them all
         g = GridSpec(2, 32, 15.0)
         p = EquationParams(sigma=1, delta=0, m=1, n=2, p=2, r=1)
-        u0 = np.exp(-sum(c * c for c in g.coords()))
+        u0 = np.exp(-sum(c * c for c in coords(g)))
         times = np.arange(0.0, 60.1, 0.2)
         assert len(set(np.diff(times).tolist())) > 1
         want = per_increment_linear(u0, 0.5 * u0, p, times, g)
@@ -878,7 +890,7 @@ def assert_byte_equal(traj, oracle, store_fields):
 
 
 def field(grid, amplitude, width=1.0, shift=0.0):
-    return amplitude * np.exp(-sum(((c - shift) / width) ** 2 for c in grid.coords()))
+    return amplitude * np.exp(-sum(((c - shift) / width) ** 2 for c in coords(grid)))
 
 
 class TestWorkspaceLoopOracle:

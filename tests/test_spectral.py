@@ -9,10 +9,22 @@ from sigmaevo.errors import GridMismatchError, ParameterError
 from sigmaevo.params import EquationParams
 from sigmaevo.solver import simulate_linear
 from sigmaevo.spectral import (MAX_CELLS, GridSpec, MultiplierCache, Propagator,
-                               characteristic_roots, energy, fractional_symbol,
+                               characteristic_roots, fractional_symbol,
                                mode_coefficients, propagator_multipliers,
-                               read_field, spectral_l2, sup_bound, synthesize,
+                               read_field, spectral_l2, sup_abs, sup_bound, synthesize,
                                wrap_time, write_field)
+
+
+def coords(grid):
+    """The grid's coordinate arrays, one per axis (meshgrid, ij indexing)."""
+    return np.meshgrid(*[grid.axis()] * grid.n, indexing="ij")
+
+
+def energy(uh, uth, grid, sigma):
+    """E = ||u_t||_L2^2 + || |D|^sigma u ||_L2^2, squared back from two
+    spectral_l2 roots: the column-by-column form the norm row's energy
+    (a sum of squared Plancherel sums) is checked against."""
+    return spectral_l2(uth, grid) ** 2 + spectral_l2(uh, grid, sigma) ** 2
 
 
 def oracle_multipliers(t, xi, sigma, delta, rtol=1e-12):
@@ -165,6 +177,25 @@ class TestGrid:
         u = rng.standard_normal(g.shape)
         v = g.ifft(g.fft(u))
         assert np.max(np.abs(u - v)) < 1e-12 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("center", [0.0, 0.7, -1.3])
+    @pytest.mark.parametrize("L", [1.0, 3.7, 200.0])
+    @pytest.mark.parametrize("n,N", [(1, 4), (1, 256), (2, 4), (2, 64), (3, 4), (3, 16)])
+    def test_radius_equals_the_meshgrid_radius(self, n, N, L, center):
+        # radius broadcasts each axis's term; the bits are those of the sum
+        # over meshgrid coordinates, axis by axis
+        g = GridSpec(n, N, L)
+        assert g.radius(center).tobytes() == \
+            np.sqrt(sum((c - center) ** 2 for c in coords(g))).tobytes()
+
+    @pytest.mark.parametrize("values", [[-3.5, 1.0, 2.0], [-0.0, -0.0], [0.5, np.nan, -1.0],
+                                        [1.0, -np.inf], [1e-310, -2e-310]])
+    def test_sup_abs_is_max_abs(self, values):
+        u = np.array(values)
+        want = float(np.max(np.abs(u)))
+        got = sup_abs(u)
+        assert type(got) is float and (got == want or math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == 1.0
 
     def test_field_shape_checked(self):
         g = GridSpec(1, 16, 1.0)
@@ -441,7 +472,7 @@ class TestHalfSpectrum:
         g = GridSpec(n, 8, 3.0)
         last = {"odd": 3, "even": 2, "zero": 0, "nyquist": g.N // 2}[column]
         k = [1] * (n - 1) + [last]
-        phase = sum((math.pi / g.L) * kj * c for kj, c in zip(k, g.coords()))
+        phase = sum((math.pi / g.L) * kj * c for kj, c in zip(k, coords(g)))
         u = np.cos(phase + 0.3)
         full = np.fft.fftn(u)
         xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.dx)
@@ -562,7 +593,7 @@ class TestTwoDimensional:
     def test_gaussian_l1_closed_form(self):
         from sigmaevo.norms import lebesgue_norm
         g = GridSpec(2, 128, 12.0)
-        r2 = sum(c * c for c in g.coords())
+        r2 = sum(c * c for c in coords(g))
         u = np.exp(-r2)
         assert lebesgue_norm(u, 1, g) == pytest.approx(np.pi, rel=1e-10)
 
@@ -575,7 +606,7 @@ class TestTwoDimensional:
     def test_linear_energy_decay(self):
         g = GridSpec(2, 64, 15.0)
         p = EquationParams(sigma=1, delta=0.5, m=1, n=2, p=2, r=1)
-        r2 = sum(c * c for c in g.coords())
+        r2 = sum(c * c for c in coords(g))
         u0 = np.exp(-r2)
         uh0 = g.fft(u0)
         uth0 = g.fft(np.zeros_like(u0))
@@ -589,7 +620,7 @@ class TestTwoDimensional:
     def test_semigroup(self):
         g = GridSpec(2, 32, 8.0)
         p = EquationParams(sigma=2, delta=1, m=1, n=2, p=2, r=2)
-        r2 = sum(c * c for c in g.coords())
+        r2 = sum(c * c for c in coords(g))
         u0 = np.exp(-r2)
         u1 = 0.5 * np.exp(-2 * r2)
         a = linear_evolve(u0, u1, 0.6, p, g)
