@@ -46,12 +46,30 @@ def fit_decay(series: Sequence, window: Tuple[float, float]) -> DecayFit:
         raise DataSeriesError("series values inside the window must be finite and positive")
     x = np.log1p(t)
     y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = fit_line(x, y)
     resid = y - (slope * x + intercept)
     return DecayFit(exponent=float(slope), log_amplitude=float(intercept),
                     window=(float(t_min), float(t_max)),
                     residual_rms=float(np.sqrt(np.mean(resid ** 2))),
                     point_count=int(len(t)))
+
+
+def fit_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    """Least-squares (slope, intercept) of y ~ slope * x + intercept.
+
+    The closed form about the means (two passes, so no large sums cancel),
+    reduced by numpy's fixed-order kernels: no LAPACK call, and bits that do
+    not depend on the BLAS thread count.
+    """
+    if not np.isfinite(x).all():
+        raise DataSeriesError("a line fit needs finite abscissae")
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    sxx = np.einsum("i,i->", dx, dx)
+    if not sxx > 0:
+        raise DataSeriesError("a line fit needs at least 2 distinct abscissae")
+    slope = np.einsum("i,i->", dx, y - y_mean) / sxx
+    return float(slope), float(y_mean - slope * x_mean)
 
 
 def compare_to_theory(fit: DecayFit, predicted: float, tolerance: float) -> ComparisonVerdict:

@@ -27,7 +27,8 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
-from typing import Optional, get_type_hints
+from enum import Enum
+from typing import Literal, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -49,19 +50,23 @@ CONFIG_KEYS = ("params", "mu", "grid", "solver", "data", "output_dir")
 
 # -- initial data ------------------------------------------------------------
 
+DataFamily = Literal["zero", "gaussian", "cosine-bump", "from-file"]
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Initial-datum descriptor: zero | gaussian | cosine-bump | from-file."""
 
-    family: str = "zero"
+    family: DataFamily = "zero"
     amplitude: float = 0.0
     width: float = 1.0
     center: float = 0.0
     path: Optional[str] = None
 
     def __post_init__(self):
-        if self.family not in ("zero", "gaussian", "cosine-bump", "from-file"):
-            raise ConfigError(f"unknown data family {self.family!r}")
+        if self.family not in get_args(DataFamily):
+            raise ConfigError(f"unknown data family {self.family!r}; the families are "
+                              + ", ".join(map(repr, get_args(DataFamily))))
         for key in ("amplitude", "width", "center"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"data {key} must be finite")
@@ -126,8 +131,7 @@ class RunConfig:
         params = _record(EquationParams, doc, "params")
         grid = _record(GridSpec, doc, "grid")
         solver = _record(SolverConfig, doc, "solver")
-        data = _section(doc, "data")
-        u0, u1 = (_record(DataSpec, data, key, "config data") for key in ("u0", "u1"))
+        u0, u1 = (_record(DataSpec, doc, f"data.{key}") for key in ("u0", "u1"))
         mu_key = _section(doc, "mu", kind=str)
         ModulusSpec.from_key(mu_key)  # validate early
         if params.n != grid.n:
@@ -168,15 +172,23 @@ def _section(doc: dict, key: str, where: str = "config", kind: type = dict):
 def _record(cls, doc: dict, key: str, where: str = "config"):
     """cls(**doc[key]); a field that cls lacks or rejects raises ConfigError.
 
-    A number field (float, int or Optional[float]) must hold a JSON number
-    that is not a bool, or null where Optional; a bool field true or false.
-    The range of each value is cls's to check."""
-    section = _section(doc, key, where)
+    ``key`` may be a dotted path of nested objects (``data.u0``).  A number
+    field (float, int or Optional[float]) must hold a JSON number that is not
+    a bool, or null where Optional; a bool field true or false; an Enum or
+    Literal field one of its values.  The range of each value is cls's to
+    check."""
+    parts = key.split(".")
+    section = doc
+    for i, part in enumerate(parts):
+        section = _section(section, part, " ".join([where, *parts[:i]]))
     hints = get_type_hints(cls)
     for name, value in section.items():
         hint = hints.get(name)
         if hint is bool:
             ok, want = isinstance(value, bool), "true or false"
+        elif get_origin(hint) is Literal or isinstance(hint, type) and issubclass(hint, Enum):
+            values = get_args(hint) or tuple(m.value for m in hint)
+            ok, want = value in values, "one of " + ", ".join(map(repr, values))
         elif hint in (float, int, Optional[float]):
             nullable = hint == Optional[float]
             ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -460,9 +472,19 @@ def _fit_window(config: RunConfig, u0: np.ndarray, u1: np.ndarray) -> tuple:
     return analysis.default_fit_window(config.solver.t_end, tw)
 
 
-def cmd_linear_decay(args) -> int:
+def _check_fit_options(args):
+    """A bad --tolerance or fit window exits before any data are loaded."""
+    if not 0 < args.tolerance < math.inf:   # written so that NaN fails it
+        raise ParameterError(f"--tolerance must be positive and finite, got {args.tolerance}")
     if (args.window_lo is None) != (args.window_hi is None):
         raise ParameterError("--window-lo and --window-hi go together: give both or neither")
+    if args.window_lo is not None and not -math.inf < args.window_lo < args.window_hi < math.inf:
+        raise ParameterError("--window-lo must be below --window-hi and both finite, got "
+                             f"{args.window_lo} and {args.window_hi}")
+
+
+def cmd_linear_decay(args) -> int:
+    _check_fit_options(args)
     from . import analysis
     config = RunConfig.load(args.config)
     outdir = _output_dir(args.out, config.output_dir, "run")
@@ -592,6 +614,7 @@ def cmd_check_inequalities(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_fit_options(args)
     from . import analysis
     header, data = read_norms_csv(args.norms)
     if args.column not in header:

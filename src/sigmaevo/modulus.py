@@ -464,7 +464,8 @@ def _classify_numeric(mu: ModulusSpec, c0: float) -> CriterionVerdict:
     ks = np.nonzero(live)[0]
     ks = ks[-10:] if len(ks) > 10 else ks
     if len(ks) >= 3:
-        slope = np.polyfit(ks, np.log(inc[ks]), 1)[0]
+        from .analysis import fit_line   # deferred: only this mode fits a line
+        slope = fit_line(ks, np.log(inc[ks]))[0]
         rho = float(np.exp(slope))
         evidence["fitted_rho"] = rho
         if rho < 0.95:

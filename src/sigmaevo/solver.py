@@ -240,15 +240,18 @@ def _norm_row(uh, uth, u_phys, grid: GridSpec, params: EquationParams,
     """One row in NORM_COLUMNS order, in one pass over each half spectrum.
 
     |uh|^2, then |uth|^2, is formed once, in ``work`` (real, shape
-    (2,) + uh.shape) when given, and each squared norm is one plancherel_sum;
-    the energy adds squared sums, with no square root squared back.
+    (2,) + uh.shape) when given, and each distinct weight power of a field is
+    one plancherel_sum: r defaults to sigma, and r - sigma then clips to 0,
+    so the five squared norms take three sums.  The energy adds squared sums,
+    with no square root squared back.
     """
     abs_sq, tmp = np.empty((2,) + uh.shape) if work is None else work
     rs = max(params.r - params.sigma, 0.0)   # positive-part convention for the u_t norm
     sq = []
     for z, powers in ((uh, (0.0, params.r, params.sigma)), (uth, (0.0, rs))):
         np.add(np.square(z.real, out=abs_sq), np.square(z.imag, out=tmp), out=abs_sq)
-        sq += [plancherel_sum(abs_sq, grid, power) for power in powers]
+        sums = {power: plancherel_sum(abs_sq, grid, power) for power in set(powers)}
+        sq += [sums[power] for power in powers]
     u_sq, ur_sq, u_sigma_sq, ut_sq, utrs_sq = sq
     return (math.sqrt(u_sq), math.sqrt(ur_sq), math.sqrt(ut_sq), math.sqrt(utrs_sq),
             sup_abs(u_phys), ut_sq + u_sigma_sq)

@@ -355,12 +355,15 @@ class Propagator:
 
 def plancherel_sum(abs_sq: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:
     """|| |D|^weight_power u ||_L2^2 from abs_sq = |uh|^2 on the half spectrum
-    of u: one dot product with the cached weight, scaled by Plancherel.
+    of u: one weighted sum with the cached weight, scaled by Plancherel.
 
     Negative powers use the homogeneous convention (zero mode dropped).
+    The sum is numpy's own single-threaded einsum, not a BLAS dot, so its
+    bits do not depend on the BLAS thread count.
     """
     w = _l2_weight_cached(grid.n, grid.N, grid.L, weight_power)
-    return grid.cell_volume / grid.N ** grid.n * float(np.dot(w.ravel(), np.ravel(abs_sq)))
+    total = np.einsum("i,i->", w.ravel(), np.ravel(abs_sq))
+    return grid.cell_volume / grid.N ** grid.n * float(total)
 
 
 def sup_bound(uh: np.ndarray, grid: GridSpec, scratch: Optional[np.ndarray] = None) -> float:
@@ -370,10 +373,11 @@ def sup_bound(uh: np.ndarray, grid: GridSpec, scratch: Optional[np.ndarray] = No
     It is the triangle inequality on the inverse sum, and holds for any half
     spectrum: irfft reads only the real part of the zero and Nyquist columns.
     NaN or inf when uh is not finite.  ``scratch`` (real, uh's shape) takes
-    |uh|.
+    |uh|.  The sum is plancherel_sum's einsum.
     """
     m = _l2_weight_cached(grid.n, grid.N, grid.L, 0.0)
-    return float(np.dot(m.ravel(), np.abs(uh, out=scratch).ravel())) / grid.N ** grid.n
+    total = np.einsum("i,i->", m.ravel(), np.abs(uh, out=scratch).ravel())
+    return float(total) / grid.N ** grid.n
 
 
 def spectral_l2(uh: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:

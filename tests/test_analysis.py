@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigmaevo.analysis import (compare_to_theory, default_fit_window, fit_decay)
+from sigmaevo.analysis import (compare_to_theory, default_fit_window, fit_decay, fit_line)
 from sigmaevo.errors import DataSeriesError, ParameterError
 
 
@@ -54,6 +54,40 @@ class TestFitDecay:
     def test_too_few_points(self):
         with pytest.raises(DataSeriesError):
             fit_decay(power_series(-1.0, count=50), (99.0, 100.0))
+
+
+def polyfit_line(x, y):
+    """The oracle: numpy's least-squares polynomial of degree 1 (LAPACK)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    return float(slope), float(intercept)
+
+
+class TestFitLine:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_polyfit(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(-3.0, 40.0, 7 + 50 * seed))
+        slope, intercept = rng.uniform(-2.0, 2.0), rng.uniform(-5.0, 5.0)
+        y = slope * x + intercept + 0.1 * rng.standard_normal(len(x))
+        np.testing.assert_allclose(fit_line(x, y), polyfit_line(x, y), rtol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-2.0, -0.25, 0.75])
+    def test_decay_fit_matches_polyfit(self, exponent):
+        series = power_series(exponent, perturb=2.0, t_max=300.0, count=301)
+        fit = fit_decay(series, (10.0, 300.0))
+        t, v = series[(series[:, 0] >= 10.0)].T
+        np.testing.assert_allclose((fit.exponent, fit.log_amplitude),
+                                   polyfit_line(np.log1p(t), np.log(v)), rtol=1e-12)
+
+    def test_integer_abscissae(self):
+        ks = np.arange(11, 21)
+        y = np.log(0.7) * ks + 0.3 + 1e-3 * np.cos(ks)
+        np.testing.assert_allclose(fit_line(ks, y), polyfit_line(ks, y), rtol=1e-12)
+
+    @pytest.mark.parametrize("x", [[2.0, 2.0, 2.0], [1.0, np.inf, 3.0], [1.0, np.nan, 3.0]])
+    def test_no_line_through_one_abscissa_or_a_non_finite_one(self, x):
+        with pytest.raises(DataSeriesError, match="abscissae"):
+            fit_line(np.array(x), np.array([1.0, 2.0, 3.0]))
 
 
 class TestCompare:

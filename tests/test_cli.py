@@ -511,7 +511,14 @@ class TestCommands:
         ("solver", "dt", "0.1", "'solver.dt' must be a number, not '0.1'"),
         ("params", "sigma", "2", "'params.sigma' must be a number, not '2'"),
         ("grid", "L", "200", "'grid.L' must be a number, not '200'"),
-        ("data.u0", "amplitude", "1", "'u0.amplitude' must be a number, not '1'"),
+        ("data.u0", "amplitude", "1", "'data.u0.amplitude' must be a number, not '1'"),
+        # a bad enum value once named neither its key nor the accepted values
+        ("params", "target", "on_w", "'params.target' must be one of 'on_u', 'on_ut', "
+                                     "not 'on_w'"),
+        ("data.u0", "family", "gauss", "'data.u0.family' must be one of 'zero', 'gaussian', "
+                                       "'cosine-bump', 'from-file', not 'gauss'"),
+        ("data.u1", "family", None, "'data.u1.family' must be one of 'zero', 'gaussian', "
+                                    "'cosine-bump', 'from-file', not None"),
         ("solver", "dealias_fraction", "0.5", "'solver.dealias_fraction' must be a number"),
         ("solver", "blowup_threshold", "1e3",
          "'solver.blowup_threshold' must be a number or null, not '1e3'"),
@@ -564,6 +571,29 @@ class TestCommands:
         assert main(argv + window) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert not written.exists()
+
+    @pytest.mark.parametrize("options,named", [
+        (["--window-lo", "30", "--window-hi", "10"],
+         "--window-lo must be below --window-hi and both finite, got 30.0 and 10.0"),
+        (["--window-lo", "10", "--window-hi", "10"], "--window-lo must be below --window-hi"),
+        (["--window-lo", "nan", "--window-hi", "10"], "--window-lo must be below --window-hi"),
+        (["--window-lo", "1", "--window-hi", "inf"], "--window-lo must be below --window-hi"),
+        (["--window-lo", "1", "--window-hi", "4", "--tolerance", "nan"],
+         "--tolerance must be positive and finite, got nan"),
+    ])
+    @pytest.mark.parametrize("command", ["linear-decay", "fit"])
+    def test_bad_fit_option_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                    command, options, named):
+        # these once ran every sample (or read the whole norms.csv) first, and
+        # then exited 2 naming no flag
+        monkeypatch.setattr(RunConfig, "load", lambda path: pytest.fail("config loaded"))
+        monkeypatch.setattr(cli, "read_norms_csv", lambda path: pytest.fail("norms loaded"))
+        ledger = tmp_path / "fits.csv"
+        argv = (["linear-decay", "--config", "config.json"] if command == "linear-decay" else
+                ["fit", "norms.csv", "L2_u", "--predicted", "-0.25", "--ledger", str(ledger)])
+        assert main(argv + options) == 2
+        assert named in capsys.readouterr().err
+        assert not ledger.exists()
 
     def test_non_finite_modulus_config_exits_2(self, tmp_path, capsys):
         # log-power:nan once ran and recorded a false blow-up
@@ -1322,11 +1352,16 @@ class TestSweep:
         assert row["blowup_time"] == "0.0" and row["rows"] == "0" and row["final_L2_u"] == ""
 
 
+def _package_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(sigmaevo.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])), **extra)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is most of the import time, and only mu-classify needs it
-    src = os.path.dirname(os.path.dirname(sigmaevo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = _package_env()
     code = ("import sys, sigmaevo.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -1342,9 +1377,7 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command, loaded):
     # functional (blowup-scan), norms (check-inequalities), analysis (the
     # fits) and concurrent.futures (a parallel sweep) load with their command
     path, _ = write_config(tmp_path)
-    src = os.path.dirname(os.path.dirname(sigmaevo.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = _package_env()
     lazy = ["concurrent.futures", "sigmaevo.analysis", "sigmaevo.functional", "sigmaevo.norms"]
     code = ("import sys; from sigmaevo.cli import main; "
             f"assert main({command + ['--config', str(path)]!r}) == 0; "
@@ -1369,3 +1402,29 @@ def test_command_builds_each_datum_once(tmp_path, monkeypatch, command):
     assert built == [config.u0, config.u1]
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["mean_u1"] == float(np.mean(build(config.u1, config.grid)))
+
+
+def test_norm_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the norm sums once went through a BLAS dot, which OpenBLAS splits
+    # across threads on a 256^2 half spectrum: the last digits of norms.csv
+    # then changed with OPENBLAS_NUM_THREADS
+    commands = {"linear-decay": ["--window-lo", "1", "--window-hi", "4"], "semilinear": []}
+    for command, target in zip(commands, ("on_u", "on_ut")):
+        doc = small_config_doc(tmp_path)
+        doc["params"].update(n=2, sigma=2, r=1.5, target=target)
+        doc["grid"] = {"n": 2, "N": 256, "L": 40.0}
+        doc["solver"].update(t_end=5.0 if command == "linear-decay" else 1.0)
+        doc["data"]["u1"] = {"family": "gaussian", "amplitude": 0.01, "width": 2.0,
+                             "center": 0.5}
+        (tmp_path / f"{command}.json").write_text(json.dumps(doc))
+    norms = {}
+    for threads in ("1", "2"):
+        argvs = [[command, "--config", str(tmp_path / f"{command}.json"),
+                  "--out", str(tmp_path / threads / command)] + extra
+                 for command, extra in commands.items()]
+        code = f"from sigmaevo.cli import main; assert [main(a) for a in {argvs!r}] == [0, 0]"
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                       env=_package_env(OPENBLAS_NUM_THREADS=threads))
+        norms[threads] = [(tmp_path / threads / command / "norms.csv").read_bytes()
+                          for command in commands]
+    assert norms["1"] == norms["2"]

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from sigmaevo import analysis
 from sigmaevo.errors import DomainError, ParameterError
 from sigmaevo.modulus import (AxiomReport, ModulusSpec, check_derivative_bound,
                               check_modulus_axioms, classify_integral_criterion, psi)
@@ -433,6 +434,20 @@ class TestIntegralCriterion:
         analytic = classify_integral_criterion(mu, c0, "analytic").verdict
         numeric = classify_integral_criterion(mu, c0, "numeric").verdict
         assert numeric == analytic
+
+    @pytest.mark.parametrize("key", ["log-power:1.05", "log-power:1.1", "log-power:1.5",
+                                     "log-power:2", "log-power:3"])
+    def test_numeric_verdict_matches_a_polyfit_line(self, monkeypatch, key):
+        # the geometric fit of the doubling test once called np.polyfit
+        # (LAPACK); these five keys all reach it
+        mu = ModulusSpec.from_key(key)
+        got = classify_integral_criterion(mu, mode="numeric")
+        monkeypatch.setattr(analysis, "fit_line",
+                            lambda x, y: tuple(map(float, np.polyfit(x, y, 1))))
+        want = classify_integral_criterion(mu, mode="numeric")
+        assert got.verdict == want.verdict
+        assert 0 < got.evidence["fitted_rho"] == pytest.approx(want.evidence["fitted_rho"],
+                                                               rel=1e-12)
 
     def test_tabulated_analytic_inconclusive(self):
         mu = ModulusSpec.tabulated([(0.0, 0.0), (1.0, 1.0)])

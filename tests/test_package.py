@@ -29,6 +29,36 @@ def test_no_module_reads_a_private_name_of_another():
     assert found == []
 
 
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot", "polyfit"}
+
+
+def test_no_reduction_goes_through_blas_or_lapack():
+    # a BLAS dot splits long sums across threads, so its last bits change
+    # with the thread count; LAPACK (polyfit, linalg) costs resident memory.
+    # The package reduces with numpy's own fixed-order kernels: einsum
+    # without optimize (which would hand the contraction to BLAS), sum, mean
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} uses @")
+            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+                found.append(f"{where} reads linalg")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                found += [f"{where} imports {name}" for name in names
+                          if "linalg" in name.split(".") or name in BLAS_CALLS]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in BLAS_CALLS:
+                    found.append(f"{where} calls {name}")
+                elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                    found.append(f"{where} calls einsum with optimize")
+    assert found == []
+
+
 def test_only_write_table_creates_a_csv_writer():
     # one place formats the numbers of every table the package writes
     counts = {path.name: path.read_text().count("csv.writer(") for path in SRC.glob("*.py")}

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sigmaevo import solver as solver_module
 from sigmaevo import spectral
 from sigmaevo.errors import ParameterError, SigmaevoError
 from sigmaevo.modulus import ModulusSpec, psi
@@ -755,6 +756,25 @@ class TestNormRow:
                energy(uh, uth, g, p.sigma))
         assert all(type(v) is float for v in row)
         np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("r,sums", [(None, 3), (0.5, 4), (2.5, 5)])
+    def test_one_sum_per_distinct_power_bit_equal_to_one_per_column(self, monkeypatch, r,
+                                                                    sums):
+        # r defaults to sigma, and r - sigma clips to 0 for r < sigma: the
+        # row sums each (field, power) pair once, with the per-column bits
+        g = GridSpec(2, 64, 10.0)
+        p = EquationParams(sigma=1.5, delta=0.5, m=1, n=2, p=3, r=r)
+        rng = np.random.default_rng(7)
+        uh = g.fft(rng.standard_normal(g.shape))
+        uth = g.fft(rng.standard_normal(g.shape))
+        u = g.ifft(uh)
+        want = oracle_norm_row(uh, uth, u, g, p)
+        calls = []
+        monkeypatch.setattr(solver_module, "plancherel_sum",
+                            lambda *a: calls.append(a[2]) or plancherel_sum(*a))
+        row = _norm_row(uh, uth, u, g, p)
+        assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
+        assert len(calls) == sums
 
 
 # -- the loop before its workspace, kept as the oracle ---------------------------

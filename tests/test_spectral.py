@@ -10,7 +10,7 @@ from sigmaevo.params import EquationParams
 from sigmaevo.solver import simulate_linear
 from sigmaevo.spectral import (MAX_CELLS, GridSpec, MultiplierCache, Propagator,
                                characteristic_roots, fractional_symbol,
-                               mode_coefficients, propagator_multipliers,
+                               mode_coefficients, plancherel_sum, propagator_multipliers,
                                read_field, spectral_l2, sup_abs, sup_bound, synthesize,
                                wrap_time, write_field)
 
@@ -559,6 +559,27 @@ class TestOutArguments:
         assert math.isnan(sup_bound(uh, g))
         uh[(0,) * n] = np.inf
         assert sup_bound(uh, g) == math.inf
+
+    @staticmethod
+    def dot_weight(g, power):
+        """|xi|^(2 power) times the Hermitian multiplicity, built here."""
+        w = fractional_symbol(g.xi_squared(), 2.0 * power)
+        w[..., 1:g.N // 2] *= 2.0
+        return w.ravel()
+
+    @pytest.mark.parametrize("n,N", [(1, 4096), (2, 256), (3, 32)])
+    def test_sums_match_a_blas_dot(self, n, N):
+        # the oracle is the BLAS dot product both sums were once taken with
+        g = GridSpec(n, N, 40.0)
+        rng = np.random.default_rng(20 + n)
+        uh = self.half_spectrum(g, rng)
+        abs_sq = uh.real ** 2 + uh.imag ** 2
+        scale = g.cell_volume / g.N ** g.n
+        for power in (0.0, 0.75, 1.5, 2.0, -0.5):
+            want = scale * float(np.dot(self.dot_weight(g, power), abs_sq.ravel()))
+            assert plancherel_sum(abs_sq, g, power) == pytest.approx(want, rel=1e-14)
+        want = float(np.dot(self.dot_weight(g, 0.0), np.abs(uh).ravel())) / g.N ** g.n
+        assert sup_bound(uh, g) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
     def test_fresh_results_are_not_overwritten(self, n, N):
