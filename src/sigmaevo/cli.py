@@ -615,6 +615,8 @@ def cmd_check_inequalities(args) -> int:
 
 def cmd_fit(args) -> int:
     _check_fit_options(args)
+    if args.predicted is not None and not -math.inf < args.predicted < math.inf:
+        raise ParameterError(f"--predicted must be finite, got {args.predicted}")
     from . import analysis
     header, data = read_norms_csv(args.norms)
     if args.column not in header:

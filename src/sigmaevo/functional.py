@@ -12,7 +12,7 @@ support is the transition band Q*_R = { 1/2 <= (|x|^sp + t)/R <= 1 } whose
 quadrature measure scales like R^(1 + n/sp).
 
 The profile is a quintic smoothstep: exactly 1 below 1/2, exactly 0 above 1,
-twice continuously differentiable at the junctions, and polynomial in
+twice continuously differentiable at the junctions, and a quintic in
 between, so every composite derivative used here has a closed form a test
 oracle can evaluate independently.
 

@@ -43,7 +43,7 @@ from warnings import warn
 import numpy as np
 
 from .errors import ParameterError, SigmaevoError
-from .modulus import ModulusSpec, psi
+from .modulus import ModulusSpec, gauss_legendre, psi
 from .params import EquationParams, Target, theorem_window
 from .spectral import (GridSpec, MultiplierCache, Propagator, plancherel_sum, spectral_l2,
                        sup_abs, sup_bound)
@@ -458,7 +458,7 @@ def energy_identity_residuals(u0: np.ndarray, u1: np.ndarray, params: EquationPa
         _, uth = Propagator.build(cache, float(t)).apply(uh0, uth0)
         return 2.0 * spectral_l2(uth, grid, params.delta) ** 2
 
-    nodes, weights = np.polynomial.legendre.leggauss(5)
+    nodes, weights = gauss_legendre(5)
     resid = np.empty(len(times) - 1)
     for i in range(len(times) - 1):
         a, b = times[i], times[i + 1]

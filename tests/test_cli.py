@@ -327,6 +327,23 @@ class TestPersistence:
         assert np.array_equal(data[:, 1:], traj.norms)
 
 
+FIT_OPTION_ERRORS = [
+    (["--window-lo", "30", "--window-hi", "10"],
+     "--window-lo must be below --window-hi and both finite, got 30.0 and 10.0"),
+    (["--window-lo", "10", "--window-hi", "10"], "--window-lo must be below --window-hi"),
+    (["--window-lo", "nan", "--window-hi", "10"], "--window-lo must be below --window-hi"),
+    (["--window-lo", "1", "--window-hi", "inf"], "--window-lo must be below --window-hi"),
+    (["--window-lo", "1", "--window-hi", "4", "--tolerance", "nan"],
+     "--tolerance must be positive and finite, got nan"),
+]
+PREDICTED_ERRORS = [   # fit's own option
+    (["--window-lo", "1", "--window-hi", "4", "--predicted", "nan"],
+     "--predicted must be finite, got nan"),
+    (["--window-lo", "1", "--window-hi", "4", "--predicted", "inf"],
+     "--predicted must be finite, got inf"),
+]
+
+
 class TestCommands:
     def test_mu_classify_exit_zero(self, capsys):
         assert main(["mu-classify", "log-power:1"]) == 0
@@ -572,20 +589,16 @@ class TestCommands:
         assert "tolerance must be positive and finite" in capsys.readouterr().err
         assert not written.exists()
 
-    @pytest.mark.parametrize("options,named", [
-        (["--window-lo", "30", "--window-hi", "10"],
-         "--window-lo must be below --window-hi and both finite, got 30.0 and 10.0"),
-        (["--window-lo", "10", "--window-hi", "10"], "--window-lo must be below --window-hi"),
-        (["--window-lo", "nan", "--window-hi", "10"], "--window-lo must be below --window-hi"),
-        (["--window-lo", "1", "--window-hi", "inf"], "--window-lo must be below --window-hi"),
-        (["--window-lo", "1", "--window-hi", "4", "--tolerance", "nan"],
-         "--tolerance must be positive and finite, got nan"),
-    ])
-    @pytest.mark.parametrize("command", ["linear-decay", "fit"])
+    @pytest.mark.parametrize("command,options,named", [
+        pytest.param(command, options, named, id=f"{command}-options{i}-{named}")
+        for command in ("linear-decay", "fit")
+        for i, (options, named) in enumerate(
+            FIT_OPTION_ERRORS + (PREDICTED_ERRORS if command == "fit" else []))])
     def test_bad_fit_option_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                     command, options, named):
         # these once ran every sample (or read the whole norms.csv) first, and
-        # then exited 2 naming no flag
+        # then exited 2 naming no flag; a non-finite --predicted once exited 0
+        # and appended a FAIL row predicting nan or inf to the ledger
         monkeypatch.setattr(RunConfig, "load", lambda path: pytest.fail("config loaded"))
         monkeypatch.setattr(cli, "read_norms_csv", lambda path: pytest.fail("norms loaded"))
         ledger = tmp_path / "fits.csv"
@@ -1360,13 +1373,17 @@ def _package_env(**extra) -> dict:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the import time, and only mu-classify needs it
+    # scipy was most of the import time, and of a mu-classify run, whose
+    # tail criterion once integrated with scipy's quad
     env = _package_env()
-    code = ("import sys, sigmaevo.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys\nfrom sigmaevo.cli import main\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "status = main(['mu-classify', 'log-power:1'])\n"
+            "print(status, scipy())")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == "[]" and out[-1] == "0 []"
 
 
 @pytest.mark.parametrize("command,loaded", [

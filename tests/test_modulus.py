@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sigmaevo import analysis
 from sigmaevo.errors import DomainError, ParameterError
 from sigmaevo.modulus import (AxiomReport, ModulusSpec, check_derivative_bound,
-                              check_modulus_axioms, classify_integral_criterion, psi)
+                              check_modulus_axioms, classify_integral_criterion,
+                              gauss_legendre, psi)
 
 ALL_NAMED = [
     ModulusSpec.lipschitz(),
@@ -410,6 +412,49 @@ class TestDerivativeBound:
             check_derivative_bound(mu)
 
 
+def quad_increments(mu: ModulusSpec, c0: float) -> np.ndarray:
+    """The doubling increments of the tail criterion by scipy's adaptive quad:
+    the oracle of the fixed Gauss-Legendre rule the criterion sums."""
+    edges = math.log(c0) * 2.0 ** np.arange(21)
+    return np.array([max(quad(mu.evaluate_neglog, a, b, limit=200, epsabs=1e-14,
+                              epsrel=1e-10)[0], 0.0)
+                     for a, b in zip(edges[:-1], edges[1:])])
+
+
+class Steps:
+    """A stand-in modulus whose integrand in t is constant on each doubling
+    interval [a, 2a], at increment / a: the criterion, run on it, gives the
+    verdict it reaches from the given increments."""
+
+    def __init__(self, increments: np.ndarray, c0: float):
+        self.increments, self.t0 = increments, math.log(c0)
+
+    def evaluate_neglog(self, t):
+        k = np.floor(np.log2(t / self.t0)).astype(int)
+        return self.increments[k] / (self.t0 * 2.0 ** k)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 40])
+    def test_matches_numpy_leggauss(self, n):
+        # numpy's rule takes its nodes from a LAPACK eigensolve
+        nodes, weights = gauss_legendre(n)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_exact_to_degree_2n_minus_1(self, n):
+        nodes, weights = gauss_legendre(n)
+        moments = [float(np.sum(weights * nodes ** k)) for k in range(2 * n + 1)]
+        exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(2 * n + 1)]
+        np.testing.assert_allclose(moments[:-1], exact[:-1], rtol=0.0, atol=1e-14)
+        # x^(2n) is off by the rule's error constant 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^2)
+        error = 2.0 ** (2 * n + 1) * math.factorial(n) ** 4 / (
+            (2 * n + 1) * math.factorial(2 * n) ** 2)
+        assert exact[-1] - moments[-1] == pytest.approx(error, rel=1e-3)
+
+
 class TestIntegralCriterion:
     CONVERGENT = ["lipschitz", "log-lip", "log-log-lip:1", "log-log-lip:2",
                   "hoelder:0.5", "log-power:2"]
@@ -448,6 +493,35 @@ class TestIntegralCriterion:
         assert got.verdict == want.verdict
         assert 0 < got.evidence["fitted_rho"] == pytest.approx(want.evidence["fitted_rho"],
                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("c0", [math.e, 10.0, 100.0])
+    @pytest.mark.parametrize("key", CONVERGENT + DIVERGENT + [
+        "log-log-lip:3", "log-power:1.05", "log-power:1.1", "log-power:1.5", "log-power:3"])
+    def test_increments_match_adaptive_quadrature(self, key, c0):
+        # the doubling increments were once scipy's adaptive quad
+        mu = ModulusSpec.from_key(key)
+        got = classify_integral_criterion(mu, c0, "numeric")
+        want = quad_increments(mu, c0)
+        live = want > 1e-14 * max(np.sum(want), 1.0)
+        assert np.sum(live) >= 3
+        np.testing.assert_allclose(np.array(got.evidence["increments"])[live], want[live],
+                                   rtol=1e-10, atol=0.0)
+        oracle = classify_integral_criterion(Steps(want, c0), c0, "numeric")
+        np.testing.assert_allclose(oracle.evidence["increments"], want, rtol=1e-14, atol=0.0)
+        assert got.verdict == oracle.verdict
+
+    @pytest.mark.parametrize("table", [
+        [(0.0, 0.0), (0.01, 0.05), (0.1, 0.2), (0.5, 0.4), (1.0, 0.5)],
+        [(0.0, 0.0), (0.001, 0.01), (0.02, 0.05), (0.3, 0.3), (0.6, 0.45), (1.0, 0.5)],
+    ])
+    @pytest.mark.parametrize("c0", [math.e, 10.0, 100.0])
+    def test_tabulated_verdict_matches_adaptive_quadrature(self, table, c0):
+        # the interpolant's kinks cost the fixed rule digits, not the verdict
+        mu = ModulusSpec.tabulated(table)
+        got = classify_integral_criterion(mu, c0, "numeric")
+        want = quad_increments(mu, c0)
+        np.testing.assert_allclose(got.evidence["increments"], want, rtol=1e-4, atol=1e-14)
+        assert got.verdict == classify_integral_criterion(Steps(want, c0), c0, "numeric").verdict
 
     def test_tabulated_analytic_inconclusive(self):
         mu = ModulusSpec.tabulated([(0.0, 0.0), (1.0, 1.0)])

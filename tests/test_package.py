@@ -1,6 +1,8 @@
 import ast
 import inspect
 import pathlib
+import re
+import sys
 
 import sigmaevo
 from sigmaevo import cli
@@ -29,12 +31,39 @@ def test_no_module_reads_a_private_name_of_another():
     assert found == []
 
 
+def _top_level_imports(node) -> list:
+    """The top-level modules an import statement loads; a relative one's is sigmaevo."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    return ["sigmaevo" if node.level else node.module.split(".")[0]]
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # every import, deferred ones included
+    allowed = set(sys.stdlib_module_names) | {"numpy", "sigmaevo"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} imports {name}"
+                          for name in _top_level_imports(node) if name not in allowed]
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', dependencies) == ["numpy"]
+
+
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "vecdot", "polyfit"}
+LAPACK_NAMES = {"linalg", "polynomial", "leggauss"}
 
 
 def test_no_reduction_goes_through_blas_or_lapack():
     # a BLAS dot splits long sums across threads, so its last bits change
-    # with the thread count; LAPACK (polyfit, linalg) costs resident memory.
+    # with the thread count; LAPACK (polyfit, linalg, and leggauss in numpy's
+    # polynomial package, an eigensolve) costs resident memory.
     # The package reduces with numpy's own fixed-order kernels: einsum
     # without optimize (which would hand the contraction to BLAS), sum, mean
     found = []
@@ -43,12 +72,12 @@ def test_no_reduction_goes_through_blas_or_lapack():
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{where} uses @")
-            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
-                found.append(f"{where} reads linalg")
+            elif isinstance(node, ast.Attribute) and node.attr in LAPACK_NAMES:
+                found.append(f"{where} reads {node.attr}")
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
                 found += [f"{where} imports {name}" for name in names
-                          if "linalg" in name.split(".") or name in BLAS_CALLS]
+                          if LAPACK_NAMES & set(name.split(".")) or name in BLAS_CALLS]
             elif isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")

@@ -614,6 +614,15 @@ class TestEnergyIdentity:
         resid = energy_identity_residuals(np.zeros_like(u1), u1, p, times, grid)
         assert np.max(resid) < 1e-3
 
+    def test_residuals_match_numpy_leggauss_nodes(self, grid, params, monkeypatch):
+        # the nodes once came from numpy's leggauss (a LAPACK eigensolve)
+        u0, u1 = gaussian(grid), gaussian(grid, 0.5, 2.0)
+        times = np.arange(0.0, 3.01, 0.25)
+        got = energy_identity_residuals(u0, u1, params, times, grid)
+        monkeypatch.setattr(solver_module, "gauss_legendre", np.polynomial.legendre.leggauss)
+        want = energy_identity_residuals(u0, u1, params, times, grid)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
 
 class TestTrajectory:
     def test_series_shape(self, grid, params):
@@ -1043,3 +1052,51 @@ class TestInPlaceState:
             got = stepper.step(uh, uth, None, out=(uh, uth))
             assert got[0] is uh and got[1] is uth
             assert uh.tobytes() == fresh[0].tobytes() and uth.tobytes() == fresh[1].tobytes()
+
+
+class TestLiftedOneDimensionalOracle:
+    """A field of one coordinate evolves as the 1D run of the same N and L:
+    every operator is a tensor-product multiplier and the nonlinearity is
+    pointwise.  Its norm columns are the 1D ones times (2L)^((n-1)/2) (the
+    L2-type four), 1 (Linf_u) and (2L)^(n-1) (energy).  Lifting along each
+    axis covers both the full-transform axes and the half-spectrum last one."""
+
+    N, L = 16, 10.0
+    CASES = [(n, axis) for n in (2, 3) for axis in range(n)]
+
+    def lift(self, n, axis, target):
+        """The grid, parameters and a profile -> field map of the lifted run."""
+        g = GridSpec(n, self.N, self.L)
+        p = EquationParams(sigma=2, delta=0.5, m=1, n=n, p=3, r=2, target=target)
+        return g, p, lambda profile: profile(coords(g)[axis])
+
+    def assert_lifted_rows(self, traj, one_d, n):
+        s = (2 * self.L) ** ((n - 1) / 2)
+        assert traj.blowup == one_d.blowup
+        assert np.array_equal(traj.times, one_d.times)
+        np.testing.assert_allclose(traj.norms / np.array([s, s, s, s, 1.0, s * s]),
+                                   one_d.norms, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("amplitude,threshold", [(0.5, None), (3.0, 5.0)])
+    @pytest.mark.parametrize("target", [Target.ON_U, Target.ON_UT])
+    @pytest.mark.parametrize("n,axis", CASES)
+    def test_simulate(self, n, axis, target, amplitude, threshold):
+        mu = ModulusSpec.log_log_lip(2)
+        cfg = SolverConfig(dt=0.01, t_end=2.0, blowup_threshold=threshold)
+        data = (lambda x: 0.2 * amplitude * np.exp(-(x / 1.5) ** 2),
+                lambda x: amplitude * np.exp(-((x - 0.5) / 1.5) ** 2))
+        one_d, traj = (simulate(*map(lift, data), p, mu, cfg, g)
+                       for g, p, lift in (self.lift(1, 0, target), self.lift(n, axis, target)))
+        assert (one_d.blowup is None) == (threshold is None)   # the escape case escapes
+        self.assert_lifted_rows(traj, one_d, n)
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("n,axis", CASES)
+    def test_simulate_linear(self, n, axis):
+        data = (lambda x: np.exp(-(x / 1.5) ** 2), lambda x: 0.5 * np.exp(-(x - 0.5) ** 2))
+        times = np.arange(0.0, 20.1, 0.2)
+        one_d, traj = (simulate_linear(*map(lift, data), p, times, g)
+                       for g, p, lift in (self.lift(1, 0, Target.ON_U),
+                                          self.lift(n, axis, Target.ON_U)))
+        self.assert_lifted_rows(traj, one_d, n)
