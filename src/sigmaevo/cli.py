@@ -176,7 +176,7 @@ def _record(cls, doc: dict, key: str, where: str = "config"):
     field (float, int or Optional[float]) must hold a JSON number that is not
     a bool, or null where Optional; a bool field true or false; an Enum or
     Literal field one of its values.  The range of each value is cls's to
-    check."""
+    check; its error is prefixed with the section's dotted key."""
     parts = key.split(".")
     section = doc
     for i, part in enumerate(parts):
@@ -201,7 +201,7 @@ def _record(cls, doc: dict, key: str, where: str = "config"):
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where} section '{key}': {exc}") from exc
 
 
 def _dataspec_dict(d: DataSpec) -> dict:

@@ -25,14 +25,15 @@ are computed by trapezoid (time) x Riemann (space) quadrature, with time
 derivatives of phi_R taken by 4th-order finite differences on the snapshot
 grid and spatial fractional Laplacians by spectral multiplier per slice.
 For the on_ut variant the adjoint combination is
--d/dt phi_R + (-Lap)^sigma PhiR + (-Lap)^(sigma/2) phi_R with
+-d/dt phi_R + (-Lap)^sigma PhiR + (-Lap)^delta phi_R with
 PhiR(t, x) = integral of phi_R from t onward, and w = u_t.
 
-Three exact facts keep the quadrature cheap.  Psi(|w|) does not depend on
-R, so it is computed once.  The spatial multipliers have real, even
-symbols, so they move from phi_R onto the solution by adjointness,
+Every public functional is a view of one pass (_functionals), and three
+exact facts keep it cheap.  Psi(|w|) does not depend on R, so it is
+computed once.  The spatial multipliers have real, even symbols, so they
+move from phi_R onto the solution by adjointness,
 sum_x w * S phi = sum_x (S w) * phi, and the operator-applied stacks are
-also computed once.  One pass reads the monitored stack in blocks of rows
+also computed once.  The pass reads the monitored stack in blocks of rows
 (at most 256 KiB of half spectrum each) and keeps only the columns the
 quadrature reads: of each block, the rows themselves (Psi's argument) and
 the two operator-applied rows.  So the stack may be a lazy one that reads
@@ -59,27 +60,19 @@ from .spectral import GridSpec, fractional_symbol
 from .solver import Trajectory
 
 
-class QuinticProfile:
+def quintic_profile(r):
     """Decreasing C^2 cutoff: 1 on [0, 1/2], 0 on [1, inf), quintic between.
 
     With y = 2 (1 - r) the middle section is the smoothstep
     S(y) = y^3 (10 - 15 y + 6 y^2); S' and S'' vanish at both junctions.
     """
-
-    @staticmethod
-    def _s(y):
-        return y ** 3 * (10.0 - 15.0 * y + 6.0 * y * y)
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
-        out = self._s(y)
-        return np.where(r <= 0.5, 1.0, np.where(r >= 1.0, 0.0, out))
+    r = np.asarray(r, dtype=float)
+    y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
+    s = y ** 3 * (10.0 - 15.0 * y + 6.0 * y * y)
+    return np.where(r <= 0.5, 1.0, np.where(r >= 1.0, 0.0, s))
 
 
-_PROFILE = QuinticProfile()
-
-# complex half spectrum that one block of rows in _Kernel.adjoint may hold
+# complex half spectrum that one block of rows in _read may hold
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -135,10 +128,9 @@ def phi_star_R(t, radius, R: float, spec: TestFunctionSpec, n: int = 1):
 
 def _cutoff(t, radius, R: float, spec: TestFunctionSpec, n: int):
     """The scaled argument (|x|^sp + t) / R and phi_R there."""
-    if R <= 0:
-        raise ParameterError("R must be positive")
+    (R,) = _increasing([R], "R")
     arg = (np.asarray(radius, dtype=float) ** spec.scale_power + np.asarray(t, dtype=float)) / R
-    return arg, _PROFILE.value(arg) ** spec.power(n)
+    return arg, quintic_profile(arg) ** spec.power(n)
 
 
 # -- finite differences in time (Fornberg weights) ---------------------------
@@ -196,135 +188,117 @@ def time_derivative(arr: np.ndarray, dt: float, order: int) -> np.ndarray:
 
 # -- quadrature over trajectories ---------------------------------------------
 
-class _Kernel:
-    """The per-R quadrature shared by I_R, J_R and g(R) on a trajectory.
+def _functionals(traj: Trajectory, spec: TestFunctionSpec, R_values: Sequence[float],
+                 name: str, mu: Optional[ModulusSpec] = None, p0: Optional[float] = None,
+                 params: Optional[EquationParams] = None) -> list:
+    """Rows (R, I_R, J_R, g(R)), one per R, from one pass over the monitored stack.
 
-    It reads the trajectory's grid and its monitored stack ``w`` (u on on_u,
-    u_t on on_ut), an array or a lazy stack whose rows are arrays, in one
-    pass of row blocks per call of adjoint (or of weight without ``w``).
-    Construction checks coverage for every R first: at least 6 uniformly
+    The stack w is the trajectory's u snapshots on on_u and its u_t
+    snapshots on on_ut: an array, or a lazy stack whose rows are arrays.
+    I_R and g(R) need ``mu`` and ``p0``, J_R needs ``params``; a functional
+    whose inputs are not given comes back as None.  The R values (called
+    ``name`` in the error) must be positive, finite and increasing.  Then
+    coverage is checked for every R before any work: at least 6 uniformly
     spaced snapshots that reach t = R, and a support radius R^(1/sp) within
-    ``spatial_fraction * L``.  Stacks handed to a call are (T, k) arrays on
-    ``columns``, the grid points whose |x|^sp + t_0 lies below the largest R.
+    L, or within L/2 when J_R is asked for (its multipliers see phi_R as a
+    periodic function, so its support must sit well inside the torus).
+    Psi(|w|) and the operator-applied stacks are kept on the grid points
+    whose |x|^sp + t_0 lies below the largest R.
     """
-
-    def __init__(self, traj: Trajectory, spec: TestFunctionSpec,
-                 R_values: Sequence[float], spatial_fraction: float):
-        grid = traj.grid
-        w = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
-        if w is None:
-            raise CoverageError("trajectory carries no field snapshots")
-        times = np.asarray(traj.times, dtype=float)
-        if len(times) < 6:
-            raise CoverageError("need at least 6 field snapshots")
-        dt = float(times[1] - times[0])
-        if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(dt, 1e-30):
-            raise CoverageError("field snapshots must be uniformly spaced")
-        for R in R_values:
-            if times[-1] < R - 1e-12:
-                raise CoverageError(
-                    f"snapshots end at t = {times[-1]}, need coverage to R = {R}")
-            rad = spec.support_radius(R)
-            if rad > spatial_fraction * grid.L:
-                raise CoverageError(
-                    f"Q_R spatial radius {rad:.3g} exceeds {spatial_fraction:.3g} * L = "
-                    f"{spatial_fraction * grid.L:.3g}; enlarge the torus or shrink R")
-        radius = grid.radius().reshape(-1)
-        near = radius ** spec.scale_power + times[0]
-        self.columns = np.flatnonzero(near < max(R_values))
-        self.radius, self.near = radius[self.columns], near[self.columns]
-        self.w, self.spec, self.grid = w, spec, grid
-        self.times, self.dt = times, dt
-
-    def _restrict(self, stack: np.ndarray) -> np.ndarray:
-        return stack.reshape(len(stack), -1)[:, self.columns]
-
-    def weight(self, mu: ModulusSpec, p0: float, w: Optional[np.ndarray] = None) -> np.ndarray:
-        """Psi(|w|) on the kernel's columns, from the restricted stack ``w``
-        that adjoint returned, or from a pass of its own."""
-        if w is None:
-            (w,) = self._read(())
-        return psi(np.abs(w), p0, mu)
-
-    def adjoint(self, params: EquationParams) -> tuple:
-        """The solution and the two operator-applied stacks J_R pairs with phi_R.
-
-        on_u: (u, (-Lap)^sigma u, (-Lap)^delta u);
-        on_ut: (u_t, (-Lap)^sigma u_t, (-Lap)^(sigma/2) u_t).
-        """
-        low = 2.0 * params.delta if self.spec.target == Target.ON_U else params.sigma
-        return tuple(self._read((2.0 * params.sigma, low)))
-
-    def _read(self, powers: tuple) -> list:
-        """w, then (-Lap)^(s/2) w for each power s, on the kernel's columns,
-        from one pass over the rows of w in blocks.  One forward transform of
-        a block serves every power, whose inverses keep only the kernel's
-        columns; power 0 is w itself.  A block's rows, spectrum and inverse
-        go through buffers allocated once per pass: a block-sized array made
-        per block is mapped and unmapped by the allocator each time, and
-        page-faulted afresh (about 2,900 minor faults per scan-1d scan)."""
-        xisq = self.grid.xi_squared()
-        T = len(self.times)
-        w = np.empty((T, len(self.columns)))
-        stacks = [np.empty_like(w) if p else w for p in powers]
-        applied = [(fractional_symbol(xisq, p), out) for p, out in zip(powers, stacks) if p]
-        size = min(T, max(1, _BLOCK_BYTES // (16 * xisq.size)))
-        rows = np.empty((size,) + self.grid.shape)
-        if applied:
-            spectrum, product = (np.empty((size,) + xisq.shape, dtype=complex) for _ in range(2))
-            back = np.empty_like(rows)
-        for lo in range(0, T, size):
-            m = min(size, T - lo)
-            for j in range(m):
-                rows[j] = self.w[lo + j]
-            w[lo:lo + m] = self._restrict(rows[:m])
-            if applied:
-                wh = self.grid.fft(rows[:m], out=spectrum[:m])
-                for sym, out in applied:
-                    np.multiply(sym, wh, out=product[:m])
-                    out[lo:lo + m] = self._restrict(self.grid.ifft(product[:m], out=back[:m]))
-        return [w, *stacks]
-
-    def __call__(self, R: float, weight: Optional[np.ndarray] = None,
-                 adjoint: Optional[tuple] = None) -> tuple:
-        """(I_R, J_R, g(R)) from one evaluation of phi_R on its support.
-
-        I_R and g(R) need ``weight``, J_R needs ``adjoint``; a functional
-        whose stacks are not given comes back as None.
-        """
-        cols = np.flatnonzero(self.near < R)
-        arg, phi = _cutoff(self.times[:, None], self.radius[cols], R, self.spec, self.grid.n)
+    rs = _increasing(R_values, name)
+    grid = traj.grid
+    stack = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
+    if stack is None:
+        raise CoverageError("trajectory carries no field snapshots")
+    times = np.asarray(traj.times, dtype=float)
+    if len(times) < 6:
+        raise CoverageError("need at least 6 field snapshots")
+    dt = float(times[1] - times[0])
+    if np.max(np.abs(np.diff(times) - dt)) > 1e-9 * max(dt, 1e-30):
+        raise CoverageError("field snapshots must be uniformly spaced")
+    fraction = 1.0 if params is None else 0.5
+    for R in rs:
+        if times[-1] < R - 1e-12:
+            raise CoverageError(
+                f"snapshots end at t = {times[-1]}, need coverage to R = {R}")
+        rad = spec.support_radius(R)
+        if rad > fraction * grid.L:
+            raise CoverageError(
+                f"Q_R spatial radius {rad:.3g} exceeds {fraction:.3g} * L = "
+                f"{fraction * grid.L:.3g}; enlarge the torus or shrink R")
+    radius = grid.radius().reshape(-1)
+    near = radius ** spec.scale_power + times[0]
+    columns = np.flatnonzero(near < rs[-1])
+    radius, near = radius[columns], near[columns]
+    powers = () if params is None else (2.0 * params.sigma, 2.0 * params.delta)
+    w, *applied = _read(stack, len(times), grid, columns, powers)
+    weight = None if mu is None else psi(np.abs(w), p0, mu)
+    rows = []
+    for R in rs:
+        cols = np.flatnonzero(near < R)
+        arg, phi = _cutoff(times[:, None], radius[cols], R, spec, grid.n)
         I = J = g = None
         if weight is not None:
             psi_R = weight[:, cols]
-            I = self._integral(psi_R * phi)
-            g = self._integral(psi_R * np.where(arg >= 0.5, phi, 0.0))
-        if adjoint is not None:
-            w, s_sigma, s_low = (a[:, cols] for a in adjoint)
-            dt = self.dt
-            if self.spec.target == Target.ON_U:
-                J = self._integral(w * time_derivative(phi, dt, 2) + s_sigma * phi
-                                   - s_low * time_derivative(phi, dt, 1))
+            I = _integral(psi_R * phi, dt, grid)
+            g = _integral(psi_R * np.where(arg >= 0.5, phi, 0.0), dt, grid)
+        if params is not None:
+            w_R, s_sigma, s_delta = (a[:, cols] for a in (w, *applied))
+            if spec.target == Target.ON_U:
+                J = _integral(w_R * time_derivative(phi, dt, 2) + s_sigma * phi
+                              - s_delta * time_derivative(phi, dt, 1), dt, grid)
             else:
                 # PhiR(t) = integral of phi_R from t to the last covered time
                 tail = np.zeros_like(phi)
                 tail[:-1] = np.flip(np.cumsum(np.flip(
                     0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
-                J = self._integral(s_sigma * tail + s_low * phi
-                                   - w * time_derivative(phi, dt, 1))
-        return I, J, g
+                J = _integral(s_sigma * tail + s_delta * phi
+                              - w_R * time_derivative(phi, dt, 1), dt, grid)
+        rows.append((R, I, J, g))
+    return rows
 
-    def _integral(self, values: np.ndarray) -> float:
-        """Trapezoid in t (axis 0) x Riemann cells in x."""
-        spatial = values.reshape(values.shape[0], -1).sum(axis=1) * self.grid.cell_volume
-        return float(np.trapezoid(spatial, dx=self.dt))
+
+def _read(stack, T: int, grid: GridSpec, columns: np.ndarray, powers: tuple) -> list:
+    """The first T rows of ``stack``, then (-Lap)^(s/2) of them for each
+    power s, on ``columns`` of the flattened grid, from one pass over the
+    rows in blocks.  One forward transform of a block serves every power,
+    whose inverses keep only those columns; power 0 is the rows themselves.
+    A block's rows, spectrum and inverse go through buffers allocated once
+    per pass: a block-sized array made per block is mapped and unmapped by
+    the allocator each time, and page-faulted afresh (about 2,900 minor
+    faults per scan-1d scan)."""
+    xisq = grid.xi_squared()
+    w = np.empty((T, len(columns)))
+    stacks = [np.empty_like(w) if p else w for p in powers]
+    applied = [(fractional_symbol(xisq, p), out) for p, out in zip(powers, stacks) if p]
+    size = min(T, max(1, _BLOCK_BYTES // (16 * xisq.size)))
+    rows = np.empty((size,) + grid.shape)
+    if applied:
+        spectrum, product = (np.empty((size,) + xisq.shape, dtype=complex) for _ in range(2))
+        back = np.empty_like(rows)
+    for lo in range(0, T, size):
+        m = min(size, T - lo)
+        for j in range(m):
+            rows[j] = stack[lo + j]
+        w[lo:lo + m] = rows[:m].reshape(m, -1)[:, columns]
+        if applied:
+            wh = grid.fft(rows[:m], out=spectrum[:m])
+            for sym, out in applied:
+                np.multiply(sym, wh, out=product[:m])
+                out[lo:lo + m] = grid.ifft(product[:m], out=back[:m]).reshape(m, -1)[:, columns]
+    return [w, *stacks]
+
+
+def _integral(values: np.ndarray, dt: float, grid: GridSpec) -> float:
+    """Trapezoid in t (axis 0) x Riemann cells in x."""
+    spatial = values.reshape(values.shape[0], -1).sum(axis=1) * grid.cell_volume
+    return float(np.trapezoid(spatial, dx=dt))
 
 
 def compute_I_R(traj: Trajectory, mu: ModulusSpec, p0: float, R: float,
                 spec: TestFunctionSpec) -> float:
     """Weighted nonlinearity mass: integral of Psi(|w|) phi_R over Q_R."""
-    kernel = _Kernel(traj, spec, [R], spatial_fraction=1.0)
-    return kernel(R, weight=kernel.weight(mu, p0))[0]
+    return _functionals(traj, spec, [R], "R", mu, p0)[0][1]
 
 
 def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
@@ -334,15 +308,15 @@ def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
     on_u:  integral of u * (d2/dt2 phi_R + (-Lap)^sigma phi_R
                             - (-Lap)^delta d/dt phi_R)
     on_ut: integral of u_t * (-d/dt phi_R + (-Lap)^sigma PhiR
-                              + (-Lap)^(sigma/2) phi_R)
+                              + (-Lap)^delta phi_R)
 
-    Time derivatives: 4th-order stencils on the snapshot grid.  Spatial
-    fractional powers: spectral multipliers, applied to the solution by
-    adjointness (phi_R must sit well inside the torus: support radius below
-    L/2).
+    Both pair the solution with the equation's own operators, (-Lap)^sigma
+    and the damping (-Lap)^delta.  Time derivatives: 4th-order stencils on
+    the snapshot grid.  Spatial fractional powers: spectral multipliers,
+    applied to the solution by adjointness (phi_R must sit well inside the
+    torus: support radius below L/2).
     """
-    kernel = _Kernel(traj, spec, [R], spatial_fraction=0.5)
-    return kernel(R, adjoint=kernel.adjoint(params))[1]
+    return _functionals(traj, spec, [R], "R", params=params)[0][2]
 
 
 # -- averaged functionals -------------------------------------------------------
@@ -350,8 +324,7 @@ def compute_J_R(traj: Trajectory, R: float, spec: TestFunctionSpec,
 def compute_g(traj: Trajectory, mu: ModulusSpec, p0: float, r: float,
               spec: TestFunctionSpec) -> float:
     """g(r) = integral of Psi(|w|) phi*_r over the snapshot coverage."""
-    kernel = _Kernel(traj, spec, [r], spatial_fraction=1.0)
-    return kernel(r, weight=kernel.weight(mu, p0))[2]
+    return _functionals(traj, spec, [r], "R", mu, p0)[0][3]
 
 
 def compute_G(traj: Trajectory, mu: ModulusSpec, p0: float,
@@ -362,29 +335,22 @@ def compute_G(traj: Trajectory, mu: ModulusSpec, p0: float,
     first grid point extrapolated from the measure scaling g(r) ~ r^(1+n/sp).
     G is nondecreasing because g >= 0.
     """
-    rs = _increasing(R_grid, "R_grid")
-    kernel = _Kernel(traj, spec, rs, spatial_fraction=1.0)
-    weight = kernel.weight(mu, p0)
-    gs = [kernel(r, weight=weight)[2] for r in rs]
+    rows = _functionals(traj, spec, R_grid, "R_grid", mu, p0)
+    rs, gs = [R for R, _, _, _ in rows], [g for _, _, _, g in rows]
     return list(zip(rs, gs, _accumulate_G(rs, gs, spec.measure_exponent(traj.grid.n))))
 
 
 def scan(traj: Trajectory, mu: ModulusSpec, p0: float, spec: TestFunctionSpec) -> list:
     """Rows (R, I_R, J_R, g(R), G(R)) over spec.R_values in one pass.
 
-    The rows equal compute_I_R, compute_J_R and compute_G up to rounding.
-    One pass over the monitored stack builds its restricted rows and the
-    operator-applied stacks, and Psi(|w|) is built once; every R must
-    meet the J_R coverage rule (support radius <= L/2), checked before any
-    work.
+    The rows equal compute_I_R, compute_J_R and compute_G, which are views
+    of the same pass, up to rounding.  Every R must meet the J_R coverage
+    rule (support radius <= L/2), checked before any work.
     """
-    rs = list(spec.R_values)
-    kernel = _Kernel(traj, spec, rs, spatial_fraction=0.5)
-    adjoint = kernel.adjoint(traj.params)
-    weight = kernel.weight(mu, p0, adjoint[0])
-    rows = [kernel(R, weight, adjoint) for R in rs]
-    Gs = _accumulate_G(rs, [g for _, _, g in rows], spec.measure_exponent(traj.grid.n))
-    return [(R, I, J, g, G) for R, (I, J, g), G in zip(rs, rows, Gs)]
+    rows = _functionals(traj, spec, spec.R_values, "R_values", mu, p0, traj.params)
+    rs = [R for R, _, _, _ in rows]
+    Gs = _accumulate_G(rs, [g for _, _, _, g in rows], spec.measure_exponent(traj.grid.n))
+    return [(R, I, J, g, G) for (R, I, J, g), G in zip(rows, Gs)]
 
 
 def _increasing(values: Sequence[float], name: str) -> list:

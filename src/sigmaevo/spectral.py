@@ -426,15 +426,16 @@ def mode_coefficients(kmax: int, n: int, rng: np.random.Generator,
 
 
 def synthesize(coeffs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Evaluate the band-limited field with the given mode coefficients."""
+    """Evaluate the band-limited field with the given (Hermitian) mode
+    coefficients, by GridSpec.ifft of their half spectrum: the last axis
+    keeps the modes 0..kmax, whose conjugates the inverse supplies."""
     kmax = (coeffs.shape[0] - 1) // 2
     if 2 * kmax >= grid.N:
         raise ParameterError("grid too coarse for the requested band")
-    spec = np.zeros(grid.shape, dtype=complex)
-    idx = np.arange(-kmax, kmax + 1)
-    grid_idx = np.ix_(*([idx % grid.N] * grid.n))
-    spec[grid_idx] = coeffs
-    return np.fft.ifftn(spec * grid.N ** grid.n).real
+    half = np.zeros(grid.xi_squared().shape, dtype=complex)
+    idx = np.arange(-kmax, kmax + 1) % grid.N
+    half[np.ix_(*[idx] * (grid.n - 1), idx[kmax:])] = coeffs[..., kmax:] * grid.N ** grid.n
+    return grid.ifft(half)
 
 
 # -- torus wrap-time heuristic -------------------------------------------------

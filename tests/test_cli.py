@@ -369,6 +369,13 @@ class TestCommands:
         assert "p* = 3" in out
         assert "-0.25" in out
 
+    def test_rates_outside_every_window_reports_and_exits_0(self, capsys):
+        # n = 1 <= 2 m delta: no critical exponent, and no theorem applies
+        assert main(["rates", "--sigma", "2", "--delta", "1", "--n", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "critical exponent: not defined (" in out
+        assert "theorem rates: inadmissible (" in out
+
     def test_linear_decay_run(self, tmp_path, capsys):
         path, _ = write_config(
             tmp_path,
@@ -641,6 +648,22 @@ class TestCommands:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override,named", [
+        ({"data": {"u0": {"family": "gaussian", "amplitude": 1.0, "width": 0.0},
+                   "u1": {"family": "zero"}}},
+         "config section 'data.u0': data width must be positive"),
+        ({"data": {"u0": {"family": "zero"},
+                   "u1": {"family": "gaussian", "amplitude": 1.0, "width": 0.0}}},
+         "config section 'data.u1': data width must be positive"),
+        ({"grid": {"n": 1, "N": 100, "L": 30.0}},
+         "config section 'grid': N must be a power of two"),
+    ], ids=["u0", "u1", "grid.N"])
+    def test_range_error_names_its_section(self, tmp_path, capsys, override, named):
+        # u0 and u1 once both read "data width must be positive"
+        path, _ = write_config(tmp_path, **override)
+        assert main(["semilinear", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,named", [
         # 8 TiB per field: numpy's MemoryError once ended the command
         ({"grid": {"n": 1, "N": 2 ** 40, "L": 30.0}},
          f"grid.N = {2 ** 40} in 1D gives {2 ** 40} cells, {8 * 2 ** 40} bytes per field; "
@@ -851,6 +874,19 @@ class TestCommands:
         assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert str(field) in err and "Traceback" not in err
+
+    def test_from_file_datum_on_another_grid_names_both_grids(self, tmp_path, capsys):
+        from sigmaevo.spectral import GridSpec, write_field
+        grid = GridSpec(1, 64, 30.0)
+        field = tmp_path / "u0.bin"
+        write_field(field, 0.01 * np.exp(-grid.axis() ** 2), grid)
+        path, _ = write_config(tmp_path, grid={"n": 1, "N": 128, "L": 30.0},
+                               data={"u0": {"family": "from-file", "path": str(field)},
+                                     "u1": {"family": "zero"}})
+        assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert ("field file grid GridSpec(n=1, N=64, L=30.0) does not match "
+                "run grid GridSpec(n=1, N=128, L=30.0)") in err
 
     @pytest.mark.parametrize("command", ["blowup-scan", "fit"])
     @pytest.mark.parametrize("damage", ["non-numeric", "ragged", "empty"])
@@ -1244,11 +1280,13 @@ class TestSweep:
         assert bad["rows"] == bad["final_L2_u"] == ""
 
     @pytest.mark.parametrize("axis,error", [
-        ({"solver.dt": [0.05, -1.0]}, "solver.dt=-1.0: dt must be positive"),
+        ({"solver.dt": [0.05, -1.0]},
+         "solver.dt=-1.0: config section 'solver': dt must be positive"),
         # a modulus key that is no string once aborted the sweep in a traceback
         ({"mu": ["hoelder:0.5", 7]}, "mu=7: config key 'mu' must be a string, not 7"),
         # a step count beyond any array once aborted the sweep in a traceback
-        ({"solver.dt": [0.05, 1e-300]}, "solver.dt=1e-300: t_end / dt = 1e+300 steps exceeds "
+        ({"solver.dt": [0.05, 1e-300]}, "solver.dt=1e-300: config section 'solver': "
+                                        "t_end / dt = 1e+300 steps exceeds "
                                         "the maximum of 1000000000; raise dt or shorten t_end"),
     ], ids=["dt", "mu", "tiny-dt"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1347,7 +1385,7 @@ class TestSweep:
         with open(tmp_path / "sw" / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["status"] for r in rows] == ["ok", "error"]
-        assert rows[1]["error"] == ("solver.snapshot_stride=2.5: "
+        assert rows[1]["error"] == ("solver.snapshot_stride=2.5: config section 'solver': "
                                     "snapshot_stride must be a positive integer")
 
     def test_member_escaping_at_t0_recorded(self, tmp_path):

@@ -7,13 +7,13 @@ import pytest
 
 from sigmaevo.cli import load_run, main
 from sigmaevo.errors import CoverageError, ParameterError
-from sigmaevo.functional import (_BLOCK_BYTES, QuinticProfile, TestFunctionSpec, _Kernel,
-                                 compute_G, compute_I_R, compute_J_R, compute_g,
-                                 fd_weights, phi_R, phi_star_R, psi, scan,
-                                 support_measure, time_derivative)
+from sigmaevo.functional import (_BLOCK_BYTES, TestFunctionSpec, _read, compute_G,
+                                 compute_I_R, compute_J_R, compute_g, fd_weights, phi_R,
+                                 phi_star_R, psi, quintic_profile, scan, support_measure,
+                                 time_derivative)
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.params import EquationParams, Target, critical_exponent
-from sigmaevo.solver import Trajectory
+from sigmaevo.solver import Trajectory, simulate_linear
 from sigmaevo.spectral import GridSpec, fractional_symbol
 
 
@@ -73,31 +73,27 @@ def fine_grid_integral(func, R, x_extent=6.0, nx=4001, nt=3001, chunk=256):
 
 class TestProfile:
     def test_plateaus_and_junctions(self):
-        prof = QuinticProfile()
-        assert prof.value(0.0) == 1.0
-        assert prof.value(0.5) == 1.0
-        assert prof.value(1.0) == 0.0
-        assert prof.value(2.0) == 0.0
-        assert prof.value(0.75) == pytest.approx(0.5)
+        assert quintic_profile(0.0) == 1.0
+        assert quintic_profile(0.5) == 1.0
+        assert quintic_profile(1.0) == 0.0
+        assert quintic_profile(2.0) == 0.0
+        assert quintic_profile(0.75) == pytest.approx(0.5)
 
     def test_decreasing(self):
-        prof = QuinticProfile()
         r = np.linspace(0, 1.2, 500)
-        assert np.all(np.diff(prof.value(r)) <= 1e-15)
+        assert np.all(np.diff(quintic_profile(r)) <= 1e-15)
 
     def test_c2_junctions(self):
-        prof = QuinticProfile()
         for r0 in (0.5, 1.0):
             for side in (-1e-9, 1e-9):
                 assert quintic_d1(r0 + side) == pytest.approx(0.0, abs=1e-7)
                 assert quintic_d2(r0 + side) == pytest.approx(0.0, abs=1e-4)
 
     def test_derivatives_match_finite_differences(self):
-        prof = QuinticProfile()
         r = np.linspace(0.55, 0.95, 41)
         h = 1e-4   # second difference is round-off limited below this
-        fd1 = (prof.value(r + h) - prof.value(r - h)) / (2 * h)
-        fd2 = (prof.value(r + h) - 2 * prof.value(r) + prof.value(r - h)) / h ** 2
+        fd1 = (quintic_profile(r + h) - quintic_profile(r - h)) / (2 * h)
+        fd2 = (quintic_profile(r + h) - 2 * quintic_profile(r) + quintic_profile(r - h)) / h ** 2
         assert np.max(np.abs(quintic_d1(r) - fd1)) < 1e-6
         assert np.max(np.abs(quintic_d2(r) - fd2)) < 1e-4
 
@@ -180,10 +176,9 @@ class TestIR:
         # fine-lattice quadrature is the oracle
         grid = GridSpec(1, 512, 6.0)
         traj = frozen_trajectory(grid, value=1.0, params=params)
-        prof = QuinticProfile()
         R = 3.0
         I = compute_I_R(traj, ModulusSpec.lipschitz(), 3.0, R, spec)
-        oracle = fine_grid_integral(lambda x, t: prof.value((x * x + t) / R) ** 3, R)
+        oracle = fine_grid_integral(lambda x, t: quintic_profile((x * x + t) / R) ** 3, R)
         assert I == pytest.approx(oracle, rel=1e-4)
 
     def test_nondecreasing_in_R(self, params, spec):
@@ -214,12 +209,11 @@ class TestJR:
         R = 3.0
         J = compute_J_R(traj, R, spec, params)
 
-        prof = QuinticProfile()
         P = spec.power(1)
 
         def op(x, t):
             a = (x * x + t) / R
-            v, d1, d2 = prof.value(a), quintic_d1(a), quintic_d2(a)
+            v, d1, d2 = quintic_profile(a), quintic_d1(a), quintic_d2(a)
             safe = np.where(v > 0, v, 1.0)
             phi_tt = (P * (P - 1) * safe ** (P - 2) * d1 ** 2
                       + P * safe ** (P - 1) * d2) / R ** 2
@@ -236,14 +230,13 @@ class TestJR:
         # integrates to zero, leaving J_R = int(phi(0,x) - phi_t(0,x)) dx
         grid = GridSpec(1, 1024, 8.0)
         traj = frozen_trajectory(grid, value=1.0, t_end=8.0, dt=0.02, params=params)
-        prof = QuinticProfile()
         P = spec.power(1)
         xs = np.linspace(-8, 8, 400_001)
         for R in (1.0, 2.0, 4.0, 8.0):
             a = xs ** 2 / R
-            phi0 = prof.value(a) ** P
-            safe = np.where(prof.value(a) > 0, prof.value(a), 1.0)
-            phit0 = np.where(prof.value(a) > 0,
+            phi0 = quintic_profile(a) ** P
+            safe = np.where(quintic_profile(a) > 0, quintic_profile(a), 1.0)
+            phit0 = np.where(quintic_profile(a) > 0,
                              P * safe ** (P - 1) * quintic_d1(a) / R, 0.0)
             oracle = np.trapezoid(phi0 - phit0, xs)
             J = compute_J_R(traj, R, spec, params)
@@ -323,12 +316,11 @@ class TestG:
     def test_g_matches_direct_band_quadrature(self, params, spec):
         grid = GridSpec(1, 512, 6.0)
         traj = frozen_trajectory(grid, value=1.0, params=params)
-        prof = QuinticProfile()
         R = 2.0
         g = compute_g(traj, ModulusSpec.lipschitz(), 3.0, R, spec)
         oracle = fine_grid_integral(
             lambda x, t: np.where((x * x + t) / R >= 0.5,
-                                  prof.value((x * x + t) / R) ** 3, 0.0), R)
+                                  quintic_profile((x * x + t) / R) ** 3, 0.0), R)
         assert g == pytest.approx(oracle, rel=2e-3)
 
 
@@ -362,11 +354,10 @@ class TestTwoDimensionalFunctionals:
         R = 2.0
         I = compute_I_R(traj, ModulusSpec.lipschitz(), 3.0, R, spec)
         # radially symmetric oracle: 2 pi int r phi(...) dr dt on a fine grid
-        prof = QuinticProfile()
         P = spec.power(2)
         rr = np.linspace(0, 2.5, 4001)
         tt = np.linspace(0, R, 3001)
-        vals = prof.value((rr[:, None] ** 2 + tt[None, :]) / R) ** P * rr[:, None]
+        vals = quintic_profile((rr[:, None] ** 2 + tt[None, :]) / R) ** P * rr[:, None]
         oracle = 2 * np.pi * np.trapezoid(np.trapezoid(vals, tt, axis=1), rr)
         assert I == pytest.approx(oracle, rel=1e-3)
 
@@ -388,11 +379,10 @@ class TestVelocityTargetVariant:
         # and both spatial fractional powers integrate to zero
         traj = frozen_trajectory(self.grid, value=1.0, t_end=8.0, dt=0.02,
                                  params=self.params)
-        prof = QuinticProfile()
         P = self.spec.power(1)
         xs = np.linspace(-8, 8, 200_001)
         for R in (2.0, 4.0):
-            oracle = np.trapezoid(prof.value(xs ** 2 / R) ** P, xs)
+            oracle = np.trapezoid(quintic_profile(xs ** 2 / R) ** P, xs)
             J = compute_J_R(traj, R, self.spec, self.params)
             assert J == pytest.approx(oracle, rel=2e-4)
 
@@ -401,6 +391,51 @@ class TestVelocityTargetVariant:
         traj.snapshots_u = 0.0 * traj.snapshots_u    # displacement zeroed
         I = compute_I_R(traj, ModulusSpec.lipschitz(), 2.0, 2.0, self.spec)
         assert I > 0.0
+
+
+class TestWeakFormIdentity:
+    # Testing the equation against phi_R and integrating by parts gives
+    # J_R = I_R + D_R.  A linear run has I_R = 0, and with u0 = 0 the data
+    # term is D_R = integral of u1 phi_R(0, |x|) on both targets, so J_R
+    # must equal D_R up to the quadrature error of the snapshot spacing.
+    # With (-Lap)^(sigma/2) in place of the damping (-Lap)^delta, on_ut read
+    # 0.17-0.69 at delta = 0 and 0.5, at either spacing.
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("target", ["on_u", "on_ut"])
+    def test_linear_run_pairs_to_its_data_term(self, target, delta):
+        grid = GridSpec(1, 512, 40.0)
+        params = EquationParams(sigma=2, delta=delta, n=1, p=3, target=target)
+        spec = TestFunctionSpec.for_params(params, [4.0, 10.0])
+        u1 = np.exp(-grid.axis() ** 2)
+        residuals = []
+        for spacing in (0.05, 0.025):
+            times = spacing * np.arange(round(12.0 / spacing) + 1)
+            traj = simulate_linear(np.zeros_like(u1), u1, params, times, grid, store_fields=True)
+            row = []
+            for R in spec.R_values:
+                D = np.sum(u1 * phi_R(0.0, grid.radius(), R, spec)) * grid.dx
+                row.append(abs(compute_J_R(traj, R, spec, params) - D) / abs(D))
+            residuals.append(row)
+        coarse, fine = np.array(residuals)
+        assert np.all(coarse < 1e-3), coarse
+        assert np.all(fine <= coarse / 3.0), (coarse, fine)
+
+
+class TestRValues:
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan])
+    def test_bad_R_raises_parameter_error_naming_R(self, params, spec, R):
+        # R = -1 once raised TypeError (a complex support radius met '>'),
+        # and R = nan returned 0.0
+        traj = frozen_trajectory(GridSpec(1, 256, 6.0), params=params)
+        mu = ModulusSpec.lipschitz()
+        calls = [lambda: compute_I_R(traj, mu, 3.0, R, spec),
+                 lambda: compute_J_R(traj, R, spec, params),
+                 lambda: compute_g(traj, mu, 3.0, R, spec),
+                 lambda: phi_R(0.0, 0.0, R, spec),
+                 lambda: phi_star_R(0.0, 0.0, R, spec)]
+        for call in calls:
+            with pytest.raises(ParameterError, match="^R must be positive"):
+                call()
 
 
 # -- the per-R path that scan replaced, kept as its oracle --------------------
@@ -453,7 +488,7 @@ def per_R_J(traj, R, spec, params):
         Phi = np.concatenate([rev, np.zeros((1,) + grid.shape)], axis=0)
         op = (-time_derivative(phi, dt, 1)
               + lap(Phi, 2.0 * params.sigma, grid)
-              + lap(phi, params.sigma, grid))
+              + lap(phi, 2.0 * params.delta, grid))
         w = stack_rows(traj.snapshots_ut)
     return _per_R_quadrature(w * op, dt, grid)
 
@@ -588,21 +623,33 @@ class TestScan:
         assert [row[5] for row in body] == verdicts
 
 
-# -- the whole-stack adjoint that the row blocks replaced, kept as their oracle --
+# -- the whole-stack transform that the row blocks replaced, kept as their oracle --
 
-def whole_stack_adjoint(kernel, params):
-    """One forward transform of the whole monitored stack, then one inverse
-    per power on the whole stack."""
-    low = 2.0 * params.delta if kernel.spec.target == Target.ON_U else params.sigma
-    wh = kernel.grid.fft(kernel.w)
-    xisq = kernel.grid.xi_squared()
-    return (kernel._restrict(kernel.w),) + tuple(
-        kernel._restrict(kernel.grid.ifft(fractional_symbol(xisq, p) * wh) if p else kernel.w)
-        for p in (2.0 * params.sigma, low))
+def pass_columns(traj, spec):
+    """The grid points the pass keeps: |x|^sp + t_0 below the largest R."""
+    near = traj.grid.radius().ravel() ** spec.scale_power + traj.times[0]
+    return np.flatnonzero(near < spec.R_values[-1])
+
+
+def operator_powers(params):
+    """The powers s of (-Lap)^(s/2) that J_R pairs the solution with, on both targets."""
+    return (2.0 * params.sigma, 2.0 * params.delta)
+
+
+def whole_stack_read(stack, grid, columns, powers):
+    """One forward transform of the whole stack, then one inverse per power
+    on the whole stack."""
+    def restrict(a):
+        return a.reshape(len(a), -1)[:, columns]
+
+    wh = grid.fft(stack)
+    xisq = grid.xi_squared()
+    return [restrict(stack)] + [
+        restrict(grid.ifft(fractional_symbol(xisq, p) * wh) if p else stack) for p in powers]
 
 
 # (sigma, delta, target, n, N, L): 7 rows per block on the 1D N = 4096 and the
-# 2D N = 64 grids; delta = 0 on on_u makes the low power the identity
+# 2D N = 64 grids; delta = 0 on on_u makes the damping power the identity
 ADJOINT_GRIDS = [
     (1.5, 0.5, "on_u", 1, 4096, 64.0),
     (1.0, 0.0, "on_u", 2, 64, 6.0),
@@ -633,16 +680,18 @@ class TestBlockedAdjoint:
         traj = moving_trajectory(grid, params, (T - 1) * dt, dt, seed=T)
         assert len(traj.times) == T
         spec = TestFunctionSpec.for_params(params, [traj.times[-1]])
-        kernel = _Kernel(traj, spec, spec.R_values, spatial_fraction=0.5)
-        got, want = kernel.adjoint(params), whole_stack_adjoint(kernel, params)
+        stack = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
+        columns, powers = pass_columns(traj, spec), operator_powers(params)
+        got = _read(stack, T, grid, columns, powers)
+        want = whole_stack_read(stack, grid, columns, powers)
         assert len(got) == len(want) == 3
         for a, b in zip(got, want):
-            assert a.shape == b.shape == (T, len(kernel.columns))
+            assert a.shape == b.shape == (T, len(columns))
             assert np.array_equal(a, b)
 
 
-# (sigma, delta, target): the powers (2 sigma, low) are (2, 1), (2, 0) and
-# (2.5, 1.25); low = 2 delta = 0 on on_u makes the low stack the rows themselves
+# (sigma, delta, target): the powers (2 sigma, 2 delta) are (2, 1), (2, 0) and
+# (2.5, 1); 2 delta = 0 makes the damping stack the rows themselves
 EIGEN_PARAMS = [(1.0, 0.5, "on_u"), (1.0, 0.0, "on_u"), (1.25, 0.5, "on_ut")]
 
 
@@ -661,12 +710,11 @@ class TestAdjointEigenfunctions:
         traj = Trajectory(times=times, norms=np.zeros((len(times), 6)), grid=grid,
                           params=params, snapshots_u=stack, snapshots_ut=stack.copy())
         spec = TestFunctionSpec.for_params(params, [times[-1]])
-        kernel = _Kernel(traj, spec, spec.R_values, spatial_fraction=0.5)
-        w, s_sigma, s_low = kernel.adjoint(params)
-        want = rows[:, kernel.columns]
-        low = 2.0 * delta if target == "on_u" else sigma
-        assert len(kernel.columns) > 0 and np.array_equal(w, want)
-        for got, power in ((s_sigma, 2.0 * sigma), (s_low, low)):
+        columns = pass_columns(traj, spec)
+        w, s_sigma, s_delta = _read(stack, len(times), grid, columns, operator_powers(params))
+        want = rows[:, columns]
+        assert len(columns) > 0 and np.array_equal(w, want)
+        for got, power in ((s_sigma, 2.0 * sigma), (s_delta, 2.0 * delta)):
             assert np.max(np.abs(got - k ** power * want)) < 1e-12
-        if low == 0.0:
-            assert s_low is w
+        if delta == 0.0:
+            assert s_delta is w

@@ -88,6 +88,36 @@ def test_no_reduction_goes_through_blas_or_lapack():
     assert found == []
 
 
+FFT_TRANSFORMS = {f"{inv}{kind}fft{dims}" for inv in ("", "i") for kind in ("", "r", "h")
+                  for dims in ("", "2", "n")}
+
+
+def test_every_transform_goes_through_the_grid_pair():
+    # one spectral transform pair: GridSpec.fft and GridSpec.ifft make the
+    # only numpy.fft transform calls, so every transform has their passes
+    # (and their bits); numpy.fft's frequency helpers may be read anywhere
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        pair = {id(node) for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name == "GridSpec"
+                for item in cls.body
+                if isinstance(item, ast.FunctionDef) and item.name in ("fft", "ifft")
+                for node in ast.walk(item)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Attribute) and node.attr in FFT_TRANSFORMS
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+                    and id(node) not in pair):
+                found.append(f"{where} reads fft.{node.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None)
+                names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+                found += [f"{where} imports {name}" for name in names
+                          if name.startswith("numpy.fft")]
+    assert found == []
+
+
 def test_only_write_table_creates_a_csv_writer():
     # one place formats the numbers of every table the package writes
     counts = {path.name: path.read_text().count("csv.writer(") for path in SRC.glob("*.py")}

@@ -461,6 +461,20 @@ class TestBandLimited:
         assert np.max(np.abs(u2[::4] - u1)) < 1e-10 * max(1.0, np.max(np.abs(u1)))
         assert abs(np.mean(u1)) < 1e-13
 
+    @pytest.mark.parametrize("mean_zero", [True, False])
+    @pytest.mark.parametrize("n,N,kmax", [(1, 64, 31), (2, 32, 8), (3, 16, 5)])
+    def test_half_spectrum_matches_full_complex_inverse(self, n, N, kmax, mean_zero):
+        # the path synthesize replaced: the whole spectrum through ifftn,
+        # keeping the real part
+        g = GridSpec(n, N, 3.0)
+        coeffs = mode_coefficients(kmax, n, np.random.default_rng(n), mean_zero=mean_zero)
+        full = np.zeros(g.shape, dtype=complex)
+        full[np.ix_(*[np.arange(-kmax, kmax + 1) % N] * n)] = coeffs
+        want = np.fft.ifftn(full * N ** n).real
+        got = synthesize(coeffs, g)
+        assert got.shape == g.shape and got.dtype == float
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
 
 class TestHalfSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3])
