@@ -233,27 +233,40 @@ def _functionals(traj: Trajectory, spec: TestFunctionSpec, R_values: Sequence[fl
     powers = () if params is None else (2.0 * params.sigma, 2.0 * params.delta)
     w, *applied = _read(stack, len(times), grid, columns, powers)
     weight = None if mu is None else psi(np.abs(w), p0, mu)
+    # each R's integrands are formed in place in two buffers (their leading
+    # T x len(cols) entries), filled from the stacks by np.take and combined
+    # in the order of the formulas, so the bits are those of per-R copies
+    buffers = [np.empty(w.size) for _ in range(2)]
     rows = []
     for R in rs:
         cols = np.flatnonzero(near < R)
         arg, phi = _cutoff(times[:, None], radius[cols], R, spec, grid.n)
+        a, b = (buf[:phi.size].reshape(phi.shape) for buf in buffers)
         I = J = g = None
         if weight is not None:
-            psi_R = weight[:, cols]
-            I = _integral(psi_R * phi, dt, grid)
-            g = _integral(psi_R * np.where(arg >= 0.5, phi, 0.0), dt, grid)
+            np.take(weight, cols, axis=1, out=a)
+            I = _integral(np.multiply(a, phi, out=b), dt, grid)
+            # Psi phi*_R: phi*_R is phi_R where arg >= 1/2 and 0 below
+            g = _integral(np.multiply(a, 0.0, out=b, where=arg < 0.5), dt, grid)
         if params is not None:
-            w_R, s_sigma, s_delta = (a[:, cols] for a in (w, *applied))
+            s_sigma, s_delta = applied
             if spec.target == Target.ON_U:
-                J = _integral(w_R * time_derivative(phi, dt, 2) + s_sigma * phi
-                              - s_delta * time_derivative(phi, dt, 1), dt, grid)
+                # w d2/dt2 phi_R + s_sigma phi_R - s_delta d/dt phi_R
+                np.multiply(np.take(w, cols, axis=1, out=a), time_derivative(phi, dt, 2), out=a)
+                a += np.multiply(np.take(s_sigma, cols, axis=1, out=b), phi, out=b)
+                a -= np.multiply(np.take(s_delta, cols, axis=1, out=b),
+                                 time_derivative(phi, dt, 1), out=b)
             else:
                 # PhiR(t) = integral of phi_R from t to the last covered time
                 tail = np.zeros_like(phi)
                 tail[:-1] = np.flip(np.cumsum(np.flip(
                     0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
-                J = _integral(s_sigma * tail + s_delta * phi
-                              - w_R * time_derivative(phi, dt, 1), dt, grid)
+                # s_sigma PhiR + s_delta phi_R - w d/dt phi_R
+                np.multiply(np.take(s_sigma, cols, axis=1, out=a), tail, out=a)
+                a += np.multiply(np.take(s_delta, cols, axis=1, out=b), phi, out=b)
+                a -= np.multiply(np.take(w, cols, axis=1, out=b),
+                                 time_derivative(phi, dt, 1), out=b)
+            J = _integral(a, dt, grid)
         rows.append((R, I, J, g))
     return rows
 
@@ -263,10 +276,11 @@ def _read(stack, T: int, grid: GridSpec, columns: np.ndarray, powers: tuple) -> 
     power s, on ``columns`` of the flattened grid, from one pass over the
     rows in blocks.  One forward transform of a block serves every power,
     whose inverses keep only those columns; power 0 is the rows themselves.
-    A block's rows, spectrum and inverse go through buffers allocated once
+    A block's rows, spectrum and inverses go through buffers allocated once
     per pass: a block-sized array made per block is mapped and unmapped by
     the allocator each time, and page-faulted afresh (about 2,900 minor
-    faults per scan-1d scan)."""
+    faults per scan-1d scan).  The rows buffer takes the inverses, once the
+    rows' own columns are copied out."""
     xisq = grid.xi_squared()
     w = np.empty((T, len(columns)))
     stacks = [np.empty_like(w) if p else w for p in powers]
@@ -275,7 +289,6 @@ def _read(stack, T: int, grid: GridSpec, columns: np.ndarray, powers: tuple) -> 
     rows = np.empty((size,) + grid.shape)
     if applied:
         spectrum, product = (np.empty((size,) + xisq.shape, dtype=complex) for _ in range(2))
-        back = np.empty_like(rows)
     for lo in range(0, T, size):
         m = min(size, T - lo)
         for j in range(m):
@@ -285,7 +298,7 @@ def _read(stack, T: int, grid: GridSpec, columns: np.ndarray, powers: tuple) -> 
             wh = grid.fft(rows[:m], out=spectrum[:m])
             for sym, out in applied:
                 np.multiply(sym, wh, out=product[:m])
-                out[lo:lo + m] = grid.ifft(product[:m], out=back[:m]).reshape(m, -1)[:, columns]
+                out[lo:lo + m] = grid.ifft(product[:m], out=rows[:m]).reshape(m, -1)[:, columns]
     return [w, *stacks]
 
 

@@ -161,26 +161,54 @@ class GridSpec:
         return _dealias_mask_cached(self.n, self.N, round(fraction * 1e9))
 
 
-def _half_spectrum_axes(n: int, N: int, d: float) -> list:
-    """Per-axis frequencies of the half spectrum: fftfreq, then rfftfreq last."""
-    return [np.fft.fftfreq(N, d=d)] * (n - 1) + [np.fft.rfftfreq(N, d=d)]
+def _wavenumbers(n: int, N: int) -> list:
+    """The integer wavenumbers k of the half spectrum, one int64 array per
+    axis, shaped to broadcast along it: FFT order (0..N/2-1, then -N/2..-1)
+    on the leading axes, 0..N/2 on the last."""
+    k = np.arange(N, dtype=np.int64)
+    k[N // 2:] -= N
+    axes = [k] * (n - 1) + [k[:N // 2 + 1]]
+    return [a.reshape((-1,) + (1,) * (n - 1 - i)) for i, a in enumerate(axes)]
+
+
+def _k_squared(n: int, N: int) -> np.ndarray:
+    """|k|^2 = sum of k_a^2 on the half spectrum, exact in int64."""
+    return sum(k * k for k in _wavenumbers(n, N))
+
+
+def _xi_squared_of(ksq, L: float) -> np.ndarray:
+    """|xi|^2 = (pi / L)^2 |k|^2 on the torus [-L, L)^n: the one expression,
+    so modes with equal |k|^2 share their |xi|^2 bit for bit."""
+    return (math.pi / L) ** 2 * ksq
+
+
+def _shells(n: int, N: int) -> tuple:
+    """Each half-spectrum mode's shell index and each shell's |k|^2, the
+    shells being the distinct |k|^2 in ascending order.  They are found by
+    counting, with no sort; in 1D k^2 strictly increases along the half
+    spectrum, so every mode is its own shell and nothing is counted (a count
+    over k^2 <= (N/2)^2 would outweigh the modes)."""
+    ksq = _k_squared(n, N)
+    if n == 1:
+        return np.arange(ksq.size), ksq
+    counts = np.bincount(ksq.ravel())
+    keys = np.flatnonzero(counts)
+    rank = np.cumsum(counts > 0, out=counts)
+    rank -= 1
+    return rank[ksq], keys
 
 
 @functools.lru_cache(maxsize=32)
 def _xi_squared_cached(n: int, N: int, L: float) -> np.ndarray:
-    axes = [2.0 * np.pi * f for f in _half_spectrum_axes(n, N, 2.0 * L / N)]
-    mats = np.meshgrid(*axes, indexing="ij")
-    out = sum(m * m for m in mats)
+    out = _xi_squared_of(_k_squared(n, N), L)
     out.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=32)
 def _dealias_mask_cached(n: int, N: int, frac_key: int) -> np.ndarray:
-    fraction = frac_key / 1e9
-    keep = [np.abs(k) <= fraction * (N // 2) + 1e-9 for k in _half_spectrum_axes(n, N, 1.0 / N)]
-    mats = np.meshgrid(*keep, indexing="ij")
-    out = np.logical_and.reduce(mats)
+    bound = frac_key / 1e9 * (N // 2) + 1e-9
+    out = functools.reduce(np.logical_and, [np.abs(k) <= bound for k in _wavenumbers(n, N)])
     out.setflags(write=False)
     return out
 
@@ -210,7 +238,7 @@ def characteristic_roots(xi_mag, sigma: float, delta: float):
     lam_p = cache.alpha + 1j * cache.omega
     lam_m = np.conj(lam_p)
     lam_m[cache.od] = cache.od_low
-    lam_p, lam_m = lam_p[cache.shell], lam_m[cache.shell]
+    lam_p, lam_m = lam_p.reshape(xi.shape), lam_m.reshape(xi.shape)
     if xi.ndim == 0:
         return complex(lam_p), complex(lam_m)
     return lam_p, lam_m
@@ -220,9 +248,9 @@ def characteristic_roots(xi_mag, sigma: float, delta: float):
 class MultiplierCache:
     """The characteristic roots in real form, one entry per shell.
 
-    Every multiplier depends on xi only through |xi|^2, so the cache holds
-    one entry per distinct |xi|^2 (a "shell", sorted ascending) and
-    ``shell`` maps each mode to its shell.  alpha = Re lam_plus and
+    Every multiplier depends on xi only through |xi|^2, so on a grid the
+    cache holds one entry per distinct integer |k|^2 (a "shell", ascending)
+    and ``shell`` maps each mode to its shell.  alpha = Re lam_plus and
     omega = Im lam_plus, which is > 0 exactly on the oscillatory shells; the
     overdamped shells (real roots lam_minus <= lam_plus <= 0) are listed in
     ``od`` with both roots.
@@ -239,10 +267,24 @@ class MultiplierCache:
 
     @classmethod
     def of(cls, modes, sigma: float, delta: float) -> "MultiplierCache":
-        """Roots on the shells of ``modes``, an array of |xi|^2 of any shape.
-        On real roots lam_plus = c / lam_minus avoids subtractive cancellation."""
+        """Roots of every entry of ``modes``, an array of |xi|^2 of any shape,
+        each entry its own shell."""
         modes = np.asarray(modes, dtype=float)
-        xisq, shell = np.unique(modes, return_inverse=True)
+        return cls._roots(np.arange(modes.size).reshape(modes.shape), modes.ravel(),
+                          sigma, delta)
+
+    @classmethod
+    def build(cls, grid: GridSpec, sigma: float, delta: float) -> "MultiplierCache":
+        """The cache on the half spectrum of ``grid``, one shell per distinct
+        |k|^2, whose |xi|^2 has the bits of its modes' GridSpec.xi_squared."""
+        shell, keys = _shells(grid.n, grid.N)
+        return cls._roots(shell, _xi_squared_of(keys, grid.L), sigma, delta)
+
+    @classmethod
+    def _roots(cls, shell: np.ndarray, xisq: np.ndarray, sigma: float,
+               delta: float) -> "MultiplierCache":
+        """The cache of the shells with |xi|^2 ``xisq``.  On real roots
+        lam_plus = c / lam_minus avoids subtractive cancellation."""
         b = fractional_symbol(xisq, 2.0 * delta)
         c = fractional_symbol(xisq, 2.0 * sigma)
         disc = b * b - 4.0 * c
@@ -253,12 +295,7 @@ class MultiplierCache:
         alpha[od] = lam
         omega = np.sqrt(np.maximum(-disc, 0.0)) / 2.0
         inv_omega = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
-        return cls(shell.reshape(modes.shape), c, alpha, omega, inv_omega, od, lam, low)
-
-    @classmethod
-    def build(cls, grid: GridSpec, sigma: float, delta: float) -> "MultiplierCache":
-        """The cache on the half spectrum of ``grid``."""
-        return cls.of(grid.xi_squared(), sigma, delta)
+        return cls(shell, c, alpha, omega, inv_omega, od, lam, low)
 
     def k0k1(self, t: float):
         """Float64 K0(t), K1(t) and D1(t) = dK1/dt on every shell (see the
@@ -456,8 +493,7 @@ def wrap_time(grid: GridSpec, sigma: float, delta: float,
     ximax = float(np.sqrt(np.max(grid.xi_squared())))
     xi = np.linspace(0.0, ximax, 2049)[1:]
     cache = MultiplierCache.of(xi ** 2, sigma, delta)
-    omega = cache.omega[cache.shell]
-    decay = -cache.alpha[cache.shell]
+    omega, decay = cache.omega, -cache.alpha
     vg = np.gradient(omega, xi)
 
     mags = np.sqrt(grid.xi_squared()).ravel()

@@ -15,9 +15,10 @@ from sigmaevo import cli
 from sigmaevo.cli import (DataSpec, RunConfig, load_run, main, read_norms_csv,
                           run_semilinear, save_run, write_norms_csv)
 from sigmaevo.errors import ConfigError, ParameterError
+from sigmaevo.functional import TestFunctionSpec, phi_R
 from sigmaevo.modulus import classify_integral_criterion
 from sigmaevo.solver import simulate, simulate_linear
-from sigmaevo.spectral import read_field, write_field
+from sigmaevo.spectral import GridSpec, read_field, write_field
 
 
 def tree_bytes(root):
@@ -1483,3 +1484,82 @@ def test_norm_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
         norms[threads] = [(tmp_path / threads / command / "norms.csv").read_bytes()
                           for command in commands]
     assert norms["1"] == norms["2"]
+
+
+class TestOtherDimensions:
+    """The commands end to end off 1D: a 3D run of 1D data, and a 2D scan."""
+
+    N, L = 16, 10.0
+
+    def lifted_config(self, tmp_path, n):
+        """A config of n-D data that vary along the first axis only, both
+        read from field files: u0 and u1 Gaussians of the 1D run's coordinate."""
+        grid = GridSpec(n, self.N, self.L)
+        x = grid.axis().reshape((-1,) + (1,) * (n - 1))
+        data = {}
+        for name, amplitude, center in (("u0", 0.3, 0.0), ("u1", 1.5, 0.5)):
+            field = np.broadcast_to(amplitude * np.exp(-((x - center) / 1.5) ** 2), grid.shape)
+            path = tmp_path / f"{name}-{n}d.bin"
+            write_field(path, np.ascontiguousarray(field), grid)
+            data[name] = {"family": "from-file", "path": str(path)}
+        doc = small_config_doc(tmp_path, params={"sigma": 2, "delta": 0.5, "m": 1, "n": n,
+                                                 "p": 3, "target": "on_u", "r": 2},
+                               mu="log-log-lip:2", grid={"n": n, "N": self.N, "L": self.L},
+                               data=data)
+        doc["solver"].update(dt=0.01, t_end=2.0, snapshot_stride=10)
+        path = tmp_path / f"config-{n}d.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    @pytest.mark.parametrize("command,extra", [
+        ("linear-decay", ["--window-lo", "0.5", "--window-hi", "2"]), ("semilinear", [])])
+    def test_3d_run_of_lifted_data_has_the_1d_rows(self, tmp_path, command, extra):
+        # the L2-type columns scale by (2L)^((n-1)/2), Linf_u by 1, energy by (2L)^(n-1)
+        norms = {}
+        for n in (1, 3):
+            out = tmp_path / f"{command}-{n}d"
+            argv = [command, "--config", str(self.lifted_config(tmp_path, n)),
+                    "--out", str(out)]
+            assert main(argv + extra) == 0
+            norms[n] = read_norms_csv(str(out / "norms.csv"))
+        (header, one_d), (header_3d, three_d) = norms[1], norms[3]
+        assert header == header_3d == ["t", "L2_u", "Hr_u", "L2_ut", "Hrs_ut", "Linf_u",
+                                       "energy"]
+        assert len(one_d) == 21
+        s = 2 * self.L
+        scale = np.array([1.0, s, s, s, s, 1.0, s * s])
+        np.testing.assert_allclose(three_d / scale, one_d, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:parameters outside")
+    def test_2d_blowup_scan_meets_the_weak_form_identity(self, tmp_path):
+        # with u0 = 0, testing the on_ut equation against phi_R gives
+        # J_R = I_R + integral of u1 phi_R(0) when p is the p0 of I_R's
+        # weight (1 + sigma / n = 2 here).  The rest is the time quadrature's
+        # error: at most 2.5e-3 of the data term at snapshot spacing 0.01,
+        # 1.0e-2 at 0.02 and 3.6e-2 at 0.04, the same at a tenth of u1
+        # (where I_R is 30 times smaller)
+        doc = small_config_doc(tmp_path, params={"sigma": 2, "delta": 1, "m": 1, "n": 2,
+                                                 "p": 2, "target": "on_ut", "r": 2},
+                               mu="log-power:1", grid={"n": 2, "N": 32, "L": 12.0},
+                               data={"u0": {"family": "zero"},
+                                     "u1": {"family": "gaussian", "amplitude": 0.05,
+                                            "width": 1.0, "center": 0.0}})
+        doc["solver"].update(dt=0.01, t_end=4.0, snapshot_stride=1, store_fields=True)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rundir = tmp_path / "scan"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        assert main(["blowup-scan", str(rundir)]) == 0
+        header, *rows = csv.reader((rundir / "functional.csv").read_text().splitlines())
+        assert header == ["R", "I_R", "J_R", "g", "G", "verdict"]
+        table = np.array([[float(v) for v in row[:5]] for row in rows])
+        assert table.shape == (10, 5) and np.all(np.isfinite(table))
+        config, _ = load_run(str(rundir))
+        grid = config.grid
+        spec = TestFunctionSpec.for_params(config.params, table[:, 0])
+        u1 = config.u1.build(grid)
+        D = np.array([np.sum(u1 * phi_R(0.0, grid.radius(), R, spec, 2)) * grid.cell_volume
+                      for R in spec.R_values])
+        residual = np.abs(table[:, 2] - table[:, 1] - D) / np.abs(D)
+        assert np.all(residual < 5e-3), residual

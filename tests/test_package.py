@@ -88,6 +88,48 @@ def test_no_reduction_goes_through_blas_or_lapack():
     assert found == []
 
 
+SORTS = {"unique", "sort", "argsort", "lexsort", "partition", "argpartition"}
+# names whose method form on any object is an ndarray's (str.partition is not)
+SORT_METHODS = {"sort", "argsort", "argpartition"}
+
+
+def _numpy_aliases(tree) -> set:
+    return {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "numpy"}
+
+
+def _root_name(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_command_sorts():
+    """No module reads numpy's unique, sort, argsort, lexsort, partition or
+    argpartition, so no command pages in numpy's sort kernels.
+
+    np.unique on the 33k |xi|^2 of a 256^2 half spectrum paged 512 KiB of
+    numpy's code (RssFile) into a process that had only imported the
+    package, with a tracemalloc peak of 1,382 KiB; after a linear-2d job
+    RssFile stood about 840 KiB higher.  The multiplier cache finds its
+    shells by counting integer |k|^2 instead.
+    A numpy read is an attribute of the module (np.unique, np.lib...) or a
+    name imported from it; sort, argsort and argpartition are also caught as
+    methods of any object (an ndarray's), while str.partition is not."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        numpy = _numpy_aliases(tree)
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in SORTS and (
+                    node.attr in SORT_METHODS or _root_name(node) in numpy):
+                found.append(f"{where} reads {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found += [f"{where} imports {a.name}" for a in node.names if a.name in SORTS]
+    assert found == []
+
+
 FFT_TRANSFORMS = {f"{inv}{kind}fft{dims}" for inv in ("", "i") for kind in ("", "r", "h")
                   for dims in ("", "2", "n")}
 

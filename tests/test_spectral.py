@@ -389,6 +389,45 @@ class TestPropagators:
                 assert np.max((np.abs(prop.K1) * scale)[nonzero]) < 10.0
 
 
+class TestIntegerShells:
+    # A grid's shells are the distinct integer |k|^2 = sum of k_a^2, found by
+    # counting.  Grouping the float |xi|^2 with np.unique let rounding split
+    # true shells: (5, 0) and (3, 4) fell apart, giving 7,400 shells at 256^2
+    # and 4,541 at 64^3 for 5,924 and 1,914 distinct |k|^2.
+    CASES = [(1, 64, 5.0, 33), (2, 8, 1e3, None), (2, 64, 3.0, None), (2, 256, 40.0, 5924),
+             (3, 16, 0.7, None), (3, 32, 20.0, None), (3, 64, 20.0, 1914)]
+
+    @staticmethod
+    def integer_k_squared(n, N):
+        """|k|^2 on the half spectrum from a meshgrid of fftfreq's integers."""
+        k = np.rint(np.fft.fftfreq(N, 1.0 / N)).astype(int)
+        axes = [k] * (n - 1) + [np.abs(k[:N // 2 + 1])]
+        return sum(m * m for m in np.meshgrid(*axes, indexing="ij"))
+
+    @pytest.mark.parametrize("n,N,L,count", CASES)
+    def test_shells_group_equal_integer_wavenumbers(self, n, N, L, count):
+        ksq = self.integer_k_squared(n, N)
+        distinct, inverse = np.unique(ksq, return_inverse=True)
+        cache = MultiplierCache.build(GridSpec(n, N, L), 1.5, 0.5)
+        # both list the shells in ascending |k|^2, so the indices agree
+        assert np.array_equal(cache.shell, inverse.reshape(ksq.shape))
+        assert cache.c.size == distinct.size
+        if count is not None:
+            assert distinct.size == count
+
+    @pytest.mark.parametrize("n,N,L,count", CASES)
+    def test_xi_squared_matches_the_frequency_sum(self, n, N, L, count):
+        # the replaced formula, the sum of squares of 2 pi fftfreq per axis,
+        # rounds up to n + 2 times; it and (pi / L)^2 |k|^2 read up to 3.0
+        # eps apart (relative), the latter the nearer to the exact value
+        g = GridSpec(n, N, L)
+        freqs = [np.fft.fftfreq(N, d=g.dx)] * (n - 1) + [np.fft.rfftfreq(N, d=g.dx)]
+        ref = sum(m * m for m in np.meshgrid(*[2.0 * np.pi * f for f in freqs], indexing="ij"))
+        got = g.xi_squared()
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 4.0 * np.finfo(float).eps * ref)
+
+
 class TestLinearEvolve:
     def setup_method(self):
         self.grid = GridSpec(1, 256, 20.0)
