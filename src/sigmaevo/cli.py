@@ -347,7 +347,8 @@ def _check_snapshot(path: str, i: int, t: float, header: tuple, grid: GridSpec):
 class FieldStack:
     """One field's snapshots in a run directory, read on demand: row i is
     <fdir>/<name>_{i:06d}.bin, whose header must match time times[i] on
-    ``grid``.  It has a length, and an integer row reads just that file."""
+    ``grid``.  It has a length, and an integer row reads just that file,
+    into a fresh array or (read_into) into a buffer of the grid's shape."""
 
     def __init__(self, fdir: str, name: str, times: list, grid: GridSpec):
         self.fdir, self.name, self.times, self.grid = fdir, name, times, grid
@@ -356,9 +357,12 @@ class FieldStack:
         return len(self.times)
 
     def __getitem__(self, i: int) -> np.ndarray:
+        return self.read_into(i)
+
+    def read_into(self, i: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         i = range(len(self))[i]
         path = _field_path(self.fdir, self.name, i)
-        field, grid, time = read_field(path)
+        field, grid, time = read_field(path) if out is None else read_field(path, out=out)
         _check_snapshot(path, i, self.times[i], (grid, time), self.grid)
         return field
 
@@ -395,10 +399,28 @@ def load_run(outdir: str) -> tuple:
 
 
 def _output_dir(override: Optional[str], configured: Optional[str], name: str) -> str:
-    """--out, else the config's output_dir, else <$SIGMAEVO_OUT or runs>/<name>."""
+    """--out, else the config's output_dir, else <$SIGMAEVO_OUT or runs>/<name>,
+    checked by _check_output_dir."""
     if not isinstance(configured, (str, type(None))):
         raise ConfigError(f"config key 'output_dir' must be a string, not {configured!r:.40}")
-    return override or configured or os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "runs"), name)
+    if override:
+        return _check_output_dir(override, "--out")
+    if configured:
+        return _check_output_dir(configured, "config key 'output_dir'")
+    return _check_output_dir(os.path.join(os.environ.get(OUTPUT_ROOT_ENV, "runs"), name),
+                             "output directory")
+
+
+def _check_output_dir(path: str, option: str) -> str:
+    """``path``, unless it or its nearest existing ancestor is no directory:
+    then ParameterError names ``option`` and the path, before any work."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):   # a dangling link exists, as no directory
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ParameterError(f"{option} {path!r} is not a directory: "
+                             f"{existing!r} exists and is not one")
+    return path
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -548,6 +570,8 @@ def run_semilinear(config: RunConfig, outdir: str, kind: str) -> Trajectory:
 
 def cmd_blowup_scan(args) -> int:
     from . import functional
+    if args.out:
+        _check_output_dir(args.out, "--out")
     config, traj = load_run(args.rundir)
     if not len(traj.times):
         raise CoverageError(f"run directory {args.rundir} holds no rows "
@@ -584,6 +608,8 @@ def cmd_check_inequalities(args) -> int:
                                  ("--seed", args.seed, 0)):
         if value < least:
             raise ParameterError(f"{option} must be at least {least}, got {value}")
+    if args.out:
+        _check_output_dir(args.out, "--out")
     from . import norms
     rng = np.random.default_rng(args.seed)
     grid = GridSpec(1, args.N, float(args.L))

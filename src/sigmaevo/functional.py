@@ -33,20 +33,24 @@ exact facts keep it cheap.  Psi(|w|) does not depend on R, so it is
 computed once.  The spatial multipliers have real, even symbols, so they
 move from phi_R onto the solution by adjointness,
 sum_x w * S phi = sum_x (S w) * phi, and the operator-applied stacks are
-also computed once.  The pass reads the monitored stack in blocks of rows
-(at most 256 KiB of half spectrum each) and keeps only the columns the
-quadrature reads: of each block, the rows themselves (Psi's argument) and
-the two operator-applied rows.  So the stack may be a lazy one that reads
-its rows from files (a loaded run directory), and no stack-sized array is
-made; every row is transformed on its own either way, so the bits do not
-depend on the block size.
+also computed once.  The pass holds one snapshot row at a time: it reads
+the row into one buffer (a lazy stack, the files of a loaded run directory,
+reads it straight in), transforms it once, writes each power's inverse back
+into that buffer, and keeps only the columns the quadrature reads: the row
+itself (Psi's argument) and the two operator-applied rows.  So no
+stack-sized array is made.
 And phi_R, phi*_R, their time derivatives and PhiR vanish identically on
 every column where |x|^sp + t_0 >= R, so each R evaluates the profile, the
 time stencils and the quadrature on its remaining columns only, with no
-transform.
+transform.  Each R's arrays are formed in place in buffers allocated once
+per pass, in the order of operations of the formulas, so a pass holds a
+fixed set of arrays: three T x cols stacks and Psi's weight, four T x cols
+buffers and g's mask (cols = the columns under the largest R), and while
+it reads, one row, its spectrum, a product and the symbols.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -60,20 +64,22 @@ from .spectral import GridSpec, fractional_symbol
 from .solver import Trajectory
 
 
-def quintic_profile(r):
+def quintic_profile(r, out: Optional[np.ndarray] = None, work: Optional[tuple] = None):
     """Decreasing C^2 cutoff: 1 on [0, 1/2], 0 on [1, inf), quintic between.
 
-    With y = 2 (1 - r) the middle section is the smoothstep
-    S(y) = y^3 (10 - 15 y + 6 y^2); S' and S'' vanish at both junctions.
+    With y = 2 (1 - r) clipped to [0, 1] the profile is the smoothstep
+    S(y) = y^3 (10 - 15 y + 6 y^2); S' and S'' vanish at both junctions, and
+    the clip makes the plateaus exact (S(1) = 1, S(0) = 0).  With ``out``
+    and ``work`` (two arrays of r's shape besides it) nothing is allocated.
     """
     r = np.asarray(r, dtype=float)
-    y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
-    s = y ** 3 * (10.0 - 15.0 * y + 6.0 * y * y)
-    return np.where(r <= 0.5, 1.0, np.where(r >= 1.0, 0.0, s))
-
-
-# complex half spectrum that one block of rows in _read may hold
-_BLOCK_BYTES = 256 * 1024
+    if out is None:
+        out = np.empty_like(r)
+    y, term = (np.empty_like(r) for _ in range(2)) if work is None else work
+    np.clip(np.multiply(np.subtract(1.0, r, out=y), 2.0, out=y), 0.0, 1.0, out=y)
+    np.subtract(10.0, np.multiply(y, 15.0, out=out), out=out)
+    out += np.multiply(np.multiply(y, 6.0, out=term), y, out=term)
+    return np.multiply(np.power(y, 3, out=y), out, out=out)
 
 
 @dataclass(frozen=True)
@@ -160,29 +166,38 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def time_derivative(arr: np.ndarray, dt: float, order: int) -> np.ndarray:
+def time_derivative(arr: np.ndarray, dt: float, order: int, out: Optional[np.ndarray] = None,
+                    work: Optional[np.ndarray] = None) -> np.ndarray:
     """4th-order d^order/dt^order along axis 0 of a uniform snapshot stack.
 
     Central 5-point stencils in the interior; one-sided 6-node closures on
-    the two rows at each end (still 4th order for order <= 2).
+    the two rows at each end (still 4th order for order <= 2).  Each row is
+    a sum of weighted rows, added in node order starting from 0; with
+    ``out`` and ``work`` (arrays of arr's shape) nothing is allocated.
     """
     if order not in (1, 2):
         raise ParameterError("only first and second time derivatives are used")
     T = arr.shape[0]
     if T < 6:
         raise CoverageError("need at least 6 snapshots for 4th-order time stencils")
-    out = np.empty_like(arr, dtype=float)
-    nodes = np.arange(5) * dt
-    w_c = fd_weights(nodes, 2 * dt, order)
-    interior = sum(w_c[i] * arr[i:T - 4 + i] for i in range(5))
-    out[2:T - 2] = interior
+    if out is None:
+        out = np.empty_like(arr, dtype=float)
+    if work is None:
+        work = np.empty_like(out)
+
+    def weighted_sum(target, weights, first):
+        target[...] = 0.0
+        for i, w in enumerate(weights):
+            target += np.multiply(arr[first + i:first + i + len(target)], w,
+                                  out=work[:len(target)])
+
+    weighted_sum(out[2:T - 2], fd_weights(np.arange(5) * dt, 2 * dt, order), 0)
     edge_nodes = np.arange(6) * dt
     for row in (0, 1):
-        w = fd_weights(edge_nodes, row * dt, order)
-        out[row] = sum(w[i] * arr[i] for i in range(6))
+        weighted_sum(out[row:row + 1], fd_weights(edge_nodes, row * dt, order), 0)
     for row in (T - 2, T - 1):
-        w = fd_weights(edge_nodes, (row - (T - 6)) * dt, order)
-        out[row] = sum(w[i] * arr[T - 6 + i] for i in range(6))
+        weighted_sum(out[row:row + 1], fd_weights(edge_nodes, (row - (T - 6)) * dt, order),
+                     T - 6)
     return out
 
 
@@ -227,45 +242,66 @@ def _functionals(traj: Trajectory, spec: TestFunctionSpec, R_values: Sequence[fl
                 f"Q_R spatial radius {rad:.3g} exceeds {fraction:.3g} * L = "
                 f"{fraction * grid.L:.3g}; enlarge the torus or shrink R")
     radius = grid.radius().reshape(-1)
-    near = radius ** spec.scale_power + times[0]
+    near = radius ** spec.scale_power
+    near += times[0]
     columns = np.flatnonzero(near < rs[-1])
     radius, near = radius[columns], near[columns]
     powers = () if params is None else (2.0 * params.sigma, 2.0 * params.delta)
     w, *applied = _read(stack, len(times), grid, columns, powers)
-    weight = None if mu is None else psi(np.abs(w), p0, mu)
-    # each R's integrands are formed in place in two buffers (their leading
-    # T x len(cols) entries), filled from the stacks by np.take and combined
-    # in the order of the formulas, so the bits are those of per-R copies
-    buffers = [np.empty(w.size) for _ in range(2)]
+    # each R's scaled argument, phi_R, stencils, PhiR tail and integrands
+    # are formed in place in four buffers (their leading T x len(cols)
+    # entries) allocated once per pass, combined in the order of the
+    # formulas, so the bits are those of per-R arrays
+    T, K = w.shape
+    pool = np.empty((4, T * K))
+    weight = None
+    if mu is not None:
+        weight = psi(np.abs(w, out=pool[0].reshape(T, K)), p0, mu,
+                     out=np.empty_like(w), work=pool[1].reshape(T, K))
+        mask = np.empty(T * K, dtype=bool)
+    scaled = np.empty(K)
     rows = []
     for R in rs:
         cols = np.flatnonzero(near < R)
-        arg, phi = _cutoff(times[:, None], radius[cols], R, spec, grid.n)
-        a, b = (buf[:phi.size].reshape(phi.shape) for buf in buffers)
+        shape = (T, len(cols))
+        arg, phi, a, b = (buf[:T * len(cols)].reshape(shape) for buf in pool)
+        take = functools.partial(_take, cols)
+        sp = take(radius, scaled[:len(cols)])
+        sp **= spec.scale_power
+        # (|x|^sp + t) / R.  A ufunc over broadcast operands takes buffers
+        # of up to 64 KiB per call, a broadcast copyto none
+        np.copyto(arg, sp)
+        np.copyto(a, times[:, None])
+        np.divide(np.add(arg, a, out=arg), R, out=arg)
+        quintic_profile(arg, out=phi, work=(a, b))
+        phi **= spec.power(grid.n)
         I = J = g = None
         if weight is not None:
-            np.take(weight, cols, axis=1, out=a)
-            I = _integral(np.multiply(a, phi, out=b), dt, grid)
+            I = _integral(np.multiply(take(weight, a), phi, out=b), dt, grid)
             # Psi phi*_R: phi*_R is phi_R where arg >= 1/2 and 0 below
-            g = _integral(np.multiply(a, 0.0, out=b, where=arg < 0.5), dt, grid)
+            below = np.less(arg, 0.5, out=mask[:arg.size].reshape(shape))
+            g = _integral(np.multiply(a, 0.0, out=b, where=below), dt, grid)
         if params is not None:
+            # arg is spent: it takes the stencils (and PhiR's tail)
             s_sigma, s_delta = applied
             if spec.target == Target.ON_U:
                 # w d2/dt2 phi_R + s_sigma phi_R - s_delta d/dt phi_R
-                np.multiply(np.take(w, cols, axis=1, out=a), time_derivative(phi, dt, 2), out=a)
-                a += np.multiply(np.take(s_sigma, cols, axis=1, out=b), phi, out=b)
-                a -= np.multiply(np.take(s_delta, cols, axis=1, out=b),
-                                 time_derivative(phi, dt, 1), out=b)
+                np.multiply(take(w, a), time_derivative(phi, dt, 2, out=arg, work=b), out=a)
+                a += np.multiply(take(s_sigma, b), phi, out=b)
+                d1 = time_derivative(phi, dt, 1, out=arg, work=b)
+                a -= np.multiply(take(s_delta, b), d1, out=b)
             else:
-                # PhiR(t) = integral of phi_R from t to the last covered time
-                tail = np.zeros_like(phi)
-                tail[:-1] = np.flip(np.cumsum(np.flip(
-                    0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
+                # PhiR(t) = integral of phi_R from t to the last covered time,
+                # a cumsum over the rows in reverse
+                step = np.multiply(np.add(phi[1:], phi[:-1], out=b[:-1]), 0.5 * dt, out=b[:-1])
+                tail = arg
+                np.cumsum(step[::-1], axis=0, out=tail[-2::-1])
+                tail[-1] = 0.0
                 # s_sigma PhiR + s_delta phi_R - w d/dt phi_R
-                np.multiply(np.take(s_sigma, cols, axis=1, out=a), tail, out=a)
-                a += np.multiply(np.take(s_delta, cols, axis=1, out=b), phi, out=b)
-                a -= np.multiply(np.take(w, cols, axis=1, out=b),
-                                 time_derivative(phi, dt, 1), out=b)
+                np.multiply(take(s_sigma, a), tail, out=a)
+                a += np.multiply(take(s_delta, b), phi, out=b)
+                d1 = time_derivative(phi, dt, 1, out=arg, work=b)
+                a -= np.multiply(take(w, b), d1, out=b)
             J = _integral(a, dt, grid)
         rows.append((R, I, J, g))
     return rows
@@ -273,33 +309,40 @@ def _functionals(traj: Trajectory, spec: TestFunctionSpec, R_values: Sequence[fl
 
 def _read(stack, T: int, grid: GridSpec, columns: np.ndarray, powers: tuple) -> list:
     """The first T rows of ``stack``, then (-Lap)^(s/2) of them for each
-    power s, on ``columns`` of the flattened grid, from one pass over the
-    rows in blocks.  One forward transform of a block serves every power,
-    whose inverses keep only those columns; power 0 is the rows themselves.
-    A block's rows, spectrum and inverses go through buffers allocated once
-    per pass: a block-sized array made per block is mapped and unmapped by
-    the allocator each time, and page-faulted afresh (about 2,900 minor
-    faults per scan-1d scan).  The rows buffer takes the inverses, once the
-    rows' own columns are copied out."""
+    power s, on ``columns`` of the flattened grid, from one pass that holds
+    one row at a time.  The row is read into a buffer (a lazy stack's
+    read_into reads its file straight into it) and transformed once; each
+    power's inverse goes back into the row buffer, which keeps only those
+    columns; power 0 is the rows themselves.  The row, its spectrum and the
+    product with a symbol are buffers allocated once per pass."""
     xisq = grid.xi_squared()
     w = np.empty((T, len(columns)))
     stacks = [np.empty_like(w) if p else w for p in powers]
     applied = [(fractional_symbol(xisq, p), out) for p, out in zip(powers, stacks) if p]
-    size = min(T, max(1, _BLOCK_BYTES // (16 * xisq.size)))
-    rows = np.empty((size,) + grid.shape)
+    row = np.empty(grid.shape)
+    flat = row.reshape(-1)
+    read_into = getattr(stack, "read_into", None)
     if applied:
-        spectrum, product = (np.empty((size,) + xisq.shape, dtype=complex) for _ in range(2))
-    for lo in range(0, T, size):
-        m = min(size, T - lo)
-        for j in range(m):
-            rows[j] = stack[lo + j]
-        w[lo:lo + m] = rows[:m].reshape(m, -1)[:, columns]
+        spectrum, product = (np.empty(xisq.shape, dtype=complex) for _ in range(2))
+    for i in range(T):
+        if read_into is None:
+            row[...] = stack[i]
+        else:
+            read_into(i, row)
+        _take(columns, flat, w[i])
         if applied:
-            wh = grid.fft(rows[:m], out=spectrum[:m])
+            wh = grid.fft(row, out=spectrum)
             for sym, out in applied:
-                np.multiply(sym, wh, out=product[:m])
-                out[lo:lo + m] = grid.ifft(product[:m], out=rows[:m]).reshape(m, -1)[:, columns]
+                grid.ifft(np.multiply(sym, wh, out=product), out=row)
+                _take(columns, flat, out[i])
     return [w, *stacks]
+
+
+def _take(cols: np.ndarray, source: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The columns ``cols`` (last axis) of ``source``, written into ``out``.
+    They are valid indices, so mode "clip" changes nothing but that numpy
+    writes into ``out`` directly; its default "raise" buffers the output."""
+    return np.take(source, cols, axis=-1, out=out, mode="clip")
 
 
 def _integral(values: np.ndarray, dt: float, grid: GridSpec) -> float:

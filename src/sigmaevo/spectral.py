@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -554,12 +555,25 @@ def field_header(path) -> tuple:
         return _read_header(fh, path)[:2]
 
 
-def read_field(path):
-    """Inverse of :func:`write_field`: returns (array, grid, time).  A damaged
-    header or payload raises ParameterError naming the path."""
+def read_field(path, out: Optional[np.ndarray] = None):
+    """Inverse of :func:`write_field`: returns (array, grid, time).  With
+    ``out``, a C-contiguous float64 array of the header's grid shape, the
+    payload is read straight into it and ``out`` is the array returned.  A
+    damaged header or payload, or an ``out`` that does not fit, raises
+    ParameterError naming the path."""
     with open(path, "rb") as fh:
         grid, time, size = _read_header(fh, path)
-        field = np.empty(grid.shape, dtype="<f8")
+        if out is None:
+            field = np.empty(grid.shape, dtype="<f8")
+        elif (out.shape, out.dtype) == (grid.shape, np.float64) and out.flags.c_contiguous:
+            field = out
+        else:
+            raise ParameterError(f"{path}: its {grid.shape} float64 field does not fit "
+                                 f"an out of shape {out.shape} and dtype {out.dtype}")
         if fh.readinto(field) != size:
             raise ParameterError(f"{path}: payload ends before {size} bytes")
-    return field.astype(float, copy=False), grid, time
+    if out is None:
+        return field.astype(float, copy=False), grid, time
+    if sys.byteorder == "big":   # the payload is little-endian
+        out.byteswap(inplace=True)
+    return out, grid, time

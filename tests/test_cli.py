@@ -1563,3 +1563,76 @@ class TestOtherDimensions:
                       for R in spec.R_values])
         residual = np.abs(table[:, 2] - table[:, 1] - D) / np.abs(D)
         assert np.all(residual < 5e-3), residual
+
+
+class TestOutputIsAFile:
+    """An output directory that names an existing file, or lies under one,
+    exits 2 before any work with the option and the path in the message, and
+    leaves the file as it was."""
+
+    @pytest.fixture
+    def afile(self, tmp_path):
+        path = tmp_path / "afile"
+        path.write_text("kept")
+        return path
+
+    @staticmethod
+    def check(argv, afile, capsys, option="--out"):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {option} " in err and str(afile) in err and "Errno" not in err
+        assert afile.read_text() == "kept"
+
+    def test_semilinear(self, tmp_path, capsys, afile):
+        path, _ = write_config(tmp_path)
+        self.check(["semilinear", "--config", str(path), "--out", str(afile)], afile, capsys)
+
+    def test_semilinear_default_directory(self, tmp_path, capsys, afile, monkeypatch):
+        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(afile))
+        path, _ = write_config(tmp_path, output_dir=None)
+        self.check(["semilinear", "--config", str(path)], afile, capsys, "output directory")
+
+    def test_linear_decay(self, tmp_path, capsys, afile):
+        path, _ = write_config(tmp_path, output_dir=str(afile / "run"))
+        self.check(["linear-decay", "--config", str(path)], afile, capsys,
+                   "config key 'output_dir'")
+
+    def test_blowup_scan(self, tmp_path, capsys, afile):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        rundir = tmp_path / "run"
+        assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        capsys.readouterr()
+        self.check(["blowup-scan", str(rundir), "--out", str(afile)], afile, capsys)
+        assert not (rundir / "functional.csv").exists()
+
+    def test_sweep(self, tmp_path, capsys, afile):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": small_config_doc(tmp_path),
+                                   "sweep": {"params.p": [2.5, 3.0]}}))
+        self.check(["sweep", "--config", str(cfg), "--out", str(afile)], afile, capsys)
+
+    def test_check_inequalities(self, capsys, afile):
+        self.check(["check-inequalities", "--fields", "1", "--out", str(afile)], afile, capsys)
+
+    def test_dangling_link(self, tmp_path, capsys):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere")
+        assert main(["check-inequalities", "--fields", "1", "--out", str(link)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --out " in err and str(link) in err and "Errno" not in err
+        assert link.is_symlink() and not (tmp_path / "nowhere").exists()
+
+
+def test_loaded_stack_reads_rows_into_one_buffer(tmp_path):
+    solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+    path, _ = write_config(tmp_path, solver=solver)
+    assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "saved")]) == 0
+    _, loaded = load_run(tmp_path / "saved")
+    for name, stack in (("u", loaded.snapshots_u), ("ut", loaded.snapshots_ut)):
+        buffer = np.empty(loaded.grid.shape)
+        for i in range(len(stack)):
+            assert stack.read_into(i, buffer) is buffer
+            assert np.array_equal(buffer, stack[i])
+        with pytest.raises(ParameterError, match=f"/{name}_000000.bin"):
+            stack.read_into(0, np.empty(2 * loaded.grid.N))

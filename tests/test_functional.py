@@ -7,7 +7,7 @@ import pytest
 
 from sigmaevo.cli import load_run, main
 from sigmaevo.errors import CoverageError, ParameterError
-from sigmaevo.functional import (_BLOCK_BYTES, TestFunctionSpec, _read, compute_G,
+from sigmaevo.functional import (TestFunctionSpec, _read, compute_G,
                                  compute_I_R, compute_J_R, compute_g, fd_weights, phi_R,
                                  phi_star_R, psi, quintic_profile, scan, support_measure,
                                  time_derivative)
@@ -623,7 +623,7 @@ class TestScan:
         assert [row[5] for row in body] == verdicts
 
 
-# -- the whole-stack transform that the row blocks replaced, kept as their oracle --
+# -- the whole-stack transform, kept as the oracle of the pass's one-row reads --
 
 def pass_columns(traj, spec):
     """The grid points the pass keeps: |x|^sp + t_0 below the largest R."""
@@ -648,8 +648,8 @@ def whole_stack_read(stack, grid, columns, powers):
         restrict(grid.ifft(fractional_symbol(xisq, p) * wh) if p else stack) for p in powers]
 
 
-# (sigma, delta, target, n, N, L): 7 rows per block on the 1D N = 4096 and the
-# 2D N = 64 grids; delta = 0 on on_u makes the damping power the identity
+# (sigma, delta, target, n, N, L): the grids on which the pass once read 7
+# rows per block; delta = 0 on on_u makes the damping power the identity
 ADJOINT_GRIDS = [
     (1.5, 0.5, "on_u", 1, 4096, 64.0),
     (1.0, 0.0, "on_u", 2, 64, 6.0),
@@ -659,19 +659,17 @@ ADJOINT_GRIDS = [
 
 
 class TestBlockedAdjoint:
-    # T = 6 is below one block, 10 is no multiple of it, 24 spans four blocks
+    # T = 6, 10 and 24 rows: once below one block, no multiple of it, four blocks
     @pytest.mark.parametrize("T", [6, 10, 24])
     @pytest.mark.parametrize("sigma,delta,target,n,N,L", ADJOINT_GRIDS)
     def test_matches_whole_stack_bit_for_bit(self, sigma, delta, target, n, N, L, T):
         params = EquationParams(sigma=sigma, delta=delta, n=n, p=3, target=target)
         grid = GridSpec(n, N, L)
-        assert _BLOCK_BYTES // (16 * grid.xi_squared().size) == 7
         self._check(params, grid, T)
 
     def test_rows_larger_than_a_block_go_one_at_a_time(self):
         params = EquationParams(sigma=2.0, delta=1.0, n=2, p=3, target="on_ut")
         grid = GridSpec(2, 256, 40.0)
-        assert 16 * grid.xi_squared().size > _BLOCK_BYTES
         self._check(params, grid, 6)
 
     @staticmethod
@@ -718,3 +716,113 @@ class TestAdjointEigenfunctions:
             assert np.max(np.abs(got - k ** power * want)) < 1e-12
         if delta == 0.0:
             assert s_delta is w
+
+
+# -- each R's arrays made afresh, kept as the oracle of the pass's buffers ----
+
+def fresh_profile(r):
+    """The quintic profile by its allocating expression, plateaus by np.where."""
+    y = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
+    s = y ** 3 * (10.0 - 15.0 * y + 6.0 * y * y)
+    return np.where(r <= 0.5, 1.0, np.where(r >= 1.0, 0.0, s))
+
+
+def fresh_time_derivative(arr, dt, order):
+    """The 4th-order stencils, each row a sum() of fresh weighted rows."""
+    T = arr.shape[0]
+    out = np.empty_like(arr)
+    w_c = fd_weights(np.arange(5) * dt, 2 * dt, order)
+    out[2:T - 2] = sum(w_c[i] * arr[i:T - 4 + i] for i in range(5))
+    edge_nodes = np.arange(6) * dt
+    for row in (0, 1):
+        w = fd_weights(edge_nodes, row * dt, order)
+        out[row] = sum(w[i] * arr[i] for i in range(6))
+    for row in (T - 2, T - 1):
+        w = fd_weights(edge_nodes, (row - (T - 6)) * dt, order)
+        out[row] = sum(w[i] * arr[T - 6 + i] for i in range(6))
+    return out
+
+
+def fresh_rows(traj, mu, p0, spec):
+    """(R, I_R, J_R, g(R)) with every array of every R made afresh: the
+    argument and phi_R by fresh_profile, the stencils by
+    fresh_time_derivative, PhiR by flip-cumsum-flip and the stacks' columns
+    by np.take copies, combined in the order of the formulas."""
+    grid, params, times = traj.grid, traj.params, traj.times
+    T, dt = len(times), float(times[1] - times[0])
+    stack = traj.snapshots_u if spec.target == Target.ON_U else traj.snapshots_ut
+    radius = grid.radius().reshape(-1)
+    near = radius ** spec.scale_power + times[0]
+    columns = np.flatnonzero(near < spec.R_values[-1])
+    radius, near = radius[columns], near[columns]
+    w, s_sigma, s_delta = whole_stack_read(stack, grid, columns, operator_powers(params))
+    weight = psi(np.abs(w), p0, mu)
+
+    def integral(values):
+        return float(np.trapezoid(values.reshape(T, -1).sum(axis=1) * grid.cell_volume, dx=dt))
+
+    rows = []
+    for R in spec.R_values:
+        cols = np.flatnonzero(near < R)
+        arg = (radius[cols] ** spec.scale_power + times[:, None]) / R
+        phi = fresh_profile(arg) ** spec.power(grid.n)
+        weight_R, w_R, sigma_R, delta_R = (np.take(a, cols, axis=1)
+                                           for a in (weight, w, s_sigma, s_delta))
+        I = integral(weight_R * phi)
+        g = integral(np.where(arg < 0.5, weight_R * 0.0, weight_R * phi))
+        d1 = fresh_time_derivative(phi, dt, 1)
+        if spec.target == Target.ON_U:
+            J = integral(w_R * fresh_time_derivative(phi, dt, 2) + sigma_R * phi - delta_R * d1)
+        else:
+            tail = np.zeros_like(phi)
+            tail[:-1] = np.flip(np.cumsum(np.flip(
+                0.5 * dt * (phi[1:] + phi[:-1]), axis=0), axis=0), axis=0)
+            J = integral(sigma_R * tail + delta_R * phi - w_R * d1)
+        rows.append((R, I, J, g))
+    return rows
+
+
+# (sigma, delta, target, n, N, L): on_u and on_ut in 1D and 2D, and on_u in 1D
+# at sigma - delta = 1/2, where phi_R's outer power is 2.0
+FRESH_CASES = [
+    (1.5, 0.3, "on_u", 1, 256, 8.0),
+    (1.3, 0.2, "on_u", 2, 64, 6.0),
+    (1.5, 0.3, "on_ut", 1, 256, 8.0),
+    (2.0, 1.0, "on_ut", 2, 64, 6.0),
+    (1.0, 0.5, "on_u", 1, 256, 8.0),
+]
+
+
+class TestScanBuffers:
+    @pytest.mark.parametrize("sigma,delta,target,n,N,L", FRESH_CASES)
+    def test_rows_equal_fresh_arrays_bit_for_bit(self, sigma, delta, target, n, N, L):
+        params = EquationParams(sigma=sigma, delta=delta, n=n, p=3, target=target)
+        R_edge = (0.5 * L) ** TestFunctionSpec.for_params(params, [1.0]).scale_power * (1 - 1e-6)
+        spec = TestFunctionSpec.for_params(params, np.geomspace(0.05 * R_edge, R_edge, 6))
+        if (sigma, delta) == (1.0, 0.5):
+            assert spec.power(n) == 2.0
+        traj = moving_trajectory(GridSpec(n, N, L), params, math.ceil(R_edge / 0.1) * 0.1, 0.1,
+                                 seed=n)
+        mu = ModulusSpec.from_key("log-log-lip:2")
+        got = scan(traj, mu, 3.0, spec)
+        want = fresh_rows(traj, mu, 3.0, spec)
+        assert len(got) == len(want) == 6
+        for row, fresh in zip(got, want):
+            assert np.array_equal(row[:4], fresh) and np.isfinite(row).all()
+
+    def test_profile_into_buffers_equals_fresh(self):
+        r = np.concatenate([np.linspace(-1.0, 2.0, 3001), [0.5, 1.0, np.inf, -np.inf]])
+        out, work = np.empty_like(r), (np.empty_like(r), np.empty_like(r))
+        assert quintic_profile(r, out=out, work=work) is out
+        assert np.array_equal(out, fresh_profile(r))
+        assert np.array_equal(quintic_profile(r), fresh_profile(r))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_time_derivative_into_buffers_equals_fresh(self, order):
+        rng = np.random.default_rng(order)
+        arr = rng.standard_normal((9, 5))
+        out, work = np.empty_like(arr), np.empty_like(arr)
+        assert time_derivative(arr, 0.1, order, out=out, work=work) is out
+        assert np.array_equal(out, fresh_time_derivative(arr, 0.1, order))
+        with pytest.raises(CoverageError):
+            time_derivative(arr[:5], 0.1, order, out=out[:5], work=work[:5])

@@ -2,8 +2,10 @@
 
 A "stack" is one (rows, N) array of float64 snapshots.  In memory, simulate
 keeps two (u and u_t) and needs a small workspace beside them; the scan
-reads the monitored stack in row blocks and keeps only the columns its
+reads the monitored stack one row at a time and keeps only the columns its
 quadrature reads, so it adds less than one stack to the trajectory it reads.
+Its peak is counted in T x cols arrays (cols = the grid points that the
+largest R reaches) and fields: a fixed set of buffers, allocated once.
 The command line streams the rows through the run directory, so
 ``semilinear`` and ``blowup-scan`` each stay below one stack in all.
 
@@ -24,7 +26,7 @@ from sigmaevo.cli import main
 from sigmaevo.functional import TestFunctionSpec, scan
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.params import EquationParams
-from sigmaevo.solver import SolverConfig, _Stepper, simulate
+from sigmaevo.solver import SolverConfig, Trajectory, _Stepper, simulate
 from sigmaevo.spectral import GridSpec
 
 GRID = GridSpec(1, 4096, 200.0)
@@ -64,6 +66,51 @@ def test_scan_adds_less_than_one_stack(run):
     rows, peak = traced_peak(lambda: scan(traj, ModulusSpec.from_key("log-log-lip:2"), 3.0, spec))
     assert len(rows) == 10 and all(np.isfinite(row).all() for row in rows)
     assert peak < stack
+
+
+def scan_working_set(traj, spec):
+    """The bound on a scan's traced peak, in bytes: T x cols arrays of
+    float64 (cols = the grid points under the largest R) and fields.
+
+    The pass holds the monitored stack's columns, its two operator-applied
+    stacks, Psi's weight, four buffers for each R's argument, phi_R,
+    stencils, PhiR and integrands, and g's mask (8.125 T x cols).  While it
+    reads, it holds the three stacks, one row, its spectrum, the product
+    with a symbol and the two symbols (3 T x cols and 5 fields).  One field
+    more is slack for the arrays of T or cols entries."""
+    grid = traj.grid
+    near = grid.radius().reshape(-1) ** spec.scale_power + traj.times[0]
+    tk = 8 * len(traj.times) * np.count_nonzero(near < spec.R_values[-1])
+    field = 8 * grid.N ** grid.n
+    return max(8.5 * tk, 3 * tk + 5 * field) + field
+
+
+def test_scan_holds_a_counted_working_set(run):
+    # 284 KiB against a bound of 320 KiB; 7-row blocks and per-R arrays made 938
+    traj = run[0]
+    spec = TestFunctionSpec.for_params(PARAMS, np.geomspace(0.45, 4.5, 10))
+    rows, peak = traced_peak(lambda: scan(traj, ModulusSpec.from_key("log-log-lip:2"), 3.0, spec))
+    assert len(rows) == 10 and all(np.isfinite(row).all() for row in rows)
+    assert peak < scan_working_set(traj, spec)
+
+
+def test_2d_scan_holds_a_counted_working_set():
+    # a scan whose per-R arrays outweigh the row transform: 1,353 KiB (8.2
+    # T x cols) against a bound of 1,514; per-R arrays made 2,367
+    grid = GridSpec(2, 128, 10.0)
+    params = EquationParams(sigma=2.0, delta=1.0, n=2, p=3, target="on_ut", r=3.0)
+    times = 0.1 * np.arange(41)
+    x, y = np.meshgrid(grid.axis(), grid.axis(), indexing="ij")
+    bump = np.exp(-x * x - 0.5 * y * y)
+    traj = Trajectory(times=times, norms=np.zeros((len(times), 6)), grid=grid, params=params,
+                      snapshots_u=np.cos(times)[:, None, None] * bump,
+                      snapshots_ut=-np.sin(times)[:, None, None] * bump)
+    spec = TestFunctionSpec.for_params(params, np.geomspace(0.4, 4.0, 10))
+    mu = ModulusSpec.from_key("log-log-lip:2")
+    scan(traj, mu, 3.0, spec)   # the grid's cached |xi|^2 and transform scratch
+    rows, peak = traced_peak(lambda: scan(traj, mu, 3.0, spec))
+    assert len(rows) == 10 and all(np.isfinite(row).all() for row in rows)
+    assert peak < scan_working_set(traj, spec)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +155,17 @@ def test_blowup_scan_command_holds_no_stack(run, streamed):
     rundir, _ = streamed
     assert traced_command(["blowup-scan", str(rundir)]) < run[2]
     assert len((rundir / "functional.csv").read_text().splitlines()) == 11
+
+
+def test_blowup_scan_command_holds_the_scans_working_set(run, streamed):
+    # the scan at the command's default R values, whose snapshot files are
+    # read straight into the scan's row buffer, and 3 fields for the rest of
+    # the command (its parser, manifest and norms table take about 2): 349
+    # KiB against a bound of 416; 7-row blocks and per-R arrays made 1,002
+    rundir, _ = streamed
+    spec = TestFunctionSpec.for_params(PARAMS, np.geomspace(0.45, 4.5, 10))
+    bound = scan_working_set(run[0], spec) + 3 * 8 * GRID.N
+    assert traced_command(["blowup-scan", str(rundir)]) < bound
 
 
 def test_linear_decay_command_holds_few_fields(tmp_path):

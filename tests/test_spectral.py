@@ -734,6 +734,31 @@ class TestFieldIO:
         with pytest.raises(ParameterError, match=re.escape(str(path))):
             read_field(path)
 
+    def test_read_into_buffer(self, tmp_path):
+        g = GridSpec(2, 16, 3.0)
+        u = np.exp(-g.radius() ** 2)
+        path = tmp_path / "field.bin"
+        write_field(path, u, g, time=2.5)
+        out = np.full(g.shape, np.nan)
+        v, g2, t = read_field(path, out=out)
+        assert v is out and np.array_equal(out, u) and g2 == g and t == 2.5
+
+    @pytest.mark.parametrize("damage", ["foreign-header", "short-payload", "out-shape",
+                                        "out-dtype", "out-strided"])
+    def test_damaged_file_named_on_the_buffered_path(self, tmp_path, damage):
+        g = GridSpec(1, 64, 3.0)
+        path = tmp_path / "field.bin"
+        write_field(path, np.exp(-g.axis() ** 2), g, time=2.5)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        if damage == "foreign-header":
+            path.write_bytes(b"not-a-field n=1 N=64 L=3.0 time=2.5\n" + payload)
+        elif damage == "short-payload":
+            path.write_bytes(header + b"\n" + payload[:-8])
+        out = {"out-shape": np.empty(32), "out-dtype": np.empty(64, dtype=np.float32),
+               "out-strided": np.empty(128)[::2]}.get(damage, np.empty(64))
+        with pytest.raises(ParameterError, match=re.escape(str(path))):
+            read_field(path, out=out)
+
 
 class TestWrapTime:
     def test_far_boundary_is_safe(self):
