@@ -247,50 +247,6 @@ class ModulusSpec:
             return float(out)
         return out
 
-    def derivative(self, s):
-        """mu'(s) for scalar or array s >= 0.
-
-        An unbounded slope at s = 0 comes back as the float('inf') sentinel
-        (every family but lipschitz, whose slope is 1, and tabulated, which
-        reports its one-sided difference quotient).  Beyond the closed
-        form's range, where evaluation is constant, the slope is 0.
-        """
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0.0):
-            raise DomainError("modulus argument must be nonnegative")
-        limit = self._formula_limit
-        x = np.minimum(arr, limit)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.family == "lipschitz":
-                d = np.ones_like(x)
-            elif self.family == "hoelder":
-                d = self.alpha * x ** (self.alpha - 1.0)
-            elif self.family == "tabulated":  # central difference of the interpolant
-                h = 1e-6 * limit
-                lo = np.maximum(x - h, 0.0)
-                hi = np.minimum(x + h, limit)
-                d = ((self._core(hi, np.empty_like(hi)) - self._core(lo, np.empty_like(lo)))
-                     / np.maximum(hi - lo, 1e-300))
-            else:
-                lg = -np.log(x)
-                ell = lg + 1.0
-                if self.family == "log-lip":
-                    d = lg
-                elif self.family == "log-log-lip":
-                    # d/ds [s ell L_m] = L_m lg - ell / (L_1 ... L_{m-1}), L_1 = ell
-                    level, prefix = ell, 1.0
-                    for _ in range(self.order - 1):
-                        prefix = prefix * level
-                        level = np.log(level) + 1.0
-                    d = level * lg - ell / prefix
-                else:  # log-power
-                    d = self.alpha * ell ** (-self.alpha - 1.0) / x
-                d = np.where(x > 0.0, d, _INF)
-        out = np.where(arr > limit, 0.0, d)
-        if np.isscalar(s) or arr.ndim == 0:
-            return float(out)
-        return out
-
     def evaluate_neglog(self, t):
         """mu(exp(-t)) for t >= 0, evaluated without underflow in s.
 
@@ -333,6 +289,7 @@ def psi(s, p: float, mu: ModulusSpec, out: Optional[np.ndarray] = None,
 
 # log-spaced sample points of (0, domain_cap] that the axiom and slope checks read
 SAMPLE_COUNT = 200
+_LOG_STEP = 1e-5   # the step in log(s) of the slope bound's difference
 
 
 @dataclass(frozen=True)
@@ -385,15 +342,16 @@ def check_modulus_axioms(mu: ModulusSpec) -> AxiomReport:
 def check_derivative_bound(mu: ModulusSpec) -> float:
     """Supremum of s*mu'(s)/mu(s) over a log-spaced sample of (0, domain_cap].
 
-    The slope condition asks for this ratio to stay bounded; no universal
-    threshold exists, so the supremum is returned for the caller to judge.
-    Sample points where mu(s) = 0 with s > 0 are excluded (with a warning);
-    if every one is, ParameterError.
+    s*mu'(s) = dmu/dlog(s) is the backward difference (3 mu(s) - 4 mu(s e^-h)
+    + mu(s e^-2h)) / (2h), h = _LOG_STEP, of ``evaluate``.  It reads no point
+    above s, so the top sample of a log family, and a sample at a table's
+    knot, take the slope on their left.  No universal threshold exists, so
+    the supremum is returned for the caller to judge.  Sample points where
+    mu(s) = 0 are excluded (with a warning); if every one is, ParameterError.
     """
     cap = mu.domain_cap
     grid = np.logspace(np.log10(cap) - 8, np.log10(cap), SAMPLE_COUNT)
-    vals = np.asarray(mu.evaluate(grid))
-    dvals = np.asarray(mu.derivative(grid))
+    vals, back, back2 = mu.evaluate(grid * np.exp(-_LOG_STEP * np.arange(3.0))[:, None])
     ok = vals > 0.0
     if not np.any(ok):
         raise ParameterError(f"modulus {mu.key()} is 0 at every sample point of "
@@ -401,8 +359,8 @@ def check_derivative_bound(mu: ModulusSpec) -> float:
     if not np.all(ok):
         warnings.warn(f"{int(np.sum(~ok))} sample points with mu(s)=0 excluded "
                       "from the derivative-bound supremum")
-    ratio = grid[ok] * dvals[ok] / vals[ok]
-    return float(np.max(ratio))
+    slope = (3.0 * vals[ok] - 4.0 * back[ok] + back2[ok]) / (2.0 * _LOG_STEP)
+    return float(np.max(slope / vals[ok]))
 
 
 # -- integral criterion ----------------------------------------------------
@@ -410,7 +368,6 @@ def check_derivative_bound(mu: ModulusSpec) -> float:
 @dataclass(frozen=True)
 class CriterionVerdict:
     verdict: str                      # "convergent" | "divergent" | "inconclusive"
-    method: str                       # "analytic" | "numeric"
     evidence: dict = field(default_factory=dict)
 
 
@@ -482,12 +439,12 @@ def _classify_numeric(mu: ModulusSpec, c0: float) -> CriterionVerdict:
     if not np.any(live[-3:]):
         # tail increments have vanished: the integral is exhausted
         evidence["fitted_rho"] = 0.0
-        return CriterionVerdict(_CONVERGENT, "numeric", evidence)
+        return CriterionVerdict(_CONVERGENT, evidence)
 
     tail = inc[-5:]
     if np.all(np.diff(tail) >= -1e-9 * tail[:-1]) and tail[-1] > floor:
         evidence["tail"] = tail.tolist()
-        return CriterionVerdict(_DIVERGENT, "numeric", evidence)
+        return CriterionVerdict(_DIVERGENT, evidence)
 
     # geometric fit d_k ~ rho**k over the live tail
     ks = np.nonzero(live)[0]
@@ -498,8 +455,8 @@ def _classify_numeric(mu: ModulusSpec, c0: float) -> CriterionVerdict:
         rho = float(np.exp(slope))
         evidence["fitted_rho"] = rho
         if rho < 0.95:
-            return CriterionVerdict(_CONVERGENT, "numeric", evidence)
-    return CriterionVerdict(_INCONCLUSIVE, "numeric", evidence)
+            return CriterionVerdict(_CONVERGENT, evidence)
+    return CriterionVerdict(_INCONCLUSIVE, evidence)
 
 
 def classify_integral_criterion(mu: ModulusSpec, c0: float = math.e,
@@ -517,7 +474,7 @@ def classify_integral_criterion(mu: ModulusSpec, c0: float = math.e,
         raise ParameterError("mode must be 'analytic', 'numeric' or 'both'")
 
     if mode == "analytic":
-        return CriterionVerdict(_classify_analytic(mu), "analytic", {"c0": c0})
+        return CriterionVerdict(_classify_analytic(mu), {"c0": c0})
     if mode == "numeric":
         return _classify_numeric(mu, c0)
 
@@ -526,8 +483,8 @@ def classify_integral_criterion(mu: ModulusSpec, c0: float = math.e,
     evidence = dict(numeric.evidence)
     evidence["analytic"] = analytic
     if analytic == _INCONCLUSIVE:
-        return CriterionVerdict(numeric.verdict, "numeric", evidence)
+        return CriterionVerdict(numeric.verdict, evidence)
     if numeric.verdict == _INCONCLUSIVE or numeric.verdict == analytic:
-        return CriterionVerdict(analytic, "analytic", evidence)
+        return CriterionVerdict(analytic, evidence)
     evidence["conflict"] = (analytic, numeric.verdict)
-    return CriterionVerdict(_INCONCLUSIVE, "numeric", evidence)
+    return CriterionVerdict(_INCONCLUSIVE, evidence)

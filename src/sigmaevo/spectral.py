@@ -67,13 +67,21 @@ class GridSpec:
             raise ParameterError("grid dimension must be 1, 2 or 3")
         if not isinstance(self.N, (int, np.integer)) or self.N < 4 or self.N & (self.N - 1):
             raise ParameterError("N must be a power of two, at least 4")
-        if not 0 < self.L < np.inf:   # written so that NaN fails it
+        # written so that NaN, and an int beyond every float, fail it
+        if not 0 < self.L <= sys.float_info.max:
             raise ParameterError("L must be positive and finite")
         cells = int(self.N) ** int(self.n)
         if cells > MAX_CELLS:
             raise ParameterError(f"grid.N = {self.N} in {self.n}D gives {cells} cells, "
                                  f"{8 * cells} bytes per field; a field may have at most "
                                  f"{MAX_CELLS} cells ({8 * MAX_CELLS} bytes)")
+        # products, not **: a float power raises on overflow
+        dx, w = 2.0 * self.L / self.N, math.pi / self.L
+        volume, top = math.prod([dx] * self.n), w * w * (self.n * (self.N // 2) ** 2)
+        if not (0.0 < volume < math.inf and 0.0 < top < math.inf):
+            raise ParameterError(f"L = {self.L!r} is out of range for N = {self.N} in {self.n}D: "
+                                 f"the cell volume (2L/N)^n = {volume!r} and the largest "
+                                 f"|xi|^2 = {top!r} must be positive and finite")
 
     @property
     def shape(self) -> tuple:

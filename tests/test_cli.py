@@ -685,6 +685,25 @@ class TestCommands:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("n,N,L", [(1, 64, 1e-300), (2, 16, 1e300), (3, 8, 1e200),
+                                       (3, 8, 1e-200)])
+    @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
+    def test_length_whose_grid_overflows_exits_2(self, tmp_path, capsys, command, n, N, L):
+        # |xi|^2 or the cell volume once overflowed in a traceback, or the
+        # cell volume of a tiny 3D torus read 0.0
+        params = dict(small_config_doc(tmp_path)["params"], n=n)
+        path, _ = write_config(tmp_path, params=params, grid={"n": n, "N": N, "L": L})
+        assert main([command, "--config", str(path)]) == 2
+        assert (f"config section 'grid': L = {L!r} is out of range for N = {N} in {n}D"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_length_whose_grid_overflows_exits_2_from_the_flag(self, tmp_path, capsys):
+        argv = ["check-inequalities", "--fields", "1", "--N", "8", "--kmax", "1",
+                "--L", "1e-300", "--out", str(tmp_path / "ci")]
+        assert main(argv) == 2
+        assert "L = 1e-300 is out of range for N = 8 in 1D" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
     def test_step_count_beyond_the_maximum_exits_2(self, tmp_path, capsys, command):
         # it once ended in "ValueError: Maximum allowed size exceeded"

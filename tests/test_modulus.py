@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from sigmaevo import analysis
 from sigmaevo.errors import DomainError, ParameterError
-from sigmaevo.modulus import (AxiomReport, ModulusSpec, check_derivative_bound,
+from sigmaevo.cli import main
+from sigmaevo.modulus import (SAMPLE_COUNT, AxiomReport, ModulusSpec, check_derivative_bound,
                               check_modulus_axioms, classify_integral_criterion,
                               gauss_legendre, psi)
 
@@ -59,19 +60,6 @@ def _replaced_relog(v, order):
     return v
 
 
-def _replaced_logm(x, order):
-    return _replaced_relog(np.log(x) + 1.0, order)
-
-
-def _replaced_logm_prefix_product(x, order):
-    prod = np.ones_like(np.asarray(x, dtype=float))
-    v = None
-    for j in range(1, order):
-        v = np.log(x) + 1.0 if v is None else np.log(v) + 1.0
-        prod = prod * v
-    return prod
-
-
 def _replaced_limit(mu):
     if mu.family in ("log-lip", "log-log-lip", "log-power"):
         return 1.0
@@ -118,52 +106,13 @@ def replaced_evaluate_neglog(mu, tt):
         return _replaced_core(mu, np.exp(-tt))
 
 
-def replaced_derivative(mu, arr):
-    """The old derivative, with its 1e-300 clamp (so exact only from 1e-300 up)."""
-    cap = _replaced_limit(mu)
-    out = np.empty_like(arr)
-    beyond = arr > cap
-    inner = ~beyond
-    x = np.where(inner, np.maximum(arr, 1e-300), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if mu.family == "lipschitz":
-            d = np.ones_like(x)
-        elif mu.family == "hoelder":
-            d = mu.alpha * x ** (mu.alpha - 1.0)
-        elif mu.family == "log-lip":
-            d = np.log(1.0 / x)
-        elif mu.family == "log-log-lip":
-            inv = 1.0 / x
-            a = np.log(inv) + 1.0
-            b = _replaced_logm(inv, mu.order)
-            prod = _replaced_logm_prefix_product(inv, mu.order)
-            d = b * (a - 1.0) - a / prod
-        elif mu.family == "log-power":
-            ell = np.log(1.0 / x) + 1.0
-            d = mu.alpha * ell ** (-mu.alpha - 1.0) / x
-        else:
-            span = mu.table[-1][0]
-            h = 1e-6 * span
-            lo = np.maximum(x - h, 0.0)
-            hi = np.minimum(x + h, span)
-            d = (_replaced_core(mu, hi) - _replaced_core(mu, lo)) / np.maximum(hi - lo, 1e-300)
-    zero = inner & (arr == 0.0)
-    if mu.family == "lipschitz":
-        d = np.where(zero, 1.0, d)
-    elif mu.family != "tabulated":
-        d = np.where(zero, math.inf, d)
-    out[inner] = d[inner]
-    out[beyond] = 0.0
-    return out
-
-
 ORACLE_CASES = ALL_NAMED + [ModulusSpec.log_log_lip(3),
                             ModulusSpec.tabulated([(0.0, 0.0), (0.25, 0.4), (0.5, 0.6),
                                                    (0.75, 0.7)])]
 
 
 class TestOneClosedForm:
-    """evaluate, evaluate_neglog and derivative against the paths they replaced."""
+    """evaluate and evaluate_neglog against the paths they replaced."""
 
     @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
     def test_evaluate_bit_identical(self, mu):
@@ -177,18 +126,6 @@ class TestOneClosedForm:
         assert np.array_equal(mu.evaluate_neglog(t), replaced_evaluate_neglog(mu, t))
         assert all(mu.evaluate_neglog(float(x)) == replaced_evaluate_neglog(mu, x)
                    for x in t[::50])
-
-    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
-    def test_derivative_matches(self, mu):
-        s = np.geomspace(1e-300, min(_replaced_limit(mu), 10.0), 3011)[:-1]
-        np.testing.assert_allclose(mu.derivative(s), replaced_derivative(mu, s),
-                                   rtol=1e-13, atol=0.0)
-
-    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
-    def test_derivative_sentinels(self, mu):
-        # s = 0 and s beyond the closed form's range
-        s = np.array([0.0, 1.0, 2.0, 10.0])
-        assert np.array_equal(mu.derivative(s), replaced_derivative(mu, s))
 
 
 # zeros of both signs, subnormals, 1e-300 up to each closed form's range,
@@ -306,48 +243,6 @@ class TestEvaluate:
         assert vec == pytest.approx([mu.evaluate(float(x)) for x in s], rel=1e-14)
 
 
-class TestDerivative:
-    def test_lipschitz(self):
-        assert ModulusSpec.lipschitz().derivative(0.5) == 1.0
-
-    def test_hoelder(self):
-        assert ModulusSpec.hoelder(0.5).derivative(0.25) == pytest.approx(1.0, rel=1e-14)
-
-    def test_log_lip_at_inv_e(self):
-        assert ModulusSpec.log_lip().derivative(math.exp(-1)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_unbounded_slope_sentinel(self):
-        assert math.isinf(ModulusSpec.hoelder(0.5).derivative(0.0))
-        assert math.isinf(ModulusSpec.log_power(1.0).derivative(0.0))
-
-    @pytest.mark.parametrize("s", [1e-310, 5e-320])
-    def test_subnormal_arguments(self, s):
-        # the closed forms written with math.log, which is exact in range
-        # at subnormal s where 1/s overflows
-        lg = -math.log(s)
-        ell = lg + 1.0
-        cases = [
-            (ModulusSpec.hoelder(0.5), 0.5 * s ** -0.5),
-            (ModulusSpec.log_lip(), lg),
-            (ModulusSpec.log_log_lip(1), ell * lg - ell),
-            (ModulusSpec.log_log_lip(2), (math.log(ell) + 1.0) * lg - 1.0),
-            (ModulusSpec.log_power(2.0), 2.0 * ell ** -3.0 / s),
-        ]
-        for mu, want in cases:
-            assert mu.derivative(s) == pytest.approx(want, rel=1e-13), mu.key()
-            assert mu.derivative(np.array([s]))[0] == pytest.approx(want, rel=1e-13)
-
-    @pytest.mark.parametrize("mu", ALL_NAMED, ids=lambda m: m.key())
-    def test_matches_central_difference(self, mu):
-        # relative agreement with a finite difference of evaluate at 100
-        # log-spaced interior points
-        s = np.logspace(-6, np.log10(0.8 * mu.domain_cap), 100)
-        h = 1e-7 * s
-        fd = (mu.evaluate(s + h) - mu.evaluate(s - h)) / (2 * h)
-        an = mu.derivative(s)
-        assert np.max(np.abs(an - fd) / np.maximum(np.abs(fd), 1e-12)) < 1e-6
-
-
 def assert_axioms_hold(report):
     assert (report.zero_at_zero, report.nondecreasing, report.midpoint_concave,
             report.finite_nonnegative) == (True, True, True, True)
@@ -377,6 +272,138 @@ class TestAxioms:
     def test_report_always_produced(self):
         report = check_modulus_axioms(ModulusSpec.log_power(1.0))
         assert isinstance(report, AxiomReport)
+
+
+def sample_points(mu: ModulusSpec) -> np.ndarray:
+    """The log-spaced sample of (0, domain_cap] that the slope bound reads."""
+    cap = mu.domain_cap
+    return np.logspace(np.log10(cap) - 8, np.log10(cap), SAMPLE_COUNT)
+
+
+def closed_form_derivative(mu: ModulusSpec, s: np.ndarray) -> np.ndarray:
+    """mu'(s) for 0 < s <= 1 by each named family's own formula: the
+    per-family path that the slope bound's difference of evaluate replaced."""
+    if mu.family == "lipschitz":
+        return np.ones_like(s)
+    if mu.family == "hoelder":
+        return mu.alpha * s ** (mu.alpha - 1.0)
+    lg = -np.log(s)
+    ell = lg + 1.0
+    if mu.family == "log-lip":
+        return lg
+    if mu.family == "log-log-lip":
+        # d/ds [s ell L_m] = L_m lg - ell / (L_1 ... L_{m-1}), L_1 = ell
+        level, prefix = ell, 1.0
+        for _ in range(mu.order - 1):
+            prefix = prefix * level
+            level = np.log(level) + 1.0
+        return level * lg - ell / prefix
+    return mu.alpha * ell ** (-mu.alpha - 1.0) / s   # log-power
+
+
+def segment_slope_bound(mu: ModulusSpec) -> float:
+    """The slope bound of a table, exactly: at each sample s, mu' is the slope
+    of the segment that ends at or above s (0 past the last knot)."""
+    xs, ys = np.array(mu.table).T
+    s = sample_points(mu)
+    right = np.searchsorted(xs, s)   # xs[right - 1] < s <= xs[right]
+    slopes = np.append(np.diff(ys) / np.diff(xs), 0.0)
+    vals = np.interp(s, xs, ys)
+    ok = vals > 0.0
+    return float(np.max(s[ok] * slopes[right - 1][ok] / vals[ok]))
+
+
+# mu-classify's stdout for each named key, as the per-family derivative gave it
+MU_CLASSIFY_STDOUT = {
+    "lipschitz": (
+        "modulus lipschitz\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 1\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "log-lip": (
+        "modulus log-lip\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.948508\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "log-log-lip:1": (
+        "modulus log-log-lip:1\n"
+        "  axioms: zero_at_zero=True nondecreasing=False midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.897017\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "log-log-lip:2": (
+        "modulus log-log-lip:2\n"
+        "  axioms: zero_at_zero=True nondecreasing=False midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.935526\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "log-log-lip:3": (
+        "modulus log-log-lip:3\n"
+        "  axioms: zero_at_zero=True nondecreasing=False midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.943049\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "hoelder:0.25": (
+        "modulus hoelder:0.25\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.25\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "hoelder:0.5": (
+        "modulus hoelder:0.5\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.5\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "hoelder:0.9": (
+        "modulus hoelder:0.9\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=True finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.9\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+    "log-power:0.5": (
+        "modulus log-power:0.5\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=False finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 0.5\n"
+        "  criterion (c0=2.71828, mode=both): divergent\n"
+        "  criterion (c0=10, mode=both): divergent\n"
+        "  criterion (c0=100, mode=both): divergent\n"
+        "verdict: divergent\n"),
+    "log-power:1": (
+        "modulus log-power:1\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=False finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 1\n"
+        "  criterion (c0=2.71828, mode=both): divergent\n"
+        "  criterion (c0=10, mode=both): divergent\n"
+        "  criterion (c0=100, mode=both): divergent\n"
+        "verdict: divergent\n"),
+    "log-power:2": (
+        "modulus log-power:2\n"
+        "  axioms: zero_at_zero=True nondecreasing=True midpoint_concave=False finite=True\n"
+        "  slope-bound supremum s*mu'/mu: 2\n"
+        "  criterion (c0=2.71828, mode=both): convergent\n"
+        "  criterion (c0=10, mode=both): convergent\n"
+        "  criterion (c0=100, mode=both): convergent\n"
+        "verdict: convergent\n"),
+}
 
 
 class TestDerivativeBound:
@@ -410,6 +437,34 @@ class TestDerivativeBound:
         mu = ModulusSpec.tabulated([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
         with pytest.raises(ParameterError, match="0 at every sample point"):
             check_derivative_bound(mu)
+
+    @pytest.mark.parametrize("mu", [mu for mu in ORACLE_CASES if mu.family != "tabulated"],
+                             ids=lambda m: m.key())
+    def test_matches_closed_form_derivative(self, mu):
+        s = sample_points(mu)
+        want = np.max(s * closed_form_derivative(mu, s) / mu.evaluate(s))
+        assert check_derivative_bound(mu) == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    def test_table_with_close_knots_is_exact(self):
+        # a central difference 1e-6 wide once read 0.96563 here: its steps
+        # reached across the knots at 1e-7 and 1e-3
+        mu = ModulusSpec.tabulated([(0.0, 0.0), (1e-7, 0.01), (1e-3, 0.3), (1.0, 1.0)])
+        assert segment_slope_bound(mu) == 1.0
+        assert check_derivative_bound(mu) == pytest.approx(1.0, rel=1e-8, abs=0.0)
+
+    def test_random_tables_are_exact(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            knots = np.sort(10.0 ** rng.uniform(-8.0, math.log10(2.0), rng.integers(1, 7)))
+            values = np.cumsum(rng.uniform(0.01, 1.0, knots.size))
+            mu = ModulusSpec.tabulated([(0.0, 0.0), *zip(knots, values)])
+            assert check_derivative_bound(mu) == pytest.approx(segment_slope_bound(mu),
+                                                               rel=1e-8, abs=0.0), mu.table
+
+    @pytest.mark.parametrize("key", list(MU_CLASSIFY_STDOUT))
+    def test_mu_classify_stdout_unchanged(self, key, capsys):
+        assert main(["mu-classify", key]) == 0
+        assert capsys.readouterr().out == MU_CLASSIFY_STDOUT[key]
 
 
 def quad_increments(mu: ModulusSpec, c0: float) -> np.ndarray:

@@ -1100,3 +1100,42 @@ class TestLiftedOneDimensionalOracle:
                        for g, p, lift in (self.lift(1, 0, Target.ON_U),
                                           self.lift(n, axis, Target.ON_U)))
         self.assert_lifted_rows(traj, one_d, n)
+
+
+class TestLifespanScaling:
+    """The escape time against a result this code did not produce: for
+    u_tt - u_xx + u_t = |u|^q with 1 < q < 3 and data (0, eps u1), u1 of
+    positive integral, the lifespan scales as T_eps ~ eps^(-(q-1)/(1-(q-1)/2))
+    (Li & Zhou, Discrete Contin. Dyn. Syst. 1 (1995); Lee & Ni, Trans. AMS
+    333 (1992), for the heat equation the damped wave shares it with).  With
+    mu = hoelder:alpha the forcing is |u|^(p+alpha), so q = p + alpha.  The
+    crossing time of sup |u| = 1e4 stands in for T_eps; its error is at most
+    dt, under 0.4% of every T_eps here."""
+
+    GRID = GridSpec(1, 2048, 400.0)
+
+    def local_slopes(self, p, alpha, amplitudes):
+        params = EquationParams(sigma=1, delta=0, n=1, p=p)
+        mu = ModulusSpec.hoelder(alpha)
+        cfg = SolverConfig(dt=0.2, t_end=1e4, blowup_threshold=1e4, snapshot_stride=10 ** 4)
+        bump = np.exp(-self.GRID.axis() ** 2)
+        times = []
+        for eps in amplitudes:
+            traj = simulate(np.zeros_like(bump), eps * bump, params, mu, cfg, self.GRID)
+            assert traj.blowup is not None and traj.blowup.reason == "escape"
+            times.append(traj.blowup.time)
+        return np.diff(np.log(times)) / np.diff(np.log(amplitudes))
+
+    def test_forcing_power_2_approaches_slope_minus_2(self):
+        # measured: -1.683, -1.863, -1.946 (T = 55.0, 176.6, 642.6, 2475.8)
+        slopes = self.local_slopes(1.5, 0.5, [0.2, 0.1, 0.05, 0.025])
+        assert np.all(np.diff(slopes) < 0.0)
+        s0, s1, s2 = slopes
+        aitken = s2 - (s2 - s1) ** 2 / ((s2 - s1) - (s1 - s0))   # measured -2.015
+        assert aitken == pytest.approx(-2.0, rel=0.03)
+
+    def test_forcing_power_1_5_approaches_slope_minus_2_3(self):
+        # measured: -0.521, -0.608
+        slopes = self.local_slopes(1.25, 0.25, [1e-1, 1e-2, 1e-3])
+        assert np.all(np.diff(slopes) < 0.0)
+        assert slopes[-1] == pytest.approx(-2.0 / 3.0, rel=0.10)
