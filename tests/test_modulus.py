@@ -445,6 +445,19 @@ class TestDerivativeBound:
         want = np.max(s * closed_form_derivative(mu, s) / mu.evaluate(s))
         assert check_derivative_bound(mu) == pytest.approx(want, rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_reads_no_point_above_the_cap(self, mu, monkeypatch):
+        # the backward stencil stays in (0, domain_cap], where every closed
+        # form and every table is defined, and below each of its samples
+        seen = []
+        evaluate = ModulusSpec.evaluate
+        monkeypatch.setattr(ModulusSpec, "evaluate",
+                            lambda self, s: seen.append(np.array(s)) or evaluate(self, s))
+        check_derivative_bound(mu)
+        (args,) = seen
+        assert np.all(args > 0.0) and np.all(args <= mu.domain_cap)
+        assert np.all(args[1:] < args[:-1])
+
     def test_table_with_close_knots_is_exact(self):
         # a central difference 1e-6 wide once read 0.96563 here: its steps
         # reached across the knots at 1e-7 and 1e-3

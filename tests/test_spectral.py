@@ -159,6 +159,21 @@ class TestGrid:
                 f"grid.N = {2 ** 40} in 1D gives {2 ** 40} cells, {8 * 2 ** 40} bytes")):
             GridSpec(1, np.int64(2 ** 40), 1.0)
 
+    @pytest.mark.parametrize("n,N,L", [(1, 64, 1e-300), (2, 16, 1e300), (3, 8, 1e200),
+                                       (3, 8, 1e-200)])
+    def test_length_whose_grid_overflows_rejected(self, n, N, L):
+        # |xi|^2 or the cell volume overflowed, or the 3D cell volume was 0.0
+        with pytest.raises(ParameterError, match=re.escape(
+                f"L = {L!r} is out of range for N = {N} in {n}D")):
+            GridSpec(n, N, L)
+
+    @pytest.mark.parametrize("n,N,L", [(1, 64, 1e-150), (2, 16, 1e150), (3, 8, 1e100),
+                                       (3, 8, 1e-100)])
+    def test_length_near_the_range_edge_accepted(self, n, N, L):
+        g = GridSpec(n, N, L)
+        assert 0.0 < g.cell_volume < math.inf
+        assert 0.0 < np.max(g.xi_squared()) < math.inf
+
     def test_cell_volume(self):
         g = GridSpec(2, 8, 2.0)
         assert g.cell_volume == pytest.approx((4.0 / 8) ** 2)
