@@ -46,7 +46,7 @@ transform.  Each R's arrays are formed in place in buffers allocated once
 per pass, in the order of operations of the formulas, so a pass holds a
 fixed set of arrays: three T x cols stacks and Psi's weight, four T x cols
 buffers and g's mask (cols = the columns under the largest R), and while
-it reads, one row, its spectrum, a product and the symbols.
+it reads, one row, its spectrum and a product (the symbols are the grid's).
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ import numpy as np
 from .errors import CoverageError, ParameterError
 from .modulus import ModulusSpec, psi
 from .params import EquationParams, Target
-from .spectral import GridSpec, fractional_symbol
+from .spectral import GridSpec
 from .solver import Trajectory
 
 
@@ -123,47 +123,35 @@ class TestFunctionSpec:
 
 def phi_R(t, radius, R: float, spec: TestFunctionSpec, n: int = 1):
     """The cutoff phi_R at time(s) t and |x| = radius; exact 0/1 plateaus."""
-    return _cutoff(t, radius, R, spec, n)[1]
+    return quintic_profile(_scaled(t, radius, R, spec)) ** spec.power(n)
 
 
 def phi_star_R(t, radius, R: float, spec: TestFunctionSpec, n: int = 1):
     """The band cutoff phi*_R: equal to phi_R on arg >= 1/2, zero below."""
-    arg, phi = _cutoff(t, radius, R, spec, n)
-    return np.where(arg >= 0.5, phi, 0.0)
+    arg = _scaled(t, radius, R, spec)
+    return np.where(arg >= 0.5, quintic_profile(arg) ** spec.power(n), 0.0)
 
 
-def _cutoff(t, radius, R: float, spec: TestFunctionSpec, n: int):
-    """The scaled argument (|x|^sp + t) / R and phi_R there."""
+def _scaled(t, radius, R: float, spec: TestFunctionSpec):
+    """The scaled argument (|x|^sp + t) / R, R positive and finite."""
     (R,) = _increasing([R], "R")
-    arg = (np.asarray(radius, dtype=float) ** spec.scale_power + np.asarray(t, dtype=float)) / R
-    return arg, quintic_profile(arg) ** spec.power(n)
+    return (np.asarray(radius, dtype=float) ** spec.scale_power + np.asarray(t, dtype=float)) / R
 
 
-# -- finite differences in time (Fornberg weights) ---------------------------
+# -- finite differences in time ---------------------------------------------
 
-def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Weights of the m-th derivative at x0 from nodes x (Fornberg 1988)."""
-    x = np.asarray(x, dtype=float)
-    nnodes = len(x)
-    c = np.zeros((nnodes, m + 1))
-    c[0, 0] = 1.0
-    c1, c4 = 1.0, x[0] - x0
-    for i in range(1, nnodes):
-        mn = min(i, m)
-        c2, c5 = 1.0, c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
+# 4th-order weights at unit spacing, as exact fractions (Fornberg, Math.
+# Comp. 51, 1988): per derivative order, the central 5-point row, then the
+# one-sided 6-node closures of rows 0 and 1.  Rows T-2 and T-1 are the
+# closures of rows 1 and 0 reversed, times (-1)^order.
+_TIME_STENCILS = {
+    1: ((1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
+        (-137 / 60, 5.0, -5.0, 10 / 3, -5 / 4, 1 / 5),
+        (-1 / 5, -13 / 12, 2.0, -1.0, 1 / 3, -1 / 20)),
+    2: ((-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12),
+        (15 / 4, -77 / 6, 107 / 6, -13.0, 61 / 12, -5 / 6),
+        (5 / 6, -5 / 4, -1 / 3, 7 / 6, -1 / 2, 1 / 12)),
+}
 
 
 def time_derivative(arr: np.ndarray, dt: float, order: int, out: Optional[np.ndarray] = None,
@@ -171,9 +159,10 @@ def time_derivative(arr: np.ndarray, dt: float, order: int, out: Optional[np.nda
     """4th-order d^order/dt^order along axis 0 of a uniform snapshot stack.
 
     Central 5-point stencils in the interior; one-sided 6-node closures on
-    the two rows at each end (still 4th order for order <= 2).  Each row is
-    a sum of weighted rows, added in node order starting from 0; with
-    ``out`` and ``work`` (arrays of arr's shape) nothing is allocated.
+    the two rows at each end (still 4th order for order <= 2), each weight
+    the table's divided by dt^order.  Each row is a sum of weighted rows,
+    added in node order starting from 0; with ``out`` and ``work`` (arrays
+    of arr's shape) nothing is allocated.
     """
     if order not in (1, 2):
         raise ParameterError("only first and second time derivatives are used")
@@ -188,16 +177,15 @@ def time_derivative(arr: np.ndarray, dt: float, order: int, out: Optional[np.nda
     def weighted_sum(target, weights, first):
         target[...] = 0.0
         for i, w in enumerate(weights):
-            target += np.multiply(arr[first + i:first + i + len(target)], w,
+            target += np.multiply(arr[first + i:first + i + len(target)], w / dt ** order,
                                   out=work[:len(target)])
 
-    weighted_sum(out[2:T - 2], fd_weights(np.arange(5) * dt, 2 * dt, order), 0)
-    edge_nodes = np.arange(6) * dt
-    for row in (0, 1):
-        weighted_sum(out[row:row + 1], fd_weights(edge_nodes, row * dt, order), 0)
-    for row in (T - 2, T - 1):
-        weighted_sum(out[row:row + 1], fd_weights(edge_nodes, (row - (T - 6)) * dt, order),
-                     T - 6)
+    central, row0, row1 = _TIME_STENCILS[order]
+    weighted_sum(out[2:T - 2], central, 0)
+    for row, weights in ((0, row0), (1, row1)):
+        weighted_sum(out[row:row + 1], weights, 0)
+    for row, weights in ((T - 2, row1), (T - 1, row0)):
+        weighted_sum(out[row:row + 1], [(-1) ** order * w for w in reversed(weights)], T - 6)
     return out
 
 
@@ -241,11 +229,11 @@ def _functionals(traj: Trajectory, spec: TestFunctionSpec, R_values: Sequence[fl
             raise CoverageError(
                 f"Q_R spatial radius {rad:.3g} exceeds {fraction:.3g} * L = "
                 f"{fraction * grid.L:.3g}; enlarge the torus or shrink R")
-    radius = grid.radius().reshape(-1)
-    near = radius ** spec.scale_power
-    near += times[0]
+    # |x|^sp, formed once: each R takes its columns
+    powered = grid.radius().reshape(-1) ** spec.scale_power
+    near = powered + times[0]
     columns = np.flatnonzero(near < rs[-1])
-    radius, near = radius[columns], near[columns]
+    powered, near = powered[columns], near[columns]
     powers = () if params is None else (2.0 * params.sigma, 2.0 * params.delta)
     w, *applied = _read(stack, len(times), grid, columns, powers)
     # each R's scaled argument, phi_R, stencils, PhiR tail and integrands
@@ -266,11 +254,9 @@ def _functionals(traj: Trajectory, spec: TestFunctionSpec, R_values: Sequence[fl
         shape = (T, len(cols))
         arg, phi, a, b = (buf[:T * len(cols)].reshape(shape) for buf in pool)
         take = functools.partial(_take, cols)
-        sp = take(radius, scaled[:len(cols)])
-        sp **= spec.scale_power
         # (|x|^sp + t) / R.  A ufunc over broadcast operands takes buffers
         # of up to 64 KiB per call, a broadcast copyto none
-        np.copyto(arg, sp)
+        np.copyto(arg, take(powered, scaled[:len(cols)]))
         np.copyto(a, times[:, None])
         np.divide(np.add(arg, a, out=arg), R, out=arg)
         quintic_profile(arg, out=phi, work=(a, b))
@@ -314,16 +300,16 @@ def _read(stack, T: int, grid: GridSpec, columns: np.ndarray, powers: tuple) -> 
     read_into reads its file straight into it) and transformed once; each
     power's inverse goes back into the row buffer, which keeps only those
     columns; power 0 is the rows themselves.  The row, its spectrum and the
-    product with a symbol are buffers allocated once per pass."""
-    xisq = grid.xi_squared()
+    product with a symbol are buffers allocated once per pass; the symbols
+    are the grid's own."""
     w = np.empty((T, len(columns)))
     stacks = [np.empty_like(w) if p else w for p in powers]
-    applied = [(fractional_symbol(xisq, p), out) for p, out in zip(powers, stacks) if p]
+    applied = [(grid.symbol(p), out) for p, out in zip(powers, stacks) if p]
     row = np.empty(grid.shape)
     flat = row.reshape(-1)
     read_into = getattr(stack, "read_into", None)
     if applied:
-        spectrum, product = (np.empty(xisq.shape, dtype=complex) for _ in range(2))
+        spectrum, product = (np.empty(grid.xi_squared().shape, dtype=complex) for _ in range(2))
     for i in range(T):
         if read_into is None:
             row[...] = stack[i]
@@ -431,9 +417,10 @@ def support_measure(R: float, spec: TestFunctionSpec, grid: GridSpec,
                     times: np.ndarray) -> float:
     """Quadrature measure of the band Q*_R on the snapshot x grid lattice."""
     times = np.asarray(times, dtype=float)
+    if len(times) < 2:
+        raise CoverageError("need at least 2 snapshot times")
     dt = times[1] - times[0]
-    rad = grid.radius().ravel()
-    arg = (rad[None, :] ** spec.scale_power + times[:, None]) / R
+    arg = _scaled(times[:, None], grid.radius().ravel()[None, :], R, spec)
     inside = (arg >= 0.5) & (arg <= 1.0)
     per_slice = inside.sum(axis=1) * grid.cell_volume
     return float(np.trapezoid(per_slice, dx=dt))

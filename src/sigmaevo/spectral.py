@@ -110,9 +110,35 @@ class GridSpec:
             r += sq.reshape((-1,) + (1,) * (self.n - 1 - axis))
         return np.sqrt(r, out=r)
 
+    # the half-spectrum arrays below are cached per grid value and argument,
+    # read-only: equal grids share them
+    @functools.lru_cache(maxsize=32)
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the half spectrum."""
-        return _xi_squared_cached(self.n, self.N, self.L)
+        return _read_only(_xi_squared_of(_k_squared(self.n, self.N), self.L))
+
+    @functools.lru_cache(maxsize=64)
+    def symbol(self, power: float) -> np.ndarray:
+        """|xi|^power on the half spectrum: fractional_symbol of xi_squared."""
+        return _read_only(fractional_symbol(self.xi_squared(), power))
+
+    @functools.lru_cache(maxsize=64)
+    def plancherel_weight(self, power: float) -> np.ndarray:
+        """|xi|^(2 power) times each stored mode's Hermitian multiplicity: 2 on
+        the interior last-axis columns, which stand for their conjugates too,
+        and 1 on the zero and Nyquist columns, their own conjugates."""
+        out = fractional_symbol(self.xi_squared(), 2.0 * power)
+        out[..., 1:self.N // 2] *= 2.0
+        return _read_only(out)
+
+    @functools.lru_cache(maxsize=32)
+    def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
+        """Half-spectrum keep-mask for modes with |k| <= fraction * N/2 per axis."""
+        if not 0.0 < fraction <= 1.0:
+            raise ParameterError("dealias fraction must lie in (0, 1]")
+        bound = fraction * (self.N // 2) + 1e-9
+        return _read_only(functools.reduce(
+            np.logical_and, [np.abs(k) <= bound for k in _wavenumbers(self.n, self.N)]))
 
     def fft(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Half spectrum of a real field or a stack of fields, written into
@@ -163,12 +189,6 @@ class GridSpec:
         if np.shape(u)[-self.n:] != self.shape:
             raise GridMismatchError(f"field shape {np.shape(u)} does not end in grid {self.shape}")
 
-    def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
-        """Half-spectrum keep-mask for modes with |k| <= fraction * N/2 per axis."""
-        if not 0.0 < fraction <= 1.0:
-            raise ParameterError("dealias fraction must lie in (0, 1]")
-        return _dealias_mask_cached(self.n, self.N, round(fraction * 1e9))
-
 
 def _wavenumbers(n: int, N: int) -> list:
     """The integer wavenumbers k of the half spectrum, one int64 array per
@@ -207,19 +227,9 @@ def _shells(n: int, N: int) -> tuple:
     return rank[ksq], keys
 
 
-@functools.lru_cache(maxsize=32)
-def _xi_squared_cached(n: int, N: int, L: float) -> np.ndarray:
-    out = _xi_squared_of(_k_squared(n, N), L)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=32)
-def _dealias_mask_cached(n: int, N: int, frac_key: int) -> np.ndarray:
-    bound = frac_key / 1e9 * (N // 2) + 1e-9
-    out = functools.reduce(np.logical_and, [np.abs(k) <= bound for k in _wavenumbers(n, N)])
-    out.setflags(write=False)
-    return out
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def fractional_symbol(xi_squared: np.ndarray, power: float) -> np.ndarray:
@@ -407,7 +417,7 @@ def plancherel_sum(abs_sq: np.ndarray, grid: GridSpec, weight_power: float = 0.0
     The sum is numpy's own single-threaded einsum, not a BLAS dot, so its
     bits do not depend on the BLAS thread count.
     """
-    w = _l2_weight_cached(grid.n, grid.N, grid.L, weight_power)
+    w = grid.plancherel_weight(weight_power)
     total = np.einsum("i,i->", w.ravel(), np.ravel(abs_sq))
     return grid.cell_volume / grid.N ** grid.n * float(total)
 
@@ -421,7 +431,7 @@ def sup_bound(uh: np.ndarray, grid: GridSpec, scratch: Optional[np.ndarray] = No
     NaN or inf when uh is not finite.  ``scratch`` (real, uh's shape) takes
     |uh|.  The sum is plancherel_sum's einsum.
     """
-    m = _l2_weight_cached(grid.n, grid.N, grid.L, 0.0)
+    m = grid.plancherel_weight(0.0)
     total = np.einsum("i,i->", m.ravel(), np.abs(uh, out=scratch).ravel())
     return float(total) / grid.N ** grid.n
 
@@ -429,19 +439,6 @@ def sup_bound(uh: np.ndarray, grid: GridSpec, scratch: Optional[np.ndarray] = No
 def spectral_l2(uh: np.ndarray, grid: GridSpec, weight_power: float = 0.0) -> float:
     """|| |D|^weight_power u ||_L2 computed from the half spectrum uh of u."""
     return float(np.sqrt(plancherel_sum(uh.real ** 2 + uh.imag ** 2, grid, weight_power)))
-
-
-@functools.lru_cache(maxsize=64)
-def _l2_weight_cached(n: int, N: int, L: float, power: float) -> np.ndarray:
-    """|xi|^(2 power) times the Hermitian multiplicity of each stored mode.
-
-    An interior last-axis column stands for itself and its conjugate, so it
-    counts twice; the zero and Nyquist columns are their own conjugates.
-    """
-    out = fractional_symbol(_xi_squared_cached(n, N, L), 2.0 * power)
-    out[..., 1:N // 2] *= 2.0
-    out.setflags(write=False)
-    return out
 
 
 def sup_abs(u: np.ndarray) -> float:
@@ -499,13 +496,13 @@ def wrap_time(grid: GridSpec, sigma: float, delta: float,
     by finite differences, which smooths the integrable singularity at the
     underdamped edge.
     """
-    ximax = float(np.sqrt(np.max(grid.xi_squared())))
+    mags = grid.symbol(1.0).ravel()
+    ximax = float(np.max(mags))
     xi = np.linspace(0.0, ximax, 2049)[1:]
     cache = MultiplierCache.of(xi ** 2, sigma, delta)
     omega, decay = cache.omega, -cache.alpha
     vg = np.gradient(omega, xi)
 
-    mags = np.sqrt(grid.xi_squared()).ravel()
     amps = np.abs(np.asarray(data_spectrum)).ravel()
     peak = float(np.max(amps)) or 1.0
     idx = np.clip(np.searchsorted(xi, mags), 0, len(xi) - 1)

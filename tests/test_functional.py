@@ -1,16 +1,16 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sigmaevo.cli import load_run, main
 from sigmaevo.errors import CoverageError, ParameterError
-from sigmaevo.functional import (TestFunctionSpec, _read, compute_G,
-                                 compute_I_R, compute_J_R, compute_g, fd_weights, phi_R,
-                                 phi_star_R, psi, quintic_profile, scan, support_measure,
-                                 time_derivative)
+from sigmaevo.functional import (_TIME_STENCILS, TestFunctionSpec, _read, compute_G,
+                                 compute_I_R, compute_J_R, compute_g, phi_R, phi_star_R, psi,
+                                 quintic_profile, scan, support_measure, time_derivative)
 from sigmaevo.modulus import ModulusSpec
 from sigmaevo.params import EquationParams, Target, critical_exponent
 from sigmaevo.solver import Trajectory, simulate_linear
@@ -138,6 +138,39 @@ class TestPhi:
             phi_R(0.0, 0.0, 0.0, spec)
 
 
+def fd_weights(x, x0, m):
+    """Weights of the m-th derivative at x0 from nodes x (Fornberg 1988), in
+    the arithmetic of the nodes: exact for Fractions."""
+    c = [[0] * (m + 1) for _ in x]
+    c[0][0] = 1
+    c1, c4 = 1, x[0] - x0
+    for i in range(1, len(x)):
+        mn = min(i, m)
+        c2, c5 = 1, c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            for k in range(mn, 0, -1):
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    return [row[m] for row in c]
+
+
+def stencil_matrix(dt, order):
+    """Fornberg's weights of the 4th-order stencils on a 6-row stack at
+    spacing dt: row r holds row r's weight of every node."""
+    nodes = [i * dt for i in range(6)]
+    central = fd_weights(nodes[:5], 2 * dt, order)
+    return [fd_weights(nodes, r * dt, order) if r in (0, 1, 4, 5)
+            else [0] * (r - 2) + central + [0] * (3 - r) for r in range(6)]
+
+
 class TestTimeDerivative:
     def test_exact_on_quartics(self):
         t = np.arange(12) * 0.1
@@ -157,8 +190,19 @@ class TestTimeDerivative:
         assert errs[0] / errs[1] > 12   # 4th order halving: ~16
 
     def test_fornberg_weights_central(self):
-        w = fd_weights(np.arange(5.0), 2.0, 2)
-        assert w == pytest.approx([-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])
+        # time_derivative of the unit rows of a 6-row stack is its weight
+        # matrix: rows 2 and 3 the central stencil, the others the closures.
+        # At unit spacing it holds the exact weights, rounded once; at other
+        # spacings it is within 1e-15 of them (the recursion in floats, the
+        # weights' old source, is off by up to 3e-15)
+        for order in (1, 2):
+            got = time_derivative(np.eye(6), 1.0, order)
+            assert got.tolist() == [[float(w) for w in row]
+                                    for row in stencil_matrix(Fraction(1), order)]
+            for dt in (0.5, 0.1, 0.05, 0.01):
+                got = time_derivative(np.eye(6), dt, order)
+                want = np.array(stencil_matrix(Fraction(dt), order), dtype=float)
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
     def test_needs_six_snapshots(self):
         with pytest.raises(CoverageError):
@@ -332,6 +376,17 @@ class TestSupportMeasure:
         ms = [support_measure(R, spec, grid, times) for R in Rs]
         slope = np.polyfit(np.log(Rs), np.log(ms), 1)[0]
         assert slope == pytest.approx(spec.measure_exponent(1), abs=0.05)
+
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+    def test_R_checked(self, spec, R):
+        with pytest.raises(ParameterError, match="R must be positive, finite"):
+            support_measure(R, spec, GridSpec(1, 64, 4.0), np.arange(0.0, 2.0, 0.1))
+
+    @pytest.mark.parametrize("times", [[], [0.0]])
+    def test_needs_two_times(self, spec, times):
+        with pytest.raises(CoverageError, match="at least 2"):
+            support_measure(1.0, spec, GridSpec(1, 64, 4.0), times)
 
 
 class TestTwoDimensionalFunctionals:
@@ -728,17 +783,16 @@ def fresh_profile(r):
 
 
 def fresh_time_derivative(arr, dt, order):
-    """The 4th-order stencils, each row a sum() of fresh weighted rows."""
+    """The 4th-order stencils, each row a sum() of fresh weighted rows, with
+    time_derivative's weights: its table's over dt^order."""
     T = arr.shape[0]
     out = np.empty_like(arr)
-    w_c = fd_weights(np.arange(5) * dt, 2 * dt, order)
-    out[2:T - 2] = sum(w_c[i] * arr[i:T - 4 + i] for i in range(5))
-    edge_nodes = np.arange(6) * dt
-    for row in (0, 1):
-        w = fd_weights(edge_nodes, row * dt, order)
+    central, row0, row1 = ([w / dt ** order for w in ws] for ws in _TIME_STENCILS[order])
+    out[2:T - 2] = sum(central[i] * arr[i:T - 4 + i] for i in range(5))
+    for row, w in ((0, row0), (1, row1)):
         out[row] = sum(w[i] * arr[i] for i in range(6))
-    for row in (T - 2, T - 1):
-        w = fd_weights(edge_nodes, (row - (T - 6)) * dt, order)
+    for row, w in ((T - 2, row1), (T - 1, row0)):
+        w = [(-1) ** order * x for x in reversed(w)]
         out[row] = sum(w[i] * arr[T - 6 + i] for i in range(6))
     return out
 

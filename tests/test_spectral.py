@@ -775,7 +775,53 @@ class TestFieldIO:
             read_field(path, out=out)
 
 
+class TestGridArrays:
+    @staticmethod
+    def arrays(g):
+        return [g.xi_squared(), g.symbol(1.5), g.plancherel_weight(0.5), g.dealias_mask(0.5)]
+
+    def test_a_repeat_call_returns_the_same_read_only_array(self):
+        g = GridSpec(2, 16, 3.0)
+        for first, again in zip(self.arrays(g), self.arrays(g)):
+            assert again is first and not first.flags.writeable
+
+    def test_equal_grids_share_their_arrays(self):
+        a, b = GridSpec(2, 32, 5.0), GridSpec(2, 32, 5.0)
+        assert a is not b
+        assert all(x is y for x, y in zip(self.arrays(a), self.arrays(b)))
+
+    @pytest.mark.parametrize("n,N,L", [(1, 256, 8.0), (2, 64, 6.0), (3, 16, 4.0)])
+    def test_symbol_is_the_fractional_symbol_bit_for_bit(self, n, N, L):
+        g, sigma, delta = GridSpec(n, N, L), 1.5, 0.3
+        for power in (0.0, 1.0, 2.0 * delta, 2.0 * sigma):
+            assert np.array_equal(g.symbol(power), fractional_symbol(g.xi_squared(), power))
+
+    def test_half_power_is_the_square_root_bit_for_bit(self):
+        # symbol(1.0) stands for np.sqrt(xi_squared()) in wrap_time
+        x = np.concatenate([np.geomspace(1e-300, 1e300, 500_000),
+                            np.random.default_rng(0).uniform(0.0, 1e6, 500_000)])
+        assert np.array_equal(np.power(x, 0.5), np.sqrt(x))
+
+    def test_dealias_mask_keeps_the_boundary_mode(self):
+        # fraction j/2048 of N/2 = 2048 keeps exactly |k| <= j; a cache key
+        # rounded to 1e-9 lost the mode |k| = j for 768 of these fractions
+        g, k = GridSpec(1, 4096, 200.0), np.arange(2049)
+        for j in range(1, 2049):
+            assert np.array_equal(g.dealias_mask(j / 2048), k <= j), j
+
+
 class TestWrapTime:
+    @pytest.mark.parametrize("grid,sigma,delta,radius,want", [
+        ((1, 256, 5.0), 1.0, 0.0, 2.0, 1.7994796280175118),
+        ((2, 64, 6.0), 1.5, 0.3, 2.0, 1.1385493564524223),
+        ((3, 16, 4.0), 2.0, 0.5, 1.0, 0.2596857390972902),
+    ])
+    def test_value_pinned_bit_for_bit(self, grid, sigma, delta, radius, want):
+        # the values |xi| = np.sqrt(xi_squared()) gave, before symbol(1.0)
+        g = GridSpec(*grid)
+        u0 = np.exp(-g.radius() ** 2)
+        assert wrap_time(g, sigma, delta, g.fft(u0), support_radius=radius) == want
+
     def test_far_boundary_is_safe(self):
         g = GridSpec(1, 1024, 200.0)
         u0 = np.exp(-g.axis() ** 2)
