@@ -7,9 +7,9 @@ Numerical blow-up is a recorded verdict, never a process failure; validation
 problems exit nonzero with the violated constraint named.
 
 Snapshots stream through the run directory and no command holds a stack of
-them: a run writes each kept row as its loop makes it (FieldFiles, the one
-writer of field files), and a loaded run's stacks read their rows from the
-files on demand (FieldStack).
+them: a run's kept rows are written by a thread of their own while its loop
+goes on (FieldFiles, the one writer of field files), and a loaded run's
+stacks read their rows from the files on demand (FieldStack).
 
 Each command imports the modules that only it uses (analysis, functional,
 norms, concurrent.futures) as it runs, so that no other command loads them.
@@ -26,6 +26,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Literal, Optional, get_args, get_origin, get_type_hints
@@ -286,23 +287,80 @@ def _field_path(fdir: str, name: str, i: int) -> str:
 
 class FieldFiles:
     """The snapshot sink that streams a run to files (see
-    solver.SnapshotStacks): row i's u and u_t are transformed into one pair
-    of buffers and written to u_{i:06d}.bin and ut_{i:06d}.bin in ``fdir``
-    once the row has passed its blow-up check.  It holds no stack."""
+    solver.SnapshotStacks): row i's u and u_t are transformed into buffer
+    pair i % 2 and, once the row has passed its blow-up check, written to
+    u_{i:06d}.bin and ut_{i:06d}.bin in ``fdir`` by one writer thread.  It
+    holds no stack.
+
+    ``keep`` hands a row to the writer and returns at once, so the loop
+    fills one pair while the writer writes the other; ``buffers(i)`` waits
+    until the writer is done with row i - 2, the pair's last row.  An error
+    the writer raises stops it, and is raised again on the caller's thread
+    at the next ``buffers`` or at ``close``, which ends the writer."""
 
     def __init__(self, fdir: str, grid: GridSpec):
         self.fdir, self.grid = fdir, grid
-        self._buffers = (np.empty(grid.shape), np.empty(grid.shape))
+        self._pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
+        self._rows = []          # (i, t) of the kept rows not yet written; None ends
+        self._written = 0        # rows 0 .. written - 1 are on disk
+        self._error = None
+        self._turn = threading.Condition()
+        self._writer = threading.Thread(target=self._write, name="sigmaevo-field-writer",
+                                        daemon=True)
+        self._writer.start()
 
     def buffers(self, i: int) -> tuple:
-        return self._buffers
+        with self._turn:
+            self._turn.wait_for(lambda: self._written >= i - 1 or self._error is not None)
+            self._raise()
+        return self._pairs[i % 2]
 
     def keep(self, i: int, t: float):
-        for name, field in zip(("u", "ut"), self._buffers):
-            write_field(_field_path(self.fdir, name, i), field, self.grid, float(t))
+        self._hand_over((i, float(t)))
 
     def stacks(self, n: int) -> tuple:
         return None, None
+
+    def close(self, abandon: bool = False):
+        """End the writer once it has written every kept row and raise its
+        error, if any; with ``abandon``, the rows not yet begun are dropped
+        and the error is not raised.  It returns once the writer has ended."""
+        if abandon:
+            with self._turn:
+                self._rows.clear()
+        self._hand_over(None)
+        self._writer.join()
+        if not abandon:
+            self._raise()
+
+    def _hand_over(self, item):
+        with self._turn:
+            self._rows.append(item)
+            self._turn.notify_all()
+
+    def _raise(self):
+        if self._error is not None:
+            raise self._error
+
+    def _write(self):
+        while True:
+            with self._turn:
+                self._turn.wait_for(lambda: self._rows)
+                item = self._rows.pop(0)
+            if item is None:
+                return
+            i, t = item
+            try:
+                for name, field in zip(("u", "ut"), self._pairs[i % 2]):
+                    write_field(_field_path(self.fdir, name, i), field, self.grid, t)
+            except BaseException as exc:   # an interrupt too: the caller raises it
+                with self._turn:
+                    self._error = exc
+                    self._turn.notify_all()
+                return
+            with self._turn:
+                self._written = i + 1
+                self._turn.notify_all()
 
 
 @contextlib.contextmanager
@@ -310,8 +368,12 @@ def _field_sink(outdir: str, grid: GridSpec, store: bool):
     """A FieldFiles sink for outdir/fields (None unless ``store``).
 
     The files go to a staging directory inside outdir that replaces
-    outdir/fields when the block ends; a block that raises leaves outdir as
-    it found it, removing the directories it made.
+    outdir/fields when the block ends.  The sink's writer thread is ended
+    first, on every way out of the block: a clean end waits for the rows
+    still queued and raises the writer's error if it had one, a block that
+    raises drops the rows not yet begun.  A block that raises, or whose
+    writer failed, leaves outdir as it found it, removing the directories
+    it made.
     """
     if not store:
         yield None
@@ -326,7 +388,13 @@ def _field_sink(outdir: str, grid: GridSpec, store: bool):
         # with the usual permissions, and is what becomes outdir/fields
         staged = os.path.join(stage, "fields")
         os.mkdir(staged)
-        yield FieldFiles(staged, grid)
+        files = FieldFiles(staged, grid)
+        try:
+            yield files
+        except BaseException:
+            files.close(abandon=True)
+            raise
+        files.close()
         fdir = os.path.join(outdir, "fields")
         if os.path.isdir(fdir):
             shutil.rmtree(fdir)

@@ -27,7 +27,11 @@ names, and hands the row over only once it has passed its blow-up check, so
 the sink keeps exactly the rows of the trajectory.  ``SnapshotStacks``, the
 default, is two in-memory stacks allocated up front, whose unreached rows
 are never written and so take no resident memory; the command line streams
-the rows to files instead (``cli.FieldFiles``) and holds no stack.
+the rows to files instead (``cli.FieldFiles``) and holds no stack.  That
+sink names one of two buffer pairs for each row, i % 2, and hands each kept
+row to a writer thread, so the loop fills one pair while the other is
+written; ``buffers(i)`` waits for the writer to finish row i - 2, and an
+error the writer raised surfaces there, in the loop's thread.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite

@@ -54,6 +54,24 @@ MAX_CELLS = 2 ** 24
 _APPLY_BLOCK_BYTES = 128 * 1024
 
 
+def _cached_by_value(maxsize: int):
+    """A GridSpec method cached on the grid's (n, N, L) and its arguments.
+
+    The cache holds those values, never a grid: a grid it held would stay
+    alive, and with it the transform scratch the grid keeps.  A miss runs
+    the method on a grid rebuilt from the key."""
+    def wrap(method):
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(n, N, L, *args, **kwargs):
+            return method(GridSpec(n, N, L), *args, **kwargs)
+
+        @functools.wraps(method)
+        def lookup(self, *args, **kwargs):
+            return cached(self.n, self.N, self.L, *args, **kwargs)
+        return lookup
+    return wrap
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic grid: n dimensions, N points per axis, half-length L."""
@@ -112,17 +130,17 @@ class GridSpec:
 
     # the half-spectrum arrays below are cached per grid value and argument,
     # read-only: equal grids share them
-    @functools.lru_cache(maxsize=32)
+    @_cached_by_value(maxsize=32)
     def xi_squared(self) -> np.ndarray:
         """|xi|^2 on the half spectrum."""
         return _read_only(_xi_squared_of(_k_squared(self.n, self.N), self.L))
 
-    @functools.lru_cache(maxsize=64)
+    @_cached_by_value(maxsize=64)
     def symbol(self, power: float) -> np.ndarray:
         """|xi|^power on the half spectrum: fractional_symbol of xi_squared."""
         return _read_only(fractional_symbol(self.xi_squared(), power))
 
-    @functools.lru_cache(maxsize=64)
+    @_cached_by_value(maxsize=64)
     def plancherel_weight(self, power: float) -> np.ndarray:
         """|xi|^(2 power) times each stored mode's Hermitian multiplicity: 2 on
         the interior last-axis columns, which stand for their conjugates too,
@@ -131,7 +149,7 @@ class GridSpec:
         out[..., 1:self.N // 2] *= 2.0
         return _read_only(out)
 
-    @functools.lru_cache(maxsize=32)
+    @_cached_by_value(maxsize=32)
     def dealias_mask(self, fraction: float = 2.0 / 3.0) -> np.ndarray:
         """Half-spectrum keep-mask for modes with |k| <= fraction * N/2 per axis."""
         if not 0.0 < fraction <= 1.0:
@@ -525,12 +543,25 @@ _MAGIC = "sigmaevo-field-v1"
 
 
 def write_field(path, u: np.ndarray, grid: GridSpec, time: float = 0.0):
-    """Little-endian float64 dump with a one-line plain-text header."""
+    """Little-endian float64 dump with a one-line plain-text header.
+
+    The header and the payload go out in unbuffered gathered writes, the
+    payload straight from the array's buffer: a C-contiguous little-endian
+    float64 field is not copied."""
     grid.check_field(u)
     header = f"{_MAGIC} n={grid.n} N={grid.N} L={grid.L!r} time={time!r}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(u, dtype="<f8").tobytes())
+    parts = [memoryview(header.encode("ascii")),
+             memoryview(np.ascontiguousarray(u, dtype="<f8")).cast("B")]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while parts:   # a write may stop short; go on from where it stopped
+            done = os.writev(fd, parts)
+            while parts and done >= len(parts[0]):
+                done -= len(parts.pop(0))
+            if parts:
+                parts[0] = parts[0][done:]
+    finally:
+        os.close(fd)
 
 
 def _read_header(fh, path) -> tuple:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -343,6 +344,141 @@ PREDICTED_ERRORS = [   # fit's own option
     (["--window-lo", "1", "--window-hi", "4", "--predicted", "inf"],
      "--predicted must be finite, got inf"),
 ]
+
+
+class TestFieldWriter:
+    """cli.FieldFiles: one writer thread writes the kept rows while the loop
+    fills the other of two buffer pairs."""
+
+    @pytest.mark.parametrize("case", ["stride-1", "escape"])
+    def test_streamed_files_are_the_in_memory_rows(self, tmp_path, case):
+        solver = dict(small_config_doc(tmp_path)["solver"], snapshot_stride=1,
+                      store_fields=True)
+        data = small_config_doc(tmp_path)["data"]
+        if case == "escape":   # u_t = 50 lifts u past 20 within a few steps
+            solver["blowup_threshold"] = 20.0
+            data = {key: {"family": "gaussian", "amplitude": a, "width": 1.0, "center": 0.0}
+                    for key, a in (("u0", 2.0), ("u1", 50.0))}
+        path, _ = write_config(tmp_path, solver=solver, data=data)
+        config = RunConfig.load(path)
+        traj = in_memory_run(config)
+        assert (traj.blowup is not None) == (case == "escape")
+        assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+        fdir = tmp_path / "a" / "fields"
+        assert len(os.listdir(fdir)) == 2 * len(traj.times) > 4
+        for name, stack in (("u", traj.snapshots_u), ("ut", traj.snapshots_ut)):
+            for i, t in enumerate(traj.times.tolist()):
+                field, grid, time = read_field(fdir / f"{name}_{i:06d}.bin")
+                assert field.tobytes() == stack[i].tobytes() and time == t and grid == config.grid
+
+    @staticmethod
+    def held_sink(tmp_path, monkeypatch):
+        """A FieldFiles on a small grid whose writer holds each row until
+        the returned event is set."""
+        release = threading.Event()
+
+        def held(*args):
+            assert release.wait(timeout=30)
+            write_field(*args)
+
+        monkeypatch.setattr(cli, "write_field", held)
+        return cli.FieldFiles(str(tmp_path), GridSpec(1, 16, 1.0)), release
+
+    def test_keep_returns_while_the_writer_writes(self, tmp_path, monkeypatch):
+        files, release = self.held_sink(tmp_path, monkeypatch)
+        try:
+            first = files.buffers(0)
+            for value, field in enumerate(first):
+                field.fill(value)
+            files.keep(0, 0.5)
+            second = files.buffers(1)   # the other pair, free though row 0 is not written
+            assert second[0] is not first[0] and os.listdir(tmp_path) == []
+            files.keep(1, 1.0)
+            release.set()
+            assert files.buffers(2) is first   # once row 0, its last row, is written
+            for value, name in enumerate(("u", "ut")):
+                field, _, time = read_field(tmp_path / f"{name}_000000.bin")
+                assert np.all(field == value) and time == 0.5
+        finally:
+            release.set()
+            files.close()
+        assert sorted(os.listdir(tmp_path)) == ["u_000000.bin", "u_000001.bin",
+                                                "ut_000000.bin", "ut_000001.bin"]
+        assert not files._writer.is_alive()
+
+    def test_no_row_is_overwritten_before_it_is_written(self, tmp_path):
+        # switch threads as often as the interpreter allows: a pair handed out
+        # before the writer is done with it would leave a file of a later row
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            files = cli.FieldFiles(str(tmp_path), GridSpec(1, 16, 1.0))
+            for i in range(300):
+                for field in files.buffers(i):
+                    field.fill(i)
+                files.keep(i, float(i))
+            files.close()
+        finally:
+            sys.setswitchinterval(interval)
+        for i in range(300):
+            for name in ("u", "ut"):
+                field, _, time = read_field(tmp_path / f"{name}_{i:06d}.bin")
+                assert np.all(field == i) and time == i
+
+    def test_close_with_abandon_drops_the_rows_not_begun(self, tmp_path, monkeypatch):
+        files, release = self.held_sink(tmp_path, monkeypatch)
+        hand_over = files._hand_over
+
+        def end(item):   # the writer goes on once close has dropped the rows
+            assert item is None and files._rows == []
+            release.set()
+            hand_over(item)
+
+        files.keep(0, 0.0)
+        files.keep(1, 0.1)
+        files._hand_over = end
+        files.close(abandon=True)
+        assert not files._writer.is_alive()
+        # row 0 may have been begun before the rows were dropped; row 1 never is
+        assert set(os.listdir(tmp_path)) <= {"u_000000.bin", "ut_000000.bin"}
+
+    @pytest.mark.parametrize("fault", ["none", "write", "writer-interrupt",
+                                       "loop-interrupt", "last-write"])
+    def test_no_thread_outlives_the_command(self, tmp_path, monkeypatch, capsys, fault):
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        out = tmp_path / "run"
+        calls = []
+        write, keep = cli.write_field, cli.FieldFiles.keep
+
+        def failing_write(*args):
+            calls.append(args[0])
+            if fault == "writer-interrupt" and len(calls) == 9:
+                raise KeyboardInterrupt()
+            if fault in ("write", "last-write") and len(calls) == (52 if fault == "last-write"
+                                                                   else 9):
+                raise OSError(28, "No space left on device", args[0])
+            write(*args)
+
+        def interrupted_keep(self, i, t):
+            keep(self, i, t)
+            if fault == "loop-interrupt" and i == 3:
+                raise KeyboardInterrupt()
+
+        monkeypatch.setattr(cli, "write_field", failing_write)
+        monkeypatch.setattr(cli.FieldFiles, "keep", interrupted_keep)
+        before = threading.enumerate()
+        if fault in ("none", "write", "last-write"):
+            assert main(["semilinear", "--config", str(path), "--out", str(out)]) == \
+                (0 if fault == "none" else 2)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(["semilinear", "--config", str(path), "--out", str(out)])
+        assert threading.enumerate() == before
+        assert out.exists() == (fault == "none")
+        if fault in ("write", "last-write"):
+            assert calls[-1] in capsys.readouterr().err   # names the file
+            assert len(calls) == (52 if fault == "last-write" else 9)
 
 
 class TestCommands:

@@ -1,5 +1,8 @@
+import gc
 import math
+import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -730,6 +733,45 @@ class TestFieldIO:
         assert g2 == g
         assert t == 2.5
 
+    @staticmethod
+    def expected_bytes(u, g, time):
+        header = f"sigmaevo-field-v1 n={g.n} N={g.N} L={g.L!r} time={time!r}\n"
+        return header.encode("ascii") + np.asarray(u).astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "float32", "big-endian"])
+    def test_file_is_the_header_and_the_payload_bytes(self, tmp_path, layout):
+        g = GridSpec(2, 16, 3.0)
+        u = np.exp(-g.radius(0.3) ** 2) * g.axis()
+        u = {"contiguous": u, "transposed": u.T, "float32": u.astype(np.float32),
+             "big-endian": u.astype(">f8")}[layout]
+        path = tmp_path / "field.bin"
+        write_field(path, u, g, time=0.1 + 0.2)
+        assert path.read_bytes() == self.expected_bytes(u, g, 0.1 + 0.2)
+
+    def test_write_that_stops_short_goes_on(self, tmp_path, monkeypatch):
+        # a gathered write may write fewer bytes than asked: here at most 1000
+        g = GridSpec(1, 512, 3.0)
+        u = np.sin(g.axis())
+        writes = []
+
+        def short(fd, parts):
+            data = b"".join(bytes(p) for p in parts)[:1000]
+            writes.append(len(data))
+            return os.write(fd, data)
+
+        monkeypatch.setattr(os, "writev", short)
+        path = tmp_path / "field.bin"
+        write_field(path, u, g, time=2.5)
+        assert path.read_bytes() == self.expected_bytes(u, g, 2.5)
+        assert len(writes) == 5 and sum(writes) == path.stat().st_size
+
+    def test_write_overwrites_a_longer_file(self, tmp_path):
+        g = GridSpec(1, 64, 3.0)
+        path = tmp_path / "field.bin"
+        path.write_bytes(bytes(10_000))
+        write_field(path, g.axis(), g)
+        assert path.read_bytes() == self.expected_bytes(g.axis(), g, 0.0)
+
     @pytest.mark.parametrize("damage", ["truncated", "extended", "foreign-header",
                                         "undecodable-header", "header-missing-key",
                                         "empty"])
@@ -789,6 +831,23 @@ class TestGridArrays:
         a, b = GridSpec(2, 32, 5.0), GridSpec(2, 32, 5.0)
         assert a is not b
         assert all(x is y for x, y in zip(self.arrays(a), self.arrays(b)))
+
+    def test_no_cache_keeps_a_dropped_grid(self):
+        # a cache keyed by the grid kept it, and its 528,384 B transform
+        # scratch at 2D N = 256, alive after the last reference went; the
+        # grid must go with its last reference, with no cycle to collect
+        gc.disable()
+        try:
+            g = GridSpec(2, 256, 7.0)
+            arrays = self.arrays(g)
+            g.ifft(g.fft(np.ones(g.shape)), out=np.empty(g.shape))   # the scratch exists
+            dropped = weakref.ref(g)
+            del g
+            again = GridSpec(2, 256, 7.0)
+            assert dropped() is None
+            assert all(x is y for x, y in zip(arrays, self.arrays(again)))
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n,N,L", [(1, 256, 8.0), (2, 64, 6.0), (3, 16, 4.0)])
     def test_symbol_is_the_fractional_symbol_bit_for_bit(self, n, N, L):
