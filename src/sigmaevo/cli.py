@@ -294,9 +294,11 @@ class FieldFiles:
 
     ``keep`` hands a row to the writer and returns at once, so the loop
     fills one pair while the writer writes the other; ``buffers(i)`` waits
-    until the writer is done with row i - 2, the pair's last row.  An error
-    the writer raises stops it, and is raised again on the caller's thread
-    at the next ``buffers`` or at ``close``, which ends the writer."""
+    until the writer is done with row i - 2, the pair's last row, and
+    ``stacks(n)``, at the loop's end, until it has written all n rows.  An
+    error the writer raises stops it, and is raised again on the caller's
+    thread at the next of these calls or at ``close``, which ends the
+    writer."""
 
     def __init__(self, fdir: str, grid: GridSpec):
         self.fdir, self.grid = fdir, grid
@@ -310,37 +312,34 @@ class FieldFiles:
         self._writer.start()
 
     def buffers(self, i: int) -> tuple:
-        with self._turn:
-            self._turn.wait_for(lambda: self._written >= i - 1 or self._error is not None)
-            self._raise()
+        self._wait_for(i - 1)
         return self._pairs[i % 2]
 
     def keep(self, i: int, t: float):
         self._hand_over((i, float(t)))
 
     def stacks(self, n: int) -> tuple:
+        self._wait_for(n)
         return None, None
 
-    def close(self, abandon: bool = False):
-        """End the writer once it has written every kept row and raise its
-        error, if any; with ``abandon``, the rows not yet begun are dropped
-        and the error is not raised.  It returns once the writer has ended."""
-        if abandon:
-            with self._turn:
-                self._rows.clear()
+    def close(self):
+        """End the writer once it has written every kept row, and raise its
+        error, if any, once it has ended."""
         self._hand_over(None)
         self._writer.join()
-        if not abandon:
-            self._raise()
+        self._wait_for(0)
+
+    def _wait_for(self, n: int):
+        """Return once rows 0 .. n - 1 are written; raise the writer's error."""
+        with self._turn:
+            self._turn.wait_for(lambda: self._written >= n or self._error is not None)
+            if self._error is not None:
+                raise self._error
 
     def _hand_over(self, item):
         with self._turn:
             self._rows.append(item)
             self._turn.notify_all()
-
-    def _raise(self):
-        if self._error is not None:
-            raise self._error
 
     def _write(self):
         while True:
@@ -369,11 +368,12 @@ def _field_sink(outdir: str, grid: GridSpec, store: bool):
 
     The files go to a staging directory inside outdir that replaces
     outdir/fields when the block ends.  The sink's writer thread is ended
-    first, on every way out of the block: a clean end waits for the rows
-    still queued and raises the writer's error if it had one, a block that
-    raises drops the rows not yet begun.  A block that raises, or whose
-    writer failed, leaves outdir as it found it, removing the directories
-    it made.
+    first, on every way out of the block, once it has written the rows
+    still queued or failed.  Its error, if any, is raised in the block (by
+    the sink's ``buffers`` or ``stacks``, before the block saves anything
+    else) or at the end; a block that raises keeps its own error.  A block
+    that raises, or whose writer failed, leaves outdir as it found it,
+    removing the directories it made.
     """
     if not store:
         yield None
@@ -392,7 +392,8 @@ def _field_sink(outdir: str, grid: GridSpec, store: bool):
         try:
             yield files
         except BaseException:
-            files.close(abandon=True)
+            with contextlib.suppress(BaseException):   # the writer's error: the block's wins
+                files.close()
             raise
         files.close()
         fdir = os.path.join(outdir, "fields")

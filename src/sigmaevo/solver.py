@@ -30,8 +30,9 @@ are never written and so take no resident memory; the command line streams
 the rows to files instead (``cli.FieldFiles``) and holds no stack.  That
 sink names one of two buffer pairs for each row, i % 2, and hands each kept
 row to a writer thread, so the loop fills one pair while the other is
-written; ``buffers(i)`` waits for the writer to finish row i - 2, and an
-error the writer raised surfaces there, in the loop's thread.
+written; ``buffers(i)`` waits for the writer to finish row i - 2, and
+``stacks(n)`` for all n rows, so an error the writer raised surfaces in the
+loop's thread, before the run ends.
 
 Blow-up is a normal terminal outcome, not an error: the trajectory records
 the escape (or NaN) time and stops emitting rows; a row that is not finite

@@ -545,23 +545,13 @@ _MAGIC = "sigmaevo-field-v1"
 def write_field(path, u: np.ndarray, grid: GridSpec, time: float = 0.0):
     """Little-endian float64 dump with a one-line plain-text header.
 
-    The header and the payload go out in unbuffered gathered writes, the
-    payload straight from the array's buffer: a C-contiguous little-endian
-    float64 field is not copied."""
+    The payload is written from the array's own buffer: a C-contiguous
+    little-endian float64 field is not copied."""
     grid.check_field(u)
     header = f"{_MAGIC} n={grid.n} N={grid.N} L={grid.L!r} time={time!r}\n"
-    parts = [memoryview(header.encode("ascii")),
-             memoryview(np.ascontiguousarray(u, dtype="<f8")).cast("B")]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        while parts:   # a write may stop short; go on from where it stopped
-            done = os.writev(fd, parts)
-            while parts and done >= len(parts[0]):
-                done -= len(parts.pop(0))
-            if parts:
-                parts[0] = parts[0][done:]
-    finally:
-        os.close(fd)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(np.ascontiguousarray(u, dtype="<f8"))
 
 
 def _read_header(fh, path) -> tuple:

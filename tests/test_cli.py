@@ -281,6 +281,41 @@ class TestPersistence:
         assert tree_bytes(tmp_path) == before
         assert out.parent.exists() == existing
 
+    @pytest.mark.parametrize("command", ["semilinear", "linear-decay"])
+    @pytest.mark.parametrize("fault", ["write", "interrupt"])
+    def test_run_whose_last_write_raises_leaves_the_output_as_it_was(self, tmp_path,
+                                                                      monkeypatch, fault,
+                                                                      command):
+        # the writer's error on the last file (row 25's u_t, write 52) is
+        # raised before the run saves its manifest and norms over the old run's
+        solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
+        path, _ = write_config(tmp_path, solver=solver)
+        out = tmp_path / "deep" / "run"
+        short, _ = write_config(tmp_path, "short.json", solver=dict(solver, t_end=1.0))
+        assert main(["semilinear", "--config", str(short), "--out", str(out)]) == 0
+        before = tree_bytes(tmp_path)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 52:
+                raise OSError("No space left on device") if fault == "write" \
+                    else KeyboardInterrupt()
+            return write_field(*args, **kwargs)
+
+        write_field = cli.write_field
+        monkeypatch.setattr(cli, "write_field", failing)
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "linear-decay":
+            argv += ["--window-lo", "1", "--window-hi", "4"]
+        if fault == "write":
+            assert main(argv) == 2
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert len(calls) == 52
+        assert tree_bytes(tmp_path) == before
+
     def test_loaded_stacks_read_rows_on_demand(self, tmp_path, monkeypatch):
         solver = dict(small_config_doc(tmp_path)["solver"], store_fields=True)
         path, _ = write_config(tmp_path, solver=solver)
@@ -424,23 +459,6 @@ class TestFieldWriter:
             for name in ("u", "ut"):
                 field, _, time = read_field(tmp_path / f"{name}_{i:06d}.bin")
                 assert np.all(field == i) and time == i
-
-    def test_close_with_abandon_drops_the_rows_not_begun(self, tmp_path, monkeypatch):
-        files, release = self.held_sink(tmp_path, monkeypatch)
-        hand_over = files._hand_over
-
-        def end(item):   # the writer goes on once close has dropped the rows
-            assert item is None and files._rows == []
-            release.set()
-            hand_over(item)
-
-        files.keep(0, 0.0)
-        files.keep(1, 0.1)
-        files._hand_over = end
-        files.close(abandon=True)
-        assert not files._writer.is_alive()
-        # row 0 may have been begun before the rows were dropped; row 1 never is
-        assert set(os.listdir(tmp_path)) <= {"u_000000.bin", "ut_000000.bin"}
 
     @pytest.mark.parametrize("fault", ["none", "write", "writer-interrupt",
                                        "loop-interrupt", "last-write"])

@@ -1,6 +1,5 @@
 import gc
 import math
-import os
 import re
 import weakref
 
@@ -747,23 +746,6 @@ class TestFieldIO:
         path = tmp_path / "field.bin"
         write_field(path, u, g, time=0.1 + 0.2)
         assert path.read_bytes() == self.expected_bytes(u, g, 0.1 + 0.2)
-
-    def test_write_that_stops_short_goes_on(self, tmp_path, monkeypatch):
-        # a gathered write may write fewer bytes than asked: here at most 1000
-        g = GridSpec(1, 512, 3.0)
-        u = np.sin(g.axis())
-        writes = []
-
-        def short(fd, parts):
-            data = b"".join(bytes(p) for p in parts)[:1000]
-            writes.append(len(data))
-            return os.write(fd, data)
-
-        monkeypatch.setattr(os, "writev", short)
-        path = tmp_path / "field.bin"
-        write_field(path, u, g, time=2.5)
-        assert path.read_bytes() == self.expected_bytes(u, g, 2.5)
-        assert len(writes) == 5 and sum(writes) == path.stat().st_size
 
     def test_write_overwrites_a_longer_file(self, tmp_path):
         g = GridSpec(1, 64, 3.0)
