@@ -12,7 +12,8 @@ goes on (FieldFiles, the one writer of field files), and a loaded run's
 stacks read their rows from the files on demand (FieldStack).
 
 Each command imports the modules that only it uses (analysis, functional,
-norms, concurrent.futures) as it runs, so that no other command loads them.
+norms, concurrent.futures, and queue for a run that stores its fields) as it
+runs, so that no other command loads them.
 """
 from __future__ import annotations
 
@@ -292,74 +293,64 @@ class FieldFiles:
     u_{i:06d}.bin and ut_{i:06d}.bin in ``fdir`` by one writer thread.  It
     holds no stack.
 
-    ``keep`` hands a row to the writer and returns at once, so the loop
-    fills one pair while the writer writes the other; ``buffers(i)`` waits
-    until the writer is done with row i - 2, the pair's last row, and
-    ``stacks(n)``, at the loop's end, until it has written all n rows.  An
-    error the writer raises stops it, and is raised again on the caller's
-    thread at the next of these calls or at ``close``, which ends the
-    writer."""
+    ``keep`` marks the row's pair busy, puts (i, t) on the writer's queue
+    and returns at once, so the loop fills one pair while the writer writes
+    the other; the writer marks each pair free again once done with its
+    row.  ``buffers(i)`` waits until pair i % 2 is free, that is, until row
+    i - 2 is written, and ``stacks(n)``, at the loop's end, until both are.
+    After an error the writer writes nothing more, but still frees each
+    pair it is handed; the error is raised again on the caller's thread at
+    the next of these calls, or at ``close``, which ends the writer."""
 
     def __init__(self, fdir: str, grid: GridSpec):
+        import queue
         self.fdir, self.grid = fdir, grid
         self._pairs = [(np.empty(grid.shape), np.empty(grid.shape)) for _ in range(2)]
-        self._rows = []          # (i, t) of the kept rows not yet written; None ends
-        self._written = 0        # rows 0 .. written - 1 are on disk
+        self._free = [threading.Event() for _ in self._pairs]   # set: not being written
+        for free in self._free:
+            free.set()
+        self._queue = queue.SimpleQueue()   # (i, t) of each kept row; None ends the writer
         self._error = None
-        self._turn = threading.Condition()
         self._writer = threading.Thread(target=self._write, name="sigmaevo-field-writer",
                                         daemon=True)
         self._writer.start()
 
     def buffers(self, i: int) -> tuple:
-        self._wait_for(i - 1)
+        self._wait(self._free[i % 2])
         return self._pairs[i % 2]
 
     def keep(self, i: int, t: float):
-        self._hand_over((i, float(t)))
+        self._free[i % 2].clear()
+        self._queue.put((i, float(t)))
 
     def stacks(self, n: int) -> tuple:
-        self._wait_for(n)
+        self._wait(*self._free)
         return None, None
 
     def close(self):
         """End the writer once it has written every kept row, and raise its
         error, if any, once it has ended."""
-        self._hand_over(None)
+        self._queue.put(None)
         self._writer.join()
-        self._wait_for(0)
+        self._wait()
 
-    def _wait_for(self, n: int):
-        """Return once rows 0 .. n - 1 are written; raise the writer's error."""
-        with self._turn:
-            self._turn.wait_for(lambda: self._written >= n or self._error is not None)
-            if self._error is not None:
-                raise self._error
-
-    def _hand_over(self, item):
-        with self._turn:
-            self._rows.append(item)
-            self._turn.notify_all()
+    def _wait(self, *events):
+        """Return once every event is set; raise the writer's error."""
+        for event in events:
+            event.wait()
+        if self._error is not None:
+            raise self._error
 
     def _write(self):
-        while True:
-            with self._turn:
-                self._turn.wait_for(lambda: self._rows)
-                item = self._rows.pop(0)
-            if item is None:
-                return
-            i, t = item
+        for i, t in iter(self._queue.get, None):
             try:
-                for name, field in zip(("u", "ut"), self._pairs[i % 2]):
-                    write_field(_field_path(self.fdir, name, i), field, self.grid, t)
+                if self._error is None:
+                    for name, field in zip(("u", "ut"), self._pairs[i % 2]):
+                        write_field(_field_path(self.fdir, name, i), field, self.grid, t)
             except BaseException as exc:   # an interrupt too: the caller raises it
-                with self._turn:
-                    self._error = exc
-                    self._turn.notify_all()
-                return
-            with self._turn:
-                self._written = i + 1
-                self._turn.notify_all()
+                self._error = exc
+            finally:
+                self._free[i % 2].set()
 
 
 @contextlib.contextmanager
@@ -431,7 +422,7 @@ class FieldStack:
     def read_into(self, i: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         i = range(len(self))[i]
         path = _field_path(self.fdir, self.name, i)
-        field, grid, time = read_field(path) if out is None else read_field(path, out=out)
+        field, grid, time = read_field(path, out=out)
         _check_snapshot(path, i, self.times[i], (grid, time), self.grid)
         return field
 

@@ -323,8 +323,8 @@ class TestPersistence:
         assert main(["semilinear", "--config", str(path), "--out", str(tmp_path / "saved")]) == 0
         _, loaded = load_run(tmp_path / "saved")
         reads = []
-        monkeypatch.setattr(cli, "read_field",
-                            lambda path: reads.append(os.path.basename(path)) or read_field(path))
+        monkeypatch.setattr(cli, "read_field", lambda path, out=None:
+                            reads.append(os.path.basename(path)) or read_field(path, out=out))
         for name, got, want in (("u", loaded.snapshots_u, traj.snapshots_u),
                                 ("ut", loaded.snapshots_ut, traj.snapshots_ut)):
             assert len(got) == 26 and want.shape == (26, 256)
@@ -440,6 +440,19 @@ class TestFieldWriter:
         assert sorted(os.listdir(tmp_path)) == ["u_000000.bin", "u_000001.bin",
                                                 "ut_000000.bin", "ut_000001.bin"]
         assert not files._writer.is_alive()
+
+    def test_close_raises_the_writers_error(self, tmp_path, monkeypatch):
+        # a row kept after the last wait: only close is left to raise its error
+        def failing(*args):
+            raise OSError(28, "No space left on device", args[0])
+
+        monkeypatch.setattr(cli, "write_field", failing)
+        files = cli.FieldFiles(str(tmp_path), GridSpec(1, 16, 1.0))
+        files.buffers(0)
+        files.keep(0, 0.0)
+        with pytest.raises(OSError, match="No space left"):
+            files.close()
+        assert not files._writer.is_alive() and os.listdir(tmp_path) == []
 
     def test_no_row_is_overwritten_before_it_is_written(self, tmp_path):
         # switch threads as often as the interpreter allows: a pair handed out
@@ -1598,16 +1611,20 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out[0] == "[]" and out[-1] == "0 []"
 
 
-@pytest.mark.parametrize("command,loaded", [
-    (["semilinear"], []),
-    (["linear-decay", "--window-lo", "1", "--window-hi", "4"], ["sigmaevo.analysis"]),
+@pytest.mark.parametrize("command,store,loaded", [
+    (["semilinear"], False, []),
+    (["semilinear"], True, ["queue"]),
+    (["linear-decay", "--window-lo", "1", "--window-hi", "4"], False, ["sigmaevo.analysis"]),
 ])
-def test_command_loads_only_the_modules_it_runs(tmp_path, command, loaded):
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, store, loaded):
     # functional (blowup-scan), norms (check-inequalities), analysis (the
-    # fits) and concurrent.futures (a parallel sweep) load with their command
-    path, _ = write_config(tmp_path)
+    # fits), concurrent.futures (a parallel sweep) and queue (a run that
+    # stores its fields) load with their command
+    solver = dict(small_config_doc(tmp_path)["solver"], store_fields=store)
+    path, _ = write_config(tmp_path, solver=solver)
     env = _package_env()
-    lazy = ["concurrent.futures", "sigmaevo.analysis", "sigmaevo.functional", "sigmaevo.norms"]
+    lazy = ["concurrent.futures", "queue", "sigmaevo.analysis", "sigmaevo.functional",
+            "sigmaevo.norms"]
     code = ("import sys; from sigmaevo.cli import main; "
             f"assert main({command + ['--config', str(path)]!r}) == 0; "
             f"print([m for m in {lazy!r} if m in sys.modules])")
