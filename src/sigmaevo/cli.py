@@ -2,7 +2,9 @@
 
 A run is described by one JSON document (diff-able, round-trips losslessly)
 and produces a run directory holding the exact config used (manifest.json),
-norms.csv, and optional binary field snapshots, one file per field and row.
+norms.csv, fit.csv (linear-decay) and optional binary field snapshots, one
+file per field and row.  All are staged and swapped in as the run ends: a
+rerun replaces or removes each, and a failed run changes none (_run_dir).
 Numerical blow-up is a recorded verdict, never a process failure; validation
 problems exit nonzero with the violated constraint named.
 
@@ -297,10 +299,10 @@ class FieldFiles:
     and returns at once, so the loop fills one pair while the writer writes
     the other; the writer marks each pair free again once done with its
     row.  ``buffers(i)`` waits until pair i % 2 is free, that is, until row
-    i - 2 is written, and ``stacks(n)``, at the loop's end, until both are.
-    After an error the writer writes nothing more, but still frees each
-    pair it is handed; the error is raised again on the caller's thread at
-    the next of these calls, or at ``close``, which ends the writer."""
+    i - 2 is written; ``stacks(n)`` waits for nothing.  After an error the
+    writer writes nothing more, but still frees each pair it is handed; the
+    error is raised again on the caller's thread at the next ``buffers``,
+    or at ``close``, which ends the writer once every kept row is written."""
 
     def __init__(self, fdir: str, grid: GridSpec):
         import queue
@@ -324,7 +326,6 @@ class FieldFiles:
         self._queue.put((i, float(t)))
 
     def stacks(self, n: int) -> tuple:
-        self._wait(*self._free)
         return None, None
 
     def close(self):
@@ -353,48 +354,51 @@ class FieldFiles:
                 self._free[i % 2].set()
 
 
-@contextlib.contextmanager
-def _field_sink(outdir: str, grid: GridSpec, store: bool):
-    """A FieldFiles sink for outdir/fields (None unless ``store``).
+# a run directory's files, in the order they are swapped in: the manifest last
+RUN_FILES = ("fields", "norms.csv", "fit.csv", "functional.csv", "manifest.json")
 
-    The files go to a staging directory inside outdir that replaces
-    outdir/fields when the block ends.  The sink's writer thread is ended
-    first, on every way out of the block, once it has written the rows
-    still queued or failed.  Its error, if any, is raised in the block (by
-    the sink's ``buffers`` or ``stacks``, before the block saves anything
-    else) or at the end; a block that raises keeps its own error.  A block
-    that raises, or whose writer failed, leaves outdir as it found it,
-    removing the directories it made.
-    """
-    if not store:
-        yield None
-        return
+
+@contextlib.contextmanager
+def _run_dir(outdir: str, grid: GridSpec, store: bool):
+    """(stage, sink): a staging directory inside outdir, which the block
+    writes every file of its run into, and the FieldFiles sink of
+    stage/fields (None unless ``store``).
+
+    When the block ends, the sink's writer is ended, on every way out, once
+    it has written the rows still queued or failed.  If neither raised, each
+    name of RUN_FILES in outdir is replaced by its staged copy, or removed
+    if the run wrote none.  A block that raises keeps its own error over the
+    writer's; either error leaves outdir as it found it, removing the stage
+    and the directories it made."""
     made, parent = None, os.path.abspath(outdir)
     while not os.path.exists(parent):
         made, parent = parent, os.path.dirname(parent)
     os.makedirs(outdir, exist_ok=True)
-    stage = tempfile.mkdtemp(prefix=".fields-", dir=outdir)
     try:
-        # mkdtemp's directory is private (0700); the one inside it is made
-        # with the usual permissions, and is what becomes outdir/fields
-        staged = os.path.join(stage, "fields")
-        os.mkdir(staged)
-        files = FieldFiles(staged, grid)
-        try:
-            yield files
-        except BaseException:
-            with contextlib.suppress(BaseException):   # the writer's error: the block's wins
+        with tempfile.TemporaryDirectory(prefix=".run-", dir=outdir) as stage:
+            files = None
+            if store:   # made with the usual permissions, not the stage's 0700
+                os.mkdir(os.path.join(stage, "fields"))
+                files = FieldFiles(os.path.join(stage, "fields"), grid)
+            try:
+                yield stage, files
+            except BaseException:
+                if files is not None:
+                    with contextlib.suppress(BaseException):   # the writer's: the block's wins
+                        files.close()
+                raise
+            if files is not None:
                 files.close()
-            raise
-        files.close()
-        fdir = os.path.join(outdir, "fields")
-        if os.path.isdir(fdir):
-            shutil.rmtree(fdir)
-        os.rename(staged, fdir)
+            for name in RUN_FILES:   # an older run's file is removed with the stage
+                path, staged = os.path.join(outdir, name), os.path.join(stage, name)
+                if os.path.lexists(path):
+                    os.rename(path, os.path.join(stage, "old-" + name))
+                if os.path.lexists(staged):
+                    os.rename(staged, path)
     except BaseException:
-        shutil.rmtree(made or stage, ignore_errors=True)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
         raise
-    os.rmdir(stage)
 
 
 def _check_snapshot(path: str, i: int, t: float, header: tuple, grid: GridSpec):
@@ -578,19 +582,19 @@ def cmd_linear_decay(args) -> int:
     # the row times of a semilinear run of the same config
     solver = config.solver
     times = np.arange(0, solver.n_steps + 1, solver.snapshot_stride) * solver.dt
-    with _field_sink(outdir, config.grid, solver.store_fields) as fields:
+    with _run_dir(outdir, config.grid, solver.store_fields) as (stage, fields):
         # popped from the list: the run holds the only references to the
         # data, and lets them go once it has transformed them
         traj = simulate_linear(data.pop(0), data.pop(0), config.params, times, config.grid,
                                store_fields=solver.store_fields, fields=fields)
         fit = analysis.fit_decay(traj.series("L2_u"), window)
         verdict = analysis.compare_to_theory(fit, predicted, args.tolerance)
-        save_run(outdir, config, traj, mean_u1, "linear-decay")
-    write_table(os.path.join(outdir, "fit.csv"),
-                ["column", "exponent", "predicted", "tolerance",
-                 "window_lo", "window_hi", "residual_rms", "passed"],
-                [["L2_u", fit.exponent, predicted, args.tolerance, *window,
-                  fit.residual_rms, verdict.passed]])
+        save_run(stage, config, traj, mean_u1, "linear-decay")
+        write_table(os.path.join(stage, "fit.csv"),
+                    ["column", "exponent", "predicted", "tolerance",
+                     "window_lo", "window_hi", "residual_rms", "passed"],
+                    [["L2_u", fit.exponent, predicted, args.tolerance, *window,
+                      fit.residual_rms, verdict.passed]])
     print(f"fitted L2 exponent {fit.exponent:+.4f} vs predicted {predicted:+.4f} "
           f"on t in [{window[0]:g}, {window[1]:g}]: "
           f"{'PASS' if verdict.passed else 'FAIL'} (margin {verdict.margin:+.4f})")
@@ -613,18 +617,18 @@ def cmd_semilinear(args) -> int:
 
 def run_semilinear(config: RunConfig, outdir: str, kind: str) -> Trajectory:
     """The semilinear run of ``config``, saved to ``outdir`` as a run of the
-    command ``kind``: its snapshots (with store_fields) are streamed to
-    outdir/fields as the loop keeps them, and a run that raises leaves
-    outdir as it was."""
+    command ``kind``: its files are staged and swapped in by _run_dir, its
+    snapshots (with store_fields) streamed as the loop keeps them, and a
+    run that raises leaves outdir as it was."""
     grid = config.grid
     data = [config.u0.build(grid), config.u1.build(grid)]
     mean_u1 = float(np.mean(data[1]))
-    with _field_sink(outdir, grid, config.solver.store_fields) as fields:
+    with _run_dir(outdir, grid, config.solver.store_fields) as (stage, fields):
         # popped from the list: the run holds the only references to the
         # data, and lets them go once it has transformed them
         traj = simulate(data.pop(0), data.pop(0), config.params,
                         config.mu(), config.solver, grid, fields=fields)
-        save_run(outdir, config, traj, mean_u1, kind)
+        save_run(stage, config, traj, mean_u1, kind)
     return traj
 
 

@@ -590,16 +590,12 @@ def read_field(path, out: Optional[np.ndarray] = None):
     with open(path, "rb") as fh:
         grid, time, size = _read_header(fh, path)
         if out is None:
-            field = np.empty(grid.shape, dtype="<f8")
-        elif (out.shape, out.dtype) == (grid.shape, np.float64) and out.flags.c_contiguous:
-            field = out
-        else:
+            out = np.empty(grid.shape)
+        elif not ((out.shape, out.dtype) == (grid.shape, np.float64) and out.flags.c_contiguous):
             raise ParameterError(f"{path}: its {grid.shape} float64 field does not fit "
                                  f"an out of shape {out.shape} and dtype {out.dtype}")
-        if fh.readinto(field) != size:
+        if fh.readinto(out) != size:
             raise ParameterError(f"{path}: payload ends before {size} bytes")
-    if out is None:
-        return field.astype(float, copy=False), grid, time
     if sys.byteorder == "big":   # the payload is little-endian
         out.byteswap(inplace=True)
     return out, grid, time

@@ -48,6 +48,8 @@ def test_default_seed_job_matches_the_reference(name, tmp_path):
     for command in workload.commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(workloads.argv(command, cfg_path, run)) == 0
+    # the check counts the entries of fields/, not a staging entry beside it
+    assert set(os.listdir(run)) <= set(cli.RUN_FILES)
     with open(os.path.join(BENCH, "reference.json")) as fh:
         reference = json.load(fh)[name]
     assert workloads.check_outputs(workload, config, run, reference) == []

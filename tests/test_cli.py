@@ -18,6 +18,7 @@ from sigmaevo.cli import (DataSpec, RunConfig, load_run, main, read_norms_csv,
 from sigmaevo.errors import ConfigError, ParameterError
 from sigmaevo.functional import TestFunctionSpec, phi_R
 from sigmaevo.modulus import classify_integral_criterion
+from sigmaevo.params import predict_linear_rate
 from sigmaevo.solver import simulate, simulate_linear
 from sigmaevo.spectral import GridSpec, read_field, write_field
 
@@ -364,6 +365,104 @@ class TestPersistence:
         assert np.array_equal(data[:, 1:], traj.norms)
 
 
+class TestRunDirectory:
+    """Every file of a run reaches its directory through one staged swap: a
+    rerun replaces or removes each of cli.RUN_FILES, and a run that raises
+    leaves the directory as it was."""
+
+    @staticmethod
+    def stored_solver(tmp_path, **overrides):
+        return dict(small_config_doc(tmp_path)["solver"], store_fields=True, **overrides)
+
+    def scanned_earlier_run(self, tmp_path, out):
+        """A shorter semilinear run with snapshots in ``out``, and its scan."""
+        short, _ = write_config(tmp_path, "short.json",
+                                solver=self.stored_solver(tmp_path, t_end=1.0))
+        assert main(["semilinear", "--config", str(short), "--out", str(out)]) == 0
+        assert main(["blowup-scan", str(out)]) == 0
+        assert {"fields", "functional.csv"} <= set(os.listdir(out))
+
+    def test_run_without_snapshots_removes_the_earlier_ones(self, tmp_path, capsys):
+        # the earlier fields/ once stayed, and blowup-scan scanned them under
+        # the new run's manifest
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        self.scanned_earlier_run(tmp_path, out)
+        path, _ = write_config(tmp_path)
+        for rundir in (out, fresh):
+            assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "norms.csv"]
+        assert tree_bytes(out) == tree_bytes(fresh)
+        capsys.readouterr()
+        assert main(["blowup-scan", str(out)]) == 2
+        assert f"run directory {out} has no field snapshots" in capsys.readouterr().err
+
+    def test_run_with_snapshots_replaces_the_earlier_ones(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        self.scanned_earlier_run(tmp_path, out)
+        path, _ = write_config(tmp_path, solver=self.stored_solver(tmp_path))
+        for rundir in (out, fresh):
+            assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        assert sorted(os.listdir(out)) == ["fields", "manifest.json", "norms.csv"]
+        assert len(os.listdir(out / "fields")) == 2 * 26
+        assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_semilinear_run_removes_an_earlier_fit(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["linear-decay", "--config", str(path), "--out", str(out),
+                     "--window-lo", "1", "--window-hi", "4"]) == 0
+        assert (out / "fit.csv").exists()
+        for rundir in (out, fresh):
+            assert main(["semilinear", "--config", str(path), "--out", str(rundir)]) == 0
+        assert not (out / "fit.csv").exists()
+        assert tree_bytes(out) == tree_bytes(fresh)
+
+    def test_manifest_is_swapped_in_last(self, tmp_path, monkeypatch):
+        path, _ = write_config(tmp_path, solver=self.stored_solver(tmp_path))
+        out = tmp_path / "out"
+        renamed, rename = [], os.rename
+        monkeypatch.setattr(os, "rename", lambda src, dst: renamed.append(dst) or rename(src, dst))
+        assert main(["linear-decay", "--config", str(path), "--out", str(out),
+                     "--window-lo", "1", "--window-hi", "4"]) == 0
+        assert [os.path.basename(dst) for dst in renamed] == \
+            ["fields", "norms.csv", "fit.csv", "manifest.json"]
+        assert cli.RUN_FILES[-1] == "manifest.json"
+
+    @pytest.mark.parametrize("command,table", [("semilinear", "norms.csv"),
+                                               ("linear-decay", "fit.csv")])
+    @pytest.mark.parametrize("fault", ["write", "interrupt"])
+    def test_failed_table_leaves_the_output_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                      command, table, fault):
+        # the manifest and norms were once written in place, and fit.csv
+        # after the run had replaced the earlier one's files
+        out = tmp_path / "deep" / "run"
+        self.scanned_earlier_run(tmp_path, out)
+        path, _ = write_config(tmp_path, solver=self.stored_solver(tmp_path))
+        before, threads = tree_bytes(tmp_path), threading.enumerate()
+        write_table = cli.write_table
+
+        def failing(file, *args, **kwargs):
+            if os.path.basename(file) != table:
+                return write_table(file, *args, **kwargs)
+            with open(file, "w") as fh:   # a table cut short
+                fh.write("t,L2")
+            raise OSError(28, "No space left on device", file) if fault == "write" \
+                else KeyboardInterrupt()
+
+        monkeypatch.setattr(cli, "write_table", failing)
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "linear-decay":
+            argv += ["--window-lo", "1", "--window-hi", "4"]
+        if fault == "write":
+            assert main(argv) == 2
+            assert f"No space left on device: '{out}" in capsys.readouterr().err
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert tree_bytes(tmp_path) == before
+        assert threading.enumerate() == threads
+
+
 FIT_OPTION_ERRORS = [
     (["--window-lo", "30", "--window-hi", "10"],
      "--window-lo must be below --window-hi and both finite, got 30.0 and 10.0"),
@@ -562,6 +661,39 @@ class TestCommands:
         assert (out / "norms.csv").exists()
         assert (out / "fit.csv").exists()
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("data,term", [("u0", 0), ("u1", 1)])
+    def test_linear_decay_default_window_ends_at_the_wrap_time(self, tmp_path, capsys,
+                                                                 data, term):
+        # sigma = 2, delta = 1 on N = 512, L = 100: the periodic images reach
+        # the data's support at t = 176.4, before t_end = 200; the predicted
+        # exponent is the term of the one datum that is nonzero
+        gaussian = {"family": "gaussian", "amplitude": 1.0, "width": 1.0, "center": 0.0}
+        params = {"sigma": 2, "delta": 1, "m": 1, "n": 1, "p": 3, "target": "on_u", "r": 1}
+        path, _ = write_config(
+            tmp_path, params=params, grid={"n": 1, "N": 512, "L": 100.0},
+            solver={"dt": 0.5, "t_end": 200.0, "dealias_fraction": 2 / 3,
+                    "blowup_threshold": None, "snapshot_stride": 2, "store_fields": False},
+            data={"u0": {"family": "zero"}, "u1": {"family": "zero"}, data: gaussian})
+        out = tmp_path / "lin"
+        assert main(["linear-decay", "--config", str(path), "--out", str(out)]) == 0
+        header, row = csv.reader((out / "fit.csv").read_text().splitlines())
+        fit = dict(zip(header, row))
+        assert float(fit["window_lo"]) == 10.0 and 176 < float(fit["window_hi"]) < 177
+        predicted = predict_linear_rate(RunConfig.load(path).params, 0.0, 0)[term]
+        assert float(fit["predicted"]) == float(predicted) == (-0.25, 0.75)[term]
+        assert fit["passed"] == "True"
+        assert f"on t in [10, {float(fit['window_hi']):g}]: PASS" in capsys.readouterr().out
+
+    def test_rates_from_a_config_match_the_flags(self, tmp_path, capsys):
+        path, doc = write_config(tmp_path, params={
+            "sigma": 2.0, "delta": 0.5, "m": 1.0, "n": 3, "p": 2.5, "target": "on_ut", "r": 1.5},
+            grid={"n": 3, "N": 16, "L": 8.0})
+        assert main(["rates", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["rates", *(f"--{key}={value}" for key, value in doc["params"].items())]) == 0
+        assert from_config == capsys.readouterr().out
+        assert "parameters: sigma=2.0 delta=0.5 m=1.0 n=3 r=1.5 target=on_ut" in from_config
 
     @pytest.mark.parametrize("flag", [["--window-lo", "12"], ["--window-hi", "20"]])
     def test_linear_decay_window_flags_go_together(self, tmp_path, capsys, flag):
