@@ -46,15 +46,6 @@ _LOG_FAMILIES = ("log-lip", "log-log-lip", "log-power")
 _INF = float("inf")
 
 
-def _power(x: np.ndarray, e: float, out: np.ndarray) -> np.ndarray:
-    """x ** e written into ``out``.  A 0-d x takes numpy's scalar power, as a
-    scalar call always has: its last bit can differ from the array loop's."""
-    if x.ndim == 0:
-        out[()] = x[()] ** e
-        return out
-    return np.power(x, e, out=out)
-
-
 def _relog(v: np.ndarray, order: int) -> np.ndarray:
     """logm continued from its first level v = log(x) + 1 >= 1, in place."""
     for _ in range(order - 1):
@@ -204,7 +195,7 @@ class ModulusSpec:
             np.copyto(out, s)
             return out
         if self.family == "hoelder":
-            return _power(s, self.alpha, out)
+            return np.power(s, self.alpha, out=out)
         if self.family == "tabulated":
             xs = np.array([p[0] for p in self.table])
             ys = np.array([p[1] for p in self.table])
@@ -219,7 +210,7 @@ class ModulusSpec:
         else:
             np.subtract(1.0, np.log(np.maximum(s, 5e-324, out=ell), out=ell), out=ell)
         if self.family == "log-power":
-            return _power(ell, -self.alpha, out)
+            return np.power(ell, -self.alpha, out=out)
         np.add(s, 0.0, out=s)   # -0.0 + 0.0 = +0.0, the sign mu(0) has
         if self.family == "log-lip":
             return np.multiply(s, ell, out=out)
@@ -229,23 +220,21 @@ class ModulusSpec:
 
     def evaluate(self, s, out: Optional[np.ndarray] = None,
                  work: Optional[np.ndarray] = None):
-        """mu(s) for scalar or array s >= 0; NaN gives NaN.
+        """mu(s) for s >= 0; NaN gives NaN.  A scalar s is evaluated as a 0-d
+        array, by the same loops as an array's elements, and comes back 0-d.
 
-        For an array s the result is written into ``out``, with ``work`` as
-        scratch, when given: two distinct arrays of s's shape, of which only
-        ``work`` may be s itself.  s is capped at the closed form's range into
-        ``work``, whose contents are undefined afterwards (s's too, when it is
-        passed as ``work``).
+        The result is written into ``out``, with ``work`` as scratch, when
+        given: two distinct arrays of s's shape, of which only ``work`` may be
+        s itself.  s is capped at the closed form's range into ``work``, whose
+        contents are undefined afterwards (s's too, when it is passed as
+        ``work``).
         """
         arr = np.asarray(s, dtype=float)
         if np.min(arr, initial=0.0) < 0.0:   # no mask; NaN and -0.0 pass
             raise DomainError("modulus argument must be nonnegative")
         capped = np.minimum(arr, self._formula_limit,
                             out=np.empty_like(arr) if work is None else work)
-        out = self._core(capped, np.empty_like(arr) if out is None else out)
-        if np.isscalar(s) or arr.ndim == 0:
-            return float(out)
-        return out
+        return self._core(capped, np.empty_like(arr) if out is None else out)
 
     def evaluate_neglog(self, t):
         """mu(exp(-t)) for t >= 0, evaluated without underflow in s.
@@ -255,32 +244,28 @@ class ModulusSpec:
         its quadrature nodes.  The log families read t itself as
         log(1/s), so log-power keeps its tail where exp(-t) flushes to zero
         (t beyond ~745); hoelder forms exp(-alpha t), not exp(-t)**alpha.
+        A scalar t is evaluated as a 0-d array and comes back 0-d.
         """
         tt = np.asarray(t, dtype=float)
         if np.any(tt < 0.0):
             raise DomainError("evaluate_neglog requires t >= 0")
         if self.family == "hoelder":
-            out = np.exp(-self.alpha * tt)
-        else:
-            out = self._core(np.exp(-tt, out=np.empty_like(tt)), np.empty_like(tt), tt)
-        if np.isscalar(t) or tt.ndim == 0:
-            return float(out)
-        return out
+            return np.exp(-self.alpha * tt)
+        return self._core(np.exp(-tt, out=np.empty_like(tt)), np.empty_like(tt), tt)
 
 
 def psi(s, p: float, mu: ModulusSpec, out: Optional[np.ndarray] = None,
         work: Optional[np.ndarray] = None):
-    """Psi(s) = s^p mu(s) for scalar or array s >= 0.
+    """Psi(s) = s^p mu(s) for s >= 0; a scalar s is evaluated as a 0-d array,
+    as mu.evaluate does, and comes back 0-d.
 
     This is the nonlinearity |w|^p mu(|w|) at s = |w| and the weight of the
-    blow-up functionals.  For an array s it is written into ``out``, with
-    ``work`` as scratch, when given: two distinct arrays of s's shape, neither
-    s itself.  mu(s) goes into ``out`` first (mu.evaluate's scratch is
-    ``work``), then s^p into ``work``.  np.power is exact at s = 0 for p > 0.
+    blow-up functionals.  It is written into ``out``, with ``work`` as
+    scratch, when given: two distinct arrays of s's shape, neither s itself.
+    mu(s) goes into ``out`` first (mu.evaluate's scratch is ``work``), then
+    s^p into ``work``.  np.power is exact at s = 0 for p > 0.
     """
     arr = np.asarray(s, dtype=float)
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(np.power(arr, p) * mu.evaluate(arr))
     out = mu.evaluate(arr, out, work)
     return np.multiply(np.power(arr, p, out=work), out, out=out)
 

@@ -159,29 +159,29 @@ class GridSpec:
             np.logical_and, [np.abs(k) <= bound for k in _wavenumbers(self.n, self.N)]))
 
     def fft(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Half spectrum of a real field or a stack of fields, written into
-        ``out`` when given.
+        """Half spectrum of one real field of the grid's shape, written into
+        ``out`` when given; any other shape, a stack of fields included,
+        raises GridMismatchError.
 
         rfftn's passes, bit for bit, without its per-call argument handling:
         rfft on the last axis, then fft in place on the others, last first.
         """
-        self.check_stack(u)
+        self.check_field(u)
         uh = np.fft.rfft(u, axis=-1, out=out)
         for axis in range(-2, -self.n - 1, -1):
             np.fft.fft(uh, axis=axis, out=uh)
         return uh
 
     def ifft(self, uh: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Real field (or stack of fields) from its half spectrum, written
-        into ``out`` when given; ``uh`` is not modified.
+        """One real field from its half spectrum, written into ``out`` when
+        given; ``uh`` is not modified.
 
         irfftn's passes, bit for bit: ifft on the leading axes, first first,
-        then irfft on the last.  With ``out`` and a single field the complex
-        passes run in a scratch array the grid keeps, so nothing is allocated;
-        between such calls the grid lends that scratch out (half_spectrum_work).
+        then irfft on the last.  With ``out`` the complex passes run in a
+        scratch array the grid keeps, so nothing is allocated; between such
+        calls the grid lends that scratch out (half_spectrum_work).
         """
-        single = out is not None and self.n > 1 and uh.ndim == self.n
-        work = self._spectral_scratch if single else None
+        work = self._spectral_scratch if out is not None and self.n > 1 else None
         for axis in range(-self.n, -1):
             uh = work = np.fft.ifft(uh, axis=axis, out=work)
         return np.fft.irfft(uh, n=self.N, axis=-1, out=out)
@@ -201,11 +201,6 @@ class GridSpec:
     def check_field(self, u: np.ndarray):
         if np.shape(u) != self.shape:
             raise GridMismatchError(f"field shape {np.shape(u)} does not match grid {self.shape}")
-
-    def check_stack(self, u: np.ndarray):
-        """Like check_field, but allows leading (stack) axes."""
-        if np.shape(u)[-self.n:] != self.shape:
-            raise GridMismatchError(f"field shape {np.shape(u)} does not end in grid {self.shape}")
 
 
 def _wavenumbers(n: int, N: int) -> list:

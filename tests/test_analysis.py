@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,17 @@ class TestFitDecay:
     def test_too_few_points(self):
         with pytest.raises(DataSeriesError):
             fit_decay(power_series(-1.0, count=50), (99.0, 100.0))
+
+    @pytest.mark.parametrize("series", [np.ones(10), np.ones((10, 3)), np.ones((2, 5, 2)),
+                                        [(1.0, 2.0, 3.0)]])
+    def test_series_not_pairs_rejected(self, series):
+        with pytest.raises(DataSeriesError, match=re.escape("sequence of (t, value) pairs")):
+            fit_decay(series, (1, 10))
+
+    @pytest.mark.parametrize("window", [(10.0, 10.0), (50.0, 10.0), (float("nan"), 10.0)])
+    def test_empty_window_rejected(self, window):
+        with pytest.raises(DataSeriesError, match="t_min < t_max"):
+            fit_decay(power_series(-1.0), window)
 
 
 def polyfit_line(x, y):

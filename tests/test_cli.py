@@ -636,6 +636,20 @@ class TestCommands:
         assert "p* = 3" in out
         assert "-0.25" in out
 
+    @pytest.mark.parametrize("flags,source,exponents", [
+        (["--sigma", "2", "--delta", "1", "--target", "on_ut", "--r", "2.6"], "thm_1_3",
+         ("+0.75", "-0.55", "-0.25")),
+        (["--sigma", "2", "--delta", "1", "--n", "3"], "thm_1_2", ("+0.25", "-0.75", "-0.75")),
+    ])
+    def test_rates_prints_the_theorem_exponents(self, capsys, flags, source, exponents):
+        # both theorems bound u_t in L2 too; thm_1_1 does not
+        assert main(["rates", *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[-4:] == [
+            f"theorem rates ({source}):",
+            f"  L2 exponent          {exponents[0]}",
+            f"  |D|^r L2 exponent    {exponents[1]}",
+            f"  u_t L2 exponent      {exponents[2]}"]
+
     def test_rates_outside_every_window_reports_and_exits_0(self, capsys):
         # n = 1 <= 2 m delta: no critical exponent, and no theorem applies
         assert main(["rates", "--sigma", "2", "--delta", "1", "--n", "1"]) == 0
@@ -1741,6 +1755,21 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out[0] == "[]" and out[-1] == "0 []"
+
+
+def test_module_entry_point_exits_with_the_command_status(tmp_path):
+    # python -m sigmaevo.cli hands main's status to the shell; a user error
+    # is one stderr line, with no traceback
+    env = _package_env()
+    rates = subprocess.run([sys.executable, "-m", "sigmaevo.cli", "rates"], env=env,
+                           capture_output=True, text=True)
+    assert rates.returncode == 0 and rates.stdout.startswith("parameters: ")
+    missing = subprocess.run([sys.executable, "-m", "sigmaevo.cli", "semilinear", "--config",
+                              str(tmp_path / "missing.json")], env=env, capture_output=True,
+                             text=True)
+    assert missing.returncode == 2 and missing.stdout == ""
+    assert len(missing.stderr.splitlines()) == 1 and missing.stderr.startswith("error:")
+    assert "Traceback" not in missing.stderr
 
 
 @pytest.mark.parametrize("command,store,loaded", [

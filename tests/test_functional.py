@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -208,6 +209,11 @@ class TestTimeDerivative:
         with pytest.raises(CoverageError):
             time_derivative(np.zeros((5, 3)), 0.1, 1)
 
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_only_first_and_second_orders(self, order):
+        with pytest.raises(ParameterError, match="only first and second"):
+            time_derivative(np.zeros((6, 3)), 0.1, order)
+
 
 class TestIR:
     def test_zero_trajectory(self, params, spec):
@@ -237,6 +243,27 @@ class TestIR:
         traj = frozen_trajectory(grid, t_end=1.0, params=params)
         with pytest.raises(CoverageError, match="coverage"):
             compute_I_R(traj, ModulusSpec.lipschitz(), 3.0, 2.5, spec)
+
+    def test_trajectory_without_snapshots_rejected(self, params, spec):
+        traj = dataclasses.replace(frozen_trajectory(GridSpec(1, 64, 6.0), params=params),
+                                   snapshots_u=None, snapshots_ut=None)
+        with pytest.raises(CoverageError, match="no field snapshots"):
+            compute_I_R(traj, ModulusSpec.lipschitz(), 3.0, 1.0, spec)
+
+    def test_fewer_than_six_rows_rejected(self, params, spec):
+        # t_end = 0.08 at dt = 0.02: five rows
+        traj = frozen_trajectory(GridSpec(1, 64, 6.0), t_end=0.08, params=params)
+        assert len(traj.times) == 5
+        with pytest.raises(CoverageError, match="at least 6 field snapshots"):
+            compute_I_R(traj, ModulusSpec.lipschitz(), 3.0, 0.05, spec)
+
+    def test_non_uniform_times_rejected(self, params, spec):
+        traj = frozen_trajectory(GridSpec(1, 64, 6.0), params=params)
+        times = traj.times.copy()
+        times[3] += 0.005
+        with pytest.raises(CoverageError, match="uniformly spaced"):
+            compute_I_R(dataclasses.replace(traj, times=times), ModulusSpec.lipschitz(), 3.0,
+                        1.0, spec)
 
 
 class TestJR:
@@ -678,7 +705,7 @@ class TestScan:
         assert [row[5] for row in body] == verdicts
 
 
-# -- the whole-stack transform, kept as the oracle of the pass's one-row reads --
+# -- numpy's whole-stack transform, kept as the oracle of the pass's one-row reads --
 
 def pass_columns(traj, spec):
     """The grid points the pass keeps: |x|^sp + t_0 below the largest R."""
@@ -692,19 +719,21 @@ def operator_powers(params):
 
 
 def whole_stack_read(stack, grid, columns, powers):
-    """One forward transform of the whole stack, then one inverse per power
-    on the whole stack."""
+    """numpy's n-D pair on the last n axes: one rfftn of the whole stack,
+    then one irfftn per power of the whole stack."""
     def restrict(a):
         return a.reshape(len(a), -1)[:, columns]
 
-    wh = grid.fft(stack)
+    axes = tuple(range(-grid.n, 0))
+    wh = np.fft.rfftn(stack, axes=axes)
     xisq = grid.xi_squared()
     return [restrict(stack)] + [
-        restrict(grid.ifft(fractional_symbol(xisq, p) * wh) if p else stack) for p in powers]
+        restrict(np.fft.irfftn(fractional_symbol(xisq, p) * wh, s=grid.shape, axes=axes)
+                 if p else stack) for p in powers]
 
 
-# (sigma, delta, target, n, N, L): the grids on which the pass once read 7
-# rows per block; delta = 0 on on_u makes the damping power the identity
+# (sigma, delta, target, n, N, L): 1D and 2D grids on both targets;
+# delta = 0 on on_u makes the damping power the identity
 ADJOINT_GRIDS = [
     (1.5, 0.5, "on_u", 1, 4096, 64.0),
     (1.0, 0.0, "on_u", 2, 64, 6.0),
@@ -713,8 +742,10 @@ ADJOINT_GRIDS = [
 ]
 
 
-class TestBlockedAdjoint:
-    # T = 6, 10 and 24 rows: once below one block, no multiple of it, four blocks
+class TestOneRowRead:
+    """The pass's one-row reads and transforms against numpy's whole stack."""
+
+    # T = 6 rows, the fewest a scan takes, then 10 and 24
     @pytest.mark.parametrize("T", [6, 10, 24])
     @pytest.mark.parametrize("sigma,delta,target,n,N,L", ADJOINT_GRIDS)
     def test_matches_whole_stack_bit_for_bit(self, sigma, delta, target, n, N, L, T):
@@ -722,7 +753,7 @@ class TestBlockedAdjoint:
         grid = GridSpec(n, N, L)
         self._check(params, grid, T)
 
-    def test_rows_larger_than_a_block_go_one_at_a_time(self):
+    def test_matches_whole_stack_on_a_large_grid(self):
         params = EquationParams(sigma=2.0, delta=1.0, n=2, p=3, target="on_ut")
         grid = GridSpec(2, 256, 40.0)
         self._check(params, grid, 6)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sigmaevo import analysis
+from sigmaevo import analysis, modulus
 from sigmaevo.errors import DomainError, ParameterError
 from sigmaevo.cli import main
 from sigmaevo.modulus import (SAMPLE_COUNT, AxiomReport, ModulusSpec, check_derivative_bound,
@@ -111,21 +111,40 @@ ORACLE_CASES = ALL_NAMED + [ModulusSpec.log_log_lip(3),
                                                    (0.75, 0.7)])]
 
 
+EVALUATE_POINTS = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 10.0, 3011)])
+NEGLOG_POINTS = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 3001)])
+
+
+def scalar_mismatches(f, points, array_result):
+    """The points x at which f(x), x a Python float, is not a 0-d result
+    with the bits of the matching element of f's array result."""
+    return [x for x, want in zip(points.tolist(), array_result)
+            if np.ndim(got := f(x)) != 0 or np.asarray(got).tobytes() != want.tobytes()]
+
+
 class TestOneClosedForm:
-    """evaluate and evaluate_neglog against the paths they replaced."""
+    """evaluate and evaluate_neglog against the paths they replaced; a
+    scalar goes through the array path, so it gets its element's bits."""
 
     @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
     def test_evaluate_bit_identical(self, mu):
-        s = np.concatenate([[0.0, 5e-324, 1e-310], np.geomspace(1e-300, 10.0, 3011)])
-        assert np.array_equal(mu.evaluate(s), replaced_evaluate(mu, s))
-        assert all(mu.evaluate(float(x)) == replaced_evaluate(mu, x) for x in s[::50])
+        s = EVALUATE_POINTS
+        got = mu.evaluate(s)
+        assert np.array_equal(got, replaced_evaluate(mu, s))
+        assert scalar_mismatches(mu.evaluate, s, got) == []
 
     @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
     def test_evaluate_neglog_bit_identical(self, mu):
-        t = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 3001)])
-        assert np.array_equal(mu.evaluate_neglog(t), replaced_evaluate_neglog(mu, t))
-        assert all(mu.evaluate_neglog(float(x)) == replaced_evaluate_neglog(mu, x)
-                   for x in t[::50])
+        t = NEGLOG_POINTS
+        got = mu.evaluate_neglog(t)
+        assert np.array_equal(got, replaced_evaluate_neglog(mu, t))
+        assert scalar_mismatches(mu.evaluate_neglog, t, got) == []
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_psi_scalar_is_its_array_element(self, mu, p):
+        s = EVALUATE_POINTS
+        assert scalar_mismatches(lambda x: psi(x, p, mu), s, psi(s, p, mu)) == []
 
 
 # zeros of both signs, subnormals, 1e-300 up to each closed form's range,
@@ -202,6 +221,11 @@ class TestEvaluate:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             ModulusSpec.lipschitz().evaluate(-0.1)
+
+    @pytest.mark.parametrize("mu", ORACLE_CASES, ids=lambda m: m.key())
+    def test_negative_neglog_argument_rejected(self, mu):
+        with pytest.raises(DomainError, match="t >= 0"):
+            mu.evaluate_neglog(np.array([1.0, -1e-300]))
 
     def test_tabulated_interpolation(self):
         mu = ModulusSpec.tabulated([(0.0, 0.0), (0.5, 1.0), (1.0, 1.5)])
@@ -604,6 +628,20 @@ class TestIntegralCriterion:
         assert verdict.verdict == "convergent"
         assert "increments" in verdict.evidence
 
+    def test_both_mode_conflict_is_inconclusive(self, monkeypatch):
+        # no named family's two verdicts disagree, so the numeric one is replaced
+        monkeypatch.setattr(modulus, "_classify_numeric",
+                            lambda mu, c0: modulus.CriterionVerdict("divergent", {"c0": c0}))
+        verdict = classify_integral_criterion(ModulusSpec.hoelder(0.5), mode="both")
+        assert verdict.verdict == "inconclusive"
+        assert verdict.evidence == {"c0": math.e, "analytic": "convergent",
+                                    "conflict": ("convergent", "divergent")}
+
+    @pytest.mark.parametrize("mode", ["exact", "", "Both"])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ParameterError, match="mode must be"):
+            classify_integral_criterion(ModulusSpec.lipschitz(), mode=mode)
+
 
 class TestOrdering:
     def test_log_log_lip_dominates_log_lip_near_zero(self):
@@ -624,7 +662,7 @@ class TestKeys:
                                      "log-power:", "hoelder:2", "log-log-lip:0",
                                      "log-power:nan", "log-power:inf", "log-power:-inf",
                                      "hoelder:nan", "hoelder:inf", "lipschitz:junk",
-                                     "log-lip:3"])
+                                     "log-lip:3", "foo:1"])
     def test_bad_key_named(self, key):
         with pytest.raises(ParameterError, match=re.escape(repr(key))):
             ModulusSpec.from_key(key)
@@ -633,6 +671,20 @@ class TestKeys:
     def test_bad_domain_cap_rejected(self, cap):
         with pytest.raises(ParameterError, match="domain_cap"):
             ModulusSpec.from_key("lipschitz", domain_cap=cap)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ParameterError, match="unknown modulus family 'foo'"):
+            ModulusSpec("foo")
+
+    @pytest.mark.parametrize("table,match", [
+        ([(0.0, 0.0)], "at least two sample points"),
+        ([(0.0, 0.0), (0.5, 0.4), (0.25, 0.3)], "start at 0 and be sorted"),
+        ([(0.1, 0.0), (0.5, 0.4)], "start at 0 and be sorted"),
+        ([(0.0, 0.1), (0.5, 0.4)], re.escape("mu(0) = 0")),
+    ])
+    def test_bad_table_rejected(self, table, match):
+        with pytest.raises(ParameterError, match=match):
+            ModulusSpec.tabulated(table)
 
     def test_non_finite_table_rejected(self):
         with pytest.raises(ParameterError, match="finite"):

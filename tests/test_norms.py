@@ -39,6 +39,11 @@ class TestLebesgue:
         with pytest.raises(ParameterError):
             lebesgue_norm(np.ones(g.shape), 0.5, g)
 
+    def test_negative_sobolev_order_rejected(self):
+        g = GridSpec(1, 64, 1.0)
+        with pytest.raises(ParameterError, match="s must be nonnegative"):
+            sobolev_norm(np.ones(g.shape), -0.5, g)
+
     def test_hoelder_monotonicity_with_volume_factor(self, rng):
         # ||u||_p <= vol^(1/p - 1/q) ||u||_q for p <= q on fixed torus volume
         g = GridSpec(1, 128, 2.0)
@@ -84,6 +89,15 @@ class TestDataNorm:
         z = np.zeros(g.shape)
         assert data_norm(z, z, 1, 0, g) == 0.0
 
+    @pytest.mark.parametrize("m,r,match", [(0.5, 0, "m must lie in"), (2.0, 0, "m must lie in"),
+                                           (np.nan, 0, "m must lie in"),
+                                           (1, -1.0, "r must be nonnegative")])
+    def test_exponents_checked(self, m, r, match):
+        g = GridSpec(1, 64, 1.0)
+        z = np.zeros(g.shape)
+        with pytest.raises(ParameterError, match=match):
+            data_norm(z, z, m, r, g)
+
     def test_cosine_closed_form(self):
         g = GridSpec(1, 2048, np.pi)
         u = np.cos(g.axis())
@@ -127,6 +141,24 @@ class TestGagliardoNirenberg:
         u = synthesize(mode_coefficients(24, 1, rng), g)
         r = check_gagliardo_nirenberg(u, 2, 2, 2, 1.0 - 1e-9, 1.0, g)
         assert r == pytest.approx(1.0, rel=1e-6)
+
+    def test_zero_field_ratio_zero(self):
+        g = GridSpec(1, 64, 1.0)
+        assert check_gagliardo_nirenberg(np.zeros(g.shape), 2, 2, 2, 0.5, 1.0, g) == 0.0
+
+    @pytest.mark.parametrize("p,p0,p1", [(1.0, 2, 2), (2, np.inf, 2), (2, 2, np.nan)])
+    def test_exponents_in_open_window(self, p, p0, p1):
+        g = GridSpec(1, 64, 1.0)
+        with pytest.raises(ParameterError, match="must lie in \\(1, inf\\)"):
+            check_gagliardo_nirenberg(np.ones(g.shape), p, p0, p1, 0.5, 1.0, g)
+
+    def test_theta_outside_its_window_rejected(self):
+        # p0 = 100 in 1D with sigma_gn = 0.4: both terms of theta are
+        # negative and theta = 0.39 / 0.09 exceeds 1
+        g = GridSpec(1, 64, 1.0)
+        assert gn_theta(2, 100, 2, 0.1, 0.4, 1) > 1.0
+        with pytest.raises(ParameterError, match="theta = .* outside"):
+            check_gagliardo_nirenberg(np.ones(g.shape), 2, 100, 2, 0.1, 0.4, g)
 
     def test_non_hilbert_case_rejected(self):
         g = GridSpec(1, 64, 1.0)
@@ -173,6 +205,12 @@ class TestFractionalPowers:
         g = GridSpec(1, 64, 1.0)
         with pytest.raises(ParameterError):
             check_fractional_powers(np.ones(g.shape), 2.5, 0.3, g)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_p_above_one(self, p):
+        g = GridSpec(1, 64, 1.0)
+        with pytest.raises(ParameterError, match="p must exceed 1"):
+            check_fractional_powers(np.ones(g.shape), p, 0.8, g)
 
 
 class TestRefinementStability:

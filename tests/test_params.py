@@ -22,6 +22,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             EquationParams(sigma=1, delta=0, p=1.0)
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_dimension_at_most_three(self, n):
+        with pytest.raises(ParameterError, match="dimensions 1-3"):
+            EquationParams(sigma=1, delta=0, n=n)
+
     def test_r_defaults_to_sigma(self):
         assert EquationParams(sigma=2, delta=1).r == 2.0
 
@@ -99,6 +104,11 @@ class TestLinearRates:
         p = EquationParams(sigma=2, delta=1, m=1, n=1, p=2, r=2)
         assert predict_linear_rate(p, 0, 0) == (Fraction(-1, 4), Fraction(3, 4))
 
+    def test_negative_order_rejected(self):
+        p = EquationParams(sigma=1, delta=0, m=1, n=1, p=3, r=1)
+        with pytest.raises(ParameterError, match="a must be nonnegative"):
+            predict_linear_rate(p, -0.5, 0)
+
     def test_sharp_form_requires_dimension(self):
         # n <= 2*m0*delta: the non-sharp fallback carries the +1 on the u1 term
         p = EquationParams(sigma=2, delta=0.9, m=1, n=3, p=2, r=2)
@@ -157,6 +167,11 @@ class TestTheoremRates:
             predict_theorem_rates(p)
         pred = predict_theorem_rates(p, RateSource.THM_1_2)
         assert pred.exponent_u_L2 == Fraction(1, 2)
+
+    def test_source_naming_no_theorem_rejected(self):
+        p = EquationParams(sigma=1, delta=0, m=1, n=1, p=3, r=1)
+        with pytest.raises(ParameterError, match="needs a theorem source, got thm_9"):
+            predict_theorem_rates(p, "thm_9")
 
     def test_on_ut_rates(self):
         p = EquationParams(sigma=2, delta=1, m=1, n=1, p=2, target=Target.ON_UT, r=2.6)
