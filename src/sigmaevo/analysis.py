@@ -85,5 +85,6 @@ def default_fit_window(t_end: float, wrap_time: Optional[float] = None) -> Tuple
     t_min = 10.0
     t_max = t_end if wrap_time is None else min(t_end, wrap_time)
     if t_max <= t_min:
-        raise DataSeriesError(f"no usable fit window: t_min={t_min}, t_max={t_max}")
+        source = "t_end" if t_max == t_end else "the torus wrap time"
+        raise DataSeriesError(f"no usable fit window: t_min={t_min}, t_max={t_max} ({source})")
     return (t_min, t_max)

@@ -5,6 +5,7 @@ and produces a run directory holding the exact config used (manifest.json),
 norms.csv, fit.csv (linear-decay) and optional binary field snapshots, one
 file per field and row.  All are staged and swapped in as the run ends: a
 rerun replaces or removes each, and a failed run changes none (_run_dir).
+So is every other table a command writes whole; fit appends to its ledger.
 Numerical blow-up is a recorded verdict, never a process failure; validation
 problems exit nonzero with the violated constraint named.
 
@@ -37,7 +38,7 @@ from typing import Literal, Optional, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CoverageError, ParameterError, SigmaevoError
+from .errors import ConfigError, CoverageError, DataSeriesError, ParameterError, SigmaevoError
 from .modulus import ModulusSpec, check_derivative_bound, check_modulus_axioms, \
     classify_integral_criterion
 from .params import (EquationParams, check_admissibility, critical_exponent,
@@ -359,15 +360,15 @@ RUN_FILES = ("fields", "norms.csv", "fit.csv", "functional.csv", "manifest.json"
 
 
 @contextlib.contextmanager
-def _run_dir(outdir: str, grid: GridSpec, store: bool):
+def _run_dir(outdir: str, names: tuple, grid: Optional[GridSpec] = None, store: bool = False):
     """(stage, sink): a staging directory inside outdir, which the block
-    writes every file of its run into, and the FieldFiles sink of
-    stage/fields (None unless ``store``).
+    writes its files into, RUN_FILES for a run or one table, and the
+    FieldFiles sink of stage/fields on ``grid`` (None unless ``store``).
 
     When the block ends, the sink's writer is ended, on every way out, once
     it has written the rows still queued or failed.  If neither raised, each
-    name of RUN_FILES in outdir is replaced by its staged copy, or removed
-    if the run wrote none.  A block that raises keeps its own error over the
+    of ``names`` in outdir is replaced by its staged copy, or removed if the
+    block wrote none.  A block that raises keeps its own error over the
     writer's; either error leaves outdir as it found it, removing the stage
     and the directories it made."""
     made, parent = None, os.path.abspath(outdir)
@@ -389,7 +390,7 @@ def _run_dir(outdir: str, grid: GridSpec, store: bool):
                 raise
             if files is not None:
                 files.close()
-            for name in RUN_FILES:   # an older run's file is removed with the stage
+            for name in names:   # an older file is removed with the stage
                 path, staged = os.path.join(outdir, name), os.path.join(stage, name)
                 if os.path.lexists(path):
                     os.rename(path, os.path.join(stage, "old-" + name))
@@ -555,7 +556,10 @@ def _fit_window(config: RunConfig, u0: np.ndarray, u1: np.ndarray) -> tuple:
     tw = wrap_time(config.grid, config.params.sigma, config.params.delta,
                    spectrum, support)
     from . import analysis
-    return analysis.default_fit_window(config.solver.t_end, tw)
+    try:
+        return analysis.default_fit_window(config.solver.t_end, tw)
+    except DataSeriesError as exc:
+        raise DataSeriesError(f"{exc}; give the window with --window-lo and --window-hi") from exc
 
 
 def _check_fit_options(args):
@@ -582,7 +586,7 @@ def cmd_linear_decay(args) -> int:
     # the row times of a semilinear run of the same config
     solver = config.solver
     times = np.arange(0, solver.n_steps + 1, solver.snapshot_stride) * solver.dt
-    with _run_dir(outdir, config.grid, solver.store_fields) as (stage, fields):
+    with _run_dir(outdir, RUN_FILES, config.grid, solver.store_fields) as (stage, fields):
         # popped from the list: the run holds the only references to the
         # data, and lets them go once it has transformed them
         traj = simulate_linear(data.pop(0), data.pop(0), config.params, times, config.grid,
@@ -623,7 +627,7 @@ def run_semilinear(config: RunConfig, outdir: str, kind: str) -> Trajectory:
     grid = config.grid
     data = [config.u0.build(grid), config.u1.build(grid)]
     mean_u1 = float(np.mean(data[1]))
-    with _run_dir(outdir, grid, config.solver.store_fields) as (stage, fields):
+    with _run_dir(outdir, RUN_FILES, grid, config.solver.store_fields) as (stage, fields):
         # popped from the list: the run holds the only references to the
         # data, and lets them go once it has transformed them
         traj = simulate(data.pop(0), data.pop(0), config.params,
@@ -651,12 +655,12 @@ def cmd_blowup_scan(args) -> int:
     rows = [(R, I, J, g, G, "ok" if (0.0 <= I < J) and (G <= bound * I * (1.0 + 1e-6) + 1e-12)
              else "violated") for R, I, J, g, G in functional.scan(traj, mu, p0, spec)]
     outdir = args.out or args.rundir
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "functional.csv")
-    write_table(path, ["R", "I_R", "J_R", "g", "G", "verdict"], rows)
+    with _run_dir(outdir, ("functional.csv",)) as (stage, _):
+        write_table(os.path.join(stage, "functional.csv"),
+                    ["R", "I_R", "J_R", "g", "G", "verdict"], rows)
     for row in rows:
         print("R={:9.4g}  I_R={:12.6g}  J_R={:12.6g}  g={:12.6g}  G={:12.6g}  {}".format(*row))
-    print(f"wrote {path}")
+    print(f"wrote {os.path.join(outdir, 'functional.csv')}")
     return 0
 
 
@@ -696,9 +700,9 @@ def cmd_check_inequalities(args) -> int:
     for row in rows:
         print("{:24s} {:12.6g} {:12.6g} {:8.4f}".format(*row))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_table(os.path.join(args.out, "inequalities.csv"),
-                    ["check", "max_ratio", "max_ratio_refined", "growth"], rows)
+        with _run_dir(args.out, ("inequalities.csv",)) as (stage, _):
+            write_table(os.path.join(stage, "inequalities.csv"),
+                        ["check", "max_ratio", "max_ratio_refined", "growth"], rows)
     # a NaN growth (no field gave a nonzero ratio) never sets the exit code
     return 0 if max(0.0, *(row[3] for row in rows)) < 1.5 else 1
 
@@ -798,17 +802,17 @@ def cmd_sweep(args) -> int:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
 
-    summary = os.path.join(outroot, "summary.csv")
     columns = ["run_dir", "status", "error", "blowup_time", "blowup_reason",
                "rows", "final_L2_u"]
-    write_table(summary, keys + columns,
-                [list(combo) + [res.get(c, "") for c in columns]
-                 for combo, res in zip(combos, results)])
+    with _run_dir(outroot, ("summary.csv",)) as (stage, _):
+        write_table(os.path.join(stage, "summary.csv"), keys + columns,
+                    [list(combo) + [res.get(c, "") for c in columns]
+                     for combo, res in zip(combos, results)])
     failed = [res for res in results if res["status"] == "error"]
     for res in failed:
         print(f"error: sweep member {res['run_dir']}: {res['error']}", file=sys.stderr)
     print(f"{len(results) - len(failed)} of {len(results)} sweep members complete; "
-          f"summary in {summary}")
+          f"summary in {os.path.join(outroot, 'summary.csv')}")
     return 1 if failed else 0
 
 

@@ -173,15 +173,18 @@ class GridSpec:
         return uh
 
     def ifft(self, uh: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """One real field from its half spectrum, written into ``out`` when
-        given; ``uh`` is not modified.
+        """One real field from one half spectrum of the grid's shape, written
+        into ``out`` when given; any other shape, a stack of half spectra
+        included, raises GridMismatchError.  ``uh`` is not modified.
 
         irfftn's passes, bit for bit: ifft on the leading axes, first first,
-        then irfft on the last.  With ``out`` the complex passes run in a
-        scratch array the grid keeps, so nothing is allocated; between such
-        calls the grid lends that scratch out (half_spectrum_work).
+        then irfft on the last.  The complex passes run in a scratch array
+        the grid keeps, so with ``out`` nothing is allocated; between
+        transforms the grid lends that scratch out (half_spectrum_work).
         """
-        work = self._spectral_scratch if out is not None and self.n > 1 else None
+        work = self._spectral_scratch
+        if np.shape(uh) != work.shape:
+            raise GridMismatchError(f"half spectrum shape {np.shape(uh)} is not {work.shape}")
         for axis in range(-self.n, -1):
             uh = work = np.fft.ifft(uh, axis=axis, out=work)
         return np.fft.irfft(uh, n=self.N, axis=-1, out=out)
@@ -260,7 +263,7 @@ def fractional_symbol(xi_squared: np.ndarray, power: float) -> np.ndarray:
 
 def characteristic_roots(xi_mag, sigma: float, delta: float):
     """Roots of lam^2 + |xi|^(2 delta) lam + |xi|^(2 sigma) = 0, as complex
-    numbers: the complex view of :class:`MultiplierCache`'s real form.
+    arrays shaped like |xi|: the complex view of :class:`MultiplierCache`'s real form.
 
     Returns (lam_plus, lam_minus) ordered by real part (ties by imaginary
     part): alpha +- i omega, with lam_minus on the overdamped modes.
@@ -270,10 +273,7 @@ def characteristic_roots(xi_mag, sigma: float, delta: float):
     lam_p = cache.alpha + 1j * cache.omega
     lam_m = np.conj(lam_p)
     lam_m[cache.od] = cache.od_low
-    lam_p, lam_m = lam_p.reshape(xi.shape), lam_m.reshape(xi.shape)
-    if xi.ndim == 0:
-        return complex(lam_p), complex(lam_m)
-    return lam_p, lam_m
+    return lam_p.reshape(xi.shape), lam_m.reshape(xi.shape)
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ class MultiplierCache:
 
 
 def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
-    """K0_hat(t, xi), K1_hat(t, xi) for scalar or array |xi|, as float64.
+    """K0_hat(t, xi), K1_hat(t, xi) as float64 arrays shaped like |xi|.
 
     K0_hat(0, xi) = 1 and K1_hat(0, xi) = 0 exactly; both solve the per-mode
     ODE v'' + |xi|^(2 delta) v' + |xi|^(2 sigma) v = 0.
@@ -359,10 +359,8 @@ def propagator_multipliers(t: float, xi_mag, sigma: float, delta: float):
     if t < 0:
         raise ParameterError("t must be nonnegative")
     xi = np.asarray(xi_mag, dtype=float)
-    prop = Propagator.build(MultiplierCache.of(xi ** 2, sigma, delta), t)
-    if xi.ndim == 0:
-        return float(prop.K0), float(prop.K1)
-    return prop.K0, prop.K1
+    prop = Propagator.build(MultiplierCache.of(xi.ravel() ** 2, sigma, delta), t)
+    return prop.K0.reshape(xi.shape), prop.K1.reshape(xi.shape)
 
 
 @dataclass(frozen=True)

@@ -132,5 +132,10 @@ class TestWindow:
         assert default_fit_window(100.0, wrap_time=60.0) == (10.0, 60.0)
 
     def test_no_window_left(self):
-        with pytest.raises(DataSeriesError):
+        # the message names what ended the window
+        with pytest.raises(DataSeriesError, match=r"t_max=5\.0 \(the torus wrap time\)$"):
             default_fit_window(100.0, wrap_time=5.0)
+        with pytest.raises(DataSeriesError, match=r"t_max=8\.0 \(t_end\)$"):
+            default_fit_window(8.0, wrap_time=9.0)
+        with pytest.raises(DataSeriesError, match=r"t_max=8\.0 \(t_end\)$"):
+            default_fit_window(8.0)

@@ -428,16 +428,45 @@ class TestRunDirectory:
             ["fields", "norms.csv", "fit.csv", "manifest.json"]
         assert cli.RUN_FILES[-1] == "manifest.json"
 
-    @pytest.mark.parametrize("command,table", [("semilinear", "norms.csv"),
-                                               ("linear-decay", "fit.csv")])
+    @staticmethod
+    def sweep_config(tmp_path):
+        """The config file of a two-member sweep into tmp_path/sw."""
+        base = small_config_doc(tmp_path)
+        base["solver"]["t_end"] = 1.0
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": base, "sweep": {"data.u0.amplitude": [0.01, 0.02]},
+                                   "output_dir": str(tmp_path / "sw")}))
+        return cfg
+
+    @pytest.mark.parametrize("command,table", [
+        ("semilinear", "norms.csv"), ("linear-decay", "fit.csv"),
+        ("blowup-scan", "functional.csv"), ("blowup-scan --out", "functional.csv"),
+        ("check-inequalities --out", "inequalities.csv"), ("sweep", "summary.csv")])
     @pytest.mark.parametrize("fault", ["write", "interrupt"])
     def test_failed_table_leaves_the_output_as_it_was(self, tmp_path, monkeypatch, capsys,
                                                       command, table, fault):
         # the manifest and norms were once written in place, and fit.csv
-        # after the run had replaced the earlier one's files
-        out = tmp_path / "deep" / "run"
+        # after the run had replaced the earlier one's files; the tables of
+        # blowup-scan, check-inequalities and sweep were written in place
+        # (blowup-scan's functional.csv was left cut short), and the
+        # directories --out made for them stayed
+        out, new = tmp_path / "deep" / "run", tmp_path / "new" / "deep"
         self.scanned_earlier_run(tmp_path, out)
         path, _ = write_config(tmp_path, solver=self.stored_solver(tmp_path))
+        sweep = self.sweep_config(tmp_path)
+        if command == "sweep":   # the earlier sweep, which the failed one reruns
+            assert main(["sweep", "--config", str(sweep)]) == 0
+        argv, where = {
+            "semilinear": (["semilinear", "--config", str(path), "--out", str(out)], out),
+            "linear-decay": (["linear-decay", "--config", str(path), "--out", str(out),
+                              "--window-lo", "1", "--window-hi", "4"], out),
+            "blowup-scan": (["blowup-scan", str(out)], out),
+            "blowup-scan --out": (["blowup-scan", str(out), "--out", str(new)], new),
+            "check-inequalities --out": (["check-inequalities", "--fields", "2", "--N", "32",
+                                          "--kmax", "4", "--out", str(new)], new),
+            "sweep": (["sweep", "--config", str(sweep)], tmp_path / "sw"),
+        }[command]
+        capsys.readouterr()
         before, threads = tree_bytes(tmp_path), threading.enumerate()
         write_table = cli.write_table
 
@@ -450,17 +479,49 @@ class TestRunDirectory:
                 else KeyboardInterrupt()
 
         monkeypatch.setattr(cli, "write_table", failing)
-        argv = [command, "--config", str(path), "--out", str(out)]
-        if command == "linear-decay":
-            argv += ["--window-lo", "1", "--window-hi", "4"]
         if fault == "write":
             assert main(argv) == 2
-            assert f"No space left on device: '{out}" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"error: [Errno 28] No space left on device: '{where}{os.sep}.run-" in err
+            assert f"{table}'" in err
         else:
             with pytest.raises(KeyboardInterrupt):
                 main(argv)
         assert tree_bytes(tmp_path) == before
         assert threading.enumerate() == threads
+
+    def test_every_table_is_written_into_a_stage_or_appended(self, tmp_path, monkeypatch):
+        # a command writes a table whole into a stage that _run_dir swaps in,
+        # or appends a row to fit's ledger; none writes one in place
+        calls, write_table = [], cli.write_table
+
+        def recording(file, header, rows, append=False):
+            calls.append((str(file), append))
+            return write_table(file, header, rows, append=append)
+
+        monkeypatch.setattr(cli, "write_table", recording)
+        monkeypatch.chdir(tmp_path)
+        out, tables = tmp_path / "run", tmp_path / "tables"
+        path, _ = write_config(tmp_path, solver=self.stored_solver(tmp_path))
+        window = ["--window-lo", "1", "--window-hi", "4"]
+        for argv in (["semilinear", "--config", str(path)],
+                     ["blowup-scan", str(out), "--out", str(tables)],
+                     ["blowup-scan", str(out)],
+                     ["linear-decay", "--config", str(path), *window],
+                     ["check-inequalities", "--fields", "2", "--N", "32", "--kmax", "4",
+                      "--out", str(tables)],
+                     ["fit", str(out / "norms.csv"), "L2_u", *window],
+                     ["sweep", "--config", str(self.sweep_config(tmp_path))]):
+            assert main(argv) in (0, 1), argv
+        written = sorted(os.path.basename(file) for file, _ in calls)
+        assert written == ["fit.csv", "fits.csv", "functional.csv", "functional.csv",
+                           "inequalities.csv", "norms.csv", "norms.csv", "norms.csv",
+                           "norms.csv", "summary.csv"]
+        for file, append in calls:
+            if append:
+                assert file == "fits.csv"
+            else:
+                assert os.path.basename(os.path.dirname(file)).startswith(".run-"), file
 
 
 FIT_OPTION_ERRORS = [
@@ -708,6 +769,28 @@ class TestCommands:
         assert main(["rates", *(f"--{key}={value}" for key, value in doc["params"].items())]) == 0
         assert from_config == capsys.readouterr().out
         assert "parameters: sigma=2.0 delta=0.5 m=1.0 n=3 r=1.5 target=on_ut" in from_config
+
+    def test_linear_decay_names_the_window_flags_when_the_wrap_time_ends_the_window(
+            self, tmp_path, capsys):
+        # the linear-2d benchmark workload's seed-0 config: at sigma = 1,
+        # delta = 0 the wrap time (4.24) ends the default window before t = 10,
+        # and the message once named neither its source nor the way out
+        path, _ = write_config(
+            tmp_path,
+            params={"sigma": 1.0, "delta": 0.0, "m": 1.0, "n": 2, "p": 2.0,
+                    "target": "on_u", "r": None},
+            grid={"n": 2, "N": 256, "L": 40.0},
+            solver={"dt": 0.05, "t_end": 60.0, "dealias_fraction": 2 / 3,
+                    "blowup_threshold": None, "snapshot_stride": 4, "store_fields": False},
+            data={"u0": {"family": "gaussian", "amplitude": 0.01, "width": 1.0, "center": 0.0},
+                  "u1": {"family": "zero"}})
+        assert main(["linear-decay", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: no usable fit window: t_min=10\.0, t_max=4\.24\d* "
+                            r"\(the torus wrap time\); give the window with --window-lo "
+                            r"and --window-hi\n", captured.err)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag", [["--window-lo", "12"], ["--window-hi", "20"]])
     def test_linear_decay_window_flags_go_together(self, tmp_path, capsys, flag):

@@ -160,6 +160,28 @@ def test_every_transform_goes_through_the_grid_pair():
     assert found == []
 
 
+def _is_ndim(node) -> bool:
+    """An .ndim attribute, or a call of a function named ndim (np.ndim(x))."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Attribute) and node.attr == "ndim" or \
+        isinstance(node, ast.Name) and node.id == "ndim"
+
+
+def test_no_function_branches_on_a_scalar():
+    # one path for every input: a scalar goes through the array code and
+    # comes back 0-d, so no module compares an ndim with 0
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            if any(map(_is_ndim, operands)) and any(
+                    isinstance(x, ast.Constant) and type(x.value) is int and x.value == 0
+                    for x in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_write_table_creates_a_csv_writer():
     # one place formats the numbers of every table the package writes
     counts = {path.name: path.read_text().count("csv.writer(") for path in SRC.glob("*.py")}

@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -261,6 +262,21 @@ class TestRoots:
             assert np.max(prod_resid / scale) < 1e-12
             assert np.all(lam_plus.real <= 1e-15)
             assert np.all(lam_minus.real <= 1e-15)
+
+    @pytest.mark.parametrize("sigma,delta", [(1, 0), (2, 1), (1.5, 0.3), (1, 0.5)])
+    def test_scalar_is_its_array_element(self, sigma, delta):
+        # a scalar |xi| goes through the array code and comes back 0-d,
+        # with the bits of its element of an array call
+        xis = np.concatenate([[0.0, 0.5, 1.0], np.geomspace(1e-8, 1e3, 300)])
+        for t in (0.0, 0.7, 60.0):
+            arrays = characteristic_roots(xis, sigma, delta) + \
+                propagator_multipliers(t, xis, sigma, delta)
+            for i, x in enumerate(xis.tolist()):
+                scalars = characteristic_roots(x, sigma, delta) + \
+                    propagator_multipliers(t, x, sigma, delta)
+                for got, array in zip(scalars, arrays):
+                    assert type(got) is np.ndarray and got.shape == ()
+                    assert got.dtype == array.dtype and got.tobytes() == array[i].tobytes()
 
     @pytest.mark.parametrize("sigma,delta", [(1, 0), (2, 1), (1.5, 0.3), (1.3, 0.4),
                                              (3, 1.5), (1, 0.5), (2, 0.2), (1.7, 0.6)])
@@ -581,6 +597,19 @@ class TestHalfSpectrum:
         with pytest.raises(GridMismatchError):
             g.fft(np.zeros(shape))
 
+    # a stack of half spectra once came back as a stack of fields, and a last
+    # axis of the wrong width was zero-padded by irfft into a field
+    @pytest.mark.parametrize("n,shape", [(2, (3, 8, 5)), (2, (8, 4)), (2, (4, 5)), (2, (8, 8)),
+                                         (2, (5,)), (2, ()), (1, (4,)), (1, (3, 5)),
+                                         (3, (8, 4, 5)), (3, (8, 5))])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_inverse_takes_one_half_spectrum(self, n, shape, with_out):
+        g = GridSpec(n, 8, 2.0)
+        out = np.zeros(g.shape) if with_out else None
+        with pytest.raises(GridMismatchError, match=rf"half spectrum shape {re.escape(str(shape))}"):
+            g.ifft(np.ones(shape, dtype=complex), out=out)
+        assert out is None or not out.any()
+
 
 class TestOutArguments:
     """The transform pair and the multiplier apply with and without ``out``."""
@@ -607,9 +636,27 @@ class TestOutArguments:
         assert g.ifft(uh, out=buf) is buf
         assert buf.tobytes() == want.tobytes()
         assert uh.tobytes() == kept.tobytes()
+        # both run their complex passes in the scratch the grid lends out,
+        # and read none of what a borrower left there
+        g.half_spectrum_work()[...] = np.nan
+        assert g.ifft(uh).tobytes() == buf.tobytes()
         spec = np.empty(uh.shape, dtype=complex)
         assert g.fft(u, out=spec) is spec
         assert spec.tobytes() == np.fft.rfftn(u, axes=axes).tobytes()
+
+    @pytest.mark.parametrize("n,N", [(2, 64), (3, 16)])
+    def test_inverse_allocates_only_its_field(self, n, N):
+        # the complex passes once allocated a half spectrum each without out
+        g = GridSpec(n, N, 3.0)
+        uh = self.half_spectrum(g, np.random.default_rng(n))
+        g.ifft(uh)   # the scratch exists
+        tracemalloc.start()
+        try:
+            u = g.ifft(uh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes <= peak < u.nbytes + uh.nbytes // 2
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 16), (3, 8)])
     def test_sup_bound_holds(self, n, N):
